@@ -48,7 +48,7 @@ def main():
 
     embed_backend = BackendConfig(kind="mock", behavior="toy",
                                   params={"parameters": list(PARAMS)})
-    refine_backend = BackendConfig(kind="mock", behavior="toy_refine")
+    refine_backend = BackendConfig(kind="mock", behavior="toy_chat")
     task_backend = BackendConfig(
         kind="mock", behavior="toy_task",
         params={"parameters": list(PARAMS), "target": list(TARGET),

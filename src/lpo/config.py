@@ -8,8 +8,9 @@ so a bad config is reported exhaustively before any backend call.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import yaml
 
@@ -103,25 +104,49 @@ class AppConfig:
     labels: list[str] | None
     split: SplitSpec
     optimizer: OptimizerConfig
-    task_backend: BackendConfig
-    extraction_backend: BackendConfig
-    max_examples: int
-    eval_temperature: float
+    evaluator: EvalConfig
     max_calls: int
     max_total_tokens: int
 
+    @property
+    def task_backend(self) -> BackendConfig:
+        return self.evaluator.task_backend
+
+    @property
+    def extraction_backend(self) -> BackendConfig:
+        return self.evaluator.extraction_backend
+
+    @property
+    def max_examples(self) -> int:
+        return self.evaluator.max_examples
+
     def eval_config(self, split: str) -> EvalConfig:
         # per-split cache files keep validation and test replies independent
-        return EvalConfig(
-            task_backend=self.task_backend,
-            extraction_backend=self.extraction_backend,
-            max_examples=self.max_examples,
-            temperature=self.eval_temperature,
-            cache_path=self.out_dir / f"cache_{split}.jsonl",
-        )
+        return replace(self.evaluator, cache_path=self.out_dir / f"cache_{split}.jsonl")
 
     def budget(self) -> Budget:
         return Budget(max_calls=self.max_calls, max_total_tokens=self.max_total_tokens)
+
+
+def _given(raw: dict, casts: dict[str, Callable]) -> dict:
+    """The keys a section sets, coerced; the dataclasses hold every default."""
+    return {key: cast(raw[key]) for key, cast in casts.items() if key in raw}
+
+
+_BACKEND_KEYS = {
+    "kind": str, "endpoint": lambda v: v or "", "model_name": lambda v: v or "",
+    "api_key_env": str, "timeout": float, "max_attempts": int, "backoff_base": float,
+    "max_in_flight": int, "behavior": str,
+}
+_POLICY_KEYS = {
+    "strategy_mix": lambda mix: {str(k): float(v) for k, v in mix.items()},
+    "blend_range": lambda band: (float(band[0]), float(band[1])),
+    "extrapolation_range": lambda bands: tuple((float(lo), float(hi)) for lo, hi in bands),
+    "sigma": lambda v: None if v is None else float(v),
+    "rng_seed": int,
+    "candidate_count": int,
+}
+_CONFIG_ERRORS = (ValidationError, TypeError, ValueError, IndexError, AttributeError)
 
 
 def _resolve(base: Path, value: str | None) -> Path | None:
@@ -143,19 +168,8 @@ def _build_backend(raw: dict, base: Path, errors: list[str], where: str) -> Back
             return None
         params["dataset"] = str(resolved)
     try:
-        return BackendConfig(
-            kind=raw.get("kind", "mock"),
-            endpoint=raw.get("endpoint", "") or "",
-            model_name=raw.get("model_name", "") or "",
-            api_key_env=raw.get("api_key_env", "LPO_API_KEY"),
-            timeout=float(raw.get("timeout", 30.0)),
-            max_attempts=int(raw.get("max_attempts", 3)),
-            backoff_base=float(raw.get("backoff_base", 0.5)),
-            max_in_flight=int(raw.get("max_in_flight", 4)),
-            behavior=raw.get("behavior", "fixed"),
-            params=params,
-        )
-    except (ValidationError, TypeError, ValueError) as exc:
+        return BackendConfig(params=params, **_given(raw, _BACKEND_KEYS))
+    except _CONFIG_ERRORS as exc:
         errors.append(f"{where}: {exc}")
         return None
 
@@ -195,11 +209,8 @@ def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
     labels = ds.get("labels")
     split = None
     try:
-        split = SplitSpec(
-            validation_fraction=float(ds.get("validation_fraction", 0.1)),
-            rng_seed=int(ds.get("rng_seed", 7)),
-        )
-    except (ValidationError, TypeError, ValueError) as exc:
+        split = SplitSpec(**_given(ds, {"validation_fraction": float, "rng_seed": int}))
+    except _CONFIG_ERRORS as exc:
         errors.append(f"dataset: {exc}")
 
     enc = section("encoder")
@@ -208,11 +219,8 @@ def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
     if enc_backend is not None:
         try:
             encoder_spec = EncoderSpec(
-                backend=enc_backend,
-                dimension=int(enc.get("dimension", 8)),
-                normalize=bool(enc.get("normalize", False)),
-            )
-        except (ValidationError, TypeError, ValueError) as exc:
+                backend=enc_backend, **_given(enc, {"dimension": int, "normalize": bool}))
+        except _CONFIG_ERRORS as exc:
             errors.append(f"encoder: {exc}")
 
     dec = section("decode")
@@ -235,33 +243,16 @@ def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
             errors.append(f"decode.projector_path: {exc}")
     try:
         decode_strategy = DecodeStrategy(
-            kind=dec.get("kind", "anchor_blend"),
-            chat=chat_backend,
-            toy_space=toy_space,
-            projector=proj,
-            decode_temperature=float(dec.get("decode_temperature", 0.7)),
-            refinement_temperature=float(dec.get("refinement_temperature", 0.0)),
-        )
-    except (ValidationError, TypeError, ValueError) as exc:
+            chat=chat_backend, toy_space=toy_space, projector=proj,
+            **_given(dec, {"kind": str, "decode_temperature": float,
+                           "refinement_temperature": float}))
+    except _CONFIG_ERRORS as exc:
         errors.append(f"decode: {exc}")
 
-    pol = section("policy")
     policy = None
     try:
-        mix = pol.get("strategy_mix", {"interpolate": 1.0})
-        blend = pol.get("blend_range", [0.35, 0.65])
-        extrap = pol.get("extrapolation_range", [[-0.5, 0.0], [1.0, 1.5]])
-        policy = ExplorationPolicy(
-            strategy_mix={str(k): float(v) for k, v in mix.items()},
-            blend_range=(float(blend[0]), float(blend[1])),
-            extrapolation_range=tuple(
-                (float(lo), float(hi)) for lo, hi in extrap
-            ),
-            sigma=None if pol.get("sigma") is None else float(pol["sigma"]),
-            rng_seed=int(pol.get("rng_seed", 42)),
-            candidate_count=int(pol.get("candidate_count", 15)),
-        )
-    except (ValidationError, TypeError, ValueError, IndexError) as exc:
+        policy = ExplorationPolicy(**_given(section("policy"), _POLICY_KEYS))
+    except _CONFIG_ERRORS as exc:
         errors.append(f"policy: {exc}")
 
     opt = section("optimizer")
@@ -269,15 +260,10 @@ def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
     if policy is not None and encoder_spec is not None and decode_strategy is not None:
         try:
             optimizer_cfg = OptimizerConfig(
-                policy=policy,
-                encoder=encoder_spec,
-                decode=decode_strategy,
-                select_n=int(opt.get("select_n", 3)),
-                max_iterations=int(opt.get("max_iterations", 1)),
-                patience=int(opt.get("patience", 1)),
-                keep_seeds=bool(opt.get("keep_seeds", True)),
-            )
-        except (ValidationError, TypeError, ValueError) as exc:
+                policy=policy, encoder=encoder_spec, decode=decode_strategy,
+                **_given(opt, {"select_n": int, "max_iterations": int, "patience": int,
+                               "keep_seeds": bool}))
+        except _CONFIG_ERRORS as exc:
             errors.append(f"optimizer: {exc}")
 
     ev = section("evaluator")
@@ -285,26 +271,24 @@ def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
                                   "evaluator.task_backend")
     extraction_backend = _build_backend(ev.get("extraction_backend") or {}, base, errors,
                                         "evaluator.extraction_backend")
-    max_examples = ev.get("max_examples", 50)
-    eval_temperature = ev.get("temperature", 0.0)
+    evaluator = None
     try:
-        if int(max_examples) < 1:
-            errors.append("evaluator.max_examples: must be >= 1")
-        if float(eval_temperature) < 0:
-            errors.append("evaluator.temperature: must be >= 0")
-    except (TypeError, ValueError) as exc:
+        # validated even when a backend failed, so every error is listed
+        evaluator = EvalConfig(task_backend=task_backend, extraction_backend=extraction_backend,
+                               **_given(ev, {"max_examples": int, "temperature": float}))
+    except _CONFIG_ERRORS as exc:
         errors.append(f"evaluator: {exc}")
 
-    bud = section("budget")
-    max_calls = int(bud.get("max_calls", 100000))
-    max_total_tokens = int(bud.get("max_total_tokens", 10000000))
-    if max_calls < 1 or max_total_tokens < 1:
-        errors.append("budget: limits must be positive")
+    limits = None
+    try:
+        limits = Budget(**_given(section("budget"), {"max_calls": int, "max_total_tokens": int}))
+    except _CONFIG_ERRORS as exc:
+        errors.append(f"budget: {exc}")
 
     out_dir = _resolve(base, raw.get("out_dir", "out"))
 
-    if errors or optimizer_cfg is None or split is None or train_path is None \
-            or task_backend is None or extraction_backend is None:
+    if errors or None in (optimizer_cfg, split, train_path, task_backend, extraction_backend,
+                          evaluator, limits):
         if not errors:
             errors.append("config incomplete")
         return None, errors
@@ -316,12 +300,9 @@ def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
         labels=list(labels) if labels else None,
         split=split,
         optimizer=optimizer_cfg,
-        task_backend=task_backend,
-        extraction_backend=extraction_backend,
-        max_examples=int(max_examples),
-        eval_temperature=float(eval_temperature),
-        max_calls=max_calls,
-        max_total_tokens=max_total_tokens,
+        evaluator=evaluator,
+        max_calls=limits.max_calls,
+        max_total_tokens=limits.max_total_tokens,
     ), []
 
 

@@ -122,8 +122,8 @@ class Dataset:
 class SplitSpec:
     """Validation split size and the seed for the deterministic shuffle."""
 
-    validation_fraction: float
-    rng_seed: int
+    validation_fraction: float = 0.1
+    rng_seed: int = 7
 
     def __post_init__(self) -> None:
         if not 0.0 < self.validation_fraction < 1.0:
@@ -244,6 +244,25 @@ def split_dataset(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 def text_digest(text: str) -> str:
     """Stable hex digest used for cache keys and derived identifiers."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def jsonable(value):
+    """Plain JSON data for records and cache keys; callables by name."""
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [float(v) for v in value]
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if callable(value):
+        # stable stand-in; a repr would embed a memory address and break
+        # record determinism
+        return f"<callable {getattr(value, '__qualname__', value.__class__.__name__)}>"
+    return repr(value)
 
 
 def as_vector(values, dim: int | None = None, name: str = "vector") -> np.ndarray:

@@ -45,7 +45,7 @@ class DecodeStrategy:
     where it must be conservative).
     """
 
-    kind: str
+    kind: str = "anchor_blend"
     chat: BackendConfig | None = None
     toy_space: ToySpaceSpec | None = None
     projector: LinearProjector | None = None

@@ -1,9 +1,8 @@
 """Maps prompt templates to latent embedding vectors.
 
-Real encoding goes through the gateway's embedding backend; the toy-space
-encoder from :mod:`lpo.toyspace` is re-exported here for oracle tests. The
-backend's vector is taken as-is (no pooling configuration, no fine-tuning);
-optionally each vector is rescaled to unit Euclidean norm.
+Encoding goes through the gateway's embedding backend. The backend's vector
+is taken as-is (no pooling configuration, no fine-tuning); optionally each
+vector is rescaled to unit Euclidean norm.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from . import gateway
 from .core import PromptTemplate, as_vector
 from .errors import ValidationError
 from .gateway import BackendConfig, Budget
-from .toyspace import ToySpaceSpec, toy_encode  # noqa: F401  (toy oracle surface)
 
 logger = logging.getLogger(__name__)
 
@@ -28,7 +26,7 @@ class EncoderSpec:
     """Embedding backend plus the expected vector dimension."""
 
     backend: BackendConfig
-    dimension: int
+    dimension: int = 8
     normalize: bool = False
 
     def __post_init__(self) -> None:

@@ -23,3 +23,7 @@ class BackendError(LPOError):
 
 class CandidateInvalidError(LPOError):
     """A decoded candidate failed format refinement; not fatal to a run."""
+
+
+class TransientBackendError(BackendError):
+    """Retryable backend failure: timeout, connection error, HTTP 5xx or 429."""

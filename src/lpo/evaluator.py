@@ -7,8 +7,9 @@ outputs that still resolve to no label count as incorrect: a prompt that
 elicits unparseable output is a worse prompt, and excluding such cases
 would inflate scores.
 
-Replies are cached in an append-only JSONL file keyed by content hashes, so
-a warm rerun issues zero gateway calls and returns identical scores.
+Replies are cached in an append-only JSONL file keyed by content hashes and
+the answering backend's fingerprint, so a warm rerun issues zero gateway
+calls and returns identical scores, and no backend is served another's reply.
 """
 
 from __future__ import annotations
@@ -82,24 +83,36 @@ class ResponseCache:
     """Append-only JSONL cache of backend replies, keyed by content hash.
 
     I/O problems are downgraded to warnings; the evaluator then simply falls
-    back to live calls. Appends are serialized.
+    back to live calls. Undecodable lines, such as one cut short by a crash,
+    are skipped and counted. Appends are serialized.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._entries: dict[str, str] = {}
         self._lock = threading.Lock()
-        if self.path is not None and self.path.exists():
-            try:
-                with open(self.path, encoding="utf-8") as fh:
-                    for line in fh:
-                        if not line.strip():
-                            continue
+        self.skipped = 0
+        self._cut_off = False  # last line lacks its newline; next append starts a new one
+        if self.path is None or not self.path.exists():
+            return
+        line = ""
+        try:
+            # lpo writes ASCII-only JSON, so a cut-off line is still valid UTF-8
+            with open(self.path, encoding="utf-8") as fh:
+                for line in fh:
+                    if not line.strip():
+                        continue
+                    try:
                         obj = json.loads(line)
                         self._entries[obj["key_hash"]] = obj["raw_output"]
-            except (OSError, json.JSONDecodeError, KeyError) as exc:
-                logger.warning("ignoring unreadable cache %s: %s", self.path, exc)
-                self._entries = {}
+                    except (ValueError, KeyError, TypeError):
+                        self.skipped += 1
+        except (OSError, UnicodeDecodeError) as exc:
+            logger.warning("ignoring unreadable cache %s: %s", self.path, exc)
+            self._entries = {}
+        self._cut_off = bool(line) and not line.endswith("\n")
+        if self.skipped:
+            logger.warning("skipped %d unreadable cache line(s) in %s", self.skipped, self.path)
 
     def get(self, key: str) -> str | None:
         return self._entries.get(key)
@@ -112,30 +125,36 @@ class ResponseCache:
             try:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps({"key_hash": key, "raw_output": raw_output}) + "\n")
+                    prefix = "\n" if self._cut_off else ""
+                    fh.write(prefix + json.dumps({"key_hash": key, "raw_output": raw_output}) + "\n")
+                self._cut_off = False
             except OSError as exc:
                 logger.warning("could not append to cache %s: %s", self.path, exc)
 
 
-def _classify_key(cfg: EvalConfig, template: PromptTemplate, ex: Example) -> str:
+def _classify_key(backend_id: str, cfg: EvalConfig, template: PromptTemplate,
+                  ex: Example) -> str:
     return text_digest(json.dumps([
-        "classify", cfg.task_backend.model_name or cfg.task_backend.behavior,
+        "classify", backend_id,
         text_digest(template.text), text_digest(ex.text), repr(cfg.temperature),
     ]))
 
 
-def _extract_key(cfg: EvalConfig, raw: str, label_set: Sequence[str]) -> str:
-    return text_digest(json.dumps([
-        "extract", cfg.extraction_backend.model_name or cfg.extraction_backend.behavior,
-        text_digest(raw), list(label_set),
-    ]))
+def _extract_key(backend_id: str, raw: str, label_set: Sequence[str]) -> str:
+    return text_digest(json.dumps(["extract", backend_id, text_digest(raw), list(label_set)]))
 
 
 def classify_one(template: PromptTemplate, ex: Example, cfg: EvalConfig,
-                 budget: Budget, cache: ResponseCache | None = None) -> str:
-    """Render the prompt for one example and return the task backend's reply."""
+                 budget: Budget, cache: ResponseCache | None = None, *,
+                 backend_id: str | None = None) -> str:
+    """Render the prompt for one example and return the task backend's reply.
+
+    ``backend_id`` is the task backend's fingerprint, for callers that
+    already computed it.
+    """
     cache = cache if cache is not None else ResponseCache(cfg.cache_path)
-    key = _classify_key(cfg, template, ex)
+    backend_id = backend_id or gateway.backend_fingerprint(cfg.task_backend)
+    key = _classify_key(backend_id, cfg, template, ex)
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -163,7 +182,8 @@ def _field_match(lowered: str, label_set: Sequence[str]) -> str | None:
 
 
 def extract_label(raw: str, label_set: Sequence[str], cfg: EvalConfig,
-                  budget: Budget, cache: ResponseCache | None = None) -> str:
+                  budget: Budget, cache: ResponseCache | None = None, *,
+                  backend_id: str | None = None) -> str:
     """Resolve a raw task reply to a label, or ``"unparsed"``.
 
     Stage 1 is deterministic and free: a unique whole-word label occurrence,
@@ -171,6 +191,8 @@ def extract_label(raw: str, label_set: Sequence[str], cfg: EvalConfig,
     asks the extraction backend which label the reply asserts; most outputs
     never get that far, which saves budget without changing semantics on
     clear cases. Backend failures in stage 2 degrade to ``"unparsed"``.
+    ``backend_id`` is the extraction backend's fingerprint, as in
+    :func:`classify_one`.
     """
     if not label_set:
         raise ValidationError("extract_label needs a non-empty label set")
@@ -180,7 +202,8 @@ def extract_label(raw: str, label_set: Sequence[str], cfg: EvalConfig,
         return hit
 
     cache = cache if cache is not None else ResponseCache(cfg.cache_path)
-    key = _extract_key(cfg, raw, label_set)
+    backend_id = backend_id or gateway.backend_fingerprint(cfg.extraction_backend)
+    key = _extract_key(backend_id, raw, label_set)
     reply = cache.get(key)
     if reply is None:
         req = ChatRequest(user_text=prompts.extract_instruction(raw, list(label_set)),
@@ -210,11 +233,14 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
     eval_set_id = Dataset(examples=slice_examples,
                           label_set=eval_set.label_set).fingerprint()
     cache = cache if cache is not None else ResponseCache(cfg.cache_path)
+    task_id = gateway.backend_fingerprint(cfg.task_backend)
+    extraction_id = gateway.backend_fingerprint(cfg.extraction_backend)
     outcomes: list[PerExample] = []
     for index, ex in enumerate(slice_examples):
         try:
-            raw = classify_one(template, ex, cfg, budget, cache)
-            label = extract_label(raw, eval_set.label_set, cfg, budget, cache)
+            raw = classify_one(template, ex, cfg, budget, cache, backend_id=task_id)
+            label = extract_label(raw, eval_set.label_set, cfg, budget, cache,
+                                  backend_id=extraction_id)
         except BudgetExhaustedError as exc:
             raise BudgetExhaustedError(
                 f"budget exhausted after {len(outcomes)} of {len(slice_examples)} "

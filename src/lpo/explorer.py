@@ -41,7 +41,7 @@ class ExplorationPolicy:
         (1.0, 1.5),
     )
     sigma: float | None = None
-    rng_seed: int = 0
+    rng_seed: int = 42
     candidate_count: int = 15
 
     def __post_init__(self) -> None:

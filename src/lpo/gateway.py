@@ -1,9 +1,10 @@
 """Single choke point for all black-box LLM access.
 
 Chat-style generation and text embedding both go through here, with retry,
-budget enforcement, usage accounting, a per-backend in-flight cap, and a
-family of fully deterministic mock backends for tests and toy runs. No other
-module in this package performs network access.
+budget enforcement, usage accounting and a per-backend in-flight cap. No
+other module in this package performs network access. Mock backends are
+dispatched here too, so they are budgeted and counted like remote ones; their
+behaviors live in :mod:`lpo.mocks`.
 
 Remote wire protocol is JSON-over-HTTP in the de facto chat-completions /
 embeddings shape. Secrets are read from the environment variable named in
@@ -14,10 +15,9 @@ soft-prompt vector alongside the user text; remote backends reject it.
 
 from __future__ import annotations
 
-import hashlib
+import json
 import logging
 import os
-import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -26,10 +26,10 @@ from typing import Callable, Sequence
 import numpy as np
 import requests
 
-from . import prompts
-from .core import PLACEHOLDER, as_vector, load_dataset
-from .errors import BackendError, BudgetExhaustedError, ValidationError
-from .toyspace import ToySpaceSpec, strip_placeholder, toy_decode, toy_encode
+from . import mocks
+from .core import as_vector, jsonable, text_digest
+from .errors import BackendError, BudgetExhaustedError, TransientBackendError, ValidationError
+from .mocks import MOCK_CHAT_BEHAVIORS, MOCK_EMBED_BEHAVIORS
 
 logger = logging.getLogger(__name__)
 
@@ -37,10 +37,6 @@ API_KEY_ENV = "LPO_API_KEY"
 ENDPOINT_ENV = "LPO_ENDPOINT"
 
 BACKEND_KINDS = ("remote_chat", "remote_embed", "mock")
-
-
-class _TransientFailure(BackendError):
-    """Retryable failure: timeout, connection error, HTTP 5xx or 429."""
 
 
 @dataclass(frozen=True)
@@ -77,8 +73,8 @@ class ChatResponse:
 class Budget:
     """Run-wide call and token ceilings with exact usage accounting."""
 
-    max_calls: int
-    max_total_tokens: int
+    max_calls: int = 100_000
+    max_total_tokens: int = 10_000_000
     calls: int = field(default=0, init=False)
     total_tokens: int = field(default=0, init=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
@@ -116,10 +112,10 @@ class BackendConfig:
 
     ``kind`` is one of remote_chat, remote_embed, mock. Mock backends pick a
     registered deterministic behavior by name and parameterize it via
-    ``params``; see MOCK_CHAT_BEHAVIORS / MOCK_EMBED_BEHAVIORS.
+    ``params``; see :mod:`lpo.mocks`.
     """
 
-    kind: str
+    kind: str = "mock"
     endpoint: str = ""
     model_name: str = ""
     api_key_env: str = API_KEY_ENV
@@ -155,6 +151,18 @@ def attempt_count(cfg: BackendConfig) -> int:
     return cfg._state["attempts"]
 
 
+def backend_fingerprint(cfg: BackendConfig) -> str:
+    """Digest of what decides a backend's replies: kind, resolved endpoint,
+    model, mock behavior and params. Response-cache keys include it.
+
+    A callable in ``params`` counts by its qualified name, which keeps the
+    digest stable across processes; two callables of one name count as one.
+    """
+    endpoint = _resolve_endpoint(cfg) if cfg.kind != "mock" else ""
+    return text_digest(json.dumps(jsonable(
+        [cfg.kind, endpoint, cfg.model_name, cfg.behavior, cfg.params]), sort_keys=True))
+
+
 def _call_with_retries(cfg: BackendConfig, label: str, fn: Callable):
     last: Exception | None = None
     for attempt in range(1, cfg.max_attempts + 1):
@@ -163,7 +171,7 @@ def _call_with_retries(cfg: BackendConfig, label: str, fn: Callable):
         try:
             with cfg._state["semaphore"]:
                 return fn()
-        except _TransientFailure as exc:
+        except TransientBackendError as exc:
             last = exc
             logger.warning("%s attempt %d/%d failed: %s", label, attempt, cfg.max_attempts, exc)
             if attempt < cfg.max_attempts and cfg.backoff_base > 0:
@@ -242,9 +250,9 @@ def _post_json(cfg: BackendConfig, payload: dict) -> dict:
         response = requests.post(url, json=payload, headers=_auth_headers(cfg),
                                  timeout=cfg.timeout)
     except (requests.Timeout, requests.ConnectionError) as exc:
-        raise _TransientFailure(f"connection failure: {exc}") from exc
+        raise TransientBackendError(f"connection failure: {exc}") from exc
     if response.status_code == 429 or response.status_code >= 500:
-        raise _TransientFailure(f"HTTP {response.status_code}")
+        raise TransientBackendError(f"HTTP {response.status_code}")
     if response.status_code >= 400:
         raise BackendError(f"HTTP {response.status_code}: {response.text[:200]}")
     try:
@@ -288,240 +296,23 @@ def _remote_embed(cfg: BackendConfig, texts: Sequence[str]) -> tuple[list[np.nda
     return vectors, (int(usage.get("prompt_tokens", 0)), 0)
 
 
-# --- mock backends --------------------------------------------------------
+# --- mock dispatch --------------------------------------------------------
 
 
-def _word_count(text: str) -> int:
-    return len(text.split())
-
-
-def _mock_usage(cfg: BackendConfig, req_text: str, reply: str) -> tuple[int, int]:
-    fixed = cfg.params.get("usage")
-    if fixed is not None:
-        return int(fixed[0]), int(fixed[1])
-    return _word_count(req_text), _word_count(reply)
+def _mock_behavior(table: dict, what: str, cfg: BackendConfig) -> Callable:
+    try:
+        return table[cfg.behavior]
+    except KeyError:
+        raise ValidationError(f"unknown mock {what} behavior {cfg.behavior!r}") from None
 
 
 def _mock_chat(cfg: BackendConfig, req: ChatRequest) -> ChatResponse:
-    try:
-        behavior = MOCK_CHAT_BEHAVIORS[cfg.behavior]
-    except KeyError:
-        raise ValidationError(f"unknown mock chat behavior {cfg.behavior!r}") from None
-    reply = behavior(cfg, req)
-    usage = _mock_usage(cfg, req.user_text, reply)
-    return ChatResponse(text=reply, prompt_tokens=usage[0], completion_tokens=usage[1])
+    reply = _mock_behavior(MOCK_CHAT_BEHAVIORS, "chat", cfg)(cfg, req)
+    prompt_tokens, completion_tokens = mocks.usage(cfg, [req.user_text], reply)
+    return ChatResponse(text=reply, prompt_tokens=prompt_tokens,
+                        completion_tokens=completion_tokens)
 
 
 def _mock_embed(cfg: BackendConfig, texts: Sequence[str]) -> tuple[list[np.ndarray], tuple[int, int]]:
-    try:
-        behavior = MOCK_EMBED_BEHAVIORS[cfg.behavior]
-    except KeyError:
-        raise ValidationError(f"unknown mock embed behavior {cfg.behavior!r}") from None
-    vectors = [as_vector(v, name="mock embedding") for v in behavior(cfg, texts)]
-    usage = cfg.params.get("usage")
-    if usage is not None:
-        return vectors, (int(usage[0]), int(usage[1]))
-    return vectors, (sum(_word_count(t) for t in texts), 0)
-
-
-def _behavior_fixed(cfg: BackendConfig, req: ChatRequest) -> str:
-    return str(cfg.params.get("reply", ""))
-
-
-def _behavior_echo(cfg: BackendConfig, req: ChatRequest) -> str:
-    return req.user_text
-
-
-def _behavior_handler(cfg: BackendConfig, req: ChatRequest) -> str:
-    fn = cfg.params.get("fn")
-    if fn is None:
-        raise ValidationError("handler mock needs params['fn']")
-    return str(fn(req))
-
-
-def _behavior_sequence(cfg: BackendConfig, req: ChatRequest) -> str:
-    replies = cfg.params.get("replies", [])
-    with cfg._state["lock"]:
-        cursor = cfg._state["cursor"]
-        cfg._state["cursor"] = cursor + 1
-    if cursor >= len(replies):
-        raise BackendError(f"mock script exhausted after {len(replies)} replies")
-    entry = replies[cursor]
-    if isinstance(entry, dict) and "error" in entry:
-        status = int(entry["error"])
-        if status == 429 or status >= 500:
-            raise _TransientFailure(f"HTTP {status} (scripted)")
-        raise BackendError(f"HTTP {status} (scripted)")
-    return str(entry)
-
-
-def _behavior_toy_refine(cfg: BackendConfig, req: ChatRequest) -> str:
-    """Deterministic format refinement: append the placeholder if missing."""
-    raw = prompts.extract_block(req.user_text, prompts.BLOCK_RAW_OPEN, prompts.BLOCK_RAW_CLOSE)
-    if raw is None:
-        raw = req.user_text
-    raw = raw.strip()
-    if not raw:
-        return ""
-    if PLACEHOLDER in raw:
-        return raw
-    return raw + " " + PLACEHOLDER
-
-
-def _toy_spec(cfg: BackendConfig) -> ToySpaceSpec:
-    names = cfg.params.get("parameters")
-    if not names:
-        raise ValidationError(f"mock behavior {cfg.behavior!r} needs params['parameters']")
-    return ToySpaceSpec(tuple(names))
-
-
-def _behavior_toy_blend(cfg: BackendConfig, req: ChatRequest) -> str:
-    """Numeric stand-in for a paraphrasing decoder in the toy space.
-
-    Extracts both parent prompts and the blend weight from the instruction,
-    blends the parsed toy vectors, and returns the canonical toy string
-    (without a placeholder, as a raw decode would).
-    """
-    spec = _toy_spec(cfg)
-    parent_a = prompts.extract_block(req.user_text, prompts.BLOCK_A_OPEN, prompts.BLOCK_A_CLOSE)
-    parent_b = prompts.extract_block(req.user_text, prompts.BLOCK_B_OPEN, prompts.BLOCK_B_CLOSE)
-    if parent_a is None:
-        raise BackendError("toy blend mock found no parent prompt in the instruction")
-    vec_a = toy_encode(spec, strip_placeholder(parent_a))
-    if parent_b is None:
-        return toy_decode(spec, vec_a)
-    match = re.search(r"blend_weight=([-+0-9.eE]+)", req.user_text)
-    if match is None:
-        raise BackendError("toy blend mock found no blend weight in the instruction")
-    weight = float(match.group(1))
-    vec_b = toy_encode(spec, strip_placeholder(parent_b))
-    return toy_decode(spec, weight * vec_a + (1.0 - weight) * vec_b)
-
-
-def _behavior_toy_chat(cfg: BackendConfig, req: ChatRequest) -> str:
-    """One toy backend for a whole pipeline: refine, blend, and soft decode."""
-    if req.soft_prompt is not None:
-        return _behavior_toy_soft(cfg, req)
-    if prompts.extract_block(req.user_text, prompts.BLOCK_RAW_OPEN,
-                             prompts.BLOCK_RAW_CLOSE) is not None:
-        return _behavior_toy_refine(cfg, req)
-    if prompts.extract_block(req.user_text, prompts.BLOCK_A_OPEN,
-                             prompts.BLOCK_A_CLOSE) is not None:
-        return _behavior_toy_blend(cfg, req)
-    raise BackendError("toy chat mock cannot classify the instruction")
-
-
-def _behavior_toy_soft(cfg: BackendConfig, req: ChatRequest) -> str:
-    """Decode the soft-prompt vector itself; exercises the wire extension."""
-    if req.soft_prompt is None:
-        raise BackendError("toy soft mock requires a soft-prompt vector")
-    return toy_decode(_toy_spec(cfg), np.asarray(req.soft_prompt, dtype=float))
-
-
-def _toy_task_examples(cfg: BackendConfig) -> list[tuple[str, str, int]]:
-    """Examples as (text, label, rank); rank is a content-hash permutation.
-
-    Ranking by hash rather than file position keeps evaluation of any subset
-    of the examples statistically fair, while a full pass still measures
-    exactly round(fitness * N) correct answers.
-    """
-    with cfg._state["lock"]:
-        cached = cfg._state.get("examples")
-        if cached is None:
-            inline = cfg.params.get("examples")
-            if inline is not None:
-                pairs = [(str(e["text"]), str(e["label"]).strip().lower()) for e in inline]
-            else:
-                path = cfg.params.get("dataset")
-                if path is None:
-                    raise ValidationError("toy task mock needs params['examples'] or params['dataset']")
-                ds = load_dataset(path)
-                pairs = [(ex.text, ex.label) for ex in ds.examples]
-            order = sorted(range(len(pairs)),
-                           key=lambda i: hashlib.sha256(pairs[i][0].encode("utf-8")).hexdigest())
-            rank = {i: r for r, i in enumerate(order)}
-            cached = [(text, label, rank[i]) for i, (text, label) in enumerate(pairs)]
-            cfg._state["examples"] = cached
-    return cached
-
-
-def _behavior_toy_task(cfg: BackendConfig, req: ChatRequest) -> str:
-    """Scripted task model whose accuracy equals a quantized fitness score.
-
-    The fitness of a rendered prompt is ``1 - ||e - target||^2 / 2`` where
-    ``e`` is the toy vector parsed out of the prompt. Over the configured
-    example list of size N the mock answers the gold label for the
-    ``round(fitness * N)`` examples ranked lowest in a fixed content-hash
-    permutation and a wrong label for the rest, so evaluating the full list
-    measures exactly the quantized fitness.
-    """
-    spec = _toy_spec(cfg)
-    target = np.asarray(cfg.params["target"], dtype=float)
-    examples = _toy_task_examples(cfg)
-    coords = []
-    for name in spec.parameter_names:
-        match = re.search(rf"{re.escape(name)}=([-+0-9.eE]+)", req.user_text)
-        if match is None:
-            raise BackendError(f"toy task mock: no {name!r} value in the rendered prompt")
-        coords.append(float(match.group(1)))
-    vec = np.asarray(coords, dtype=float)
-    fitness = 1.0 - float(np.sum((vec - target) ** 2)) / 2.0
-    fitness = min(1.0, max(0.0, fitness))
-    n_correct = int(round(fitness * len(examples)))
-    matched = None
-    for text, label, rank in examples:
-        if text in req.user_text:
-            matched = (label, rank)
-            break
-    if matched is None:
-        raise BackendError("toy task mock: rendered prompt matches no known example")
-    gold, rank = matched
-    if rank < n_correct:
-        return gold
-    labels = sorted({label for _, label, _ in examples})
-    return labels[(labels.index(gold) + 1) % len(labels)]
-
-
-def _behavior_hash_embed(cfg: BackendConfig, texts: Sequence[str]) -> list[np.ndarray]:
-    """Deterministic pseudo-random embedding: same text, same vector."""
-    dim = int(cfg.params.get("dimension", 8))
-    out = []
-    for text in texts:
-        seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
-        out.append(np.random.default_rng(seed).standard_normal(dim))
-    return out
-
-
-def _behavior_toy_embed(cfg: BackendConfig, texts: Sequence[str]) -> list[np.ndarray]:
-    """Exact toy-space encoder; ignores the input placeholder if present."""
-    spec = _toy_spec(cfg)
-    return [toy_encode(spec, strip_placeholder(t)) for t in texts]
-
-
-def _behavior_map_embed(cfg: BackendConfig, texts: Sequence[str]) -> list[np.ndarray]:
-    table = cfg.params.get("vectors", {})
-    out = []
-    for text in texts:
-        if text not in table:
-            raise BackendError(f"map embed mock has no vector for {text!r}")
-        out.append(np.asarray(table[text], dtype=float))
-    return out
-
-
-MOCK_CHAT_BEHAVIORS: dict[str, Callable[[BackendConfig, ChatRequest], str]] = {
-    "fixed": _behavior_fixed,
-    "echo": _behavior_echo,
-    "handler": _behavior_handler,
-    "sequence": _behavior_sequence,
-    "toy_refine": _behavior_toy_refine,
-    "toy_blend": _behavior_toy_blend,
-    "toy_soft": _behavior_toy_soft,
-    "toy_chat": _behavior_toy_chat,
-    "toy_task": _behavior_toy_task,
-}
-
-MOCK_EMBED_BEHAVIORS: dict[str, Callable[[BackendConfig, Sequence[str]], list[np.ndarray]]] = {
-    "hash": _behavior_hash_embed,
-    "toy": _behavior_toy_embed,
-    "map": _behavior_map_embed,
-}
+    vectors = _mock_behavior(MOCK_EMBED_BEHAVIORS, "embed", cfg)(cfg, texts)
+    return [as_vector(v, name="mock embedding") for v in vectors], mocks.usage(cfg, texts)

@@ -1,9 +1,10 @@
 """Linear map from encoder space (dim d) into decoder token-embedding space (dim m).
 
 Application is a plain matrix-vector product. Fitting solves the ridge
-normal equations in closed form with a symmetric positive-definite
-factorization; the bias column, when requested, is not penalized. Weights
-round-trip through a human-inspectable JSON file.
+normal equations in closed form with NumPy, after a Cholesky factorization
+has checked that they are positive definite; the bias column, when
+requested, is not penalized. Weights round-trip through a human-inspectable
+JSON file.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .core import as_vector
 from .errors import ValidationError
@@ -123,9 +123,10 @@ def fit_ridge(corpus: PairedCorpus, regularization: float = 0.0,
               with_bias: bool = False) -> LinearProjector:
     """Minimize sum ||W x + b - y||^2 + reg * ||W||_F^2 in closed form.
 
-    Solves the normal equations with a Cholesky factorization; the bias term
-    is left unpenalized. A rank-deficient design with zero regularization is
-    rejected with advice to set reg > 0. Deterministic.
+    Solves the normal equations once a Cholesky factorization has shown them
+    positive definite; the bias term is left unpenalized. A rank-deficient
+    design with zero regularization is rejected with advice to set reg > 0.
+    Deterministic.
     """
     if regularization < 0:
         raise ValidationError(f"regularization must be >= 0, got {regularization}")
@@ -148,12 +149,12 @@ def fit_ridge(corpus: PairedCorpus, regularization: float = 0.0,
             )
     rhs = x.T @ y
     try:
-        factor = scipy.linalg.cho_factor(system, lower=True)
-        solution = scipy.linalg.cho_solve(factor, rhs)
+        np.linalg.cholesky(system)
     except np.linalg.LinAlgError as exc:
         raise ValidationError(
             f"normal equations are not positive definite ({exc}); set regularization > 0"
         ) from exc
+    solution = np.linalg.solve(system, rhs)
     if with_bias:
         return LinearProjector(weights=solution[:-1].T, bias=solution[-1])
     return LinearProjector(weights=solution.T)

@@ -10,9 +10,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
-from .core import PromptTemplate
+from .core import PromptTemplate, jsonable
 from .errors import ValidationError
 from .evaluator import EvalConfig, ScoredPrompt
 from .explorer import CandidateRecord
@@ -22,26 +20,8 @@ from .optimizer import IterationRecord, OptimizerConfig, RunRecord
 RECORD_VERSION = 1
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [float(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if callable(value):
-        # stable stand-in; a repr would embed a memory address and break
-        # record determinism
-        return f"<callable {getattr(value, '__qualname__', value.__class__.__name__)}>"
-    return repr(value)
-
-
 def backend_to_dict(cfg: BackendConfig) -> dict:
-    return _jsonable({
+    return jsonable({
         "kind": cfg.kind,
         "endpoint": cfg.endpoint,
         "model_name": cfg.model_name,
@@ -52,7 +32,7 @@ def backend_to_dict(cfg: BackendConfig) -> dict:
 
 def config_snapshot(cfg: OptimizerConfig, eval_cfg: EvalConfig) -> dict:
     policy = cfg.policy
-    return _jsonable({
+    return jsonable({
         "policy": {
             "strategy_mix": policy.strategy_mix,
             "blend_range": list(policy.blend_range),
@@ -96,7 +76,7 @@ def template_to_dict(t: PromptTemplate) -> dict:
 
 def candidate_to_dict(c: CandidateRecord) -> dict:
     prov = c.provenance
-    return _jsonable({
+    return jsonable({
         "id": c.id,
         "embedding": c.embedding,
         "provenance": {
@@ -114,7 +94,7 @@ def candidate_to_dict(c: CandidateRecord) -> dict:
 
 
 def scored_to_dict(s: ScoredPrompt) -> dict:
-    return _jsonable({
+    return jsonable({
         "template": template_to_dict(s.template),
         "accuracy": s.accuracy,
         "n_correct": s.n_correct,
@@ -128,7 +108,7 @@ def scored_to_dict(s: ScoredPrompt) -> dict:
 
 
 def iteration_to_dict(it: IterationRecord) -> dict:
-    return _jsonable({
+    return jsonable({
         "kind": "iteration",
         "index": it.index,
         "seeds": [template_to_dict(t) for t in it.seeds],
@@ -145,7 +125,7 @@ def iteration_to_dict(it: IterationRecord) -> dict:
 
 
 def run_record_to_lines(record: RunRecord) -> list[str]:
-    header = _jsonable({
+    header = jsonable({
         "kind": "header",
         "version": RECORD_VERSION,
         "config": record.config,

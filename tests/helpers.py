@@ -101,7 +101,7 @@ def build_toy_pipeline(
     embed_backend = BackendConfig(kind="mock", behavior="toy",
                                   params={"parameters": list(TOY_PARAMS)})
     if decode_kind == "toy_inverse":
-        chat_backend = BackendConfig(kind="mock", behavior="toy_refine")
+        chat_backend = BackendConfig(kind="mock", behavior="toy_chat")
         strategy = DecodeStrategy(kind="toy_inverse", chat=chat_backend, toy_space=spec)
     elif decode_kind == "anchor_blend":
         chat_backend = BackendConfig(kind="mock", behavior="toy_chat",

@@ -261,3 +261,28 @@ class TestConfigHelpers:
         assert app.optimizer.select_n == 3
         assert app.optimizer.max_iterations == 1
         assert app.split.validation_fraction == 0.1
+
+    def test_default_config_text_states_the_dataclass_defaults(self, tmp_path):
+        from dataclasses import fields, is_dataclass
+
+        from lpo.config import DEFAULT_CONFIG_TEXT, load_app_config
+        from lpo.gateway import BackendConfig
+
+        def settings(value):
+            if isinstance(value, BackendConfig):
+                return None
+            if is_dataclass(value):
+                return {f.name: settings(getattr(value, f.name))
+                        for f in fields(value) if f.name != "path"}
+            return value
+
+        (tmp_path / "train.jsonl").write_text(json.dumps({"text": "x", "label": "a"}) + "\n")
+        (tmp_path / "default.yaml").write_text(DEFAULT_CONFIG_TEXT)
+        # only the required keys: the training file and a chat backend for anchor_blend
+        (tmp_path / "minimal.yaml").write_text(
+            "dataset: {train: train.jsonl}\ndecode: {chat_backend: {kind: mock}}\n")
+        default, errors = load_app_config(tmp_path / "default.yaml")
+        assert errors == []
+        minimal, errors = load_app_config(tmp_path / "minimal.yaml")
+        assert errors == []
+        assert settings(minimal) == settings(default)

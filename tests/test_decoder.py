@@ -105,7 +105,7 @@ class TestDecodeAnchorBlend:
             decode(strategy, candidate, toy_seeds()[:1], budget())
 
     def test_toy_blend_mock_blends_numerically(self):
-        chat = BackendConfig(kind="mock", behavior="toy_blend",
+        chat = BackendConfig(kind="mock", behavior="toy_chat",
                              params={"parameters": ["tone", "steps"]})
         strategy = DecodeStrategy(kind="anchor_blend", chat=chat)
         text = decode(strategy, blend_candidate(weight=0.5), toy_seeds(), budget())
@@ -115,7 +115,7 @@ class TestDecodeAnchorBlend:
 
 class TestDecodeSoftPrompt:
     def test_projected_vector_sent_over_wire(self):
-        chat = BackendConfig(kind="mock", behavior="toy_soft",
+        chat = BackendConfig(kind="mock", behavior="toy_chat",
                              params={"parameters": ["tone", "steps"]})
         projector = LinearProjector(weights=np.eye(2))
         strategy = DecodeStrategy(kind="soft_prompt", chat=chat, projector=projector)
@@ -150,7 +150,7 @@ class TestDecodeSoftPrompt:
 
 
 class TestRefineFormat:
-    def strategy(self, behavior="toy_refine", params=None):
+    def strategy(self, behavior="toy_chat", params=None):
         chat = BackendConfig(kind="mock", behavior=behavior, params=params or {})
         return DecodeStrategy(kind="toy_inverse", toy_space=SPEC, chat=chat)
 

@@ -1,0 +1,42 @@
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).parent.parent
+
+# import name -> distribution name, where they differ
+DISTRIBUTIONS = {"yaml": "pyyaml"}
+
+
+def declared_dependencies() -> set[str]:
+    # a plain scan, because tomllib needs Python 3.11 and lpo supports 3.10
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    block = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text, re.MULTILINE | re.DOTALL)
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower()
+            for spec in re.findall(r'"([^"]+)"', block.group(1))}
+
+
+def third_party_imports() -> set[str]:
+    found = set()
+    for path in (ROOT / "src" / "lpo").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    found -= set(sys.stdlib_module_names) | {"__future__", "lpo"}
+    return {DISTRIBUTIONS.get(name, name) for name in found}
+
+
+def test_imports_match_declared_dependencies():
+    assert third_party_imports() == declared_dependencies()
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, lpo; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "False"

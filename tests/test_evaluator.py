@@ -230,3 +230,37 @@ class TestCachePersistence:
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert lines == [{"key_hash": "k1", "raw_output": "v1"},
                          {"key_hash": "k2", "raw_output": "v2"}]
+
+    def test_cut_off_line_skipped_and_next_append_kept(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        good = json.dumps({"key_hash": "k1", "raw_output": "v1"})
+        # a crash mid-append leaves a line without its end
+        path.write_text(good + "\n" + '{"key_hash": "k2", "raw_ou')
+        with caplog.at_level("WARNING", logger="lpo.evaluator"):
+            cache = ResponseCache(path)
+        assert cache.get("k1") == "v1"
+        assert cache.skipped == 1
+        assert len([r for r in caplog.records if "unreadable" in r.message]) == 1
+        cache.put("k3", "v3")
+        reloaded = ResponseCache(path)
+        assert (reloaded.get("k1"), reloaded.get("k3")) == ("v1", "v3")
+        assert reloaded.skipped == 1
+
+    def test_backends_sharing_a_cache_file_keep_their_own_replies(self, tmp_path):
+        examples = [Example(text=f"sample-{i:02d}", label="positive" if i % 2 else "negative")
+                    for i in range(1, 21)]
+        ds = Dataset(examples=tuple(examples), label_set=("negative", "positive"))
+        template = validate_template("tone=0.3;steps=0.7 {text}", template_id="toy")
+
+        def score(target, cache_path=None):
+            task = BackendConfig(kind="mock", behavior="toy_task", params={
+                "parameters": ["tone", "steps"], "target": list(target),
+                "examples": [{"text": ex.text, "label": ex.label} for ex in examples]})
+            return evaluate(template, ds, config(task, cache_path=cache_path),
+                            budget()).accuracy
+
+        live = {target: score(target) for target in ((0.3, 0.7), (0.9, 0.1))}
+        assert live[(0.3, 0.7)] != live[(0.9, 0.1)]
+        shared = tmp_path / "cache.jsonl"
+        for target, accuracy in live.items():
+            assert score(target, shared) == accuracy

@@ -264,6 +264,11 @@ class TestRemoteChat:
         chat(self.remote_cfg(), ChatRequest(user_text="x"), big_budget())
         assert seen["url"] == "https://override.test/v2"
 
+    def test_fingerprint_follows_endpoint_override(self, monkeypatch):
+        configured = gw.backend_fingerprint(self.remote_cfg())
+        monkeypatch.setenv("LPO_ENDPOINT", "https://override.test/v2")
+        assert gw.backend_fingerprint(self.remote_cfg()) != configured
+
     def test_soft_prompt_rejected(self):
         with pytest.raises(BackendError, match="soft-prompt"):
             chat(self.remote_cfg(),

@@ -114,6 +114,15 @@ class TestFitRidge:
         p = fit_ridge(corpus, regularization=1e-3)  # regularized solve succeeds
         assert np.all(np.isfinite(p.weights))
 
+    def test_cholesky_failure_advises_regularization(self, monkeypatch):
+        def not_positive_definite(matrix):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+        corpus = PairedCorpus.from_pairs([([1.0, 0.0], [1.0]), ([0.0, 1.0], [2.0])])
+        with pytest.raises(ValidationError, match="not positive definite.*regularization > 0"):
+            fit_ridge(corpus, regularization=1e-3)
+
     def test_bias_fits_affine_map(self):
         rng = np.random.default_rng(8)
         w = np.array([[1.5, -0.5], [0.25, 2.0]])
