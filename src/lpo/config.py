@@ -133,6 +133,17 @@ def _given(raw: dict, casts: dict[str, Callable]) -> dict:
     return {key: cast(raw[key]) for key, cast in casts.items() if key in raw}
 
 
+def _boolean(key: str) -> Callable:
+    """Cast for a boolean key: YAML true/false only, since ``bool("false")`` is True."""
+
+    def cast(value):
+        if not isinstance(value, bool):
+            raise ValidationError(f"{key} must be true or false, got {value!r}")
+        return value
+
+    return cast
+
+
 _BACKEND_KEYS = {
     "kind": str, "endpoint": lambda v: v or "", "model_name": lambda v: v or "",
     "api_key_env": str, "timeout": float, "max_attempts": int, "backoff_base": float,
@@ -219,7 +230,8 @@ def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
     if enc_backend is not None:
         try:
             encoder_spec = EncoderSpec(
-                backend=enc_backend, **_given(enc, {"dimension": int, "normalize": bool}))
+                backend=enc_backend,
+                **_given(enc, {"dimension": int, "normalize": _boolean("normalize")}))
         except _CONFIG_ERRORS as exc:
             errors.append(f"encoder: {exc}")
 
@@ -255,16 +267,17 @@ def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
     except _CONFIG_ERRORS as exc:
         errors.append(f"policy: {exc}")
 
-    opt = section("optimizer")
     optimizer_cfg = None
-    if policy is not None and encoder_spec is not None and decode_strategy is not None:
-        try:
+    try:
+        # cast even when a part failed, so every error is listed
+        opt = _given(section("optimizer"), {"select_n": int, "max_iterations": int,
+                                            "patience": int,
+                                            "keep_seeds": _boolean("keep_seeds")})
+        if policy is not None and encoder_spec is not None and decode_strategy is not None:
             optimizer_cfg = OptimizerConfig(
-                policy=policy, encoder=encoder_spec, decode=decode_strategy,
-                **_given(opt, {"select_n": int, "max_iterations": int, "patience": int,
-                               "keep_seeds": bool}))
-        except _CONFIG_ERRORS as exc:
-            errors.append(f"optimizer: {exc}")
+                policy=policy, encoder=encoder_spec, decode=decode_strategy, **opt)
+    except _CONFIG_ERRORS as exc:
+        errors.append(f"optimizer: {exc}")
 
     ev = section("evaluator")
     task_backend = _build_backend(ev.get("task_backend") or {}, base, errors,

@@ -10,6 +10,13 @@ would inflate scores.
 Replies are cached in an append-only JSONL file keyed by content hashes and
 the answering backend's fingerprint, so a warm rerun issues zero gateway
 calls and returns identical scores, and no backend is served another's reply.
+
+A backend that the gateway has seen block (see :func:`gateway.blocks`) gets a
+template's calls from up to ``max_in_flight`` threads at once, so their
+waiting overlaps; results are collected in input order and equal a serial
+run's. Backends that compute rather than wait, like the in-process mocks,
+are called one at a time from the calling thread, because threads would
+only take turns on the interpreter lock.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import gateway, prompts
 from .core import Dataset, Example, PromptTemplate, render_prompt, text_digest
@@ -150,9 +157,11 @@ def classify_one(template: PromptTemplate, ex: Example, cfg: EvalConfig,
     """Render the prompt for one example and return the task backend's reply.
 
     ``backend_id`` is the task backend's fingerprint, for callers that
-    already computed it.
+    already computed it. Without ``cache`` the reply is neither looked up in
+    nor appended to ``cfg.cache_path``: reading that file per call would cost
+    more than the call; :func:`evaluate` opens it once per template.
     """
-    cache = cache if cache is not None else ResponseCache(cfg.cache_path)
+    cache = cache if cache is not None else ResponseCache()
     backend_id = backend_id or gateway.backend_fingerprint(cfg.task_backend)
     key = _classify_key(backend_id, cfg, template, ex)
     hit = cache.get(key)
@@ -191,8 +200,8 @@ def extract_label(raw: str, label_set: Sequence[str], cfg: EvalConfig,
     asks the extraction backend which label the reply asserts; most outputs
     never get that far, which saves budget without changing semantics on
     clear cases. Backend failures in stage 2 degrade to ``"unparsed"``.
-    ``backend_id`` is the extraction backend's fingerprint, as in
-    :func:`classify_one`.
+    ``backend_id`` is the extraction backend's fingerprint, and ``cache``
+    behaves as in :func:`classify_one`.
     """
     if not label_set:
         raise ValidationError("extract_label needs a non-empty label set")
@@ -201,7 +210,7 @@ def extract_label(raw: str, label_set: Sequence[str], cfg: EvalConfig,
     if hit is not None:
         return hit
 
-    cache = cache if cache is not None else ResponseCache(cfg.cache_path)
+    cache = cache if cache is not None else ResponseCache()
     backend_id = backend_id or gateway.backend_fingerprint(cfg.extraction_backend)
     key = _extract_key(backend_id, raw, label_set)
     reply = cache.get(key)
@@ -220,42 +229,121 @@ def extract_label(raw: str, label_set: Sequence[str], cfg: EvalConfig,
     return _whole_word_match(normalized, label_set) or UNPARSED
 
 
+def _width(backend: BackendConfig) -> int:
+    return backend.max_in_flight if gateway.blocks(backend) else 1
+
+
+def _by_value(values: Sequence) -> list[list[int]]:
+    """Indices grouped by equal value, groups in order of first occurrence."""
+    groups: dict = {}
+    for index, value in enumerate(values):
+        groups.setdefault(value, []).append(index)
+    return list(groups.values())
+
+
+def _fan_out(groups: list[list[int]], work: Callable[[int], None], width: int) -> None:
+    """Run ``work`` on every index; each group in order on one thread.
+
+    With ``width`` 1 this is a plain loop in the calling thread. Otherwise
+    ``width`` threads take groups in order; after the first failure no
+    further group starts, and once every thread has stopped the failure of
+    the lowest index is raised.
+    """
+    if width == 1 or len(groups) == 1:
+        for group in groups:
+            for index in group:
+                work(index)
+        return
+    pending = iter(groups)
+    failures: dict[int, BaseException] = {}
+    lock = threading.Lock()
+
+    def worker() -> None:
+        while True:
+            with lock:
+                group = None if failures else next(pending, None)
+            if group is None:
+                return
+            for index in group:
+                try:
+                    work(index)
+                except BaseException as exc:  # re-raised in the calling thread
+                    with lock:
+                        failures[index] = exc
+                    return
+
+    threads = [threading.Thread(target=worker, name=f"lpo-evaluate-{n}")
+               for n in range(min(width, len(groups)))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[min(failures)]
+
+
 def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
              budget: Budget, cache: ResponseCache | None = None) -> ScoredPrompt:
     """Score one template over the first ``max_examples`` of the eval set.
 
     Accuracy is the exact integer ratio correct/total. Budget exhaustion
     mid-set raises an error naming how many examples completed.
+
+    When the task or extraction backend blocks (:func:`gateway.blocks`), its
+    calls for this template run on up to its ``max_in_flight`` threads: first
+    every classify call, then every extraction. Examples that share a text,
+    or a reply, are handled in order on one thread, so each distinct request
+    is still made once and served from the cache after. A template whose
+    worst case, one classify and one extract call per distinct text, could
+    exhaust the calls left in the budget runs serially, so where exhaustion
+    strikes, and the error naming it, do not depend on thread timing.
     """
     if len(eval_set) == 0:
         raise ValidationError("evaluation set is empty")
     slice_examples = eval_set.examples[: min(len(eval_set), cfg.max_examples)]
+    n = len(slice_examples)
     eval_set_id = Dataset(examples=slice_examples,
                           label_set=eval_set.label_set).fingerprint()
     cache = cache if cache is not None else ResponseCache(cfg.cache_path)
     task_id = gateway.backend_fingerprint(cfg.task_backend)
     extraction_id = gateway.backend_fingerprint(cfg.extraction_backend)
-    outcomes: list[PerExample] = []
-    for index, ex in enumerate(slice_examples):
-        try:
-            raw = classify_one(template, ex, cfg, budget, cache, backend_id=task_id)
-            label = extract_label(raw, eval_set.label_set, cfg, budget, cache,
-                                  backend_id=extraction_id)
-        except BudgetExhaustedError as exc:
-            raise BudgetExhaustedError(
-                f"budget exhausted after {len(outcomes)} of {len(slice_examples)} "
-                f"examples for template {template.id}: {exc}"
-            ) from exc
-        outcomes.append(PerExample(
-            index=index, raw_output=raw, extracted_label=label,
-            correct=(label == ex.label),
-        ))
+    raws: list[str] = [""] * n
+    labels: list[str | None] = [None] * n
+
+    def classify(index: int) -> None:
+        raws[index] = classify_one(template, slice_examples[index], cfg, budget, cache,
+                                   backend_id=task_id)
+
+    def extract(index: int) -> None:
+        labels[index] = extract_label(raws[index], eval_set.label_set, cfg, budget, cache,
+                                      backend_id=extraction_id)
+
+    widths = _width(cfg.task_backend), _width(cfg.extraction_backend)
+    texts = _by_value([ex.text for ex in slice_examples]) if max(widths) > 1 else []
+    try:
+        if texts and budget.calls_left() >= 2 * len(texts):
+            _fan_out(texts, classify, widths[0])
+            _fan_out(_by_value(raws), extract, widths[1])
+        else:
+            for index in range(n):
+                classify(index)
+                extract(index)
+    except BudgetExhaustedError as exc:
+        completed = labels.index(None)
+        raise BudgetExhaustedError(
+            f"budget exhausted after {completed} of {n} "
+            f"examples for template {template.id}: {exc}"
+        ) from exc
+    outcomes = tuple(
+        PerExample(index=index, raw_output=raw, extracted_label=label,
+                   correct=(label == ex.label))
+        for index, (ex, raw, label) in enumerate(zip(slice_examples, raws, labels)))
     n_correct = sum(1 for o in outcomes if o.correct)
     return ScoredPrompt(
         template=template,
-        accuracy=n_correct / len(outcomes),
+        accuracy=n_correct / n,
         n_correct=n_correct,
-        n_total=len(outcomes),
-        per_example=tuple(outcomes),
+        n_total=n,
+        per_example=outcomes,
         eval_set_id=eval_set_id,
     )

@@ -6,6 +6,11 @@ other module in this package performs network access. Mock backends are
 dispatched here too, so they are budgeted and counted like remote ones; their
 behaviors live in :mod:`lpo.mocks`.
 
+The gateway also notes, per backend, whether its attempts mostly wait (on a
+network, say) rather than compute. :func:`blocks` reports it, and the
+evaluator fans a template's calls out to ``max_in_flight`` threads only for
+a backend that blocks.
+
 Remote wire protocol is JSON-over-HTTP in the de facto chat-completions /
 embeddings shape. Secrets are read from the environment variable named in
 the config (default ``LPO_API_KEY``); ``LPO_ENDPOINT`` overrides the
@@ -15,11 +20,13 @@ soft-prompt vector alongside the user text; remote backends reject it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import os
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -71,12 +78,21 @@ class ChatResponse:
 
 @dataclass
 class Budget:
-    """Run-wide call and token ceilings with exact usage accounting."""
+    """Run-wide call and token ceilings with exact usage accounting.
+
+    A call reserves a slot before it is made (:meth:`ensure_available`) and
+    settles it when it completes (:meth:`record`) or hands it back when it
+    fails (:meth:`release`), so concurrent callers never complete more than
+    ``max_calls`` calls. Tokens are known only after a call, so the token
+    ceiling refuses new calls once the tokens spent reach it; calls already
+    admitted may end above it.
+    """
 
     max_calls: int = 100_000
     max_total_tokens: int = 10_000_000
     calls: int = field(default=0, init=False)
     total_tokens: int = field(default=0, init=False)
+    _reserved: int = field(default=0, init=False, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -84,20 +100,34 @@ class Budget:
             raise ValidationError("budget limits must be positive")
 
     def ensure_available(self) -> None:
+        """Reserve one call slot, or raise if none is left."""
         with self._lock:
-            if self.calls >= self.max_calls:
+            if self.calls + self._reserved >= self.max_calls:
                 raise BudgetExhaustedError(
-                    f"call budget exhausted ({self.calls}/{self.max_calls} calls)"
+                    f"call budget exhausted ({self.calls + self._reserved}/{self.max_calls} calls)"
                 )
             if self.total_tokens >= self.max_total_tokens:
                 raise BudgetExhaustedError(
                     f"token budget exhausted ({self.total_tokens}/{self.max_total_tokens} tokens)"
                 )
+            self._reserved += 1
 
     def record(self, prompt_tokens: int, completion_tokens: int) -> None:
+        """Settle a reserved slot as one completed call with its usage."""
         with self._lock:
+            self._reserved -= 1
             self.calls += 1
             self.total_tokens += prompt_tokens + completion_tokens
+
+    def release(self) -> None:
+        """Hand back a reserved slot whose call failed."""
+        with self._lock:
+            self._reserved -= 1
+
+    def calls_left(self) -> int:
+        """Call slots neither used nor reserved."""
+        with self._lock:
+            return self.max_calls - self.calls - self._reserved
 
 
 def usage_report(budget: Budget) -> tuple[int, int]:
@@ -112,7 +142,9 @@ class BackendConfig:
 
     ``kind`` is one of remote_chat, remote_embed, mock. Mock backends pick a
     registered deterministic behavior by name and parameterize it via
-    ``params``; see :mod:`lpo.mocks`.
+    ``params``; see :mod:`lpo.mocks`. ``max_in_flight`` caps the calls in
+    flight at once and is the width the evaluator fans a template's calls
+    out to, for a backend that :func:`blocks`.
     """
 
     kind: str = "mock"
@@ -136,6 +168,8 @@ class BackendConfig:
             raise ValidationError("max_attempts must be >= 1")
         self._state.setdefault("calls", 0)
         self._state.setdefault("attempts", 0)
+        self._state.setdefault("waited", 0)  # attempts that waited longer than they computed
+        self._state.setdefault("busy", 0)    # the other attempts
         self._state.setdefault("cursor", 0)
         self._state.setdefault("lock", threading.Lock())
         self._state.setdefault("semaphore", threading.BoundedSemaphore(self.max_in_flight))
@@ -151,16 +185,58 @@ def attempt_count(cfg: BackendConfig) -> int:
     return cfg._state["attempts"]
 
 
+def blocks(cfg: BackendConfig) -> bool:
+    """Whether most of this backend's attempts so far waited longer than they
+    computed: wall time minus the thread's CPU time against that CPU time.
+
+    A remote backend waits on the network; an in-process mock computes.
+    Counting attempts rather than summing seconds keeps one preempted call,
+    or threads queueing for the interpreter lock, from tipping the verdict.
+    """
+    with cfg._state["lock"]:
+        return cfg._state["waited"] > cfg._state["busy"]
+
+
+# process-wide on purpose: a number must never be given to two callables
+_callable_serials: dict[int, tuple[Callable[[], object], int]] = {}
+_serial_numbers = itertools.count(1)
+_serials_lock = threading.Lock()
+
+
+def _callable_tag(fn) -> str:
+    """Qualified name plus a number no other callable of this process gets."""
+    with _serials_lock:
+        entry = _callable_serials.get(id(fn))
+        if entry is None or entry[0]() is not fn:  # new, or a dead one's id reused
+            try:
+                ref = weakref.ref(fn)
+            except TypeError:  # e.g. a builtin: holding it keeps its id its own
+                ref = lambda held=fn: held
+            entry = _callable_serials[id(fn)] = (ref, next(_serial_numbers))
+    return f"<callable {getattr(fn, '__qualname__', type(fn).__qualname__)} #{entry[1]}>"
+
+
+def _tag_callables(value):
+    if isinstance(value, dict):
+        return {k: _tag_callables(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_tag_callables(v) for v in value]
+    return _callable_tag(value) if callable(value) else value
+
+
 def backend_fingerprint(cfg: BackendConfig) -> str:
     """Digest of what decides a backend's replies: kind, resolved endpoint,
     model, mock behavior and params. Response-cache keys include it.
 
-    A callable in ``params`` counts by its qualified name, which keeps the
-    digest stable across processes; two callables of one name count as one.
+    A callable in ``params`` counts by its qualified name and a number that
+    no other callable of this process gets, so two handlers of one name never
+    share replies. The numbers follow the order callables are first
+    fingerprinted in, so a rerun of one script numbers them alike.
     """
     endpoint = _resolve_endpoint(cfg) if cfg.kind != "mock" else ""
     return text_digest(json.dumps(jsonable(
-        [cfg.kind, endpoint, cfg.model_name, cfg.behavior, cfg.params]), sort_keys=True))
+        [cfg.kind, endpoint, cfg.model_name, cfg.behavior, _tag_callables(cfg.params)]),
+        sort_keys=True))
 
 
 def _call_with_retries(cfg: BackendConfig, label: str, fn: Callable):
@@ -170,7 +246,14 @@ def _call_with_retries(cfg: BackendConfig, label: str, fn: Callable):
             cfg._state["attempts"] += 1
         try:
             with cfg._state["semaphore"]:
-                return fn()
+                started, cpu_started = time.perf_counter(), time.thread_time()
+                try:
+                    return fn()
+                finally:
+                    cpu = time.thread_time() - cpu_started
+                    waited = time.perf_counter() - started - cpu > cpu
+                    with cfg._state["lock"]:
+                        cfg._state["waited" if waited else "busy"] += 1
         except TransientBackendError as exc:
             last = exc
             logger.warning("%s attempt %d/%d failed: %s", label, attempt, cfg.max_attempts, exc)
@@ -184,14 +267,20 @@ def _call_with_retries(cfg: BackendConfig, label: str, fn: Callable):
 def chat(cfg: BackendConfig, req: ChatRequest, budget: Budget) -> ChatResponse:
     """Issue one chat call, retrying transient failures, charging the budget."""
     budget.ensure_available()
-    if cfg.kind == "mock":
-        resp = _call_with_retries(cfg, f"mock chat [{cfg.behavior}]", lambda: _mock_chat(cfg, req))
-    elif cfg.kind == "remote_chat":
-        if req.soft_prompt is not None:
-            raise BackendError("soft-prompt injection is not supported by remote backends")
-        resp = _call_with_retries(cfg, f"chat {cfg.model_name}", lambda: _remote_chat(cfg, req))
-    else:
-        raise ValidationError(f"backend kind {cfg.kind!r} does not serve chat")
+    try:
+        if cfg.kind == "mock":
+            resp = _call_with_retries(cfg, f"mock chat [{cfg.behavior}]",
+                                      lambda: _mock_chat(cfg, req))
+        elif cfg.kind == "remote_chat":
+            if req.soft_prompt is not None:
+                raise BackendError("soft-prompt injection is not supported by remote backends")
+            resp = _call_with_retries(cfg, f"chat {cfg.model_name}",
+                                      lambda: _remote_chat(cfg, req))
+        else:
+            raise ValidationError(f"backend kind {cfg.kind!r} does not serve chat")
+    except BaseException:
+        budget.release()
+        raise
     budget.record(resp.prompt_tokens, resp.completion_tokens)
     with cfg._state["lock"]:
         cfg._state["calls"] += 1
@@ -207,19 +296,23 @@ def embed(cfg: BackendConfig, texts: Sequence[str], budget: Budget) -> list[np.n
     if not texts:
         raise ValidationError("embed called with an empty text list")
     budget.ensure_available()
-    if cfg.kind == "mock":
-        vectors, usage = _call_with_retries(
-            cfg, f"mock embed [{cfg.behavior}]", lambda: _mock_embed(cfg, texts))
-    elif cfg.kind == "remote_embed":
-        vectors, usage = _call_with_retries(
-            cfg, f"embed {cfg.model_name}", lambda: _remote_embed(cfg, texts))
-    else:
-        raise ValidationError(f"backend kind {cfg.kind!r} does not serve embeddings")
-    if len(vectors) != len(texts):
-        raise BackendError(f"backend returned {len(vectors)} vectors for {len(texts)} texts")
-    dims = {v.size for v in vectors}
-    if len(dims) > 1:
-        raise BackendError(f"embedding dimension mismatch within batch: {sorted(dims)}")
+    try:
+        if cfg.kind == "mock":
+            vectors, usage = _call_with_retries(
+                cfg, f"mock embed [{cfg.behavior}]", lambda: _mock_embed(cfg, texts))
+        elif cfg.kind == "remote_embed":
+            vectors, usage = _call_with_retries(
+                cfg, f"embed {cfg.model_name}", lambda: _remote_embed(cfg, texts))
+        else:
+            raise ValidationError(f"backend kind {cfg.kind!r} does not serve embeddings")
+        if len(vectors) != len(texts):
+            raise BackendError(f"backend returned {len(vectors)} vectors for {len(texts)} texts")
+        dims = {v.size for v in vectors}
+        if len(dims) > 1:
+            raise BackendError(f"embedding dimension mismatch within batch: {sorted(dims)}")
+    except BaseException:
+        budget.release()
+        raise
     budget.record(usage[0], usage[1])
     with cfg._state["lock"]:
         cfg._state["calls"] += 1

@@ -1,5 +1,17 @@
 import sys
+import threading
 from pathlib import Path
+
+import pytest
 
 # make helpers importable regardless of how pytest resolves rootdir
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a thread it started still running."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before and t.is_alive()]
+    assert not left, f"threads left running: {left}"

@@ -51,6 +51,18 @@ class TestOptimize:
         assert "validation_fraction" in err
         assert "candidate_count" in err
 
+    def test_quoted_booleans_are_config_errors(self, toy_workspace, capsys):
+        config_text = (toy_workspace / "config.yaml").read_text()
+        config_text = config_text.replace("normalize: false", 'normalize: "false"')
+        config_text = config_text.replace("keep_seeds: true", 'keep_seeds: "false"')
+        (toy_workspace / "quoted.yaml").write_text(config_text)
+        code = run(["optimize", "--config", toy_workspace / "quoted.yaml",
+                    "--seeds", toy_workspace / "seeds.jsonl"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "normalize must be true or false, got 'false'" in err
+        assert "keep_seeds must be true or false, got 'false'" in err
+
     def test_dry_run_makes_zero_backend_calls(self, toy_workspace, capsys, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("backend touched during dry run")

@@ -1,7 +1,12 @@
 import json
+import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lpo import evaluator
 from lpo.core import Dataset, Example, validate_template
 from lpo.errors import BudgetExhaustedError, ValidationError
 from lpo.evaluator import (
@@ -13,7 +18,15 @@ from lpo.evaluator import (
     evaluate,
     extract_label,
 )
-from lpo.gateway import BackendConfig, Budget, call_count
+from lpo.gateway import (
+    BackendConfig,
+    Budget,
+    ChatRequest,
+    attempt_count,
+    blocks,
+    call_count,
+    chat,
+)
 
 LABELS = ("negative", "neutral", "positive")
 
@@ -79,6 +92,26 @@ class TestClassifyOne:
         raw = classify_one(TEMPLATE, Example(text="good day", label="positive"),
                            cfg, budget(), cache)
         assert raw == "Positive"
+
+    def test_without_cache_leaves_the_cache_file_alone(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        path.write_text("".join(json.dumps({"key_hash": f"k{i}", "raw_output": "x"}) + "\n"
+                                for i in range(5000)))
+        opened = []
+
+        class SpyCache(ResponseCache):
+            def __init__(self, path=None):
+                opened.append(path)
+                super().__init__(path)
+
+        monkeypatch.setattr(evaluator, "ResponseCache", SpyCache)
+        cfg = config(scripted_task({"good day": "Positive"}), fixed_extraction("positive"),
+                     cache_path=path)
+        ex = Example(text="good day", label="positive")
+        assert classify_one(TEMPLATE, ex, cfg, budget()) == "Positive"
+        assert extract_label("leans upbeat", LABELS, cfg, budget()) == "positive"
+        assert [p for p in opened if p is not None] == []
+        assert len(path.read_text().splitlines()) == 5000
 
 
 class TestExtractLabel:
@@ -202,6 +235,115 @@ class TestEvaluate:
             evaluate(TEMPLATE, ds, config(scripted_task({})), budget())
 
 
+def sleeping(reply_for, delay=0.002, peak=None):
+    """Handler backend that sleeps like a remote call; ``peak`` tracks overlap.
+
+    The reply is worked out first, so a failing request fails at once.
+    """
+    lock = threading.Lock()
+    active = [0]
+
+    def handler(req):
+        reply = reply_for(req.user_text)
+        with lock:
+            active[0] += 1
+            if peak is not None:
+                peak.append(active[0])
+        time.sleep(delay)
+        with lock:
+            active[0] -= 1
+        return reply
+
+    return handler
+
+
+def blocking_config(task_reply, extraction_reply, width, peak=None, delay=0.002):
+    """EvalConfig over sleeping backends that the gateway has already seen block."""
+    task = BackendConfig(kind="mock", behavior="handler", max_in_flight=width,
+                         params={"fn": sleeping(task_reply, delay, peak)})
+    extraction = BackendConfig(kind="mock", behavior="handler", max_in_flight=width,
+                               params={"fn": sleeping(extraction_reply, delay)})
+    for backend in (task, extraction):
+        chat(backend, ChatRequest(user_text="warm-up"), budget())
+        assert blocks(backend)
+    return config(task, extraction)
+
+
+def reply_by_example(replies):
+    """Task replies looked up by the example text at the end of the prompt."""
+    return lambda prompt: replies.get(prompt.rsplit(" ", 1)[-1], "positive")
+
+
+def extraction_by_hash(prompt):
+    return LABELS[sum(prompt.encode()) % 3] if "maybe" in prompt else "no idea"
+
+
+REPLIES = st.sampled_from(["positive", "negative", "Neutral.", "positive or negative",
+                           "maybe-a", "maybe-b", "maybe-a", "???"])
+
+
+class TestFanOut:
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5), REPLIES, st.sampled_from(LABELS)),
+                    min_size=1, max_size=10))
+    def test_width_four_scores_and_calls_like_width_one(self, rows):
+        # equal indices make duplicate texts; the replies repeat and some are ambiguous
+        replies = {f"ex{i}": reply for i, reply, _ in rows}
+        ds = dataset([(f"ex{i}", label) for i, _, label in rows])
+        runs = []
+        for width in (1, 4):
+            cfg = blocking_config(reply_by_example(replies), extraction_by_hash, width)
+            b = budget()
+            scored = evaluate(TEMPLATE, ds, cfg, b)
+            runs.append((scored, call_count(cfg.task_backend),
+                         call_count(cfg.extraction_backend), b.calls))
+        assert runs[0] == runs[1]
+
+    def test_overlap_is_capped_by_max_in_flight(self):
+        peak = []
+        ds = dataset([(f"ex{i}", "positive") for i in range(16)])
+        cfg = blocking_config(lambda prompt: "positive", extraction_by_hash, 3, peak=peak)
+        peak.clear()  # forget the warm-up call
+        scored = evaluate(TEMPLATE, ds, cfg, budget())
+        assert scored.accuracy == 1.0
+        assert 1 < max(peak) <= 3
+
+    def test_computing_backend_starts_no_thread(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        ds = dataset([(f"ex{i}", "positive") for i in range(6)])
+        cfg = config(scripted_task({f"ex{i}": "positive" for i in range(6)}))
+        evaluate(TEMPLATE, ds, cfg, budget())  # the gateway sees the mock compute
+        monkeypatch.setattr(threading.Thread, "start", forbidden)
+        assert evaluate(TEMPLATE, ds, cfg, budget()).accuracy == 1.0
+
+    def test_budget_exhaustion_message_is_deterministic(self):
+        ds = dataset([(f"ex{i}", "positive") for i in range(12)])
+        messages = set()
+        for width in [4] * 20 + [1]:
+            cfg = blocking_config(lambda prompt: "positive", extraction_by_hash, width)
+            with pytest.raises(BudgetExhaustedError) as caught:
+                evaluate(TEMPLATE, ds, cfg, budget(max_calls=7))
+            messages.add(str(caught.value))
+        assert len(messages) == 1
+        assert "after 7 of 12" in messages.pop()
+
+    def test_first_failure_stops_the_pool_and_lowest_index_is_raised(self):
+        ds = dataset([(f"ex{i}", "positive") for i in range(20)])
+
+        def task_reply(prompt):
+            if prompt.endswith(("ex0", "ex2")):
+                raise RuntimeError(f"failed on {prompt.rsplit(' ', 1)[-1]}")
+            return "positive"
+
+        cfg = blocking_config(task_reply, extraction_by_hash, 4, delay=0.05)
+        with pytest.raises(RuntimeError, match="failed on ex0"):
+            evaluate(TEMPLATE, ds, cfg, budget())
+        # the warm-up, then at most the four examples handed out before ex0 failed
+        assert attempt_count(cfg.task_backend) <= 1 + 4
+
+
 class TestScoredPromptInvariants:
     def test_accuracy_must_match_counts(self):
         per = (PerExample(index=0, raw_output="x", extracted_label="positive",
@@ -264,3 +406,10 @@ class TestCachePersistence:
         shared = tmp_path / "cache.jsonl"
         for target, accuracy in live.items():
             assert score(target, shared) == accuracy
+
+    def test_handlers_of_one_name_keep_their_own_replies(self, tmp_path):
+        shared = tmp_path / "cache.jsonl"
+        ds = dataset([("row-a", "positive")])
+        for reply, accuracy in (("positive", 1.0), ("negative", 0.0)):
+            cfg = config(scripted_task({"row-a": reply}), cache_path=shared)
+            assert evaluate(TEMPLATE, ds, cfg, budget()).accuracy == accuracy

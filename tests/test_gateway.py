@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import threading
 import time
 from pathlib import Path
@@ -14,6 +15,8 @@ from lpo.gateway import (
     Budget,
     ChatRequest,
     attempt_count,
+    backend_fingerprint,
+    blocks,
     call_count,
     chat,
     embed,
@@ -314,6 +317,103 @@ class TestConcurrencyCap:
             t.join()
         assert active["peak"] <= 2
         assert usage_report(budget)[0] == 8
+
+
+class TestBudgetUnderThreads:
+    def test_racing_callers_complete_exactly_max_calls(self):
+        k = 5
+        budget = Budget(max_calls=k, max_total_tokens=10**9)
+        seen = []
+        start = threading.Barrier(8, timeout=10)
+
+        def handler(req):
+            seen.append(usage_report(budget)[0])
+            time.sleep(0.005)
+            return "done"
+
+        cfg = BackendConfig(kind="mock", behavior="handler", params={"fn": handler},
+                            max_in_flight=8)
+        outcomes = []
+
+        def caller(i):
+            start.wait()
+            try:
+                chat(cfg, ChatRequest(user_text=f"t{i}"), budget)
+                outcomes.append("ok")
+            except BudgetExhaustedError:
+                outcomes.append("refused")
+            seen.append(usage_report(budget)[0])
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose check-then-act
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert outcomes.count("ok") == k
+        assert outcomes.count("refused") == 8 - k
+        assert max(seen) <= k
+        assert usage_report(budget)[0] == call_count(cfg) == k
+        assert budget.calls_left() == 0
+
+    def test_failed_call_hands_its_slot_back(self):
+        cfg = mock_chat_cfg(behavior="sequence", params={"replies": [{"error": 400}, "ok"]})
+        budget = Budget(max_calls=1, max_total_tokens=10**6)
+        with pytest.raises(BackendError):
+            chat(cfg, ChatRequest(user_text="x"), budget)
+        assert budget.calls_left() == 1
+        assert chat(cfg, ChatRequest(user_text="x"), budget).text == "ok"
+        assert budget.calls_left() == 0
+
+
+class TestBlocking:
+    def test_sleeping_backend_blocks(self):
+        def handler(req):
+            time.sleep(0.005)
+            return "ok"
+
+        cfg = BackendConfig(kind="mock", behavior="handler", params={"fn": handler})
+        assert not blocks(cfg)  # nothing observed yet
+        chat(cfg, ChatRequest(user_text="x"), big_budget())
+        assert blocks(cfg)
+
+    def test_computing_backend_does_not_block(self):
+        cfg = mock_chat_cfg(behavior="fixed", params={"reply": "ok"})
+        for _ in range(20):
+            chat(cfg, ChatRequest(user_text="x"), big_budget())
+        assert not blocks(cfg)
+
+
+class TestFingerprint:
+    @staticmethod
+    def handler_backend(reply):
+        def handler(req):
+            return reply
+
+        return BackendConfig(kind="mock", behavior="handler", params={"fn": handler})
+
+    def test_handlers_of_one_name_differ(self):
+        positive, negative = self.handler_backend("positive"), self.handler_backend("negative")
+        assert backend_fingerprint(positive) != backend_fingerprint(negative)
+
+    def test_one_handler_keeps_its_fingerprint(self):
+        cfg = self.handler_backend("positive")
+        assert backend_fingerprint(cfg) == backend_fingerprint(cfg)
+
+    def test_id_of_a_dead_handler_is_not_inherited(self):
+        fingerprints = {backend_fingerprint(self.handler_backend(r)) for r in "abcdef"}
+        assert len(fingerprints) == 6
+
+    def test_record_snapshot_keeps_the_plain_name(self):
+        from lpo.core import jsonable
+
+        assert jsonable(self.handler_backend("x").params) == {
+            "fn": "<callable TestFingerprint.handler_backend.<locals>.handler>"}
 
 
 def test_only_gateway_touches_the_network():
