@@ -158,6 +158,7 @@ def cmd_explore(config_path: str, seeds_path: str, count: int | None = None,
     with open(out, "w", encoding="utf-8") as fh:
         for candidate in candidates:
             payload = candidate_to_dict(candidate)
+            payload["embedding"] = candidate.embedding.tolist()  # floats, unlike the record
             payload.pop("decoded_text", None)
             payload.pop("refined_template", None)
             payload.pop("invalid_reason", None)

@@ -89,6 +89,12 @@ class ScoredPrompt:
 class ResponseCache:
     """Append-only JSONL cache of backend replies, keyed by content hash.
 
+    The file is read once, here. The first ``put`` opens one append handle
+    (creating the directory); each ``put`` then writes one line and flushes
+    it, so the line has reached the operating system when ``put`` returns
+    (it is not fsynced). Whoever makes a cache closes it: ``close()``, or use
+    it as a context manager.
+
     I/O problems are downgraded to warnings; the evaluator then simply falls
     back to live calls. Undecodable lines, such as one cut short by a crash,
     are skipped and counted. Appends are serialized.
@@ -98,6 +104,7 @@ class ResponseCache:
         self.path = Path(path) if path is not None else None
         self._entries: dict[str, str] = {}
         self._lock = threading.Lock()
+        self._fh = None
         self.skipped = 0
         self._cut_off = False  # last line lacks its newline; next append starts a new one
         if self.path is None or not self.path.exists():
@@ -130,13 +137,33 @@ class ResponseCache:
             if self.path is None:
                 return
             try:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    prefix = "\n" if self._cut_off else ""
-                    fh.write(prefix + json.dumps({"key_hash": key, "raw_output": raw_output}) + "\n")
+                if self._fh is None:
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
+                    self._fh = open(self.path, "a", encoding="utf-8")
+                prefix = "\n" if self._cut_off else ""
+                self._fh.write(prefix + json.dumps({"key_hash": key, "raw_output": raw_output})
+                               + "\n")
+                self._fh.flush()
                 self._cut_off = False
             except OSError as exc:
+                if self._fh is not None:  # part of the line may be out; start afresh
+                    self._cut_off = True
                 logger.warning("could not append to cache %s: %s", self.path, exc)
+
+    def close(self) -> None:
+        with self._lock:
+            if self._fh is not None:
+                fh, self._fh = self._fh, None
+                try:
+                    fh.close()
+                except OSError as exc:
+                    logger.warning("could not close cache %s: %s", self.path, exc)
+
+    def __enter__(self) -> ResponseCache:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def _classify_key(backend_id: str, cfg: EvalConfig, template: PromptTemplate,
@@ -304,7 +331,6 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
     n = len(slice_examples)
     eval_set_id = Dataset(examples=slice_examples,
                           label_set=eval_set.label_set).fingerprint()
-    cache = cache if cache is not None else ResponseCache(cfg.cache_path)
     task_id = gateway.backend_fingerprint(cfg.task_backend)
     extraction_id = gateway.backend_fingerprint(cfg.extraction_backend)
     raws: list[str] = [""] * n
@@ -320,6 +346,9 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
 
     widths = _width(cfg.task_backend), _width(cfg.extraction_backend)
     texts = _by_value([ex.text for ex in slice_examples]) if max(widths) > 1 else []
+    owned = None
+    if cache is None:
+        cache = owned = ResponseCache(cfg.cache_path)
     try:
         if texts and budget.calls_left() >= 2 * len(texts):
             _fan_out(texts, classify, widths[0])
@@ -334,6 +363,9 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
             f"budget exhausted after {completed} of {n} "
             f"examples for template {template.id}: {exc}"
         ) from exc
+    finally:
+        if owned is not None:
+            owned.close()
     outcomes = tuple(
         PerExample(index=index, raw_output=raw, extracted_label=label,
                    correct=(label == ex.label))

@@ -161,7 +161,8 @@ def run_cycle(
 
     Budget exhaustion partway yields partial results flagged as such rather
     than an exception; a cycle in which every candidate decoded invalid falls
-    back to selecting among the seeds, with a warning.
+    back to selecting among the seeds, with a warning. Without ``state`` the
+    cycle opens its own response cache and closes it before returning.
     """
     if not seeds:
         raise ValidationError("run_cycle needs at least one seed template")
@@ -174,7 +175,9 @@ def run_cycle(
             f"({cfg.policy.candidate_count} + {len(seeds)})"
         )
     if state is None:
-        state = _RunState(response_cache=ResponseCache(eval_cfg.cache_path))
+        with ResponseCache(eval_cfg.cache_path) as cache:
+            return run_cycle(seeds, cfg, eval_cfg, eval_set, budget,
+                             _RunState(response_cache=cache))
     state.iteration += 1
     warnings: list[str] = []
     partial = False
@@ -265,7 +268,6 @@ def iterate(
     """
     from .records import config_snapshot  # local import; records depends on this module
 
-    state = _RunState(response_cache=ResponseCache(eval_cfg.cache_path))
     started = _now()
     run_warnings: list[str] = []
     iterations: list[IterationRecord] = []
@@ -273,49 +275,50 @@ def iterate(
     best: float | None = None
     no_improve = 0
 
-    for index in range(1, cfg.max_iterations + 1):
-        iter_started = _now()
-        try:
-            result = run_cycle(current, cfg, eval_cfg, eval_set, budget, state=state)
-        except BudgetExhaustedError as exc:
-            if not iterations:
-                raise
-            run_warnings.append(f"stopped before iteration {index}: {exc}")
-            break
-        iterations.append(IterationRecord(
-            index=index,
-            seeds=list(current),
-            candidates=result.candidates,
-            scored=result.scored,
-            selected_ids=[t.id for t in result.selected],
-            warnings=result.warnings,
-            partial=result.partial,
-            started_at=iter_started,
-            finished_at=_now(),
-        ))
-        run_warnings.extend(result.warnings)
-        if result.partial:
-            run_warnings.append(f"stopped after iteration {index}: budget exhausted")
-            break
-        if best is None:
-            # the incumbent to beat is the best of the original seeds
-            seed_ids = {t.id for t in current}
-            best = max((s.accuracy for s in result.scored if s.template.id in seed_ids),
-                       default=-np.inf)
-        iter_best = max((s.accuracy for s in result.scored), default=-np.inf)
-        if iter_best > best:
-            best = iter_best
-            no_improve = 0
-        else:
-            no_improve += 1
-        if no_improve > cfg.patience:
-            run_warnings.append(
-                f"stopped after iteration {index}: no improvement for {no_improve} iteration(s)"
-            )
-            break
-        if not result.selected:
-            break
-        current = result.selected
+    with ResponseCache(eval_cfg.cache_path) as cache:
+        state = _RunState(response_cache=cache)
+        for index in range(1, cfg.max_iterations + 1):
+            iter_started = _now()
+            try:
+                result = run_cycle(current, cfg, eval_cfg, eval_set, budget, state=state)
+            except BudgetExhaustedError as exc:
+                if not iterations:
+                    raise
+                run_warnings.append(f"stopped before iteration {index}: {exc}")
+                break
+            iterations.append(IterationRecord(
+                index=index,
+                seeds=list(current),
+                candidates=result.candidates,
+                scored=result.scored,
+                selected_ids=[t.id for t in result.selected],
+                warnings=result.warnings,
+                partial=result.partial,
+                started_at=iter_started,
+                finished_at=_now(),
+            ))
+            run_warnings.extend(result.warnings)
+            if result.partial:
+                run_warnings.append(f"stopped after iteration {index}: budget exhausted")
+                break
+            if best is None:
+                # the incumbent to beat is the best of the original seeds
+                seed_ids = {t.id for t in current}
+                best = max((s.accuracy for s in result.scored if s.template.id in seed_ids),
+                           default=-np.inf)
+            iter_best = max((s.accuracy for s in result.scored), default=-np.inf)
+            if iter_best > best:
+                best = iter_best
+                no_improve = 0
+            else:
+                no_improve += 1
+            if no_improve > cfg.patience:
+                run_warnings.append(f"stopped after iteration {index}: "
+                                    f"no improvement for {no_improve} iteration(s)")
+                break
+            if not result.selected:
+                break
+            current = result.selected
 
     calls, tokens = usage_report(budget)
     info = dict(dataset_info or {})

@@ -1,14 +1,23 @@
 """Serialization of run records to JSONL: one header object plus one object
 per iteration.
 
-Reading back yields plain dicts (not reconstructed domain objects) so that
-reporting stays purely offline and never needs a backend.
+Record version 2 stores each candidate's ``embedding`` as one base64 string
+of the vector's little-endian float64 bytes, which decodes bit for bit with
+``np.frombuffer(base64.b64decode(s), "<f8")``; version 1 stored a list of
+decimal floats. Reading back yields plain dicts (not reconstructed domain
+objects), embeddings left encoded, so that reporting stays purely offline,
+never needs a backend, and reads both versions.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import os
 from pathlib import Path
+from typing import Iterator
+
+import numpy as np
 
 from .core import PromptTemplate, jsonable
 from .errors import ValidationError
@@ -17,7 +26,7 @@ from .explorer import CandidateRecord
 from .gateway import BackendConfig
 from .optimizer import IterationRecord, OptimizerConfig, RunRecord
 
-RECORD_VERSION = 1
+RECORD_VERSION = 2
 
 
 def backend_to_dict(cfg: BackendConfig) -> dict:
@@ -74,27 +83,34 @@ def template_to_dict(t: PromptTemplate) -> dict:
     return {"id": t.id, "text": t.text, "origin": t.origin}
 
 
+def encode_embedding(vector: np.ndarray) -> str:
+    """Base64 of the little-endian float64 bytes: exact, and far smaller and
+    faster than decimal text."""
+    return base64.b64encode(np.asarray(vector, dtype="<f8").tobytes()).decode("ascii")
+
+
 def candidate_to_dict(c: CandidateRecord) -> dict:
     prov = c.provenance
-    return jsonable({
+    return {
         "id": c.id,
-        "embedding": c.embedding,
-        "provenance": {
+        "embedding": encode_embedding(c.embedding),
+        # the explorer may draw these as NumPy scalars
+        "provenance": jsonable({
             "kind": prov.kind,
             "parents": list(prov.parents),
             "weight": prov.weight,
             "sigma": prov.sigma,
             "noise_seed": prov.noise_seed,
-        },
+        }),
         "decoded_text": c.decoded_text,
         "refined_template": template_to_dict(c.refined_template)
         if c.refined_template else None,
         "invalid_reason": c.invalid_reason,
-    })
+    }
 
 
 def scored_to_dict(s: ScoredPrompt) -> dict:
-    return jsonable({
+    return {
         "template": template_to_dict(s.template),
         "accuracy": s.accuracy,
         "n_correct": s.n_correct,
@@ -104,11 +120,11 @@ def scored_to_dict(s: ScoredPrompt) -> dict:
             [p.index, p.raw_output, p.extracted_label, p.correct]
             for p in s.per_example
         ],
-    })
+    }
 
 
 def iteration_to_dict(it: IterationRecord) -> dict:
-    return jsonable({
+    return {
         "kind": "iteration",
         "index": it.index,
         "seeds": [template_to_dict(t) for t in it.seeds],
@@ -121,10 +137,12 @@ def iteration_to_dict(it: IterationRecord) -> dict:
         "partial": it.partial,
         "started_at": it.started_at,
         "finished_at": it.finished_at,
-    })
+    }
 
 
-def run_record_to_lines(record: RunRecord) -> list[str]:
+def run_record_to_lines(record: RunRecord) -> Iterator[str]:
+    """The record's JSON lines, header first, each iteration encoded as it is
+    reached."""
     header = jsonable({
         "kind": "header",
         "version": RECORD_VERSION,
@@ -136,19 +154,29 @@ def run_record_to_lines(record: RunRecord) -> list[str]:
         "started_at": record.started_at,
         "finished_at": record.finished_at,
     })
-    lines = [json.dumps(header, ensure_ascii=False)]
-    lines.extend(
-        json.dumps(iteration_to_dict(it), ensure_ascii=False) for it in record.iterations
-    )
-    return lines
+    yield json.dumps(header, ensure_ascii=False)
+    for it in record.iterations:
+        yield json.dumps(iteration_to_dict(it), ensure_ascii=False)
 
 
 def write_run_record(record: RunRecord, path: str | Path) -> None:
+    """Write ``path`` whole or not at all.
+
+    The lines go to ``<path>.tmp`` beside it, which then replaces ``path``,
+    so a failure mid-write leaves any earlier record intact and no partial
+    file behind.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in run_record_to_lines(record):
-            fh.write(line + "\n")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for line in run_record_to_lines(record):
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_run_record(path: str | Path) -> tuple[dict, list[dict]]:

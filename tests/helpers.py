@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from lpo import evaluator, optimizer
 from lpo.core import Dataset, Example, PromptTemplate, validate_template
 from lpo.decoder import DecodeStrategy
 from lpo.encoder import EncoderSpec
@@ -141,3 +142,23 @@ def build_toy_pipeline(
         task_backend=task_backend, extraction_backend=extraction_backend,
         target=tuple(target),
     )
+
+
+def spy_on_response_caches(monkeypatch) -> list:
+    """Record every ``ResponseCache`` the evaluator and optimizer make from now
+    on; each gets a ``closed`` flag that its ``close()`` sets."""
+    made = []
+
+    class SpyCache(evaluator.ResponseCache):
+        def __init__(self, path=None):
+            super().__init__(path)
+            self.closed = False
+            made.append(self)
+
+        def close(self):
+            super().close()
+            self.closed = True
+
+    monkeypatch.setattr(evaluator, "ResponseCache", SpyCache)
+    monkeypatch.setattr(optimizer, "ResponseCache", SpyCache)
+    return made

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from helpers import spy_on_response_caches
 
 import lpo.gateway as gw
 from lpo import fixtures
@@ -142,6 +143,14 @@ class TestEvaluate:
         assert (alt / "summary.txt").exists()
         assert (alt / "cache_validation.jsonl").exists()
         assert not (toy_workspace / "out").exists()
+
+    def test_closes_every_cache_it_opens(self, toy_workspace, monkeypatch, capsys):
+        made = spy_on_response_caches(monkeypatch)
+        code = run(["evaluate", "--config", toy_workspace / "config.yaml",
+                    "--prompts", toy_workspace / "seeds.jsonl"])
+        assert code == 0
+        assert made and all(cache.closed for cache in made)
+        assert (toy_workspace / "out" / "cache_validation.jsonl").stat().st_size > 0
 
     def test_missing_test_split_configured(self, toy_workspace, capsys):
         config_text = (toy_workspace / "config.yaml").read_text()

@@ -85,12 +85,11 @@ class TestClassifyOne:
     def test_unreadable_cache_file_falls_back_to_live(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
         path.write_text("{broken json\n")
-        with caplog.at_level("WARNING", logger="lpo.evaluator"):
-            cache = ResponseCache(path)
-        assert any("unreadable cache" in r.message for r in caplog.records)
-        cfg = config(scripted_task({"good day": "Positive"}), cache_path=path)
-        raw = classify_one(TEMPLATE, Example(text="good day", label="positive"),
-                           cfg, budget(), cache)
+        with caplog.at_level("WARNING", logger="lpo.evaluator"), ResponseCache(path) as cache:
+            assert any("unreadable cache" in r.message for r in caplog.records)
+            cfg = config(scripted_task({"good day": "Positive"}), cache_path=path)
+            raw = classify_one(TEMPLATE, Example(text="good day", label="positive"),
+                               cfg, budget(), cache)
         assert raw == "Positive"
 
     def test_without_cache_leaves_the_cache_file_alone(self, tmp_path, monkeypatch):
@@ -363,9 +362,9 @@ class TestScoredPromptInvariants:
 class TestCachePersistence:
     def test_appended_entries_survive_reload(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        cache = ResponseCache(path)
-        cache.put("k1", "v1")
-        cache.put("k2", "v2")
+        with ResponseCache(path) as cache:
+            cache.put("k1", "v1")
+            cache.put("k2", "v2")
         reloaded = ResponseCache(path)
         assert reloaded.get("k1") == "v1"
         assert reloaded.get("k2") == "v2"
@@ -373,17 +372,24 @@ class TestCachePersistence:
         assert lines == [{"key_hash": "k1", "raw_output": "v1"},
                          {"key_hash": "k2", "raw_output": "v2"}]
 
+    def test_put_is_visible_to_a_second_cache_while_the_first_is_open(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        with ResponseCache(path) as first:
+            first.put("k1", "v1")
+            assert ResponseCache(path).get("k1") == "v1"
+            first.put("k2", "v2")
+            assert ResponseCache(path).get("k2") == "v2"
+
     def test_cut_off_line_skipped_and_next_append_kept(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
         good = json.dumps({"key_hash": "k1", "raw_output": "v1"})
         # a crash mid-append leaves a line without its end
         path.write_text(good + "\n" + '{"key_hash": "k2", "raw_ou')
-        with caplog.at_level("WARNING", logger="lpo.evaluator"):
-            cache = ResponseCache(path)
-        assert cache.get("k1") == "v1"
-        assert cache.skipped == 1
-        assert len([r for r in caplog.records if "unreadable" in r.message]) == 1
-        cache.put("k3", "v3")
+        with caplog.at_level("WARNING", logger="lpo.evaluator"), ResponseCache(path) as cache:
+            assert cache.get("k1") == "v1"
+            assert cache.skipped == 1
+            assert len([r for r in caplog.records if "unreadable" in r.message]) == 1
+            cache.put("k3", "v3")
         reloaded = ResponseCache(path)
         assert (reloaded.get("k1"), reloaded.get("k3")) == ("v1", "v3")
         assert reloaded.skipped == 1

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from helpers import build_toy_pipeline, circle_points, toy_fitness
+from helpers import build_toy_pipeline, circle_points, spy_on_response_caches, toy_fitness
 
 from lpo.core import validate_template
-from lpo.errors import ValidationError
+from lpo.errors import BudgetExhaustedError, ValidationError
 from lpo.evaluator import PerExample, ScoredPrompt
 from lpo.gateway import BackendConfig, call_count
 from lpo.optimizer import iterate, run_cycle, select_top
@@ -239,6 +239,23 @@ class TestIterate:
             return lines
 
         assert normalized(run()) == normalized(run())
+
+    def test_budget_error_in_first_iteration_closes_the_cache(self, tmp_path, monkeypatch):
+        made = spy_on_response_caches(monkeypatch)
+        p = build_toy_pipeline(rng_seed=0, cache_path=tmp_path / "cache.jsonl", max_calls=1)
+        p.budget.ensure_available()
+        p.budget.record(0, 0)  # spent before the run starts
+        with pytest.raises(BudgetExhaustedError):
+            iterate(p.seeds, p.cfg, p.eval_cfg, p.eval_set, p.budget)
+        assert made and all(cache.closed for cache in made)
+
+    def test_caches_closed_after_a_run(self, tmp_path, monkeypatch):
+        made = spy_on_response_caches(monkeypatch)
+        p = build_toy_pipeline(rng_seed=0, cache_path=tmp_path / "cache.jsonl")
+        iterate(p.seeds, p.cfg, p.eval_cfg, p.eval_set, p.budget)
+        run_cycle(p.seeds, p.cfg, p.eval_cfg, p.eval_set, p.budget)
+        assert len(made) == 2 and all(cache.closed for cache in made)
+        assert (tmp_path / "cache.jsonl").stat().st_size > 0
 
     def test_seed_scores_cached_across_iterations(self):
         p = build_toy_pipeline(rng_seed=5, max_iterations=2, patience=2)
