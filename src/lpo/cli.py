@@ -34,8 +34,10 @@ def _fail(errors: list[str], prefix: str) -> int:
     return 2
 
 
-def _load_config_and_seeds(config_path: str, seeds_path: str):
+def _load_config_and_seeds(config_path: str, seeds_path: str, out_dir: str | None = None):
     app, errors = load_app_config(config_path)
+    if app is not None and out_dir is not None:
+        app = replace(app, out_dir=Path(out_dir))
     seeds, seed_errors = load_seed_templates(seeds_path)
     problems = [f"config: {e}" for e in errors] + [f"seeds: {e}" for e in seed_errors]
     return app, seeds, problems
@@ -55,11 +57,9 @@ def _pct(value) -> str:
 
 def cmd_optimize(config_path: str, seeds_path: str, out_dir: str | None = None,
                  dry_run: bool = False) -> int:
-    app, seeds, problems = _load_config_and_seeds(config_path, seeds_path)
+    app, seeds, problems = _load_config_and_seeds(config_path, seeds_path, out_dir)
     if problems:
         return _fail(problems, "optimize")
-    if out_dir is not None:
-        app.out_dir = Path(out_dir)
     out = app.out_dir
     validation = _validation_split(app)
     policy = app.optimizer.policy
@@ -105,11 +105,9 @@ def cmd_optimize(config_path: str, seeds_path: str, out_dir: str | None = None,
 
 def cmd_evaluate(config_path: str, prompts_path: str, split: str,
                  out_dir: str | None = None) -> int:
-    app, templates, problems = _load_config_and_seeds(config_path, prompts_path)
+    app, templates, problems = _load_config_and_seeds(config_path, prompts_path, out_dir)
     if problems:
         return _fail(problems, "evaluate")
-    if out_dir is not None:
-        app.out_dir = Path(out_dir)
     if split == "validation":
         eval_set = _validation_split(app)
     elif split == "test":
@@ -122,9 +120,10 @@ def cmd_evaluate(config_path: str, prompts_path: str, split: str,
     eval_cfg = app.eval_config(split)
     budget = app.budget()
     rows = []
-    for template in templates:
-        scored = evaluator_mod.evaluate(template, eval_set, eval_cfg, budget)
-        rows.append((template.id, scored.accuracy))
+    with evaluator_mod.ResponseCache(eval_cfg.cache_path) as cache:  # read once for all prompts
+        for template in templates:
+            scored = evaluator_mod.evaluate(template, eval_set, eval_cfg, budget, cache)
+            rows.append((template.id, scored.accuracy))
     width = max(len(r[0]) for r in rows)
     print(f"{'prompt':<{width}}  accuracy")
     for tid, accuracy in rows:
@@ -138,11 +137,9 @@ def cmd_evaluate(config_path: str, prompts_path: str, split: str,
 
 def cmd_explore(config_path: str, seeds_path: str, count: int | None = None,
                 out_path: str | None = None, out_dir: str | None = None) -> int:
-    app, seeds, problems = _load_config_and_seeds(config_path, seeds_path)
+    app, seeds, problems = _load_config_and_seeds(config_path, seeds_path, out_dir)
     if problems:
         return _fail(problems, "explore")
-    if out_dir is not None:
-        app.out_dir = Path(out_dir)
     policy = app.optimizer.policy
     if count is not None:
         if count < 1:

@@ -93,7 +93,7 @@ budget:
 """
 
 
-@dataclass
+@dataclass(frozen=True)
 class AppConfig:
     """Validated, fully resolved run configuration."""
 
@@ -171,7 +171,11 @@ def _build_backend(raw: dict, base: Path, errors: list[str], where: str) -> Back
     if not isinstance(raw, dict):
         errors.append(f"{where}: backend must be a mapping")
         return None
-    params = dict(raw.get("params") or {})
+    params = raw.get("params") or {}
+    if not isinstance(params, dict):
+        errors.append(f"{where}.params: must be a mapping, got {params!r}")
+        return None
+    params = dict(params)
     if "dataset" in params:
         resolved = _resolve(base, str(params["dataset"]))
         if resolved is None or not resolved.exists():
@@ -218,6 +222,8 @@ def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
     if test_path is not None and not test_path.exists():
         errors.append(f"dataset.test: file not found: {test_path}")
     labels = ds.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        errors.append(f"dataset.labels: must be a list of labels, got {labels!r}")
     split = None
     try:
         split = SplitSpec(**_given(ds, {"validation_fraction": float, "rng_seed": int}))
@@ -241,9 +247,12 @@ def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
     if dec.get("chat_backend") is not None:
         chat_backend = _build_backend(dec["chat_backend"], base, errors, "decode.chat_backend")
     toy_space = None
-    if dec.get("toy_parameters"):
+    toy_parameters = dec.get("toy_parameters")
+    if toy_parameters is not None and not isinstance(toy_parameters, list):
+        errors.append(f"decode.toy_parameters: must be a list of names, got {toy_parameters!r}")
+    elif toy_parameters:
         try:
-            toy_space = ToySpaceSpec(tuple(dec["toy_parameters"]))
+            toy_space = ToySpaceSpec(tuple(toy_parameters))
         except ValidationError as exc:
             errors.append(f"decode.toy_parameters: {exc}")
     proj = None

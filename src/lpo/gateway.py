@@ -6,10 +6,11 @@ other module in this package performs network access. Mock backends are
 dispatched here too, so they are budgeted and counted like remote ones; their
 behaviors live in :mod:`lpo.mocks`.
 
-The gateway also notes, per backend, whether its attempts mostly wait (on a
-network, say) rather than compute. :func:`blocks` reports it, and the
-evaluator fans a template's calls out to ``max_in_flight`` threads only for
-a backend that blocks.
+A :class:`BackendConfig` is frozen; each one builds its own private run
+state (lock, in-flight cap, counters, mock scratch). There the gateway notes
+whether a backend's attempts mostly wait (on a network, say) rather than
+compute. :func:`blocks` reports it, and the evaluator fans a template's calls
+out to ``max_in_flight`` threads only for a backend that blocks.
 
 Remote wire protocol is JSON-over-HTTP in the de facto chat-completions /
 embeddings shape. Secrets are read from the environment variable named in
@@ -31,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import requests
 
 from . import mocks
 from .core import as_vector, jsonable, text_digest
@@ -136,7 +136,17 @@ def usage_report(budget: Budget) -> tuple[int, int]:
         return budget.calls, budget.total_tokens
 
 
-@dataclass
+class _Runtime:
+    """One backend's run state: lock, in-flight cap, counters, mock scratch."""
+
+    def __init__(self, max_in_flight: int):
+        self.lock, self.in_flight = threading.Lock(), threading.BoundedSemaphore(max_in_flight)
+        self.calls = self.attempts = 0
+        self.tally = 0  # +1 per attempt that waited longer than it computed, -1 per other
+        self.scratch: dict = {}  # a mock's own state
+
+
+@dataclass(frozen=True)
 class BackendConfig:
     """Where and how to reach one backend.
 
@@ -144,7 +154,8 @@ class BackendConfig:
     registered deterministic behavior by name and parameterize it via
     ``params``; see :mod:`lpo.mocks`. ``max_in_flight`` caps the calls in
     flight at once and is the width the evaluator fans a template's calls
-    out to, for a backend that :func:`blocks`.
+    out to, for a backend that :func:`blocks`. Fields are settings only: a
+    ``replace`` copy gets its own run state, at zero calls under its own cap.
     """
 
     kind: str = "mock"
@@ -157,7 +168,6 @@ class BackendConfig:
     max_in_flight: int = 4
     behavior: str = "fixed"
     params: dict = field(default_factory=dict)
-    _state: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in BACKEND_KINDS:
@@ -166,23 +176,21 @@ class BackendConfig:
             raise ValidationError(f"{self.kind} backend requires endpoint and model_name")
         if self.max_attempts < 1:
             raise ValidationError("max_attempts must be >= 1")
-        self._state.setdefault("calls", 0)
-        self._state.setdefault("attempts", 0)
-        self._state.setdefault("waited", 0)  # attempts that waited longer than they computed
-        self._state.setdefault("busy", 0)    # the other attempts
-        self._state.setdefault("cursor", 0)
-        self._state.setdefault("lock", threading.Lock())
-        self._state.setdefault("semaphore", threading.BoundedSemaphore(self.max_in_flight))
+        if self.max_in_flight < 1:  # a semaphore of 0 would block the first call forever
+            raise ValidationError(f"max_in_flight must be >= 1, got {self.max_in_flight!r}")
+        if not self.timeout > 0:
+            raise ValidationError(f"timeout must be > 0, got {self.timeout!r}")
+        object.__setattr__(self, "_runtime", _Runtime(self.max_in_flight))
 
 
 def call_count(cfg: BackendConfig) -> int:
     """Completed gateway calls against this backend (accounting hook)."""
-    return cfg._state["calls"]
+    return cfg._runtime.calls
 
 
 def attempt_count(cfg: BackendConfig) -> int:
     """Total attempts including retried failures."""
-    return cfg._state["attempts"]
+    return cfg._runtime.attempts
 
 
 def blocks(cfg: BackendConfig) -> bool:
@@ -193,8 +201,8 @@ def blocks(cfg: BackendConfig) -> bool:
     Counting attempts rather than summing seconds keeps one preempted call,
     or threads queueing for the interpreter lock, from tipping the verdict.
     """
-    with cfg._state["lock"]:
-        return cfg._state["waited"] > cfg._state["busy"]
+    with cfg._runtime.lock:
+        return cfg._runtime.tally > 0
 
 
 # process-wide on purpose: a number must never be given to two callables
@@ -242,18 +250,18 @@ def backend_fingerprint(cfg: BackendConfig) -> str:
 def _call_with_retries(cfg: BackendConfig, label: str, fn: Callable):
     last: Exception | None = None
     for attempt in range(1, cfg.max_attempts + 1):
-        with cfg._state["lock"]:
-            cfg._state["attempts"] += 1
+        with cfg._runtime.lock:
+            cfg._runtime.attempts += 1
         try:
-            with cfg._state["semaphore"]:
+            with cfg._runtime.in_flight:
                 started, cpu_started = time.perf_counter(), time.thread_time()
                 try:
                     return fn()
                 finally:
                     cpu = time.thread_time() - cpu_started
                     waited = time.perf_counter() - started - cpu > cpu
-                    with cfg._state["lock"]:
-                        cfg._state["waited" if waited else "busy"] += 1
+                    with cfg._runtime.lock:
+                        cfg._runtime.tally += 1 if waited else -1
         except TransientBackendError as exc:
             last = exc
             logger.warning("%s attempt %d/%d failed: %s", label, attempt, cfg.max_attempts, exc)
@@ -282,8 +290,8 @@ def chat(cfg: BackendConfig, req: ChatRequest, budget: Budget) -> ChatResponse:
         budget.release()
         raise
     budget.record(resp.prompt_tokens, resp.completion_tokens)
-    with cfg._state["lock"]:
-        cfg._state["calls"] += 1
+    with cfg._runtime.lock:
+        cfg._runtime.calls += 1
     return resp
 
 
@@ -314,8 +322,8 @@ def embed(cfg: BackendConfig, texts: Sequence[str], budget: Budget) -> list[np.n
         budget.release()
         raise
     budget.record(usage[0], usage[1])
-    with cfg._state["lock"]:
-        cfg._state["calls"] += 1
+    with cfg._runtime.lock:
+        cfg._runtime.calls += 1
     return vectors
 
 
@@ -338,6 +346,8 @@ def _auth_headers(cfg: BackendConfig) -> dict[str, str]:
 
 
 def _post_json(cfg: BackendConfig, payload: dict) -> dict:
+    import requests  # here, so that only a remote call pays for importing it
+
     url = _resolve_endpoint(cfg)
     try:
         response = requests.post(url, json=payload, headers=_auth_headers(cfg),

@@ -4,8 +4,9 @@ A mock backend (``BackendConfig(kind="mock")``) names one behavior from the
 registries below and parameterizes it through ``params``. Chat behaviors map
 ``(cfg, request)`` to reply text; embed behaviors map ``(cfg, texts)`` to one
 vector per text. The gateway dispatches to them inside its choke point, so
-mocks are budgeted, retried and counted exactly like remote calls. This
-module does not import the gateway.
+mocks are budgeted, retried and counted exactly like remote calls. A mock's
+own state lives in its config's runtime scratch, under the runtime's lock.
+This module does not import the gateway.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ def _handler(cfg, req) -> str:
 
 def _sequence(cfg, req) -> str:
     replies = cfg.params.get("replies", [])
-    with cfg._state["lock"]:
-        cursor = cfg._state["cursor"]
-        cfg._state["cursor"] = cursor + 1
+    with cfg._runtime.lock:
+        cursor = cfg._runtime.scratch.get("cursor", 0)
+        cfg._runtime.scratch["cursor"] = cursor + 1
     if cursor >= len(replies):
         raise BackendError(f"mock script exhausted after {len(replies)} replies")
     entry = replies[cursor]
@@ -110,8 +111,8 @@ def _toy_task_examples(cfg) -> list[tuple[str, str, int]]:
     of the examples statistically fair, while a full pass still measures
     exactly round(fitness * N) correct answers.
     """
-    with cfg._state["lock"]:
-        cached = cfg._state.get("examples")
+    with cfg._runtime.lock:
+        cached = cfg._runtime.scratch.get("examples")
         if cached is None:
             inline = cfg.params.get("examples")
             if inline is not None:
@@ -126,7 +127,7 @@ def _toy_task_examples(cfg) -> list[tuple[str, str, int]]:
                            key=lambda i: hashlib.sha256(pairs[i][0].encode("utf-8")).hexdigest())
             rank = {i: r for r, i in enumerate(order)}
             cached = [(text, label, rank[i]) for i, (text, label) in enumerate(pairs)]
-            cfg._state["examples"] = cached
+            cfg._runtime.scratch["examples"] = cached
     return cached
 
 

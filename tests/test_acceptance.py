@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import requests
 from helpers import (
     build_toy_pipeline,
     circle_points,
@@ -21,7 +22,6 @@ from helpers import (
     toy_fitness,
 )
 
-import lpo.gateway as gw
 from lpo import fixtures
 from lpo.cli import main
 from lpo.core import Dataset, Example, validate_template
@@ -44,7 +44,7 @@ def no_network(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("network access attempted during acceptance run")
 
-    monkeypatch.setattr(gw.requests, "post", forbidden)
+    monkeypatch.setattr(requests, "post", forbidden)
 
 
 def test_criterion_1_explorer_algebra():

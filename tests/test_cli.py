@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import requests
 from helpers import spy_on_response_caches
 
 import lpo.gateway as gw
@@ -42,8 +43,11 @@ class TestOptimize:
     def test_all_config_errors_listed(self, toy_workspace, capsys):
         config = toy_workspace / "broken.yaml"
         config.write_text(
-            "dataset: {train: missing.jsonl, validation_fraction: 2.0}\n"
-            "policy: {candidate_count: 0}\n")
+            "dataset: {train: missing.jsonl, validation_fraction: 2.0, labels: 5}\n"
+            "policy: {candidate_count: 0}\n"
+            "encoder: {backend: {kind: mock, params: [1, 2]}}\n"
+            "decode: {toy_parameters: 5, chat_backend: {kind: mock, max_in_flight: 0}}\n"
+            "evaluator: {task_backend: {kind: mock, timeout: 0}}\n")
         code = run(["optimize", "--config", config,
                     "--seeds", toy_workspace / "seeds.jsonl"])
         assert code == 2
@@ -51,6 +55,11 @@ class TestOptimize:
         assert "missing.jsonl" in err
         assert "validation_fraction" in err
         assert "candidate_count" in err
+        assert "encoder.backend.params: must be a mapping, got [1, 2]" in err
+        assert "dataset.labels: must be a list of labels, got 5" in err
+        assert "decode.toy_parameters: must be a list of names, got 5" in err
+        assert "decode.chat_backend: max_in_flight must be >= 1, got 0" in err
+        assert "evaluator.task_backend: timeout must be > 0, got 0.0" in err
 
     def test_quoted_booleans_are_config_errors(self, toy_workspace, capsys):
         config_text = (toy_workspace / "config.yaml").read_text()
@@ -70,7 +79,7 @@ class TestOptimize:
 
         monkeypatch.setattr(gw, "_mock_chat", forbidden)
         monkeypatch.setattr(gw, "_mock_embed", forbidden)
-        monkeypatch.setattr(gw.requests, "post", forbidden)
+        monkeypatch.setattr(requests, "post", forbidden)
         code = run(["optimize", "--config", toy_workspace / "config.yaml",
                     "--seeds", toy_workspace / "seeds.jsonl", "--dry-run"])
         assert code == 0
@@ -150,6 +159,7 @@ class TestEvaluate:
                     "--prompts", toy_workspace / "seeds.jsonl"])
         assert code == 0
         assert made and all(cache.closed for cache in made)
+        assert len([cache for cache in made if cache.path is not None]) == 1  # read once
         assert (toy_workspace / "out" / "cache_validation.jsonl").stat().st_size > 0
 
     def test_missing_test_split_configured(self, toy_workspace, capsys):
@@ -242,7 +252,7 @@ class TestReport:
 
         monkeypatch.setattr(gw, "chat", forbidden)
         monkeypatch.setattr(gw, "embed", forbidden)
-        monkeypatch.setattr(gw.requests, "post", forbidden)
+        monkeypatch.setattr(requests, "post", forbidden)
         assert run(["report", fixtures.fixture_path("reference_run.jsonl")]) == 0
 
 
@@ -265,6 +275,16 @@ class TestConfigHelpers:
         assert run(["config", "toy", "--dest", dest]) == 0
         assert run(["optimize", "--config", dest / "config.yaml",
                     "--seeds", dest / "seeds.jsonl"]) == 0
+
+    def test_app_config_is_frozen(self, toy_workspace):
+        from dataclasses import FrozenInstanceError
+
+        from lpo.config import load_app_config
+
+        app, errors = load_app_config(toy_workspace / "config.yaml")
+        assert errors == []
+        with pytest.raises(FrozenInstanceError):
+            app.out_dir = toy_workspace / "elsewhere"
 
     def test_default_config_round_trips_through_loader(self, tmp_path):
         from lpo.config import load_app_config

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).parent.parent
 
 # import name -> distribution name, where they differ
@@ -35,8 +37,9 @@ def test_imports_match_declared_dependencies():
     assert third_party_imports() == declared_dependencies()
 
 
-def test_import_leaves_scipy_unloaded():
-    code = "import sys, lpo; print('scipy' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy", "requests"])
+def test_import_leaves_unloaded(module):
+    code = f"import sys, lpo; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip() == "False"

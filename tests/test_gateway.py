@@ -3,10 +3,13 @@ import re
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import requests
 
 import lpo.gateway as gw
 from lpo.errors import BackendError, BudgetExhaustedError, ValidationError
@@ -218,7 +221,7 @@ class TestRemoteChat:
             seen["headers"] = headers
             return FakeResponse(200, chat_body("All good", 11, 5))
 
-        monkeypatch.setattr(gw.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         monkeypatch.setenv("LPO_API_KEY", "secret-key")
         budget = big_budget()
         resp = chat(self.remote_cfg(), ChatRequest(user_text="hi", system_text="sys"), budget)
@@ -236,13 +239,13 @@ class TestRemoteChat:
         def fake_post(url, **kwargs):
             return responses.pop(0)
 
-        monkeypatch.setattr(gw.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         cfg = self.remote_cfg(max_attempts=3)
         assert chat(cfg, ChatRequest(user_text="x"), big_budget()).text == "ok"
         assert attempt_count(cfg) == 3
 
     def test_404_fails_immediately(self, monkeypatch):
-        monkeypatch.setattr(gw.requests, "post",
+        monkeypatch.setattr(requests, "post",
                             lambda url, **kw: FakeResponse(404, {"error": "nope"}))
         cfg = self.remote_cfg(max_attempts=3)
         with pytest.raises(BackendError, match="HTTP 404"):
@@ -250,7 +253,7 @@ class TestRemoteChat:
         assert attempt_count(cfg) == 1
 
     def test_malformed_reply(self, monkeypatch):
-        monkeypatch.setattr(gw.requests, "post",
+        monkeypatch.setattr(requests, "post",
                             lambda url, **kw: FakeResponse(200, {"unexpected": True}))
         with pytest.raises(BackendError, match="malformed chat reply"):
             chat(self.remote_cfg(), ChatRequest(user_text="x"), big_budget())
@@ -262,7 +265,7 @@ class TestRemoteChat:
             seen["url"] = url
             return FakeResponse(200, chat_body("ok"))
 
-        monkeypatch.setattr(gw.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         monkeypatch.setenv("LPO_ENDPOINT", "https://override.test/v2")
         chat(self.remote_cfg(), ChatRequest(user_text="x"), big_budget())
         assert seen["url"] == "https://override.test/v2"
@@ -282,7 +285,7 @@ class TestRemoteChat:
             "data": [{"embedding": [0.1, 0.2]}, {"embedding": [0.3, 0.4]}],
             "usage": {"prompt_tokens": 6},
         }
-        monkeypatch.setattr(gw.requests, "post", lambda url, **kw: FakeResponse(200, body))
+        monkeypatch.setattr(requests, "post", lambda url, **kw: FakeResponse(200, body))
         cfg = BackendConfig(kind="remote_embed", endpoint="https://api.test/emb",
                             model_name="emb-model")
         vectors = embed(cfg, ["a", "b"], big_budget())
@@ -387,6 +390,47 @@ class TestBlocking:
         for _ in range(20):
             chat(cfg, ChatRequest(user_text="x"), big_budget())
         assert not blocks(cfg)
+
+
+class TestSettingsApartFromRunState:
+    def test_fields_are_the_loader_keys(self):
+        from lpo.config import _BACKEND_KEYS
+
+        assert [f.name for f in fields(BackendConfig)] == [*_BACKEND_KEYS, "params"]
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = mock_chat_cfg()
+        with pytest.raises(FrozenInstanceError):
+            cfg.max_in_flight = 16
+
+    def test_replace_copy_has_its_own_counters_and_cap(self):
+        together = threading.Barrier(8, timeout=5)
+
+        def handler(req):
+            if req.user_text == "together":
+                together.wait()  # returns only once 8 calls are in flight at once
+            time.sleep(0.001)
+            return "ok"
+
+        original = mock_chat_cfg(behavior="handler", params={"fn": handler}, max_in_flight=4)
+        budget = big_budget()
+        for _ in range(3):
+            chat(original, ChatRequest(user_text="alone"), budget)
+        copy = replace(original, max_in_flight=8)
+        assert (call_count(copy), attempt_count(copy)) == (0, 0)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            replies = list(pool.map(
+                lambda _: chat(copy, ChatRequest(user_text="together"), budget).text, range(8)))
+        assert replies == ["ok"] * 8
+        assert (call_count(copy), attempt_count(copy)) == (8, 8)
+        assert (call_count(original), attempt_count(original)) == (3, 3)
+
+    def test_replace_copy_of_a_script_starts_at_its_first_reply(self):
+        original = mock_chat_cfg(behavior="sequence", params={"replies": ["one", "two"]})
+        assert chat(original, ChatRequest(user_text="x"), big_budget()).text == "one"
+        copy = replace(original)
+        assert chat(copy, ChatRequest(user_text="x"), big_budget()).text == "one"
+        assert chat(original, ChatRequest(user_text="x"), big_budget()).text == "two"
 
 
 class TestFingerprint:
