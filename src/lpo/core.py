@@ -7,10 +7,13 @@ label comparison in the pipeline is case-insensitive after trimming.
 
 from __future__ import annotations
 
+import base64
 import csv
 import hashlib
 import json
+import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -85,6 +88,11 @@ class Example:
             raise ValidationError("example text is empty")
         if not self.label:
             raise ValidationError("example label is empty")
+
+    @cached_property
+    def digest(self) -> str:
+        """``text_digest(self.text)``, hashed once per example."""
+        return text_digest(self.text)
 
 
 @dataclass(frozen=True)
@@ -244,6 +252,35 @@ def split_dataset(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 def text_digest(text: str) -> str:
     """Stable hex digest used for cache keys and derived identifiers."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def encode_float64(vector) -> str:
+    """Base64 of the little-endian float64 bytes, row-major: exact, and far
+    smaller and faster than decimal text. ``np.frombuffer(base64.b64decode(s),
+    "<f8")`` decodes it bit for bit."""
+    return base64.b64encode(np.asarray(vector, dtype="<f8").tobytes()).decode("ascii")
+
+
+def write_atomic(path: str | Path, lines: Iterable[str]) -> None:
+    """Write ``lines``, each ended by a newline, to ``path`` whole or not at all.
+
+    They go to ``<path>.tmp`` beside it, which then replaces ``path``, so a
+    failure mid-write leaves any earlier file intact and no partial file
+    behind. A line and its newline are written apart, so no joined copy of a
+    large line is made.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def jsonable(value):

@@ -10,6 +10,10 @@ would inflate scores.
 Replies are cached in an append-only JSONL file keyed by content hashes and
 the answering backend's fingerprint, so a warm rerun issues zero gateway
 calls and returns identical scores, and no backend is served another's reply.
+:func:`evaluate` hashes its template and encodes its label set once, and each
+example's text is hashed once per process (``Example.digest``); the keys are
+the same strings as ever, so cache files written by earlier versions still
+hit.
 
 A backend that the gateway has seen block (see :func:`gateway.blocks`) gets a
 template's calls from up to ``max_in_flight`` threads at once, so their
@@ -26,6 +30,7 @@ import logging
 import re
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -166,31 +171,40 @@ class ResponseCache:
         self.close()
 
 
-def _classify_key(backend_id: str, cfg: EvalConfig, template: PromptTemplate,
-                  ex: Example) -> str:
-    return text_digest(json.dumps([
-        "classify", backend_id,
-        text_digest(template.text), text_digest(ex.text), repr(cfg.temperature),
-    ]))
+def _classify_keys(backend_id: str, cfg: EvalConfig,
+                   template: PromptTemplate) -> Callable[[Example], str]:
+    """Each example's classify key for one template: the digest of
+    ``json.dumps(["classify", backend_id, text_digest(template.text),
+    text_digest(ex.text), repr(cfg.temperature)])``, built around the
+    template's digest, taken once."""
+    head = f'["classify", {json.dumps(backend_id)}, "{text_digest(template.text)}", "'
+    tail = f'", {json.dumps(repr(cfg.temperature))}]'
+    return lambda ex: text_digest(head + ex.digest + tail)
 
 
-def _extract_key(backend_id: str, raw: str, label_set: Sequence[str]) -> str:
-    return text_digest(json.dumps(["extract", backend_id, text_digest(raw), list(label_set)]))
+def _extract_keys(backend_id: str, label_set: Sequence[str]) -> Callable[[str], str]:
+    """Each reply's extract key for one label set: the digest of
+    ``json.dumps(["extract", backend_id, text_digest(raw), list(label_set)])``,
+    with the label list encoded once."""
+    head = f'["extract", {json.dumps(backend_id)}, "'
+    tail = f'", {json.dumps(list(label_set))}]'
+    return lambda raw: text_digest(head + text_digest(raw) + tail)
 
 
 def classify_one(template: PromptTemplate, ex: Example, cfg: EvalConfig,
                  budget: Budget, cache: ResponseCache | None = None, *,
-                 backend_id: str | None = None) -> str:
+                 keys: Callable[[Example], str] | None = None) -> str:
     """Render the prompt for one example and return the task backend's reply.
 
-    ``backend_id`` is the task backend's fingerprint, for callers that
-    already computed it. Without ``cache`` the reply is neither looked up in
-    nor appended to ``cfg.cache_path``: reading that file per call would cost
-    more than the call; :func:`evaluate` opens it once per template.
+    ``keys`` gives an example's cache key (:func:`_classify_keys` for this
+    template and the task backend), for callers that score many examples.
+    Without ``cache`` the reply is neither looked up in nor appended to
+    ``cfg.cache_path``: reading that file per call would cost more than the
+    call; :func:`evaluate` opens it once per template.
     """
     cache = cache if cache is not None else ResponseCache()
-    backend_id = backend_id or gateway.backend_fingerprint(cfg.task_backend)
-    key = _classify_key(backend_id, cfg, template, ex)
+    keys = keys or _classify_keys(gateway.backend_fingerprint(cfg.task_backend), cfg, template)
+    key = keys(ex)
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -201,16 +215,25 @@ def classify_one(template: PromptTemplate, ex: Example, cfg: EvalConfig,
     return raw
 
 
+@lru_cache(maxsize=64)
+def _whole_word_patterns(label_set: tuple[str, ...]) -> tuple[tuple[str, re.Pattern], ...]:
+    """One compiled whole-word pattern per label, built once per label set."""
+    return tuple((lab, re.compile(rf"(?<!\w){re.escape(lab)}(?!\w)")) for lab in label_set)
+
+
 def _whole_word_match(lowered: str, label_set: Sequence[str]) -> str | None:
-    found = [lab for lab in label_set
-             if re.search(rf"(?<!\w){re.escape(lab)}(?!\w)", lowered)]
+    found = [lab for lab, pattern in _whole_word_patterns(tuple(label_set))
+             if pattern.search(lowered)]
     if len(found) == 1:
         return found[0]
     return None
 
 
+_FIELD = re.compile(r'"(?:sentiment|label)"\s*:\s*"([^"]*)"')
+
+
 def _field_match(lowered: str, label_set: Sequence[str]) -> str | None:
-    for match in re.finditer(r'"(?:sentiment|label)"\s*:\s*"([^"]*)"', lowered):
+    for match in _FIELD.finditer(lowered):
         value = match.group(1).strip()
         if value in label_set:
             return value
@@ -219,7 +242,7 @@ def _field_match(lowered: str, label_set: Sequence[str]) -> str | None:
 
 def extract_label(raw: str, label_set: Sequence[str], cfg: EvalConfig,
                   budget: Budget, cache: ResponseCache | None = None, *,
-                  backend_id: str | None = None) -> str:
+                  keys: Callable[[str], str] | None = None) -> str:
     """Resolve a raw task reply to a label, or ``"unparsed"``.
 
     Stage 1 is deterministic and free: a unique whole-word label occurrence,
@@ -227,8 +250,9 @@ def extract_label(raw: str, label_set: Sequence[str], cfg: EvalConfig,
     asks the extraction backend which label the reply asserts; most outputs
     never get that far, which saves budget without changing semantics on
     clear cases. Backend failures in stage 2 degrade to ``"unparsed"``.
-    ``backend_id`` is the extraction backend's fingerprint, and ``cache``
-    behaves as in :func:`classify_one`.
+    ``keys`` gives a reply's cache key (:func:`_extract_keys` for the
+    extraction backend and ``label_set``), and ``cache`` behaves as in
+    :func:`classify_one`.
     """
     if not label_set:
         raise ValidationError("extract_label needs a non-empty label set")
@@ -238,8 +262,8 @@ def extract_label(raw: str, label_set: Sequence[str], cfg: EvalConfig,
         return hit
 
     cache = cache if cache is not None else ResponseCache()
-    backend_id = backend_id or gateway.backend_fingerprint(cfg.extraction_backend)
-    key = _extract_key(backend_id, raw, label_set)
+    keys = keys or _extract_keys(gateway.backend_fingerprint(cfg.extraction_backend), label_set)
+    key = keys(raw)
     reply = cache.get(key)
     if reply is None:
         req = ChatRequest(user_text=prompts.extract_instruction(raw, list(label_set)),
@@ -331,18 +355,19 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
     n = len(slice_examples)
     eval_set_id = Dataset(examples=slice_examples,
                           label_set=eval_set.label_set).fingerprint()
-    task_id = gateway.backend_fingerprint(cfg.task_backend)
-    extraction_id = gateway.backend_fingerprint(cfg.extraction_backend)
+    classify_keys = _classify_keys(gateway.backend_fingerprint(cfg.task_backend), cfg, template)
+    extract_keys = _extract_keys(gateway.backend_fingerprint(cfg.extraction_backend),
+                                 eval_set.label_set)
     raws: list[str] = [""] * n
     labels: list[str | None] = [None] * n
 
     def classify(index: int) -> None:
         raws[index] = classify_one(template, slice_examples[index], cfg, budget, cache,
-                                   backend_id=task_id)
+                                   keys=classify_keys)
 
     def extract(index: int) -> None:
         labels[index] = extract_label(raws[index], eval_set.label_set, cfg, budget, cache,
-                                      backend_id=extraction_id)
+                                      keys=extract_keys)
 
     widths = _width(cfg.task_backend), _width(cfg.extraction_backend)
     texts = _by_value([ex.text for ex in slice_examples]) if max(widths) > 1 else []

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -59,7 +60,7 @@ class ChatRequest:
     def __post_init__(self) -> None:
         if not self.user_text:
             raise ValidationError("chat request has empty user_text")
-        if not np.isfinite(self.temperature) or self.temperature < 0:
+        if not math.isfinite(self.temperature) or self.temperature < 0:
             raise ValidationError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_tokens <= 0:
             raise ValidationError("max_tokens must be positive")

@@ -3,12 +3,18 @@
 Application is a plain matrix-vector product. Fitting solves the ridge
 normal equations in closed form with NumPy, after a Cholesky factorization
 has checked that they are positive definite; the bias column, when
-requested, is not penalized. Weights round-trip through a human-inspectable
-JSON file.
+requested, is not penalized.
+
+Weights round-trip bit for bit through one JSON object: a readable
+``input_dim``/``output_dim``/``has_bias`` header, then ``weights_b64`` (and
+``bias_b64``), base64 of the row-major little-endian float64 bytes, as run
+records store embeddings. Files from older versions, which held ``weights``
+and ``bias`` as lists of numbers, still load.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import as_vector
+from .core import as_vector, encode_float64, write_atomic
 from .errors import ValidationError
 
 # condition estimate above this, with zero regularization, is treated as rank-deficient
@@ -141,7 +147,7 @@ def fit_ridge(corpus: PairedCorpus, regularization: float = 0.0,
         penalty[-1, -1] = 0.0
     system = gram + regularization * penalty
     if regularization == 0.0:
-        cond = np.linalg.cond(system)
+        cond = _condition(system)
         if not np.isfinite(cond) or cond > CONDITION_LIMIT:
             raise ValidationError(
                 f"design matrix is rank-deficient (condition estimate {cond:.2e}); "
@@ -160,6 +166,14 @@ def fit_ridge(corpus: PairedCorpus, regularization: float = 0.0,
     return LinearProjector(weights=solution.T)
 
 
+def _condition(system: np.ndarray) -> float:
+    """2-norm condition number of a symmetric matrix: max|eigenvalue| over
+    min|eigenvalue|, which ``np.linalg.cond`` would find by a slower SVD."""
+    magnitudes = np.abs(np.linalg.eigvalsh(system))
+    smallest = magnitudes.min()
+    return float(magnitudes.max() / smallest) if smallest > 0 else float("inf")
+
+
 def residual(projector: LinearProjector, corpus: PairedCorpus) -> float:
     """Root-mean-square residual of the projector over the corpus."""
     pred = corpus.inputs @ projector.weights.T
@@ -169,46 +183,80 @@ def residual(projector: LinearProjector, corpus: PairedCorpus) -> float:
 
 
 def save_weights(projector: LinearProjector, path: str | Path) -> None:
-    """Write dims, bias flag, and row-major weights as inspectable JSON."""
+    """Write the dims and bias flag as readable JSON and the weights (and
+    bias) as exact base64 float64, whole or not at all.
+
+    The weights are row-major, so ``np.frombuffer(base64.b64decode(s),
+    "<f8").reshape(output_dim, input_dim)`` recovers them bit for bit. Like
+    run records, the file is written beside ``path`` and then moved over it,
+    so a failed write leaves the previous weights intact.
+    """
     payload = {
         "input_dim": projector.input_dim,
         "output_dim": projector.output_dim,
         "has_bias": projector.bias is not None,
-        "weights": [float(v) for v in projector.weights.ravel()],
+        "weights_b64": encode_float64(projector.weights),
     }
     if projector.bias is not None:
-        payload["bias"] = [float(v) for v in projector.bias]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        payload["bias_b64"] = encode_float64(projector.bias)
+    write_atomic(path, [json.dumps(payload, indent=1)])
+
+
+def _floats(payload: dict, name: str, shape: tuple[int, ...], path: Path) -> np.ndarray | None:
+    """The float64 array of ``shape`` stored under ``<name>_b64``, or under
+    ``name`` as a list of numbers in older files; None when neither is there."""
+    count = int(np.prod(shape))
+    says = f"weight file {path} header says {'x'.join(map(str, shape))}"
+    if name + "_b64" in payload:
+        try:
+            raw = base64.b64decode(payload[name + "_b64"], validate=True)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"weight file {path}: {name}_b64 is not valid base64 ({exc})") from exc
+        if len(raw) != 8 * count:
+            raise ValidationError(
+                f"{says} but {name}_b64 holds {len(raw)} bytes, not {8 * count}")
+        return np.frombuffer(bytearray(raw), "<f8").reshape(shape)
+    if name not in payload:
+        return None
+    try:
+        values = np.asarray(payload[name], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"weight file {path}: {name} is not a list of numbers") from exc
+    if values.ndim != 1 or values.size != count:
+        raise ValidationError(f"{says} but {values.size} numbers are present in {name}")
+    return values.reshape(shape)
 
 
 def load_weights(path: str | Path) -> LinearProjector:
-    """Inverse of save_weights; shape mismatches and unreadable files error."""
+    """Inverse of save_weights; also reads the older list-of-numbers files.
+
+    A missing, unreadable or inconsistent file raises ValidationError naming
+    the file.
+    """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"weight file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"unreadable weight file {path}: {exc}") from exc
     try:
         d = int(payload["input_dim"])
         m = int(payload["output_dim"])
         has_bias = bool(payload["has_bias"])
-        flat = payload["weights"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"weight file {path} is missing header fields: {exc!r}") from exc
-    if len(flat) != d * m:
-        raise ValidationError(
-            f"weight file header says {m}x{d} but {len(flat)} numbers are present"
-        )
-    weights = np.asarray(flat, dtype=float).reshape(m, d)
-    bias = None
-    if has_bias:
-        raw = payload.get("bias")
-        if raw is None or len(raw) != m:
-            raise ValidationError(f"weight file header promises a bias of length {m}")
-        bias = np.asarray(raw, dtype=float)
-    return LinearProjector(weights=weights, bias=bias)
+    if d < 1 or m < 1:
+        raise ValidationError(f"weight file {path} header says {m}x{d}; both must be >= 1")
+    weights = _floats(payload, "weights", (m, d), path)
+    if weights is None:
+        raise ValidationError(f"weight file {path} has no weights_b64 or weights field")
+    bias = _floats(payload, "bias", (m,), path) if has_bias else None
+    if has_bias and bias is None:
+        raise ValidationError(f"weight file {path} header promises a bias of length {m}")
+    try:
+        return LinearProjector(weights=weights, bias=bias)
+    except ValidationError as exc:
+        raise ValidationError(f"weight file {path}: {exc}") from exc

@@ -11,15 +11,11 @@ never needs a backend, and reads both versions.
 
 from __future__ import annotations
 
-import base64
 import json
-import os
 from pathlib import Path
 from typing import Iterator
 
-import numpy as np
-
-from .core import PromptTemplate, jsonable
+from .core import PromptTemplate, encode_float64, jsonable, write_atomic
 from .errors import ValidationError
 from .evaluator import EvalConfig, ScoredPrompt
 from .explorer import CandidateRecord
@@ -83,17 +79,11 @@ def template_to_dict(t: PromptTemplate) -> dict:
     return {"id": t.id, "text": t.text, "origin": t.origin}
 
 
-def encode_embedding(vector: np.ndarray) -> str:
-    """Base64 of the little-endian float64 bytes: exact, and far smaller and
-    faster than decimal text."""
-    return base64.b64encode(np.asarray(vector, dtype="<f8").tobytes()).decode("ascii")
-
-
 def candidate_to_dict(c: CandidateRecord) -> dict:
     prov = c.provenance
     return {
         "id": c.id,
-        "embedding": encode_embedding(c.embedding),
+        "embedding": encode_float64(c.embedding),
         # the explorer may draw these as NumPy scalars
         "provenance": jsonable({
             "kind": prov.kind,
@@ -160,23 +150,8 @@ def run_record_to_lines(record: RunRecord) -> Iterator[str]:
 
 
 def write_run_record(record: RunRecord, path: str | Path) -> None:
-    """Write ``path`` whole or not at all.
-
-    The lines go to ``<path>.tmp`` beside it, which then replaces ``path``,
-    so a failure mid-write leaves any earlier record intact and no partial
-    file behind.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for line in run_record_to_lines(record):
-                fh.write(line + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Write ``path`` whole or not at all (:func:`core.write_atomic`)."""
+    write_atomic(path, run_record_to_lines(record))
 
 
 def read_run_record(path: str | Path) -> tuple[dict, list[dict]]:

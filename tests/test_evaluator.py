@@ -1,13 +1,15 @@
 import json
+import re
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpo import evaluator
-from lpo.core import Dataset, Example, validate_template
+from lpo import core, evaluator
+from lpo.core import Dataset, Example, text_digest, validate_template
 from lpo.errors import BudgetExhaustedError, ValidationError
 from lpo.evaluator import (
     EvalConfig,
@@ -159,6 +161,95 @@ class TestExtractLabel:
         cfg = config(scripted_task({}))
         with pytest.raises(ValidationError, match="non-empty label set"):
             extract_label("x", (), cfg, budget())
+
+
+def old_classify_key(backend_id, cfg, template, ex):
+    """The classify key formula the cache files on disk were written with."""
+    return text_digest(json.dumps([
+        "classify", backend_id,
+        text_digest(template.text), text_digest(ex.text), repr(cfg.temperature),
+    ]))
+
+
+def old_extract_key(backend_id, raw, label_set):
+    return text_digest(json.dumps(["extract", backend_id, text_digest(raw), list(label_set)]))
+
+
+def old_whole_word_match(lowered, label_set):
+    found = [lab for lab in label_set
+             if re.search(rf"(?<!\w){re.escape(lab)}(?!\w)", lowered)]
+    return found[0] if len(found) == 1 else None
+
+
+NO_PLACEHOLDER = st.text().filter(lambda t: "{text}" not in t)
+TRICKY_LABELS = ["positive", "very positive", "positive!", "a.b", "c++", "(x)", "[y]",
+                 "$", "^a", "a|b", "\\d", "é", "n/a", "-"]
+
+
+class TestKeysAndPatterns:
+    @settings(max_examples=150, deadline=None)
+    @given(st.text(), NO_PLACEHOLDER, NO_PLACEHOLDER, st.lists(st.text(min_size=1), min_size=1, max_size=4),
+           st.one_of(st.floats(min_value=0.0, allow_nan=False),
+                     st.floats(0.0, 2.0).map(np.float64)))
+    def test_classify_keys_equal_the_json_formula(self, backend_id, before, after, texts,
+                                                  temperature):
+        template = validate_template(before + "{text}" + after, template_id="t")
+        cfg = config(fixed_extraction(), temperature=temperature)
+        keys = evaluator._classify_keys(backend_id, cfg, template)
+        for text in texts:
+            ex = Example(text=text, label="positive")
+            assert keys(ex) == old_classify_key(backend_id, cfg, template, ex)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.text(), st.lists(st.text(), min_size=1, max_size=4),
+           st.lists(st.text(), min_size=1, max_size=5))
+    def test_extract_keys_equal_the_json_formula(self, backend_id, raws, label_set):
+        keys = evaluator._extract_keys(backend_id, tuple(label_set))
+        for raw in raws:
+            assert keys(raw) == old_extract_key(backend_id, raw, label_set)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.lists(st.one_of(st.sampled_from(TRICKY_LABELS), st.text(min_size=1)),
+                               min_size=1, max_size=6, unique=True))
+    def test_whole_word_match_equals_per_label_search(self, data, label_set):
+        pieces = data.draw(st.lists(st.one_of(st.sampled_from(label_set), st.text(max_size=4),
+                                              st.sampled_from([" ", ".", "_", "x", "!"])),
+                                    max_size=8))
+        reply = "".join(pieces).lower()
+        assert (evaluator._whole_word_match(reply, tuple(label_set))
+                == old_whole_word_match(reply, tuple(label_set)))
+
+    def test_overlapping_labels_stay_ambiguous(self):
+        labels = ("positive", "very positive")
+        assert evaluator._whole_word_match("very positive", labels) is None
+        assert evaluator._whole_word_match("positive", labels) == "positive"
+
+    def test_patterns_compile_once_per_label_set(self):
+        evaluator._whole_word_patterns.cache_clear()
+        cfg = config(scripted_task({}), fixed_extraction())
+        for reply in ("positive", "Negative!", "so neutral", "neutral, negative") * 5:
+            extract_label(reply, LABELS, cfg, budget())
+        assert evaluator._whole_word_patterns.cache_info().misses == 1
+
+    def test_texts_hashed_once_per_process_and_template_once_per_evaluate(
+            self, monkeypatch):
+        hashed = []
+
+        def spy(text):
+            hashed.append(text)
+            return text_digest(text)
+
+        monkeypatch.setattr(core, "text_digest", spy)
+        monkeypatch.setattr(evaluator, "text_digest", spy)
+        ds = dataset([("alpha", "positive"), ("beta", "negative"), ("alpha", "positive")])
+        cfg = config(scripted_task({"alpha": "positive", "beta": "negative"}))
+        templates = [validate_template(f"Task {i}: {{text}}", template_id=f"t{i}")
+                     for i in range(3)]
+        for template in templates:
+            assert evaluate(template, ds, cfg, budget()).n_correct == 3
+        assert hashed.count("alpha") == 2  # two Example objects share the text
+        assert hashed.count("beta") == 1
+        assert [hashed.count(t.text) for t in templates] == [1, 1, 1]
 
 
 class TestEvaluate:

@@ -124,6 +124,16 @@ class TestRequestValidation:
         with pytest.raises(ValidationError, match="temperature"):
             ChatRequest(user_text="x", temperature=-0.1)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf"),
+                                             np.float64("nan"), np.float64("inf")])
+    def test_non_finite_temperature(self, temperature):
+        with pytest.raises(ValidationError, match="finite"):
+            ChatRequest(user_text="x", temperature=temperature)
+
+    @pytest.mark.parametrize("temperature", [np.float64(0.7), 0, 1e308, np.float32(0.5)])
+    def test_finite_temperatures_of_any_numeric_type(self, temperature):
+        assert ChatRequest(user_text="x", temperature=temperature).temperature == temperature
+
     def test_remote_requires_endpoint_and_model(self):
         with pytest.raises(ValidationError, match="endpoint and model_name"):
             BackendConfig(kind="remote_chat", endpoint="", model_name="m")

@@ -1,10 +1,19 @@
+import base64
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from lpo import core
+from lpo import projector as projector_module
 from lpo.errors import ValidationError
 from lpo.projector import (
+    CONDITION_LIMIT,
     LinearProjector,
     PairedCorpus,
     apply,
@@ -14,6 +23,10 @@ from lpo.projector import (
     residual,
     save_weights,
 )
+
+# negative zero, the smallest and largest subnormals, and the ends of the range
+SPECIAL = (-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308)
+FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
 
 
 def ridge_objective(weights, bias, corpus, reg):
@@ -123,6 +136,20 @@ class TestFitRidge:
         with pytest.raises(ValidationError, match="not positive definite.*regularization > 0"):
             fit_ridge(corpus, regularization=1e-3)
 
+    def test_rank_deficient_designs_are_rejected(self):
+        # more unknowns than pairs, a repeated column, an all-zero column
+        rng = np.random.default_rng(11)
+        wide = rng.standard_normal((3, 5))
+        twin = rng.standard_normal((20, 3))
+        twin[:, 2] = twin[:, 0]
+        zero = rng.standard_normal((20, 3))
+        zero[:, 1] = 0.0
+        for xs in (wide, twin, zero):
+            corpus = PairedCorpus(inputs=xs, targets=rng.standard_normal((xs.shape[0], 2)))
+            with pytest.raises(ValidationError, match=r"rank-deficient \(condition estimate "
+                                                      r".*\); set regularization > 0"):
+                fit_ridge(corpus, regularization=0.0)
+
     def test_bias_fits_affine_map(self):
         rng = np.random.default_rng(8)
         w = np.array([[1.5, -0.5], [0.25, 2.0]])
@@ -215,6 +242,192 @@ class TestWeightsFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):
             load_weights(tmp_path / "none.json")
+
+
+class TestCondition:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 24), st.integers(0, 2**32 - 1))
+    def test_equals_numpy_cond_on_spd_systems(self, d, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((d + 8, d))
+        system = x.T @ x + 1e-3 * np.eye(d)
+        assert (projector_module._condition(system)
+                == pytest.approx(np.linalg.cond(system), rel=1e-9))
+
+    def test_singular_system_is_infinitely_conditioned(self):
+        assert projector_module._condition(np.zeros((3, 3))) == float("inf")
+        assert projector_module._condition(np.ones((2, 2))) > CONDITION_LIMIT
+
+
+def old_save_weights(projector, path):
+    """The list-of-numbers writer of earlier versions, kept to make old files."""
+    payload = {
+        "input_dim": projector.input_dim,
+        "output_dim": projector.output_dim,
+        "has_bias": projector.bias is not None,
+        "weights": [float(v) for v in projector.weights.ravel()],
+    }
+    if projector.bias is not None:
+        payload["bias"] = [float(v) for v in projector.bias]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+
+
+def projectors():
+    shapes = st.tuples(st.integers(1, 64), st.integers(1, 64))
+    return shapes.flatmap(lambda shape: st.tuples(
+        arrays(np.float64, shape, elements=FLOATS),
+        st.none() | arrays(np.float64, shape[0], elements=FLOATS),
+    )).map(lambda wb: LinearProjector(weights=wb[0], bias=wb[1]))
+
+
+def assert_bit_equal(loaded, projector):
+    assert loaded.weights.shape == projector.weights.shape
+    assert loaded.weights.tobytes() == projector.weights.tobytes()
+    if projector.bias is None:
+        assert loaded.bias is None
+    else:
+        assert loaded.bias.tobytes() == projector.bias.tobytes()
+
+
+class TestExactWeights:
+    @settings(max_examples=60, deadline=None)
+    @given(projectors())
+    @example(LinearProjector(weights=np.array([SPECIAL]), bias=np.array([-0.0])))
+    def test_round_trip_is_bit_exact_and_saves_repeat(self, projector):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.json"), Path(tmp, "b.json")
+            save_weights(projector, first)
+            save_weights(LinearProjector(weights=projector.weights.copy(),
+                                         bias=projector.bias), second)
+            assert first.read_bytes() == second.read_bytes()
+            assert_bit_equal(load_weights(first), projector)
+
+    @settings(max_examples=40, deadline=None)
+    @given(projectors())
+    @example(LinearProjector(weights=np.array([SPECIAL]), bias=np.array([-0.0])))
+    def test_list_files_of_earlier_versions_load_bit_equal(self, projector):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "old.json")
+            old_save_weights(projector, path)
+            assert_bit_equal(load_weights(path), projector)
+
+    def test_file_is_a_readable_header_and_base64_float64(self, tmp_path):
+        weights = np.arange(6.0).reshape(2, 3)
+        path = tmp_path / "w.json"
+        save_weights(LinearProjector(weights=weights, bias=np.array([0.5, -0.5])), path)
+        text = path.read_text()
+        assert text.splitlines()[1:4] == [' "input_dim": 3,', ' "output_dim": 2,',
+                                          ' "has_bias": true,']
+        payload = json.loads(text)
+        decoded = np.frombuffer(base64.b64decode(payload["weights_b64"]), "<f8")
+        assert np.array_equal(decoded.reshape(2, 3), weights)
+        assert np.array_equal(np.frombuffer(base64.b64decode(payload["bias_b64"]), "<f8"),
+                              [0.5, -0.5])
+        assert "weights" not in payload
+
+    def test_loaded_weights_are_writable(self, tmp_path):
+        path = tmp_path / "w.json"
+        save_weights(LinearProjector(weights=np.eye(2)), path)
+        loaded = load_weights(path)
+        loaded.weights[0, 0] = 3.0
+        assert loaded.weights[0, 0] == 3.0
+
+
+class TestCorruptWeights:
+    def write(self, path, **fields):
+        payload = {"input_dim": 2, "output_dim": 2, "has_bias": False,
+                   "weights_b64": core.encode_float64(np.eye(2).ravel())}
+        payload.update(fields)
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_invalid_base64(self, tmp_path):
+        path = self.write(tmp_path / "w.json", weights_b64="not*base64!")
+        with pytest.raises(ValidationError, match=f"{path}.*weights_b64 is not valid base64"):
+            load_weights(path)
+
+    def test_byte_length_other_than_eight_per_weight(self, tmp_path):
+        short = core.encode_float64(np.ones(3))
+        path = self.write(tmp_path / "w.json", weights_b64=short)
+        with pytest.raises(ValidationError,
+                           match=f"{path} header says 2x2 but weights_b64 holds 24 bytes, not 32"):
+            load_weights(path)
+        odd = base64.b64encode(b"\x00" * 33).decode()
+        with pytest.raises(ValidationError, match="holds 33 bytes"):
+            load_weights(self.write(path, weights_b64=odd))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values(self, tmp_path, bad):
+        path = self.write(tmp_path / "w.json",
+                          weights_b64=core.encode_float64([1.0, bad, 0.0, 1.0]))
+        with pytest.raises(ValidationError, match=f"{path}: .*non-finite"):
+            load_weights(path)
+        self.write(path, has_bias=True, bias_b64=core.encode_float64([0.0, bad]))
+        with pytest.raises(ValidationError, match=f"{path}: .*non-finite"):
+            load_weights(path)
+
+    def test_truncated_base64_file(self, tmp_path):
+        path = tmp_path / "w.json"
+        save_weights(LinearProjector(weights=np.eye(8), bias=np.ones(8)), path)
+        content = path.read_bytes()
+        for cut in (len(content) // 2, len(content) - 3):
+            path.write_bytes(content[:cut])
+            with pytest.raises(ValidationError, match=f"unreadable weight file {path}"):
+                load_weights(path)
+
+    def test_bias_of_wrong_length(self, tmp_path):
+        path = self.write(tmp_path / "w.json", has_bias=True,
+                          bias_b64=core.encode_float64([1.0]))
+        with pytest.raises(ValidationError, match=f"{path} header says 2 but bias_b64"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("dims", [(0, 2), (2, -1)])
+    def test_dimensions_below_one(self, tmp_path, dims):
+        path = self.write(tmp_path / "w.json", input_dim=dims[0], output_dim=dims[1])
+        with pytest.raises(ValidationError, match=f"{path} header says .*both must be >= 1"):
+            load_weights(path)
+
+    def test_weights_field_missing(self, tmp_path):
+        path = self.write(tmp_path / "w.json")
+        payload = json.loads(path.read_text())
+        del payload["weights_b64"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=f"{path} has no weights_b64 or weights"):
+            load_weights(path)
+
+
+class TestAtomicWeightsWrite:
+    def test_failure_part_way_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "projector.json"
+        save_weights(LinearProjector(weights=np.eye(4)), path)
+        before = path.read_bytes()
+
+        class FailingFile:
+            """Writes half of the first chunk it is given, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError("no space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+        monkeypatch.setattr(core, "open", lambda *a, **k: FailingFile(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="no space left"):
+            save_weights(LinearProjector(weights=2 * np.eye(4)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["projector.json"]
+        assert np.array_equal(load_weights(path).weights, np.eye(4))
 
 
 class TestPairedCorpus:
