@@ -72,11 +72,12 @@ def cmd_optimize(config_path: str, seeds_path: str, out_dir: str | None = None,
               f"iterations: <={app.optimizer.max_iterations}")
         print(f"evaluation slice: {slice_size} examples")
         print("planned calls per iteration:")
+        print("  embed:       <= 1")
         print(f"  decode:      <= {policy.candidate_count}")
         print(f"  refinement:  <= {policy.candidate_count}")
         print(f"  task:        <= {slice_size * pool}")
         print(f"  extraction:  <= {slice_size * pool}")
-        print(f"  total:       <= {2 * policy.candidate_count + 2 * slice_size * pool}")
+        print(f"  total:       <= {1 + 2 * policy.candidate_count + 2 * slice_size * pool}")
         return 0
 
     out.mkdir(parents=True, exist_ok=True)
@@ -88,9 +89,6 @@ def cmd_optimize(config_path: str, seeds_path: str, out_dir: str | None = None,
             "train_path": str(app.train_path),
             "validation_fraction": app.split.validation_fraction,
             "split_rng_seed": app.split.rng_seed,
-            "fingerprint": validation.fingerprint(),
-            "examples": len(validation),
-            "labels": list(validation.label_set),
         },
     )
     record_path = out / "run_record.jsonl"

@@ -197,6 +197,8 @@ def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
         return None, [f"config file not found: {path}"]
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        return None, [f"{path} is not UTF-8 text"]
     except yaml.YAMLError as exc:
         return None, [f"config is not valid YAML: {exc}"]
     if not isinstance(raw, dict):
@@ -337,31 +339,35 @@ def load_seed_templates(path: str | Path) -> tuple[list[PromptTemplate], list[st
     path = Path(path)
     if not path.exists():
         return [], [f"seeds file not found: {path}"]
+    try:
+        # split as text-mode iteration would, after its newline translation
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError:
+        return [], [f"{path} is not UTF-8 text"]
     templates: list[PromptTemplate] = []
     errors: list[str] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append(f"line {lineno}: invalid JSON ({exc.msg})")
-                continue
-            if not isinstance(obj, dict) or "text" not in obj:
-                errors.append(f"line {lineno}: seed needs a 'text' field")
-                continue
-            seed_id = str(obj.get("id") or f"seed-{lineno}")
-            if seed_id in seen_ids:
-                errors.append(f"line {lineno}: duplicate seed id {seed_id!r}")
-                continue
-            try:
-                templates.append(validate_template(obj["text"], template_id=seed_id))
-            except ValidationError as exc:
-                errors.append(f"line {lineno}: seed {seed_id!r}: {exc}")
-                continue
-            seen_ids.add(seed_id)
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            errors.append(f"line {lineno}: invalid JSON ({exc.msg})")
+            continue
+        if not isinstance(obj, dict) or "text" not in obj:
+            errors.append(f"line {lineno}: seed needs a 'text' field")
+            continue
+        seed_id = str(obj.get("id") or f"seed-{lineno}")
+        if seed_id in seen_ids:
+            errors.append(f"line {lineno}: duplicate seed id {seed_id!r}")
+            continue
+        try:
+            templates.append(validate_template(obj["text"], template_id=seed_id))
+        except ValidationError as exc:
+            errors.append(f"line {lineno}: seed {seed_id!r}: {exc}")
+            continue
+        seen_ids.add(seed_id)
     if not templates and not errors:
         errors.append("seeds file is empty")
     return templates, errors

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,21 +39,19 @@ class PromptTemplate:
     origin: str = "seed"
 
     def __post_init__(self) -> None:
-        _check_template_text(self.text)
+        if not isinstance(self.text, str):
+            raise ValidationError(f"template text is a {type(self.text).__name__}, not a string")
+        if not self.text.strip():
+            raise ValidationError("template text is blank")
+        count = self.text.count(PLACEHOLDER)
+        if count == 0:
+            raise ValidationError(f"template has no {PLACEHOLDER!r} placeholder")
+        if count > 1:
+            raise ValidationError(
+                f"template has {count} {PLACEHOLDER!r} placeholders, expected exactly 1"
+            )
         if self.origin not in ORIGINS:
             raise ValidationError(f"unknown template origin {self.origin!r}")
-
-
-def _check_template_text(text: str) -> None:
-    if not text or not text.strip():
-        raise ValidationError("template text is blank")
-    count = text.count(PLACEHOLDER)
-    if count == 0:
-        raise ValidationError(f"template has no {PLACEHOLDER!r} placeholder")
-    if count > 1:
-        raise ValidationError(
-            f"template has {count} {PLACEHOLDER!r} placeholders, expected exactly 1"
-        )
 
 
 def validate_template(text: str, template_id: str = "", origin: str = "seed") -> PromptTemplate:
@@ -62,7 +60,6 @@ def validate_template(text: str, template_id: str = "", origin: str = "seed") ->
     Blank text, a missing placeholder, and multiple placeholders are each
     reported distinctly via ValidationError.
     """
-    _check_template_text(text)
     tid = template_id or "t-" + text_digest(text)[:8]
     return PromptTemplate(id=tid, text=text, origin=origin)
 
@@ -164,65 +161,72 @@ def _dataset_from_records(
     return Dataset(examples=tuple(examples), label_set=label_set)
 
 
-def load_dataset(path: str | Path, format: str | None = None,
-                 labels: Sequence[str] | None = None) -> Dataset:
-    """Load a labeled dataset from JSONL or CSV, preserving file order.
+def load_dataset(path: str | Path, labels: Sequence[str] | None = None) -> Dataset:
+    """Load a labeled dataset, CSV if its name ends in ``.csv``, else JSONL.
 
     JSONL records carry ``text`` and ``label`` fields; CSV files carry a
-    ``text,label`` header and exactly those two columns. Malformed records
-    are reported with their line number. ``labels`` optionally declares the
-    label universe as a superset of what occurs in the file.
+    ``text,label`` header and exactly those two columns; file order is kept.
+    Malformed records are reported with their line number, a non-UTF-8 file
+    by its name. ``labels`` optionally declares the label universe as a
+    superset of what occurs in the file.
     """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"dataset file not found: {path}")
-    fmt = format or ("csv" if path.suffix.lower() == ".csv" else "jsonl")
-    if fmt == "jsonl":
-        return _load_jsonl(path, labels)
-    if fmt == "csv":
+    if path.suffix.lower() == ".csv":
         return _load_csv(path, labels)
-    raise ValidationError(f"unknown dataset format {fmt!r}")
-
-
-def _load_jsonl(path: Path, labels: Sequence[str] | None) -> Dataset:
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise ValidationError(f"line {lineno}: record is not an object")
-            if "text" not in obj:
-                raise ValidationError(f"line {lineno}: missing 'text' field")
-            if "label" not in obj:
-                raise ValidationError(f"line {lineno}: missing 'label' field")
-            records.append((lineno, obj["text"], obj["label"]))
+    for lineno, obj in read_jsonl(path):
+        if "text" not in obj:
+            raise ValidationError(f"line {lineno}: missing 'text' field")
+        records.append((lineno, obj["text"], obj.get("label")))
     return _dataset_from_records(records, labels)
 
 
 def _load_csv(path: Path, labels: Sequence[str] | None) -> Dataset:
     records = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError("empty dataset") from None
-        if [c.strip().lower() for c in header] != ["text", "label"]:
-            raise ValidationError(
-                f"line 1: expected header 'text,label', got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"line {lineno}: expected 2 columns, got {len(row)}")
-            records.append((lineno, row[0], row[1]))
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ValidationError("empty dataset") from None
+            if [c.strip().lower() for c in header] != ["text", "label"]:
+                raise ValidationError(
+                    f"line 1: expected header 'text,label', got {','.join(header)!r}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise ValidationError(f"line {lineno}: expected 2 columns, got {len(row)}")
+                records.append((lineno, row[0], row[1]))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text") from exc
     return _dataset_from_records(records, labels)
+
+
+def read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each non-blank line of a JSONL file.
+
+    A line that is not a JSON object raises ValidationError naming the line,
+    a file that is not UTF-8 one naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValidationError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+                if not isinstance(obj, dict):
+                    raise ValidationError(f"line {lineno}: record is not an object")
+                yield lineno, obj
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text") from exc
 
 
 def split_dataset(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:

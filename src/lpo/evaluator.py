@@ -295,42 +295,35 @@ def _by_value(values: Sequence) -> list[list[int]]:
 def _fan_out(groups: list[list[int]], work: Callable[[int], None], width: int) -> None:
     """Run ``work`` on every index; each group in order on one thread.
 
-    With ``width`` 1 this is a plain loop in the calling thread. Otherwise
-    ``width`` threads take groups in order; after the first failure no
-    further group starts, and once every thread has stopped the failure of
-    the lowest index is raised.
+    With ``width`` 1 this is a plain loop in the calling thread. Otherwise a
+    ``ThreadPoolExecutor`` of up to ``width`` threads takes the groups in
+    order; after a failure no group starts, one already started runs to its
+    end, and once every thread has stopped the lowest index's failure is raised.
     """
     if width == 1 or len(groups) == 1:
         for group in groups:
             for index in group:
                 work(index)
         return
-    pending = iter(groups)
-    failures: dict[int, BaseException] = {}
-    lock = threading.Lock()
+    from concurrent.futures import ThreadPoolExecutor
 
-    def worker() -> None:
-        while True:
-            with lock:
-                group = None if failures else next(pending, None)
-            if group is None:
-                return
-            for index in group:
-                try:
-                    work(index)
-                except BaseException as exc:  # re-raised in the calling thread
-                    with lock:
-                        failures[index] = exc
-                    return
+    failed = threading.Event()
 
-    threads = [threading.Thread(target=worker, name=f"lpo-evaluate-{n}")
-               for n in range(min(width, len(groups)))]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    def run(group: list[int]) -> tuple[int, BaseException] | None:
+        if failed.is_set():
+            return None
+        for index in group:
+            try:
+                work(index)
+            except BaseException as exc:  # re-raised in the calling thread
+                failed.set()
+                return index, exc
+        return None
+
+    with ThreadPoolExecutor(min(width, len(groups)), thread_name_prefix="lpo-evaluate") as pool:
+        failures = [f for f in pool.map(run, groups) if f is not None]
     if failures:
-        raise failures[min(failures)]
+        raise min(failures, key=lambda f: f[0])[1]
 
 
 def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,

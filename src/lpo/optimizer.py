@@ -28,6 +28,7 @@ from .errors import BudgetExhaustedError, CandidateInvalidError, ValidationError
 from .evaluator import EvalConfig, ResponseCache, ScoredPrompt
 from .explorer import CandidateRecord, ExplorationPolicy
 from .gateway import Budget, usage_report
+from .records import config_snapshot
 
 logger = logging.getLogger(__name__)
 
@@ -61,7 +62,7 @@ class OptimizerConfig:
 
 @dataclass
 class _RunState:
-    """Caches shared by all cycles of one run."""
+    """Caches shared by all cycles of one run, and the number of cycles started."""
 
     encode_cache: dict = field(default_factory=dict)
     score_cache: dict[str, ScoredPrompt] = field(default_factory=dict)
@@ -70,18 +71,10 @@ class _RunState:
 
 
 @dataclass
-class CycleResult:
-    """Everything one cycle produced, including its audit trail."""
-
-    scored: list[ScoredPrompt]
-    selected: list[PromptTemplate]
-    candidates: list[CandidateRecord]
-    warnings: list[str]
-    partial: bool = False
-
-
-@dataclass
 class IterationRecord:
+    """One cycle's seeds, candidates, scores, selection and warnings, as
+    :func:`run_cycle` returns it; ``selected_ids`` are in selection order."""
+
     index: int
     seeds: list[PromptTemplate]
     candidates: list[CandidateRecord]
@@ -91,6 +84,12 @@ class IterationRecord:
     partial: bool
     started_at: str
     finished_at: str
+
+    @property
+    def selected(self) -> list[PromptTemplate]:
+        """The selected templates, in selection order."""
+        by_id = {s.template.id: s.template for s in self.scored}
+        return [by_id[tid] for tid in self.selected_ids]
 
     @property
     def best_accuracy(self) -> float | None:
@@ -138,17 +137,6 @@ def select_top(scored: Sequence[ScoredPrompt], n: int) -> list[ScoredPrompt]:
     return [scored[i] for i in order[: min(n, len(scored))]]
 
 
-def _score_template(template: PromptTemplate, eval_set: Dataset, eval_cfg: EvalConfig,
-                    budget: Budget, state: _RunState) -> ScoredPrompt:
-    cached = state.score_cache.get(template.text)
-    if cached is not None:
-        return cached
-    scored = evaluator_mod.evaluate(template, eval_set, eval_cfg, budget,
-                                    cache=state.response_cache)
-    state.score_cache[template.text] = scored
-    return scored
-
-
 def run_cycle(
     seeds: Sequence[PromptTemplate],
     cfg: OptimizerConfig,
@@ -156,13 +144,15 @@ def run_cycle(
     eval_set: Dataset,
     budget: Budget,
     state: _RunState | None = None,
-) -> CycleResult:
-    """Run one encode-explore-decode-score-select cycle.
+) -> IterationRecord:
+    """Run one encode-explore-decode-score-select cycle and return its record.
 
-    Budget exhaustion partway yields partial results flagged as such rather
-    than an exception; a cycle in which every candidate decoded invalid falls
-    back to selecting among the seeds, with a warning. Without ``state`` the
-    cycle opens its own response cache and closes it before returning.
+    The record's index is the cycle's number in ``state``, and its stamps
+    are the cycle's own start and finish. Budget exhaustion partway yields
+    a partial record flagged as such rather than an exception; a cycle in
+    which every candidate decoded invalid falls back to selecting among the
+    seeds, with a warning. Without ``state`` the cycle is number 1 and opens
+    its own response cache, closed before returning.
     """
     if not seeds:
         raise ValidationError("run_cycle needs at least one seed template")
@@ -178,6 +168,7 @@ def run_cycle(
         with ResponseCache(eval_cfg.cache_path) as cache:
             return run_cycle(seeds, cfg, eval_cfg, eval_set, budget,
                              _RunState(response_cache=cache))
+    started = _now()
     state.iteration += 1
     warnings: list[str] = []
     partial = False
@@ -204,51 +195,49 @@ def run_cycle(
                 skipped.invalid_reason = f"not decoded: {exc}"
             break
 
-    scored: list[ScoredPrompt] = []
-    scored_ids: set[str] = set()
+    by_id: dict[str, ScoredPrompt] = {}  # a score-cache hit may carry another id
 
-    def score_into(template: PromptTemplate) -> bool:
+    def score_all(templates: Sequence[PromptTemplate]) -> None:
+        """Score in order, from the score cache where it can, until the budget runs out."""
         nonlocal partial
-        try:
-            result = _score_template(template, eval_set, eval_cfg, budget, state)
-        except BudgetExhaustedError as exc:
-            warnings.append(f"budget exhausted during evaluation: {exc}")
-            partial = True
-            return False
-        if result.template.id not in scored_ids:
-            scored.append(result)
-            scored_ids.add(result.template.id)
-        return True
+        for template in templates:
+            result = state.score_cache.get(template.text)
+            if result is None:
+                try:
+                    result = evaluator_mod.evaluate(template, eval_set, eval_cfg, budget,
+                                                    cache=state.response_cache)
+                except BudgetExhaustedError as exc:
+                    warnings.append(f"budget exhausted during evaluation: {exc}")
+                    partial = True
+                    return
+                state.score_cache[template.text] = result
+            by_id.setdefault(result.template.id, result)
 
     if cfg.keep_seeds:
-        for seed in seeds:
-            if not score_into(seed):
-                break
-
-    valid = [c for c in candidates if c.refined_template is not None]
+        score_all(seeds)
+    valid = [c.refined_template for c in candidates if c.refined_template is not None]
     if not valid and not partial:
         warnings.append("all candidates invalid; selecting among seeds")
         logger.warning("all %d candidates decoded invalid", len(candidates))
         if not cfg.keep_seeds:
-            for seed in seeds:
-                if not score_into(seed):
-                    break
-    for candidate in valid:
-        if partial:
-            break
-        score_into(candidate.refined_template)
+            score_all(seeds)
+    if not partial:
+        score_all(valid)
 
+    scored = list(by_id.values())
     if not scored:
         warnings.append("nothing scored; returning empty selection")
-        return CycleResult(scored=[], selected=[], candidates=candidates,
-                           warnings=warnings, partial=partial)
-    top = select_top(scored, cfg.select_n)
-    return CycleResult(
-        scored=scored,
-        selected=[sp.template for sp in top],
+    top = select_top(scored, cfg.select_n) if scored else []
+    return IterationRecord(
+        index=state.iteration,
+        seeds=list(seeds),
         candidates=candidates,
+        scored=scored,
+        selected_ids=[sp.template.id for sp in top],
         warnings=warnings,
         partial=partial,
+        started_at=started,
+        finished_at=_now(),
     )
 
 
@@ -266,8 +255,6 @@ def iterate(
     of the best score, or when the budget runs dry (partial results are kept
     and flagged).
     """
-    from .records import config_snapshot  # local import; records depends on this module
-
     started = _now()
     run_warnings: list[str] = []
     iterations: list[IterationRecord] = []
@@ -278,7 +265,6 @@ def iterate(
     with ResponseCache(eval_cfg.cache_path) as cache:
         state = _RunState(response_cache=cache)
         for index in range(1, cfg.max_iterations + 1):
-            iter_started = _now()
             try:
                 result = run_cycle(current, cfg, eval_cfg, eval_set, budget, state=state)
             except BudgetExhaustedError as exc:
@@ -286,17 +272,7 @@ def iterate(
                     raise
                 run_warnings.append(f"stopped before iteration {index}: {exc}")
                 break
-            iterations.append(IterationRecord(
-                index=index,
-                seeds=list(current),
-                candidates=result.candidates,
-                scored=result.scored,
-                selected_ids=[t.id for t in result.selected],
-                warnings=result.warnings,
-                partial=result.partial,
-                started_at=iter_started,
-                finished_at=_now(),
-            ))
+            iterations.append(result)
             run_warnings.extend(result.warnings)
             if result.partial:
                 run_warnings.append(f"stopped after iteration {index}: budget exhausted")

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import as_vector, encode_float64, write_atomic
+from .core import as_vector, encode_float64, read_jsonl, write_atomic
 from .errors import ValidationError
 
 # condition estimate above this, with zero regularization, is treated as rank-deficient
@@ -109,17 +109,10 @@ def load_paired_corpus(path: str | Path) -> PairedCorpus:
     if not path.exists():
         raise ValidationError(f"pairs file not found: {path}")
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            if "x" not in obj or "y" not in obj:
-                raise ValidationError(f"line {lineno}: pair needs 'x' and 'y' fields")
-            pairs.append((obj["x"], obj["y"]))
+    for lineno, obj in read_jsonl(path):
+        if "x" not in obj or "y" not in obj:
+            raise ValidationError(f"line {lineno}: pair needs 'x' and 'y' fields")
+        pairs.append((obj["x"], obj["y"]))
     if not pairs:
         raise ValidationError("empty pairs file")
     return PairedCorpus.from_pairs(pairs)

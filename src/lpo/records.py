@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .core import PromptTemplate, encode_float64, jsonable, write_atomic
+from .core import PromptTemplate, encode_float64, jsonable, read_jsonl, write_atomic
 from .errors import ValidationError
 from .evaluator import EvalConfig, ScoredPrompt
 from .explorer import CandidateRecord
 from .gateway import BackendConfig
-from .optimizer import IterationRecord, OptimizerConfig, RunRecord
+
+if TYPE_CHECKING:  # the optimizer imports this module
+    from .optimizer import IterationRecord, OptimizerConfig, RunRecord
 
 RECORD_VERSION = 2
 
@@ -161,23 +163,16 @@ def read_run_record(path: str | Path) -> tuple[dict, list[dict]]:
         raise ValidationError(f"run record not found: {path}")
     header: dict | None = None
     iterations: list[dict] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            kind = obj.get("kind")
-            if kind == "header":
-                if header is not None:
-                    raise ValidationError(f"line {lineno}: duplicate header")
-                header = obj
-            elif kind == "iteration":
-                iterations.append(obj)
-            else:
-                raise ValidationError(f"line {lineno}: unknown record kind {kind!r}")
+    for lineno, obj in read_jsonl(path):
+        kind = obj.get("kind")
+        if kind == "header":
+            if header is not None:
+                raise ValidationError(f"line {lineno}: duplicate header")
+            header = obj
+        elif kind == "iteration":
+            iterations.append(obj)
+        else:
+            raise ValidationError(f"line {lineno}: unknown record kind {kind!r}")
     if header is None:
         raise ValidationError("run record has no header object")
     return header, iterations

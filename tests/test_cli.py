@@ -87,6 +87,22 @@ class TestOptimize:
         assert "dry run" in out
         assert "decode:      <= 15" in out
 
+    def test_dry_run_total_bounds_the_calls_of_each_iteration(self, toy_workspace, capsys):
+        config_text = (toy_workspace / "config.yaml").read_text()
+        config = toy_workspace / "three.yaml"
+        config.write_text(config_text.replace("max_iterations: 1", "max_iterations: 3")
+                          .replace("patience: 1", "patience: 3"))
+        args = ["optimize", "--config", config, "--seeds", toy_workspace / "seeds.jsonl"]
+        assert run(args + ["--dry-run"]) == 0
+        plan = capsys.readouterr().out
+        assert "embed:       <= 1" in plan
+        total = int(plan.split("total:")[1].split()[1])
+        assert run(args) == 0
+        record = (toy_workspace / "out" / "run_record.jsonl").read_text().splitlines()
+        header = json.loads(record[0])
+        assert header["iterations"] == 3
+        assert 0 < header["budget"]["calls"] <= total * header["iterations"]
+
     def test_budget_exhaustion_exit_3(self, toy_workspace, capsys):
         config_text = (toy_workspace / "config.yaml").read_text()
         config_text = config_text.replace("max_calls: 100000", "max_calls: 1")
@@ -222,6 +238,59 @@ class TestFitProjector:
         pairs.write_text(json.dumps({"x": [1.0], "y": [1.0]}) + "\n")
         assert run(["fit-projector", "--pairs", pairs, "--reg", -1,
                     "--out", tmp_path / "w.json"]) == 2
+
+
+NOT_UTF8 = "café".encode("latin-1")
+
+
+class TestMalformedInput:
+    """Each malformed input file exits with code 2, naming the file or the line."""
+
+    def test_pairs_line_not_an_object(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"x": [1.0], "y": [1.0]}) + "\n5\n")
+        assert run(["fit-projector", "--pairs", pairs, "--out", tmp_path / "w.json"]) == 2
+        assert "line 2: record is not an object" in capsys.readouterr().err
+
+    def test_record_line_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "run.jsonl"
+        path.write_text("[1, 2]\n")
+        assert run(["report", path]) == 2
+        assert "line 1: record is not an object" in capsys.readouterr().err
+
+    def test_seed_text_not_a_string(self, toy_workspace, capsys):
+        seeds = toy_workspace / "bad_seeds.jsonl"
+        seeds.write_text(json.dumps({"id": "number-seed", "text": 5}) + "\n")
+        assert run(["optimize", "--config", toy_workspace / "config.yaml",
+                    "--seeds", seeds, "--dry-run"]) == 2
+        assert "number-seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["dataset-jsonl", "dataset-csv", "seeds", "config",
+                                      "pairs", "record"])
+    def test_non_utf8_file(self, toy_workspace, capsys, kind):
+        ws = toy_workspace
+        config, seeds = ws / "config.yaml", ws / "seeds.jsonl"
+        if kind == "dataset-jsonl":
+            bad = ws / "train.jsonl"
+            bad.write_bytes(bad.read_bytes() + b'{"text": "' + NOT_UTF8 + b'", "label": "x"}\n')
+        elif kind == "dataset-csv":
+            bad = ws / "train.csv"
+            bad.write_bytes(b"text,label\nfine,positive\n" + NOT_UTF8 + b",negative\n")
+            config = ws / "csv.yaml"
+            config.write_text((ws / "config.yaml").read_text()
+                              .replace("train: train.jsonl", "train: train.csv"))
+        else:
+            bad = ws / f"bad-{kind}.txt"
+            bad.write_bytes(b'{"id": "s", "text": "' + NOT_UTF8 + b' {text}"}\n')
+            config = bad if kind == "config" else config
+            seeds = bad if kind == "seeds" else seeds
+        args = {"pairs": ["fit-projector", "--pairs", bad, "--out", ws / "w.json"],
+                "record": ["report", bad]}.get(
+            kind, ["optimize", "--config", config, "--seeds", seeds, "--dry-run"])
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert f"{bad.name} is not UTF-8 text" in err
+        assert "Traceback" not in err
 
 
 class TestReport:

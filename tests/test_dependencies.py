@@ -37,7 +37,7 @@ def test_imports_match_declared_dependencies():
     assert third_party_imports() == declared_dependencies()
 
 
-@pytest.mark.parametrize("module", ["scipy", "requests"])
+@pytest.mark.parametrize("module", ["scipy", "requests", "concurrent.futures"])
 def test_import_leaves_unloaded(module):
     code = f"import sys, lpo; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

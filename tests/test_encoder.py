@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpo.core import validate_template
 from lpo.encoder import EncoderSpec, encode
@@ -115,6 +117,17 @@ class TestToySpace:
     def test_decode_formats_full_precision(self):
         spec = ToySpaceSpec(("tone", "steps"))
         assert toy_decode(spec, [0.3, 0.7]) == "tone=0.3;steps=0.7"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True),
+                    min_size=1, max_size=5, unique=True), st.data())
+    def test_round_trip_on_the_unit_cube(self, names, data):
+        spec = ToySpaceSpec(tuple(names))
+        vec = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(names),
+                                          max_size=len(names))))
+        text = toy_decode(spec, vec)
+        assert np.array_equal(toy_encode(spec, text), vec)
+        assert toy_decode(spec, toy_encode(spec, text)) == text
 
     def test_decode_clamps_with_warning(self, caplog):
         spec = ToySpaceSpec(("tone", "steps"))

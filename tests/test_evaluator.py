@@ -162,6 +162,30 @@ class TestExtractLabel:
         with pytest.raises(ValidationError, match="non-empty label set"):
             extract_label("x", (), cfg, budget())
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from(LABELS + tuple(lab.title() for lab in LABELS)),
+        st.sampled_from(["the", "reply", "is", "label", "sentiment:", "not", "-", "mixed"]),
+        st.tuples(st.sampled_from(["label", "sentiment", "score"]),
+                  st.sampled_from(LABELS + ("unsure",)))), max_size=8),
+        st.sampled_from(LABELS + ("Positive\n", "no idea")))
+    def test_precedence_whole_word_then_field_then_extraction_call(self, parts, reply):
+        raw = " ".join(p if isinstance(p, str) else json.dumps({p[0]: p[1].title()})
+                       for p in parts)
+        present = set(re.findall(r"\w+", raw.lower())) & set(LABELS)
+        fields = [value for p in parts if not isinstance(p, str)
+                  for key, value in [p] if key != "score" and value in LABELS]
+        if len(present) == 1:
+            want, calls = present.pop(), 0
+        elif fields:
+            want, calls = fields[0], 0
+        else:
+            want, calls = reply.strip().lower() if reply != "no idea" else "unparsed", 1
+        cfg = config(scripted_task({}), fixed_extraction(reply))
+        b = budget()
+        assert extract_label(raw, LABELS, cfg, b) == want
+        assert call_count(cfg.extraction_backend) == b.calls == calls
+
 
 def old_classify_key(backend_id, cfg, template, ex):
     """The classify key formula the cache files on disk were written with."""

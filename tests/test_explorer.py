@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lpo.errors import ValidationError
 from lpo.explorer import (
+    STRATEGIES,
     ExplorationPolicy,
     Provenance,
     extrapolate,
@@ -227,3 +231,73 @@ class TestPolicyValidation:
             Provenance(kind="interpolate", parents=("a", "b"), weight=1.2)
         with pytest.raises(ValidationError, match="inside"):
             Provenance(kind="extrapolate", parents=("a", "b"), weight=0.5)
+
+
+COORD = st.floats(-1e3, 1e3)
+OUTSIDE_UNIT = st.floats(-10.0, 10.0).filter(lambda w: not 0.0 <= w <= 1.0)
+
+
+@st.composite
+def parent_pairs(draw):
+    d = draw(st.integers(1, 6))
+    return draw(arrays(np.float64, d, elements=COORD)), draw(arrays(np.float64, d, elements=COORD))
+
+
+def on_line(out, a, b, weight) -> bool:
+    """``out`` is the point ``b + weight * (a - b)`` up to rounding."""
+    scale = 1.0 + max(np.max(np.abs(a)), np.max(np.abs(b))) * (1.0 + abs(weight))
+    return bool(np.allclose(out, b + weight * (a - b), rtol=0.0, atol=1e-12 * scale))
+
+
+class TestAlgebraProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(parent_pairs(), st.floats(0.0, 1.0))
+    def test_interpolate_stays_on_the_segment(self, parents, weight):
+        a, b = parents
+        out = interpolate(a, b, weight)
+        assert on_line(out, a, b, weight)
+        slack = 1e-12 * (1.0 + np.maximum(np.abs(a), np.abs(b)))
+        assert np.all(out >= np.minimum(a, b) - slack)
+        assert np.all(out <= np.maximum(a, b) + slack)
+
+    @settings(max_examples=150, deadline=None)
+    @given(parent_pairs(), OUTSIDE_UNIT)
+    def test_extrapolate_stays_on_the_line(self, parents, weight):
+        a, b = parents
+        assert on_line(extrapolate(a, b, weight), a, b, weight)
+
+    @settings(max_examples=100, deadline=None)
+    @given(parent_pairs(), st.one_of(OUTSIDE_UNIT, st.floats(allow_nan=False).filter(
+        lambda w: not 0.0 <= w <= 1.0)))
+    def test_interpolate_rejects_weights_outside_the_unit_interval(self, parents, weight):
+        with pytest.raises(ValidationError, match="outside"):
+            interpolate(*parents, weight)
+
+    @settings(max_examples=100, deadline=None)
+    @given(parent_pairs(), st.floats(0.0, 1.0))
+    def test_extrapolate_rejects_weights_inside_the_unit_interval(self, parents, weight):
+        with pytest.raises(ValidationError, match="inside"):
+            extrapolate(*parents, weight)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 8), elements=COORD), st.integers(0, 2**63 - 1))
+    def test_perturb_at_sigma_zero_returns_an_equal_copy(self, vec, noise_seed):
+        out = perturb(vec, 0.0, noise_seed)
+        assert np.array_equal(out, vec)
+        assert not np.shares_memory(out, vec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(2, 5), st.integers(1, 4),
+           st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda w: sum(w) > 0),
+           st.integers(0, 2**32), st.integers(1, 12))
+    def test_generate_candidates_is_reproducible_from_rng_seed(self, data, n_seeds, d, mix,
+                                                              rng_seed, count):
+        seeds = [(f"s{i}", data.draw(arrays(np.float64, d, elements=st.floats(-10.0, 10.0))))
+                 for i in range(n_seeds)]
+        policy = ExplorationPolicy(strategy_mix=dict(zip(STRATEGIES, mix)),
+                                   rng_seed=rng_seed, candidate_count=count)
+        first = generate_candidates(seeds, policy)
+        again = generate_candidates([(sid, vec.copy()) for sid, vec in seeds], policy)
+        assert len(first) == count
+        assert [(c.id, c.provenance) for c in first] == [(c.id, c.provenance) for c in again]
+        assert all(np.array_equal(x.embedding, y.embedding) for x, y in zip(first, again))
