@@ -139,9 +139,7 @@ def cmd_explore(config_path: str, seeds_path: str, count: int | None = None,
     if problems:
         return _fail(problems, "explore")
     policy = app.optimizer.policy
-    if count is not None:
-        if count < 1:
-            return _fail([f"candidate count must be >= 1, got {count}"], "explore")
+    if count is not None:  # the policy rejects a count below 1
         policy = replace(policy, candidate_count=count)
     budget = app.budget()
     vectors = encoder_mod.encode(app.optimizer.encoder, seeds, budget)
@@ -164,8 +162,6 @@ def cmd_explore(config_path: str, seeds_path: str, count: int | None = None,
 
 def cmd_fit_projector(pairs_path: str, reg: float, out_path: str,
                       with_bias: bool = False) -> int:
-    if reg < 0:
-        return _fail([f"regularization must be >= 0, got {reg}"], "fit-projector")
     corpus = load_paired_corpus(pairs_path)
     projector = fit_ridge(corpus, regularization=reg, with_bias=with_bias)
     save_weights(projector, out_path)

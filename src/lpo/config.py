@@ -157,17 +157,27 @@ _POLICY_KEYS = {
     "rng_seed": int,
     "candidate_count": int,
 }
-_CONFIG_ERRORS = (ValidationError, TypeError, ValueError, IndexError, AttributeError)
+_CONFIG_ERRORS = (ValidationError, TypeError, ValueError, LookupError, AttributeError,
+                  OverflowError)
 
 
-def _resolve(base: Path, value: str | None) -> Path | None:
-    if value is None:
+def _built(errors: list[str], where: str, build: Callable):
+    """``build()``; None if it raises a config error, listed as ``where: error``."""
+    try:
+        return build()
+    except _CONFIG_ERRORS as exc:
+        errors.append(f"{where}: {exc}")
         return None
-    p = Path(value)
-    return p if p.is_absolute() else (base / p)
 
 
-def _build_backend(raw: dict, base: Path, errors: list[str], where: str) -> BackendConfig | None:
+def _resolve(base: Path, value) -> Path | None:
+    """The path a config value names, relative to ``base`` unless absolute."""
+    if value is not None and not isinstance(value, str):
+        raise ValidationError(f"must be a path, got {value!r}")
+    return None if value is None else base / value
+
+
+def _build_backend(raw, base: Path, errors: list[str], where: str) -> BackendConfig | None:
     if not isinstance(raw, dict):
         errors.append(f"{where}: backend must be a mapping")
         return None
@@ -178,19 +188,21 @@ def _build_backend(raw: dict, base: Path, errors: list[str], where: str) -> Back
     params = dict(params)
     if "dataset" in params:
         resolved = _resolve(base, str(params["dataset"]))
-        if resolved is None or not resolved.exists():
+        if not resolved.is_file():
             errors.append(f"{where}: backend dataset file not found: {params['dataset']}")
             return None
         params["dataset"] = str(resolved)
-    try:
-        return BackendConfig(params=params, **_given(raw, _BACKEND_KEYS))
-    except _CONFIG_ERRORS as exc:
-        errors.append(f"{where}: {exc}")
-        return None
+    return _built(errors, where,
+                  lambda: BackendConfig(params=params, **_given(raw, _BACKEND_KEYS)))
 
 
 def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
-    """Parse and validate; returns (config, errors). Config is None on errors."""
+    """Parse and validate; returns (config, errors). Config is None on errors.
+
+    Every malformed value is listed, none raised: a path or label that is not
+    a string, a missing file, or a number that does not parse, is not finite
+    or is outside the range its dataclass enforces. Null ``out_dir`` is ``out``.
+    """
     path = Path(path)
     errors: list[str] = []
     if not path.exists():
@@ -207,114 +219,80 @@ def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
 
     def section(name: str) -> dict:
         value = raw.get(name)
-        if value is None:
-            return {}
-        if not isinstance(value, dict):
+        if value is not None and not isinstance(value, dict):
             errors.append(f"{name}: must be a mapping")
-            return {}
-        return value
+        return value if isinstance(value, dict) else {}
+
+    def backend(name: str, values: dict, key: str) -> BackendConfig | None:
+        return _build_backend(values.get(key) or {}, base, errors, f"{name}.{key}")
+
+    def file(where: str, value) -> Path | None:
+        found = _built(errors, where, lambda: _resolve(base, value))
+        if found is not None and not found.is_file():
+            errors.append(f"{where}: file not found: {found}")
+        return found
 
     ds = section("dataset")
-    train_path = _resolve(base, ds.get("train"))
-    if train_path is None:
+    if ds.get("train") is None:
         errors.append("dataset.train: required")
-    elif not train_path.exists():
-        errors.append(f"dataset.train: file not found: {train_path}")
-    test_path = _resolve(base, ds.get("test"))
-    if test_path is not None and not test_path.exists():
-        errors.append(f"dataset.test: file not found: {test_path}")
+    train_path = file("dataset.train", ds.get("train"))
+    test_path = file("dataset.test", ds.get("test"))
     labels = ds.get("labels")
-    if labels is not None and not isinstance(labels, list):
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(label, str) for label in labels)):
         errors.append(f"dataset.labels: must be a list of labels, got {labels!r}")
-    split = None
-    try:
-        split = SplitSpec(**_given(ds, {"validation_fraction": float, "rng_seed": int}))
-    except _CONFIG_ERRORS as exc:
-        errors.append(f"dataset: {exc}")
+    split = _built(errors, "dataset", lambda: SplitSpec(
+        **_given(ds, {"validation_fraction": float, "rng_seed": int})))
 
     enc = section("encoder")
-    encoder_spec = None
-    enc_backend = _build_backend(enc.get("backend") or {}, base, errors, "encoder.backend")
-    if enc_backend is not None:
-        try:
-            encoder_spec = EncoderSpec(
-                backend=enc_backend,
-                **_given(enc, {"dimension": int, "normalize": _boolean("normalize")}))
-        except _CONFIG_ERRORS as exc:
-            errors.append(f"encoder: {exc}")
+    enc_backend = backend("encoder", enc, "backend")
+    encoder_spec = None if enc_backend is None else _built(errors, "encoder", lambda: EncoderSpec(
+        backend=enc_backend,
+        **_given(enc, {"dimension": int, "normalize": _boolean("normalize")})))
 
     dec = section("decode")
-    decode_strategy = None
-    chat_backend = None
-    if dec.get("chat_backend") is not None:
-        chat_backend = _build_backend(dec["chat_backend"], base, errors, "decode.chat_backend")
+    chat_backend = dec.get("chat_backend")
+    if chat_backend is not None:  # no chat backend unless one is given
+        chat_backend = _build_backend(chat_backend, base, errors, "decode.chat_backend")
     toy_space = None
     toy_parameters = dec.get("toy_parameters")
     if toy_parameters is not None and not isinstance(toy_parameters, list):
         errors.append(f"decode.toy_parameters: must be a list of names, got {toy_parameters!r}")
     elif toy_parameters:
-        try:
-            toy_space = ToySpaceSpec(tuple(toy_parameters))
-        except ValidationError as exc:
-            errors.append(f"decode.toy_parameters: {exc}")
-    proj = None
-    proj_path = _resolve(base, dec.get("projector_path"))
-    if proj_path is not None:
-        try:
-            proj = load_weights(proj_path)
-        except ValidationError as exc:
-            errors.append(f"decode.projector_path: {exc}")
-    try:
-        decode_strategy = DecodeStrategy(
-            chat=chat_backend, toy_space=toy_space, projector=proj,
-            **_given(dec, {"kind": str, "decode_temperature": float,
-                           "refinement_temperature": float}))
-    except _CONFIG_ERRORS as exc:
-        errors.append(f"decode: {exc}")
+        toy_space = _built(errors, "decode.toy_parameters",
+                           lambda: ToySpaceSpec(tuple(toy_parameters)))
+    proj_path = dec.get("projector_path")
+    proj = None if proj_path is None else _built(
+        errors, "decode.projector_path", lambda: load_weights(_resolve(base, proj_path)))
+    decode_strategy = _built(errors, "decode", lambda: DecodeStrategy(
+        chat=chat_backend, toy_space=toy_space, projector=proj,
+        **_given(dec, {"kind": str, "decode_temperature": float,
+                       "refinement_temperature": float})))
 
-    policy = None
-    try:
-        policy = ExplorationPolicy(**_given(section("policy"), _POLICY_KEYS))
-    except _CONFIG_ERRORS as exc:
-        errors.append(f"policy: {exc}")
-
-    optimizer_cfg = None
-    try:
-        # cast even when a part failed, so every error is listed
-        opt = _given(section("optimizer"), {"select_n": int, "max_iterations": int,
-                                            "patience": int,
-                                            "keep_seeds": _boolean("keep_seeds")})
-        if policy is not None and encoder_spec is not None and decode_strategy is not None:
-            optimizer_cfg = OptimizerConfig(
-                policy=policy, encoder=encoder_spec, decode=decode_strategy, **opt)
-    except _CONFIG_ERRORS as exc:
-        errors.append(f"optimizer: {exc}")
+    policy = _built(errors, "policy",
+                    lambda: ExplorationPolicy(**_given(section("policy"), _POLICY_KEYS)))
+    # cast even when a part failed, so every error is listed
+    opt = _built(errors, "optimizer", lambda: _given(section("optimizer"), {
+        "select_n": int, "max_iterations": int, "patience": int,
+        "keep_seeds": _boolean("keep_seeds")}))
+    optimizer_cfg = None if None in (opt, policy, encoder_spec, decode_strategy) else _built(
+        errors, "optimizer", lambda: OptimizerConfig(
+            policy=policy, encoder=encoder_spec, decode=decode_strategy, **opt))
 
     ev = section("evaluator")
-    task_backend = _build_backend(ev.get("task_backend") or {}, base, errors,
-                                  "evaluator.task_backend")
-    extraction_backend = _build_backend(ev.get("extraction_backend") or {}, base, errors,
-                                        "evaluator.extraction_backend")
-    evaluator = None
-    try:
-        # validated even when a backend failed, so every error is listed
-        evaluator = EvalConfig(task_backend=task_backend, extraction_backend=extraction_backend,
-                               **_given(ev, {"max_examples": int, "temperature": float}))
-    except _CONFIG_ERRORS as exc:
-        errors.append(f"evaluator: {exc}")
+    task_backend = backend("evaluator", ev, "task_backend")
+    extraction_backend = backend("evaluator", ev, "extraction_backend")
+    # validated even when a backend failed, so every error is listed
+    evaluator = _built(errors, "evaluator", lambda: EvalConfig(
+        task_backend=task_backend, extraction_backend=extraction_backend,
+        **_given(ev, {"max_examples": int, "temperature": float})))
 
-    limits = None
-    try:
-        limits = Budget(**_given(section("budget"), {"max_calls": int, "max_total_tokens": int}))
-    except _CONFIG_ERRORS as exc:
-        errors.append(f"budget: {exc}")
+    limits = _built(errors, "budget", lambda: Budget(
+        **_given(section("budget"), {"max_calls": int, "max_total_tokens": int})))
+    # null means the default, as an omitted key does
+    out_dir = _built(errors, "out_dir", lambda: _resolve(base, raw.get("out_dir"))) or base / "out"
 
-    out_dir = _resolve(base, raw.get("out_dir", "out"))
-
-    if errors or None in (optimizer_cfg, split, train_path, task_backend, extraction_backend,
-                          evaluator, limits):
-        if not errors:
-            errors.append("config incomplete")
+    if errors:
         return None, errors
     return AppConfig(
         path=path,
@@ -362,12 +340,11 @@ def load_seed_templates(path: str | Path) -> tuple[list[PromptTemplate], list[st
         if seed_id in seen_ids:
             errors.append(f"line {lineno}: duplicate seed id {seed_id!r}")
             continue
-        try:
-            templates.append(validate_template(obj["text"], template_id=seed_id))
-        except ValidationError as exc:
-            errors.append(f"line {lineno}: seed {seed_id!r}: {exc}")
-            continue
-        seen_ids.add(seed_id)
+        template = _built(errors, f"line {lineno}: seed {seed_id!r}",
+                          lambda: validate_template(obj["text"], template_id=seed_id))
+        if template is not None:
+            templates.append(template)
+            seen_ids.add(seed_id)
     if not templates and not errors:
         errors.append("seeds file is empty")
     return templates, errors

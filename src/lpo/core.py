@@ -125,7 +125,7 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Validation split size and the seed for the deterministic shuffle."""
+    """Validation split size in (0, 1) and the seed (>= 0) of the deterministic shuffle."""
 
     validation_fraction: float = 0.1
     rng_seed: int = 7
@@ -135,6 +135,8 @@ class SplitSpec:
             raise ValidationError(
                 f"validation_fraction must be in (0, 1), got {self.validation_fraction}"
             )
+        if self.rng_seed < 0:
+            raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def normalize_label(label: str) -> str:
@@ -308,7 +310,10 @@ def jsonable(value):
 
 def as_vector(values, dim: int | None = None, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float array, optionally checking its length."""
-    vec = np.asarray(values, dtype=float)
+    try:
+        vec = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} is not numeric: {exc}") from exc
     if vec.ndim != 1:
         raise ValidationError(f"{name} must be 1-D, got shape {vec.shape}")
     if vec.size == 0:

@@ -20,6 +20,7 @@ formatting conventions; one attempt only, to bound per-candidate cost.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,7 +43,7 @@ class DecodeStrategy:
 
     ``chat`` serves both decoding (at ``decode_temperature``, where diversity
     helps) and format refinement (at ``refinement_temperature``, default 0.0,
-    where it must be conservative).
+    where it must be conservative). Both temperatures are finite and >= 0.
     """
 
     kind: str = "anchor_blend"
@@ -63,6 +64,8 @@ class DecodeStrategy:
             raise ValidationError("soft_prompt decoding needs a projector")
         if self.kind in ("anchor_blend", "soft_prompt") and self.chat is None:
             raise ValidationError(f"{self.kind} decoding needs a chat backend")
+        if not all(map(math.isfinite, (self.decode_temperature, self.refinement_temperature))):
+            raise ValidationError("temperatures must be finite")
 
 
 def _parent_templates(candidate: CandidateRecord,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 import threading
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ UNPARSED = "unparsed"
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Task and extraction backends plus the evaluation slice size."""
+    """Task and extraction backends, the slice size (>= 1) and a finite temperature >= 0."""
 
     task_backend: BackendConfig
     extraction_backend: BackendConfig
@@ -59,6 +60,8 @@ class EvalConfig:
             raise ValidationError("max_examples must be >= 1")
         if self.temperature < 0:
             raise ValidationError("temperature must be >= 0")
+        if not math.isfinite(self.temperature):
+            raise ValidationError(f"temperature must be finite, got {self.temperature}")
 
 
 @dataclass(frozen=True)

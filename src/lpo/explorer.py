@@ -9,6 +9,7 @@ policy's rng seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -31,7 +32,10 @@ class ExplorationPolicy:
     interpolation only. ``blend_range`` bounds the interpolation weight (a
     symmetric band around 0.5 keeps blends balanced), ``extrapolation_range``
     is a pair of intervals outside [0, 1], and ``sigma`` is the perturbation
-    scale (None selects 0.1 x mean seed norm at generation time).
+    scale (None selects 0.1 x mean seed norm at generation time). Weights are
+    >= 0 with a finite positive sum, ``blend_range`` lies in [0, 1], intervals
+    are ordered and finite, ``sigma`` is finite and >= 0, ``rng_seed`` >= 0 and
+    ``candidate_count`` >= 1.
     """
 
     strategy_mix: dict[str, float] = field(default_factory=lambda: {"interpolate": 1.0})
@@ -63,6 +67,11 @@ class ExplorationPolicy:
             raise ValidationError("sigma must be >= 0")
         if self.candidate_count < 1:
             raise ValidationError("candidate_count must be >= 1")
+        finite = [sum(weights), self.sigma or 0.0, *np.ravel(self.extrapolation_range)]
+        if not np.isfinite(finite).all():
+            raise ValidationError("strategy weights, extrapolation bounds and sigma must be finite")
+        if self.rng_seed < 0:
+            raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -78,10 +87,10 @@ class Provenance:
     def __post_init__(self) -> None:
         if self.kind not in STRATEGIES:
             raise ValidationError(f"unknown provenance kind {self.kind!r}")
-        if self.kind == "interpolate" and not 0.0 <= (self.weight or 0.0) <= 1.0:
+        if self.kind == "interpolate" and not _inside_unit(self.weight or 0.0):
             raise ValidationError(f"interpolation weight {self.weight} outside [0, 1]")
-        if self.kind == "extrapolate" and self.weight is not None and 0.0 <= self.weight <= 1.0:
-            raise ValidationError(f"extrapolation weight {self.weight} inside [0, 1]")
+        if self.kind == "extrapolate" and not (self.weight is None or _outside_unit(self.weight)):
+            raise ValidationError(f"extrapolation weight {self.weight} inside [0, 1] or not finite")
 
 
 @dataclass
@@ -96,22 +105,32 @@ class CandidateRecord:
     invalid_reason: str | None = None
 
 
+def _inside_unit(weight: float) -> bool:
+    """The interpolation rule: ``weight`` lies in [0, 1], which NaN does not."""
+    return 0.0 <= weight <= 1.0
+
+
+def _outside_unit(weight: float) -> bool:
+    """The extrapolation rule: ``weight`` is finite and outside [0, 1]."""
+    return math.isfinite(weight) and not _inside_unit(weight)
+
+
 def interpolate(a, b, weight: float) -> np.ndarray:
     """Convex blend ``weight * a + (1 - weight) * b`` with weight in [0, 1]."""
     va = as_vector(a, name="first embedding")
     vb = as_vector(b, dim=va.size, name="second embedding")
-    if not 0.0 <= weight <= 1.0:
+    if not _inside_unit(weight):
         raise ValidationError(f"interpolation weight {weight} outside [0, 1]")
     return weight * va + (1.0 - weight) * vb
 
 
 def extrapolate(a, b, weight: float) -> np.ndarray:
-    """Same line as interpolate but past the endpoints: weight outside [0, 1]."""
+    """Same line as interpolate but past the endpoints: weight finite and outside [0, 1]."""
     va = as_vector(a, name="first embedding")
     vb = as_vector(b, dim=va.size, name="second embedding")
-    if 0.0 <= weight <= 1.0:
+    if not _outside_unit(weight):
         raise ValidationError(
-            f"extrapolation weight {weight} lies inside [0, 1]; use interpolate"
+            f"extrapolation weight {weight} lies inside [0, 1] or is not finite; use interpolate"
         )
     return weight * va + (1.0 - weight) * vb
 
@@ -142,7 +161,7 @@ def _sample_outside_unit(rng: np.random.Generator,
     for _ in range(100):
         lo, hi = intervals[int(rng.choice(len(intervals), p=probs))]
         value = float(rng.uniform(lo, hi))
-        if not 0.0 <= value <= 1.0:
+        if _outside_unit(value):
             return value
     raise ValidationError("could not sample an extrapolation weight outside [0, 1]")
 

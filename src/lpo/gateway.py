@@ -181,6 +181,8 @@ class BackendConfig:
             raise ValidationError(f"max_in_flight must be >= 1, got {self.max_in_flight!r}")
         if not self.timeout > 0:
             raise ValidationError(f"timeout must be > 0, got {self.timeout!r}")
+        if not 0 <= self.backoff_base < math.inf:
+            raise ValidationError(f"backoff_base must be finite and >= 0, got {self.backoff_base}")
         object.__setattr__(self, "_runtime", _Runtime(self.max_in_flight))
 
 
@@ -394,7 +396,7 @@ def _remote_embed(cfg: BackendConfig, texts: Sequence[str]) -> tuple[list[np.nda
     body = _post_json(cfg, payload)
     try:
         vectors = [as_vector(item["embedding"], name="embedding") for item in body["data"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValidationError) as exc:  # the backend's fault, not the caller's
         raise BackendError(f"malformed embeddings reply: {exc!r}") from exc
     usage = body.get("usage") or {}
     return vectors, (int(usage.get("prompt_tokens", 0)), 0)

@@ -2,11 +2,15 @@ import json
 
 import pytest
 import requests
+import yaml
 from helpers import spy_on_response_caches
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import lpo.gateway as gw
 from lpo import fixtures
 from lpo.cli import main
+from lpo.config import load_app_config
 
 
 @pytest.fixture
@@ -187,6 +191,97 @@ class TestEvaluate:
         assert code == 2
 
 
+def edited_config(workspace, key, value):
+    """Write the toy config with the dotted ``key`` set to ``value``; returns its path."""
+    config = yaml.safe_load((workspace / "config.yaml").read_text())
+    *parents, leaf = key.split(".")
+    node = config
+    for name in parents:
+        node = node[name]
+    node[leaf] = value
+    path = workspace / "edited.yaml"
+    path.write_text(yaml.safe_dump(config))
+    return path
+
+
+def leaf_keys(node, prefix=""):
+    """Dotted keys of a config's values that are not non-empty mappings."""
+    keys = []
+    for name, value in node.items():
+        if isinstance(value, dict) and value:
+            keys += leaf_keys(value, f"{prefix}{name}.")
+        else:
+            keys.append(prefix + name)
+    return keys
+
+
+TOY_LEAVES = leaf_keys(yaml.safe_load(fixtures.fixture_path("toy/config.yaml").read_text()))
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+VALUES = (SCALARS | st.lists(SCALARS | st.lists(SCALARS, max_size=2), max_size=3)
+          | st.dictionaries(st.text(max_size=8), SCALARS, max_size=2))
+
+
+EDITS = [  # (key, YAML value, what stderr must name)
+    ("out_dir", "5", "out_dir: must be a path, got 5"),
+    ("dataset.train", "[a, b]", "dataset.train: must be a path, got ['a', 'b']"),
+    ("dataset.train", ".", "dataset.train: file not found"),
+    ("dataset.test", "7", "dataset.test: must be a path, got 7"),
+    ("decode.projector_path", "5", "decode.projector_path: must be a path, got 5"),
+    ("dataset.labels", "[1, 2]", "dataset.labels: must be a list of labels, got [1, 2]"),
+    ("decode.toy_parameters", "[[1]]", "decode.toy_parameters: unhashable"),
+    ("encoder.dimension", ".inf", "encoder: cannot convert float infinity"),
+    ("budget.max_calls", ".inf", "budget: cannot convert float infinity"),
+    ("evaluator.temperature", ".nan", "evaluator: temperature must be finite"),
+    ("decode.decode_temperature", ".nan", "decode: temperatures must be finite"),
+    ("decode.refinement_temperature", ".inf", "decode: temperatures must be finite"),
+    ("policy.strategy_mix", "{interpolate: .nan}", "policy: strategy weights"),
+    ("policy.sigma", ".nan", "policy: strategy weights, extrapolation bounds and sigma"),
+    ("policy.extrapolation_range", "[[.nan, .nan], [1.0, 1.5]]", "policy: strategy weights"),
+    ("policy.rng_seed", "-1", "policy: rng_seed must be >= 0, got -1"),
+    ("dataset.rng_seed", "-1", "dataset: rng_seed must be >= 0, got -1"),
+    ("evaluator.task_backend.backoff_base", ".inf",
+     "evaluator.task_backend: backoff_base must be finite and >= 0, got inf"),
+]
+
+
+class TestConfigValues:
+    """A malformed config value is listed before any backend call, never raised."""
+
+    @pytest.mark.parametrize("key, value, named", EDITS, ids=[f"{k}={v}" for k, v, _ in EDITS])
+    def test_listed_before_any_backend_call(self, toy_workspace, capsys, monkeypatch,
+                                            key, value, named):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("backend called before the config was refused")
+
+        monkeypatch.setattr(gw, "_mock_chat", forbidden)
+        monkeypatch.setattr(gw, "_mock_embed", forbidden)
+        config = edited_config(toy_workspace, key, yaml.safe_load(value))
+        code = run(["optimize", "--config", config, "--seeds", toy_workspace / "seeds.jsonl"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err
+        assert "Traceback" not in err
+        assert not list(toy_workspace.rglob("cache_*.jsonl"))
+
+    def test_null_out_dir_means_the_default(self, toy_workspace):
+        config = edited_config(toy_workspace, "out_dir", None)
+        assert run(["optimize", "--config", config, "--seeds", toy_workspace / "seeds.jsonl"]) == 0
+        assert (toy_workspace / "out" / "run_record.jsonl").exists()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(TOY_LEAVES), value=VALUES)
+    @example(key="dataset.train", value=["a"])
+    def test_no_edit_escapes(self, toy_workspace, capsys, key, value):
+        config = edited_config(toy_workspace, key, value)
+        app, errors = load_app_config(config)
+        assert (app is None) == bool(errors)
+        code = run(["optimize", "--config", config, "--seeds", toy_workspace / "seeds.jsonl",
+                    "--dry-run"])
+        capsys.readouterr()
+        assert code in (0, 2)
+
+
 class TestExplore:
     def test_emits_requested_candidate_count(self, toy_workspace):
         out = toy_workspace / "cands.jsonl"
@@ -251,6 +346,12 @@ class TestMalformedInput:
         pairs.write_text(json.dumps({"x": [1.0], "y": [1.0]}) + "\n5\n")
         assert run(["fit-projector", "--pairs", pairs, "--out", tmp_path / "w.json"]) == 2
         assert "line 2: record is not an object" in capsys.readouterr().err
+
+    def test_pairs_vector_not_numeric(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"x": "abc", "y": [1]}) + "\n")
+        assert run(["fit-projector", "--pairs", pairs, "--out", tmp_path / "w.json"]) == 2
+        assert "pair input is not numeric" in capsys.readouterr().err
 
     def test_record_line_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "run.jsonl"

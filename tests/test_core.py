@@ -8,6 +8,7 @@ from lpo.core import (
     Example,
     PromptTemplate,
     SplitSpec,
+    as_vector,
     load_dataset,
     render_prompt,
     split_dataset,
@@ -122,6 +123,10 @@ class TestSplitDataset:
         with pytest.raises(ValidationError):
             SplitSpec(1.0, 1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="rng_seed must be >= 0"):
+            SplitSpec(0.5, -1)
+
     def test_label_set_inherited(self):
         examples = tuple(Example(text=f"t{i}", label="a") for i in range(10))
         ds = Dataset(examples=examples, label_set=("a", "b"))
@@ -176,3 +181,10 @@ class TestValidateTemplate:
     def test_bad_origin_rejected(self):
         with pytest.raises(ValidationError, match="origin"):
             PromptTemplate(id="x", text="a {text}", origin="mystery")
+
+
+class TestAsVector:
+    @pytest.mark.parametrize("values", ["abc", [[1.0], [1.0, 2.0]], {"a": 1}, [10**400]])
+    def test_non_numeric_input_is_named(self, values):
+        with pytest.raises(ValidationError, match="seed x is not numeric"):
+            as_vector(values, name="seed x")

@@ -148,6 +148,14 @@ class TestDecodeSoftPrompt:
         with pytest.raises(ValidationError, match="projector"):
             DecodeStrategy(kind="soft_prompt", chat=chat)
 
+    @pytest.mark.parametrize("temperatures", [{"decode_temperature": float("nan")},
+                                              {"refinement_temperature": float("nan")},
+                                              {"decode_temperature": float("inf")}])
+    def test_temperatures_must_be_finite(self, temperatures):
+        chat = BackendConfig(kind="mock", behavior="echo")
+        with pytest.raises(ValidationError, match="temperatures must be finite"):
+            DecodeStrategy(kind="anchor_blend", chat=chat, **temperatures)
+
 
 class TestRefineFormat:
     def strategy(self, behavior="toy_chat", params=None):

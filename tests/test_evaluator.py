@@ -213,7 +213,7 @@ TRICKY_LABELS = ["positive", "very positive", "positive!", "a.b", "c++", "(x)", 
 class TestKeysAndPatterns:
     @settings(max_examples=150, deadline=None)
     @given(st.text(), NO_PLACEHOLDER, NO_PLACEHOLDER, st.lists(st.text(min_size=1), min_size=1, max_size=4),
-           st.one_of(st.floats(min_value=0.0, allow_nan=False),
+           st.one_of(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
                      st.floats(0.0, 2.0).map(np.float64)))
     def test_classify_keys_equal_the_json_formula(self, backend_id, before, after, texts,
                                                   temperature):
@@ -456,6 +456,13 @@ class TestFanOut:
             evaluate(TEMPLATE, ds, cfg, budget())
         # the warm-up, then at most the four examples handed out before ex0 failed
         assert attempt_count(cfg.task_backend) <= 1 + 4
+
+
+class TestEvalConfig:
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
+    def test_temperature_must_be_finite(self, temperature):
+        with pytest.raises(ValidationError, match="temperature must be finite"):
+            config(fixed_extraction(), temperature=temperature)
 
 
 class TestScoredPromptInvariants:

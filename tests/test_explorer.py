@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -226,6 +228,23 @@ class TestPolicyValidation:
         with pytest.raises(ValidationError, match="blend_range"):
             ExplorationPolicy(blend_range=(0.2, 1.2))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"strategy_mix": {"interpolate": math.nan}},
+        {"strategy_mix": {"interpolate": math.inf}},
+        {"strategy_mix": {"interpolate": 1e308, "perturb": 1e308}},
+        {"extrapolation_range": ((math.nan, math.nan), (1.0, 1.5))},
+        {"extrapolation_range": ((-math.inf, 0.0), (1.0, 1.5))},
+        {"sigma": math.nan},
+        {"sigma": math.inf},
+    ])
+    def test_non_finite_settings(self, kwargs):
+        with pytest.raises(ValidationError, match="must be finite"):
+            ExplorationPolicy(**kwargs)
+
+    def test_negative_rng_seed(self):
+        with pytest.raises(ValidationError, match="rng_seed must be >= 0"):
+            ExplorationPolicy(rng_seed=-1)
+
     def test_provenance_weight_consistency(self):
         with pytest.raises(ValidationError, match="outside"):
             Provenance(kind="interpolate", parents=("a", "b"), weight=1.2)
@@ -278,6 +297,25 @@ class TestAlgebraProperties:
     def test_extrapolate_rejects_weights_inside_the_unit_interval(self, parents, weight):
         with pytest.raises(ValidationError, match="inside"):
             extrapolate(*parents, weight)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["interpolate", "extrapolate"]), st.floats())
+    @example("extrapolate", math.nan)
+    @example("extrapolate", math.inf)
+    @example("interpolate", -math.inf)
+    @example("interpolate", 0.0)
+    @example("extrapolate", 1.0)
+    def test_blends_accept_a_weight_exactly_when_provenance_does(self, kind, weight):
+        blend = {"interpolate": interpolate, "extrapolate": extrapolate}[kind]
+        zero = np.zeros(2)
+        try:
+            Provenance(kind=kind, parents=("a", "b"), weight=weight)
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                blend(zero, zero, weight)
+        else:
+            # a finite weight blends zero endpoints to zero; NaN or inf would not
+            assert np.array_equal(blend(zero, zero, weight), zero)
 
     @settings(max_examples=100, deadline=None)
     @given(arrays(np.float64, st.integers(1, 8), elements=COORD), st.integers(0, 2**63 - 1))

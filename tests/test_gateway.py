@@ -142,6 +142,11 @@ class TestRequestValidation:
         with pytest.raises(ValidationError, match="unknown backend kind"):
             BackendConfig(kind="local")
 
+    @pytest.mark.parametrize("backoff_base", [float("inf"), float("nan"), -0.5])
+    def test_backoff_base_finite_and_not_negative(self, backoff_base):
+        with pytest.raises(ValidationError, match="backoff_base must be finite and >= 0"):
+            BackendConfig(backoff_base=backoff_base)
+
 
 class TestEmbedMock:
     def test_hash_embed_dimensions(self):
@@ -301,6 +306,15 @@ class TestRemoteChat:
         vectors = embed(cfg, ["a", "b"], big_budget())
         assert np.allclose(vectors[0], [0.1, 0.2])
         assert np.allclose(vectors[1], [0.3, 0.4])
+
+    @pytest.mark.parametrize("embedding", ["abc", [1.0, float("nan")], [[1.0], [1.0, 2.0]]])
+    def test_unusable_remote_embedding_is_a_backend_error(self, monkeypatch, embedding):
+        body = {"data": [{"embedding": embedding}]}
+        monkeypatch.setattr(requests, "post", lambda url, **kw: FakeResponse(200, body))
+        cfg = BackendConfig(kind="remote_embed", endpoint="https://api.test/emb",
+                            model_name="emb-model")
+        with pytest.raises(BackendError, match="malformed embeddings reply"):
+            embed(cfg, ["a"], big_budget())
 
 
 class TestConcurrencyCap:
