@@ -14,6 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import encoder as encoder_mod
 from . import evaluator as evaluator_mod
 from . import fixtures
@@ -118,9 +120,9 @@ def cmd_evaluate(config_path: str, prompts_path: str, split: str,
     eval_cfg = app.eval_config(split)
     budget = app.budget()
     rows = []
-    with evaluator_mod.ResponseCache(eval_cfg.cache_path) as cache:  # read once for all prompts
+    with budget.replies_from(eval_cfg.cache_path):  # read once for all prompts
         for template in templates:
-            scored = evaluator_mod.evaluate(template, eval_set, eval_cfg, budget, cache)
+            scored = evaluator_mod.evaluate(template, eval_set, eval_cfg, budget)
             rows.append((template.id, scored.accuracy))
     width = max(len(r[0]) for r in rows)
     print(f"{'prompt':<{width}}  accuracy")
@@ -163,9 +165,13 @@ def cmd_explore(config_path: str, seeds_path: str, count: int | None = None,
 def cmd_fit_projector(pairs_path: str, reg: float, out_path: str,
                       with_bias: bool = False) -> int:
     corpus = load_paired_corpus(pairs_path)
-    projector = fit_ridge(corpus, regularization=reg, with_bias=with_bias)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            projector = fit_ridge(corpus, regularization=reg, with_bias=with_bias)
+            rms = residual(projector, corpus)
+    except FloatingPointError as exc:  # values too large to square in float64
+        raise ValidationError(f"pairs in {pairs_path} overflow float64 ({exc})") from exc
     save_weights(projector, out_path)
-    rms = residual(projector, corpus)
     print(f"fitted {projector.output_dim}x{projector.input_dim} projector "
           f"on {corpus.inputs.shape[0]} pairs")
     print(f"rms residual: {rms:.6e}")
@@ -225,7 +231,12 @@ def cmd_report(run_path: str) -> int:
     header, iterations = read_run_record(run_path)
     if not iterations:
         raise ValidationError("run record has no iterations")
-    print(format_report(header, iterations))
+    try:  # every value the report reads comes from the file
+        report = format_report(header, iterations)
+    except (AttributeError, LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        raise ValidationError(f"{run_path} is not a readable run record: "
+                              f"{type(exc).__name__}: {exc}") from exc
+    print(report)
     return 0
 
 

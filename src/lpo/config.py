@@ -172,7 +172,7 @@ def _built(errors: list[str], where: str, build: Callable):
 
 def _resolve(base: Path, value) -> Path | None:
     """The path a config value names, relative to ``base`` unless absolute."""
-    if value is not None and not isinstance(value, str):
+    if value is not None and (not isinstance(value, str) or "\0" in value):
         raise ValidationError(f"must be a path, got {value!r}")
     return None if value is None else base / value
 
@@ -187,9 +187,11 @@ def _build_backend(raw, base: Path, errors: list[str], where: str) -> BackendCon
         return None
     params = dict(params)
     if "dataset" in params:
-        resolved = _resolve(base, str(params["dataset"]))
-        if not resolved.is_file():
-            errors.append(f"{where}: backend dataset file not found: {params['dataset']}")
+        resolved = _built(errors, f"{where}.params.dataset",
+                          lambda: _resolve(base, str(params["dataset"])))
+        if resolved is None or not resolved.is_file():
+            if resolved is not None:
+                errors.append(f"{where}: backend dataset file not found: {params['dataset']}")
             return None
         params["dataset"] = str(resolved)
     return _built(errors, where,
@@ -211,7 +213,7 @@ def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError:
         return None, [f"{path} is not UTF-8 text"]
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # also nested too deep
         return None, [f"config is not valid YAML: {exc}"]
     if not isinstance(raw, dict):
         return None, ["config root must be a mapping"]
@@ -224,7 +226,8 @@ def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
         return value if isinstance(value, dict) else {}
 
     def backend(name: str, values: dict, key: str) -> BackendConfig | None:
-        return _build_backend(values.get(key) or {}, base, errors, f"{name}.{key}")
+        value = values.get(key)  # null means the default, as an omitted key does
+        return _build_backend({} if value is None else value, base, errors, f"{name}.{key}")
 
     def file(where: str, value) -> Path | None:
         found = _built(errors, where, lambda: _resolve(base, value))
@@ -330,8 +333,8 @@ def load_seed_templates(path: str | Path) -> tuple[list[PromptTemplate], list[st
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            errors.append(f"line {lineno}: invalid JSON ({exc.msg})")
+        except (ValueError, RecursionError) as exc:  # also too many digits, or too deep
+            errors.append(f"line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})")
             continue
         if not isinstance(obj, dict) or "text" not in obj:
             errors.append(f"line {lineno}: seed needs a 'text' field")

@@ -222,8 +222,9 @@ def read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValidationError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+                except (ValueError, RecursionError) as exc:  # also too many digits, or too deep
+                    raise ValidationError(
+                        f"line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
                 if not isinstance(obj, dict):
                     raise ValidationError(f"line {lineno}: record is not an object")
                 yield lineno, obj

@@ -34,32 +34,27 @@ class EncoderSpec:
             raise ValidationError("encoder dimension must be >= 1")
 
 
-def encode(
-    spec: EncoderSpec,
-    templates: Sequence[PromptTemplate],
-    budget: Budget,
-    cache: dict[str, np.ndarray] | None = None,
-) -> list[np.ndarray]:
+def encode(spec: EncoderSpec, templates: Sequence[PromptTemplate],
+           budget: Budget) -> list[np.ndarray]:
     """Embed templates in order, one vector of dimension d per template.
 
-    ``cache`` maps template text to a previously returned vector; seeds are
-    re-encoded every iteration, so the optimizer passes a run-level cache to
-    skip repeat backend calls. With ``normalize`` set, non-zero vectors are
-    scaled to unit norm; zero vectors are left unscaled and flagged.
+    ``budget.embeddings`` serves a text this backend embedded before, as seeds
+    are re-encoded every iteration. With ``normalize`` set, non-zero vectors
+    are scaled to unit norm; zero vectors are left unscaled and flagged.
     """
     if not templates:
         raise ValidationError("encode called with no templates")
-    cache = cache if cache is not None else {}
-    missing = [t.text for t in templates if t.text not in cache]
+    backend_id, known = gateway.backend_fingerprint(spec.backend), budget.embeddings
+    keys = {t.text: (backend_id, t.text) for t in templates}
+    missing = [text for text, key in keys.items() if key not in known]
     if missing:
-        # dict preserves insertion order and dedups repeated texts
-        unique = list(dict.fromkeys(missing))
-        vectors = gateway.embed(spec.backend, unique, budget)
-        for text, vec in zip(unique, vectors):
-            cache[text] = as_vector(vec, dim=spec.dimension, name=f"embedding of {text[:30]!r}")
+        vectors = gateway.embed(spec.backend, missing, budget)
+        for text, vec in zip(missing, vectors):
+            known[keys[text]] = as_vector(vec, dim=spec.dimension,
+                                          name=f"embedding of {text[:30]!r}")
     out = []
     for t in templates:
-        vec = cache[t.text]
+        vec = known[keys[t.text]]
         if spec.normalize:
             norm = float(np.linalg.norm(vec))
             if norm == 0.0:

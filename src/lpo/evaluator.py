@@ -7,13 +7,13 @@ outputs that still resolve to no label count as incorrect: a prompt that
 elicits unparseable output is a worse prompt, and excluding such cases
 would inflate scores.
 
-Replies are cached in an append-only JSONL file keyed by content hashes and
-the answering backend's fingerprint, so a warm rerun issues zero gateway
-calls and returns identical scores, and no backend is served another's reply.
-:func:`evaluate` hashes its template and encodes its label set once, and each
-example's text is hashed once per process (``Example.digest``); the keys are
-the same strings as ever, so cache files written by earlier versions still
-hit.
+Replies are cached in the budget and in the append-only JSONL file
+``cache_path``, keyed by content hashes and the answering backend's
+fingerprint, so a warm rerun issues zero gateway calls and returns identical
+scores, and no backend is served another's reply. :func:`evaluate` hashes its
+template and encodes its label set once, and each example's text is hashed
+once per process (``Example.digest``); the keys are the same strings as ever,
+so cache files written by earlier versions still hit.
 
 A backend that the gateway has seen block (see :func:`gateway.blocks`) gets a
 template's calls from up to ``max_in_flight`` threads at once, so their
@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 from . import gateway, prompts
 from .core import Dataset, Example, PromptTemplate, render_prompt, text_digest
 from .errors import BackendError, BudgetExhaustedError, ValidationError
-from .gateway import BackendConfig, Budget, ChatRequest
+from .gateway import BackendConfig, Budget, ChatRequest, ResponseCache  # noqa: F401  (the benchmark patches it here)
 
 logger = logging.getLogger(__name__)
 
@@ -94,86 +94,6 @@ class ScoredPrompt:
             raise ValidationError("accuracy must equal n_correct / n_total exactly")
 
 
-class ResponseCache:
-    """Append-only JSONL cache of backend replies, keyed by content hash.
-
-    The file is read once, here. The first ``put`` opens one append handle
-    (creating the directory); each ``put`` then writes one line and flushes
-    it, so the line has reached the operating system when ``put`` returns
-    (it is not fsynced). Whoever makes a cache closes it: ``close()``, or use
-    it as a context manager.
-
-    I/O problems are downgraded to warnings; the evaluator then simply falls
-    back to live calls. Undecodable lines, such as one cut short by a crash,
-    are skipped and counted. Appends are serialized.
-    """
-
-    def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path is not None else None
-        self._entries: dict[str, str] = {}
-        self._lock = threading.Lock()
-        self._fh = None
-        self.skipped = 0
-        self._cut_off = False  # last line lacks its newline; next append starts a new one
-        if self.path is None or not self.path.exists():
-            return
-        line = ""
-        try:
-            # lpo writes ASCII-only JSON, so a cut-off line is still valid UTF-8
-            with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    try:
-                        obj = json.loads(line)
-                        self._entries[obj["key_hash"]] = obj["raw_output"]
-                    except (ValueError, KeyError, TypeError):
-                        self.skipped += 1
-        except (OSError, UnicodeDecodeError) as exc:
-            logger.warning("ignoring unreadable cache %s: %s", self.path, exc)
-            self._entries = {}
-        self._cut_off = bool(line) and not line.endswith("\n")
-        if self.skipped:
-            logger.warning("skipped %d unreadable cache line(s) in %s", self.skipped, self.path)
-
-    def get(self, key: str) -> str | None:
-        return self._entries.get(key)
-
-    def put(self, key: str, raw_output: str) -> None:
-        with self._lock:
-            self._entries[key] = raw_output
-            if self.path is None:
-                return
-            try:
-                if self._fh is None:
-                    self.path.parent.mkdir(parents=True, exist_ok=True)
-                    self._fh = open(self.path, "a", encoding="utf-8")
-                prefix = "\n" if self._cut_off else ""
-                self._fh.write(prefix + json.dumps({"key_hash": key, "raw_output": raw_output})
-                               + "\n")
-                self._fh.flush()
-                self._cut_off = False
-            except OSError as exc:
-                if self._fh is not None:  # part of the line may be out; start afresh
-                    self._cut_off = True
-                logger.warning("could not append to cache %s: %s", self.path, exc)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                fh, self._fh = self._fh, None
-                try:
-                    fh.close()
-                except OSError as exc:
-                    logger.warning("could not close cache %s: %s", self.path, exc)
-
-    def __enter__(self) -> ResponseCache:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 def _classify_keys(backend_id: str, cfg: EvalConfig,
                    template: PromptTemplate) -> Callable[[Example], str]:
     """Each example's classify key for one template: the digest of
@@ -195,26 +115,24 @@ def _extract_keys(backend_id: str, label_set: Sequence[str]) -> Callable[[str], 
 
 
 def classify_one(template: PromptTemplate, ex: Example, cfg: EvalConfig,
-                 budget: Budget, cache: ResponseCache | None = None, *,
-                 keys: Callable[[Example], str] | None = None) -> str:
+                 budget: Budget, *, keys: Callable[[Example], str] | None = None) -> str:
     """Render the prompt for one example and return the task backend's reply.
 
     ``keys`` gives an example's cache key (:func:`_classify_keys` for this
     template and the task backend), for callers that score many examples.
-    Without ``cache`` the reply is neither looked up in nor appended to
-    ``cfg.cache_path``: reading that file per call would cost more than the
-    call; :func:`evaluate` opens it once per template.
+    The reply is looked up in and kept in ``budget.replies``; :func:`evaluate`
+    binds ``cfg.cache_path`` there once per template, since reading that file
+    per call would cost more than the call.
     """
-    cache = cache if cache is not None else ResponseCache()
     keys = keys or _classify_keys(gateway.backend_fingerprint(cfg.task_backend), cfg, template)
-    key = keys(ex)
-    hit = cache.get(key)
+    key, replies = keys(ex), budget.replies
+    hit = replies.get(key)
     if hit is not None:
         return hit
     req = ChatRequest(user_text=render_prompt(template, ex.text),
                       temperature=cfg.temperature)
     raw = gateway.chat(cfg.task_backend, req, budget).text
-    cache.put(key, raw)
+    replies.put(key, raw)
     return raw
 
 
@@ -244,8 +162,7 @@ def _field_match(lowered: str, label_set: Sequence[str]) -> str | None:
 
 
 def extract_label(raw: str, label_set: Sequence[str], cfg: EvalConfig,
-                  budget: Budget, cache: ResponseCache | None = None, *,
-                  keys: Callable[[str], str] | None = None) -> str:
+                  budget: Budget, *, keys: Callable[[str], str] | None = None) -> str:
     """Resolve a raw task reply to a label, or ``"unparsed"``.
 
     Stage 1 is deterministic and free: a unique whole-word label occurrence,
@@ -254,7 +171,7 @@ def extract_label(raw: str, label_set: Sequence[str], cfg: EvalConfig,
     never get that far, which saves budget without changing semantics on
     clear cases. Backend failures in stage 2 degrade to ``"unparsed"``.
     ``keys`` gives a reply's cache key (:func:`_extract_keys` for the
-    extraction backend and ``label_set``), and ``cache`` behaves as in
+    extraction backend and ``label_set``); replies are cached as in
     :func:`classify_one`.
     """
     if not label_set:
@@ -264,10 +181,9 @@ def extract_label(raw: str, label_set: Sequence[str], cfg: EvalConfig,
     if hit is not None:
         return hit
 
-    cache = cache if cache is not None else ResponseCache()
     keys = keys or _extract_keys(gateway.backend_fingerprint(cfg.extraction_backend), label_set)
-    key = keys(raw)
-    reply = cache.get(key)
+    key, replies = keys(raw), budget.replies
+    reply = replies.get(key)
     if reply is None:
         req = ChatRequest(user_text=prompts.extract_instruction(raw, list(label_set)),
                           temperature=0.0)
@@ -276,7 +192,7 @@ def extract_label(raw: str, label_set: Sequence[str], cfg: EvalConfig,
         except BackendError as exc:
             logger.warning("label extraction failed, counting as unparsed: %s", exc)
             return UNPARSED
-        cache.put(key, reply)
+        replies.put(key, reply)
     normalized = reply.strip().lower()
     if normalized in label_set:
         return normalized
@@ -330,11 +246,12 @@ def _fan_out(groups: list[list[int]], work: Callable[[int], None], width: int) -
 
 
 def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
-             budget: Budget, cache: ResponseCache | None = None) -> ScoredPrompt:
+             budget: Budget) -> ScoredPrompt:
     """Score one template over the first ``max_examples`` of the eval set.
 
     Accuracy is the exact integer ratio correct/total. Budget exhaustion
-    mid-set raises an error naming how many examples completed.
+    mid-set raises an error naming how many examples completed. Replies are
+    kept in ``cfg.cache_path`` (:meth:`Budget.replies_from`).
 
     When the task or extraction backend blocks (:func:`gateway.blocks`), its
     calls for this template run on up to its ``max_in_flight`` threads: first
@@ -358,35 +275,30 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
     labels: list[str | None] = [None] * n
 
     def classify(index: int) -> None:
-        raws[index] = classify_one(template, slice_examples[index], cfg, budget, cache,
+        raws[index] = classify_one(template, slice_examples[index], cfg, budget,
                                    keys=classify_keys)
 
     def extract(index: int) -> None:
-        labels[index] = extract_label(raws[index], eval_set.label_set, cfg, budget, cache,
+        labels[index] = extract_label(raws[index], eval_set.label_set, cfg, budget,
                                       keys=extract_keys)
 
     widths = _width(cfg.task_backend), _width(cfg.extraction_backend)
     texts = _by_value([ex.text for ex in slice_examples]) if max(widths) > 1 else []
-    owned = None
-    if cache is None:
-        cache = owned = ResponseCache(cfg.cache_path)
     try:
-        if texts and budget.calls_left() >= 2 * len(texts):
-            _fan_out(texts, classify, widths[0])
-            _fan_out(_by_value(raws), extract, widths[1])
-        else:
-            for index in range(n):
-                classify(index)
-                extract(index)
+        with budget.replies_from(cfg.cache_path):
+            if texts and budget.calls_left() >= 2 * len(texts):
+                _fan_out(texts, classify, widths[0])
+                _fan_out(_by_value(raws), extract, widths[1])
+            else:
+                for index in range(n):
+                    classify(index)
+                    extract(index)
     except BudgetExhaustedError as exc:
         completed = labels.index(None)
         raise BudgetExhaustedError(
             f"budget exhausted after {completed} of {n} "
             f"examples for template {template.id}: {exc}"
         ) from exc
-    finally:
-        if owned is not None:
-            owned.close()
     outcomes = tuple(
         PerExample(index=index, raw_output=raw, extracted_label=label,
                    correct=(label == ex.label))

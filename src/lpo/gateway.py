@@ -12,6 +12,9 @@ whether a backend's attempts mostly wait (on a network, say) rather than
 compute. :func:`blocks` reports it, and the evaluator fans a template's calls
 out to ``max_in_flight`` threads only for a backend that blocks.
 
+Every call receives the run's ledger, a :class:`Budget`: ceilings, usage,
+replies and embeddings. Only this module builds a :class:`ResponseCache`.
+
 Remote wire protocol is JSON-over-HTTP in the de facto chat-completions /
 embeddings shape. Secrets are read from the environment variable named in
 the config (default ``LPO_API_KEY``); ``LPO_ENDPOINT`` overrides the
@@ -29,8 +32,10 @@ import os
 import threading
 import time
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from pathlib import Path
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,9 +82,89 @@ class ChatResponse:
             raise ValidationError("token counts must be >= 0")
 
 
+class ResponseCache:
+    """Append-only JSONL cache of backend replies, keyed by content hash.
+
+    The file is read once, here. The first ``put`` opens one append handle
+    (creating the directory); each ``put`` then writes one line and flushes
+    it, so the line has reached the operating system when ``put`` returns
+    (it is not fsynced). Whoever makes a cache closes it: ``close()``, or use
+    it as a context manager.
+
+    I/O problems are downgraded to warnings; the evaluator then simply falls
+    back to live calls. Undecodable lines, such as one cut short by a crash,
+    are skipped and counted. Appends are serialized.
+    """
+
+    def __init__(self, path: str | Path | None = None):
+        self.path = Path(path) if path is not None else None
+        self._entries: dict[str, str] = {}
+        self._lock = threading.Lock()
+        self._fh = None
+        self.skipped = 0
+        self._cut_off = False  # last line lacks its newline; next append starts a new one
+        if self.path is None or not self.path.exists():
+            return
+        line = ""
+        try:
+            # lpo writes ASCII-only JSON, so a cut-off line is still valid UTF-8
+            with open(self.path, encoding="utf-8") as fh:
+                for line in fh:
+                    if not line.strip():
+                        continue
+                    try:
+                        obj = json.loads(line)
+                        self._entries[obj["key_hash"]] = obj["raw_output"]
+                    except (ValueError, KeyError, TypeError):
+                        self.skipped += 1
+        except (OSError, UnicodeDecodeError) as exc:
+            logger.warning("ignoring unreadable cache %s: %s", self.path, exc)
+            self._entries = {}
+        self._cut_off = bool(line) and not line.endswith("\n")
+        if self.skipped:
+            logger.warning("skipped %d unreadable cache line(s) in %s", self.skipped, self.path)
+
+    def get(self, key: str) -> str | None:
+        return self._entries.get(key)
+
+    def put(self, key: str, raw_output: str) -> None:
+        with self._lock:
+            self._entries[key] = raw_output
+            if self.path is None:
+                return
+            try:
+                if self._fh is None:
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
+                    self._fh = open(self.path, "a", encoding="utf-8")
+                prefix = "\n" if self._cut_off else ""
+                self._fh.write(prefix + json.dumps({"key_hash": key, "raw_output": raw_output})
+                               + "\n")
+                self._fh.flush()
+                self._cut_off = False
+            except OSError as exc:
+                if self._fh is not None:  # part of the line may be out; start afresh
+                    self._cut_off = True
+                logger.warning("could not append to cache %s: %s", self.path, exc)
+
+    def close(self) -> None:
+        with self._lock:
+            if self._fh is not None:
+                fh, self._fh = self._fh, None
+                try:
+                    fh.close()
+                except OSError as exc:
+                    logger.warning("could not close cache %s: %s", self.path, exc)
+
+    def __enter__(self) -> ResponseCache:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
 @dataclass
 class Budget:
-    """Run-wide call and token ceilings with exact usage accounting.
+    """One run's ledger: call and token ceilings, exact usage, replies, embeddings.
 
     A call reserves a slot before it is made (:meth:`ensure_available`) and
     settles it when it completes (:meth:`record`) or hands it back when it
@@ -87,12 +172,18 @@ class Budget:
     ``max_calls`` calls. Tokens are known only after a call, so the token
     ceiling refuses new calls once the tokens spent reach it; calls already
     admitted may end above it.
+
+    ``replies`` is the evaluator's reply cache, in memory unless
+    :meth:`replies_from` binds a file. ``embeddings`` holds the encoder's
+    vectors, keyed by backend fingerprint and text.
     """
 
     max_calls: int = 100_000
     max_total_tokens: int = 10_000_000
     calls: int = field(default=0, init=False)
     total_tokens: int = field(default=0, init=False)
+    replies: ResponseCache = field(default_factory=ResponseCache, init=False, repr=False, compare=False)
+    embeddings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _reserved: int = field(default=0, init=False, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
@@ -129,6 +220,21 @@ class Budget:
         """Call slots neither used nor reserved."""
         with self._lock:
             return self.max_calls - self.calls - self._reserved
+
+    @contextmanager
+    def replies_from(self, path: str | Path | None) -> Iterator[None]:
+        """Read the cache file at ``path`` once and keep this block's replies in
+        it, unless it is bound already (or None). On exit, however the block
+        ends, the outer cache is back and the file is closed."""
+        if path is None or self.replies.path == Path(path):
+            yield
+            return
+        outer = self.replies
+        try:
+            with ResponseCache(path) as self.replies:
+                yield
+        finally:
+            self.replies = outer
 
 
 def usage_report(budget: Budget) -> tuple[int, int]:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import prompts
-from .core import PLACEHOLDER, load_dataset
+from .core import PLACEHOLDER, as_vector, load_dataset
 from .errors import BackendError, TransientBackendError, ValidationError
 from .toyspace import ToySpaceSpec, strip_placeholder, toy_decode, toy_encode
 
@@ -68,8 +68,9 @@ def _sequence(cfg, req) -> str:
 
 def _toy_spec(cfg) -> ToySpaceSpec:
     names = cfg.params.get("parameters")
-    if not names:
-        raise ValidationError(f"mock behavior {cfg.behavior!r} needs params['parameters']")
+    if not (names and isinstance(names, (list, tuple)) and all(isinstance(n, str) for n in names)):
+        raise ValidationError(f"mock behavior {cfg.behavior!r} needs params['parameters'], "
+                              "a list of names")
     return ToySpaceSpec(tuple(names))
 
 
@@ -142,7 +143,9 @@ def _toy_task(cfg, req) -> str:
     measures exactly the quantized fitness.
     """
     spec = _toy_spec(cfg)
-    target = np.asarray(cfg.params["target"], dtype=float)
+    target = as_vector(cfg.params.get("target"), dim=spec.dimension, name="toy task target")
+    if not np.all((target >= 0) & (target <= 1)):
+        raise ValidationError(f"toy task target {target.tolist()} lies outside [0, 1]")
     examples = _toy_task_examples(cfg)
     coords = []
     for name in spec.parameter_names:

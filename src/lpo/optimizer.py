@@ -25,7 +25,7 @@ from .core import Dataset, PromptTemplate
 from .decoder import DecodeStrategy
 from .encoder import EncoderSpec
 from .errors import BudgetExhaustedError, CandidateInvalidError, ValidationError
-from .evaluator import EvalConfig, ResponseCache, ScoredPrompt
+from .evaluator import EvalConfig, ScoredPrompt
 from .explorer import CandidateRecord, ExplorationPolicy
 from .gateway import Budget, usage_report
 from .records import config_snapshot
@@ -62,11 +62,9 @@ class OptimizerConfig:
 
 @dataclass
 class _RunState:
-    """Caches shared by all cycles of one run, and the number of cycles started."""
+    """Scores shared by all cycles of one run, and the number of cycles started."""
 
-    encode_cache: dict = field(default_factory=dict)
     score_cache: dict[str, ScoredPrompt] = field(default_factory=dict)
-    response_cache: ResponseCache | None = None
     iteration: int = 0
 
 
@@ -151,8 +149,8 @@ def run_cycle(
     are the cycle's own start and finish. Budget exhaustion partway yields
     a partial record flagged as such rather than an exception; a cycle in
     which every candidate decoded invalid falls back to selecting among the
-    seeds, with a warning. Without ``state`` the cycle is number 1 and opens
-    its own response cache, closed before returning.
+    seeds, with a warning. Without ``state`` the cycle is number 1 and binds
+    ``eval_cfg.cache_path`` to the budget for its own length.
     """
     if not seeds:
         raise ValidationError("run_cycle needs at least one seed template")
@@ -165,15 +163,14 @@ def run_cycle(
             f"({cfg.policy.candidate_count} + {len(seeds)})"
         )
     if state is None:
-        with ResponseCache(eval_cfg.cache_path) as cache:
-            return run_cycle(seeds, cfg, eval_cfg, eval_set, budget,
-                             _RunState(response_cache=cache))
+        with budget.replies_from(eval_cfg.cache_path):
+            return run_cycle(seeds, cfg, eval_cfg, eval_set, budget, _RunState())
     started = _now()
     state.iteration += 1
     warnings: list[str] = []
     partial = False
 
-    seed_vectors = encoder_mod.encode(cfg.encoder, seeds, budget, cache=state.encode_cache)
+    seed_vectors = encoder_mod.encode(cfg.encoder, seeds, budget)
     # a fresh stream per iteration, still fully determined by the policy seed
     policy = replace(cfg.policy, rng_seed=cfg.policy.rng_seed + state.iteration - 1)
     candidates = explorer.generate_candidates(list(zip(ids, seed_vectors)), policy)
@@ -204,8 +201,7 @@ def run_cycle(
             result = state.score_cache.get(template.text)
             if result is None:
                 try:
-                    result = evaluator_mod.evaluate(template, eval_set, eval_cfg, budget,
-                                                    cache=state.response_cache)
+                    result = evaluator_mod.evaluate(template, eval_set, eval_cfg, budget)
                 except BudgetExhaustedError as exc:
                     warnings.append(f"budget exhausted during evaluation: {exc}")
                     partial = True
@@ -262,8 +258,8 @@ def iterate(
     best: float | None = None
     no_improve = 0
 
-    with ResponseCache(eval_cfg.cache_path) as cache:
-        state = _RunState(response_cache=cache)
+    with budget.replies_from(eval_cfg.cache_path):
+        state = _RunState()
         for index in range(1, cfg.max_iterations + 1):
             try:
                 result = run_cycle(current, cfg, eval_cfg, eval_set, budget, state=state)

@@ -112,7 +112,11 @@ def load_paired_corpus(path: str | Path) -> PairedCorpus:
     for lineno, obj in read_jsonl(path):
         if "x" not in obj or "y" not in obj:
             raise ValidationError(f"line {lineno}: pair needs 'x' and 'y' fields")
-        pairs.append((obj["x"], obj["y"]))
+        try:
+            pairs.append((as_vector(obj["x"], name="pair input"),
+                          as_vector(obj["y"], name="pair target")))
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from exc
     if not pairs:
         raise ValidationError("empty pairs file")
     return PairedCorpus.from_pairs(pairs)
@@ -233,7 +237,7 @@ def load_weights(path: str | Path) -> LinearProjector:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8, not JSON
         raise ValidationError(f"unreadable weight file {path}: {exc}") from exc
     try:
         d = int(payload["input_dim"])

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lpo import evaluator, optimizer
+from lpo import evaluator, gateway
 from lpo.core import Dataset, Example, PromptTemplate, validate_template
 from lpo.decoder import DecodeStrategy
 from lpo.encoder import EncoderSpec
@@ -145,8 +145,8 @@ def build_toy_pipeline(
 
 
 def spy_on_response_caches(monkeypatch) -> list:
-    """Record every ``ResponseCache`` the evaluator and optimizer make from now
-    on; each gets a ``closed`` flag that its ``close()`` sets."""
+    """Record every ``ResponseCache`` lpo makes from now on (the gateway
+    makes them all); each gets a ``closed`` flag that its ``close()`` sets."""
     made = []
 
     class SpyCache(evaluator.ResponseCache):
@@ -159,6 +159,5 @@ def spy_on_response_caches(monkeypatch) -> list:
             super().close()
             self.closed = True
 
-    monkeypatch.setattr(evaluator, "ResponseCache", SpyCache)
-    monkeypatch.setattr(optimizer, "ResponseCache", SpyCache)
+    monkeypatch.setattr(gateway, "ResponseCache", SpyCache)
     return made

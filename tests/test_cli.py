@@ -241,6 +241,11 @@ EDITS = [  # (key, YAML value, what stderr must name)
     ("dataset.rng_seed", "-1", "dataset: rng_seed must be >= 0, got -1"),
     ("evaluator.task_backend.backoff_base", ".inf",
      "evaluator.task_backend: backoff_base must be finite and >= 0, got inf"),
+    ("encoder.backend", "false", "encoder.backend: backend must be a mapping"),
+    ("encoder.backend", "[]", "encoder.backend: backend must be a mapping"),
+    ("evaluator.task_backend", "0", "evaluator.task_backend: backend must be a mapping"),
+    ("evaluator.extraction_backend", "''",
+     "evaluator.extraction_backend: backend must be a mapping"),
 ]
 
 
@@ -276,10 +281,55 @@ class TestConfigValues:
         config = edited_config(toy_workspace, key, value)
         app, errors = load_app_config(config)
         assert (app is None) == bool(errors)
-        code = run(["optimize", "--config", config, "--seeds", toy_workspace / "seeds.jsonl",
-                    "--dry-run"])
+        seeds = toy_workspace / "seeds.jsonl"
+        code = run(["optimize", "--config", config, "--seeds", seeds, "--dry-run"])
         capsys.readouterr()
         assert code in (0, 2)
+        # these call backends, so a budget or backend failure is an answer too;
+        # --count keeps a large candidate_count edit from drawing that many
+        for args in (["evaluate", "--prompts", seeds],
+                     ["explore", "--seeds", seeds, "--count", 3]):
+            code = run(args + ["--config", config])
+            capsys.readouterr()
+            assert code in (0, 2, 3, 4)
+
+
+PAIRS = "".join(json.dumps({"x": [float(i), 1.0], "y": [2.0 * i]}) + "\n" for i in range(3))
+
+
+class TestInputFileEdits:
+    """One edited line or field of an input file exits 0 or 2, never with a traceback."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(["dataset", "seeds", "pairs", "record"]),
+           line=st.integers(min_value=0), field=st.none() | st.integers(min_value=0),
+           value=VALUES | st.text())
+    def test_no_file_edit_escapes(self, toy_workspace, capsys, kind, line, field, value):
+        ws = toy_workspace
+        fixtures.copy_toy_workspace(ws)  # undo the previous example's edit
+        path = {"dataset": ws / "train.jsonl", "seeds": ws / "seeds.jsonl",
+                "pairs": ws / "pairs.jsonl", "record": ws / "record.jsonl"}[kind]
+        if kind == "pairs":
+            path.write_text(PAIRS)
+        elif kind == "record":
+            path.write_text(fixtures.fixture_path("reference_run.jsonl").read_text())
+        lines = path.read_text().splitlines()
+        line %= len(lines)
+        if field is None:  # the whole line
+            lines[line] = value if isinstance(value, str) else json.dumps(value)
+        else:
+            obj = json.loads(lines[line])
+            obj[sorted(obj)[field % len(obj)]] = value
+            lines[line] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        args = {"pairs": ["fit-projector", "--pairs", path, "--out", ws / "w.json"],
+                "record": ["report", path]}.get(
+            kind, ["optimize", "--config", ws / "config.yaml", "--seeds", ws / "seeds.jsonl"])
+        code = run(args)
+        err = capsys.readouterr().err
+        # a well-formed edit may give the dataset a text the toy task mock does not know
+        assert code in (0, 2) or (code == 4 and "toy task mock" in err)
 
 
 class TestExplore:
@@ -353,6 +403,36 @@ class TestMalformedInput:
         assert run(["fit-projector", "--pairs", pairs, "--out", tmp_path / "w.json"]) == 2
         assert "pair input is not numeric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("x", ["abc", [[1.0], [2.0, 3.0]]])
+    def test_pairs_vector_not_numeric_names_its_line(self, tmp_path, capsys, x):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"x": [1.0], "y": [1.0]}) + "\n"
+                         + json.dumps({"x": x, "y": [1.0]}) + "\n")
+        assert run(["fit-projector", "--pairs", pairs, "--out", tmp_path / "w.json"]) == 2
+        assert "line 2: pair input is not numeric" in capsys.readouterr().err
+
+    def test_config_nested_too_deep(self, toy_workspace, capsys):
+        config = toy_workspace / "deep.yaml"
+        config.write_text("policy: " + "[" * 5000 + "]" * 5000 + "\n")
+        assert run(["optimize", "--config", config, "--seeds", toy_workspace / "seeds.jsonl",
+                    "--dry-run"]) == 2
+        assert "config is not valid YAML: maximum recursion depth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["dataset", "seeds", "pairs", "record"])
+    def test_number_too_long_to_convert(self, toy_workspace, capsys, kind):
+        line = '{"text": %s, "id": "s", "x": [1], "y": [1], "kind": "header"}\n' % ("1" * 5000)
+        bad = toy_workspace / "bad.jsonl"
+        bad.write_text(line)
+        args = {"dataset": ["optimize", "--config", edited_config(toy_workspace, "dataset.train",
+                                                                   "bad.jsonl"),
+                            "--seeds", toy_workspace / "seeds.jsonl", "--dry-run"],
+                "seeds": ["optimize", "--config", toy_workspace / "config.yaml",
+                          "--seeds", bad, "--dry-run"],
+                "pairs": ["fit-projector", "--pairs", bad, "--out", toy_workspace / "w.json"],
+                "record": ["report", bad]}[kind]
+        assert run(args) == 2
+        assert "line 1: invalid JSON (Exceeds the limit" in capsys.readouterr().err
+
     def test_record_line_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "run.jsonl"
         path.write_text("[1, 2]\n")
@@ -402,6 +482,24 @@ class TestReport:
         assert "75.36%" in out
         assert "78.14%" in out
         assert "+2.78 pp" in out
+
+    @pytest.mark.parametrize("edit", [
+        lambda header, it: it.update(scored="x"),
+        lambda header, it: it["scored"][0].update(accuracy="high"),
+        lambda header, it: header.update(dataset=["a"]),
+        lambda header, it: header.update(budget=[1]),
+        lambda header, it: it.update(candidates=3),
+        lambda header, it: it["scored"][0].pop("template"),
+    ], ids=["scored-string", "accuracy-string", "dataset-list", "budget-list",
+            "candidates-int", "scored-without-template"])
+    def test_malformed_record_exit_2(self, tmp_path, capsys, edit):
+        lines = fixtures.fixture_path("reference_run.jsonl").read_text().splitlines()
+        header, first = json.loads(lines[0]), json.loads(lines[1])
+        edit(header, first)
+        path = tmp_path / "run.jsonl"
+        path.write_text(json.dumps(header) + "\n" + json.dumps(first) + "\n")
+        assert run(["report", path]) == 2
+        assert "run.jsonl is not a readable run record" in capsys.readouterr().err
 
     def test_header_only_record_exit_2(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"

@@ -37,6 +37,24 @@ def test_imports_match_declared_dependencies():
     assert third_party_imports() == declared_dependencies()
 
 
+def test_only_the_gateway_builds_reply_caches_or_imports_requests():
+    """The choke point that the gateway's docstring claims, checked on the syntax tree."""
+    found = set()
+    for path in (ROOT / "src" / "lpo").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                names = {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+            elif isinstance(node, ast.Import):
+                names = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = {node.module.split(".")[0]}
+            else:
+                continue
+            if names & {"ResponseCache", "requests"}:
+                found.add(path.name)
+    assert found == {"gateway.py"}
+
+
 @pytest.mark.parametrize("module", ["scipy", "requests", "concurrent.futures"])
 def test_import_leaves_unloaded(module):
     code = f"import sys, lpo; print({module!r} in sys.modules)"

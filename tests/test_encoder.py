@@ -68,12 +68,25 @@ class TestEncode:
     def test_cache_skips_backend_calls(self):
         spec = hash_spec()
         seeds = templates(["p1 {text}", "p2 {text}"])
-        cache = {}
         b = budget()
-        encode(spec, seeds, b, cache=cache)
+        encode(spec, seeds, b)
         assert call_count(spec.backend) == 1
-        encode(spec, seeds, b, cache=cache)
+        encode(spec, seeds, b)
         assert call_count(spec.backend) == 1  # fully served from cache
+
+    def test_two_backends_on_one_budget_keep_their_own_vectors(self):
+        def map_spec(vector):
+            backend = BackendConfig(kind="mock", behavior="map",
+                                    params={"vectors": {"p1 {text}": vector}})
+            return EncoderSpec(backend=backend, dimension=2)
+
+        first, second = map_spec([1.0, 0.0]), map_spec([0.0, 1.0])
+        b, seeds = budget(), templates(["p1 {text}"])
+        for _ in range(2):
+            assert encode(first, seeds, b)[0].tolist() == [1.0, 0.0]
+            assert encode(second, seeds, b)[0].tolist() == [0.0, 1.0]
+        assert (call_count(first.backend), call_count(second.backend)) == (1, 1)
+        assert len(b.embeddings) == 2
 
     def test_empty_templates(self):
         with pytest.raises(ValidationError, match="no templates"):

@@ -75,11 +75,10 @@ class TestClassifyOne:
 
     def test_cache_serves_second_call(self):
         cfg = config(scripted_task({"good day": "Positive"}))
-        cache = ResponseCache()
         ex = Example(text="good day", label="positive")
         b = budget()
-        first = classify_one(TEMPLATE, ex, cfg, b, cache)
-        second = classify_one(TEMPLATE, ex, cfg, b, cache)
+        first = classify_one(TEMPLATE, ex, cfg, b)
+        second = classify_one(TEMPLATE, ex, cfg, b)
         assert first == second
         assert call_count(cfg.task_backend) == 1
         assert b.calls == 1
@@ -87,11 +86,12 @@ class TestClassifyOne:
     def test_unreadable_cache_file_falls_back_to_live(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
         path.write_text("{broken json\n")
-        with caplog.at_level("WARNING", logger="lpo.evaluator"), ResponseCache(path) as cache:
+        b = budget()
+        with caplog.at_level("WARNING", logger="lpo.evaluator"), b.replies_from(path):
             assert any("unreadable cache" in r.message for r in caplog.records)
             cfg = config(scripted_task({"good day": "Positive"}), cache_path=path)
             raw = classify_one(TEMPLATE, Example(text="good day", label="positive"),
-                               cfg, budget(), cache)
+                               cfg, b)
         assert raw == "Positive"
 
     def test_without_cache_leaves_the_cache_file_alone(self, tmp_path, monkeypatch):
@@ -522,18 +522,19 @@ class TestCachePersistence:
         ds = Dataset(examples=tuple(examples), label_set=("negative", "positive"))
         template = validate_template("tone=0.3;steps=0.7 {text}", template_id="toy")
 
-        def score(target, cache_path=None):
+        def score(target, cache_path=None, spent=None):
             task = BackendConfig(kind="mock", behavior="toy_task", params={
                 "parameters": ["tone", "steps"], "target": list(target),
                 "examples": [{"text": ex.text, "label": ex.label} for ex in examples]})
             return evaluate(template, ds, config(task, cache_path=cache_path),
-                            budget()).accuracy
+                            spent or budget()).accuracy
 
         live = {target: score(target) for target in ((0.3, 0.7), (0.9, 0.1))}
         assert live[(0.3, 0.7)] != live[(0.9, 0.1)]
-        shared = tmp_path / "cache.jsonl"
+        shared, one_budget = tmp_path / "cache.jsonl", budget()  # a file, and one run's memory
         for target, accuracy in live.items():
             assert score(target, shared) == accuracy
+            assert score(target, spent=one_budget) == accuracy
 
     def test_handlers_of_one_name_keep_their_own_replies(self, tmp_path):
         shared = tmp_path / "cache.jsonl"
