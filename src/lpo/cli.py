@@ -325,9 +325,6 @@ def main(argv: list[str] | None = None) -> int:
                 return cmd_config_init(args.out, args.force)
             return cmd_config_toy(args.dest)
         raise ValidationError(f"unknown command {args.command!r}")
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BudgetExhaustedError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3

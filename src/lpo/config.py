@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -97,7 +98,6 @@ budget:
 class AppConfig:
     """Validated, fully resolved run configuration."""
 
-    path: Path
     out_dir: Path
     train_path: Path
     test_path: Path | None
@@ -126,11 +126,6 @@ class AppConfig:
 
     def budget(self) -> Budget:
         return Budget(max_calls=self.max_calls, max_total_tokens=self.max_total_tokens)
-
-
-def _given(raw: dict, casts: dict[str, Callable]) -> dict:
-    """The keys a section sets, coerced; the dataclasses hold every default."""
-    return {key: cast(raw[key]) for key, cast in casts.items() if key in raw}
 
 
 def _boolean(key: str) -> Callable:
@@ -170,6 +165,28 @@ def _built(errors: list[str], where: str, build: Callable):
         return None
 
 
+def _given(errors: list[str], where: str, raw: dict, casts: dict[str, Callable | None],
+           make: Callable = dict):
+    """``make(**keys)`` of the keys a section sets, each coerced by its cast;
+    None if a cast or ``make`` fails. The dataclasses hold every default.
+
+    A key cast by None is read elsewhere. Each unknown key and each failed
+    cast is listed with its key named, as ``<where>.<key>: error``.
+    """
+    given, failed = {}, False
+    for key, value in raw.items():
+        name = f"{where}.{key}" if where else str(key)
+        if key not in casts:
+            errors.append(f"{name}: unknown key")
+        elif casts[key] is not None:
+            try:
+                given[key] = casts[key](value)
+            except _CONFIG_ERRORS as exc:
+                errors.append(f"{name}: {exc}")
+                failed = True
+    return None if failed else _built(errors, where, lambda: make(**given))
+
+
 def _resolve(base: Path, value) -> Path | None:
     """The path a config value names, relative to ``base`` unless absolute."""
     if value is not None and (not isinstance(value, str) or "\0" in value):
@@ -194,8 +211,8 @@ def _build_backend(raw, base: Path, errors: list[str], where: str) -> BackendCon
                 errors.append(f"{where}: backend dataset file not found: {params['dataset']}")
             return None
         params["dataset"] = str(resolved)
-    return _built(errors, where,
-                  lambda: BackendConfig(params=params, **_given(raw, _BACKEND_KEYS)))
+    return _given(errors, where, raw, {**_BACKEND_KEYS, "params": None},
+                  partial(BackendConfig, params=params))
 
 
 def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
@@ -218,6 +235,8 @@ def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
     if not isinstance(raw, dict):
         return None, ["config root must be a mapping"]
     base = path.parent
+    _given(errors, "", raw, dict.fromkeys(
+        ["out_dir", "dataset", "encoder", "decode", "policy", "optimizer", "evaluator", "budget"]))
 
     def section(name: str) -> dict:
         value = raw.get(name)
@@ -244,14 +263,16 @@ def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
     if labels is not None and not (isinstance(labels, list)
                                    and all(isinstance(label, str) for label in labels)):
         errors.append(f"dataset.labels: must be a list of labels, got {labels!r}")
-    split = _built(errors, "dataset", lambda: SplitSpec(
-        **_given(ds, {"validation_fraction": float, "rng_seed": int})))
+    split = _given(errors, "dataset", ds, {
+        "train": None, "test": None, "labels": None, "validation_fraction": float,
+        "rng_seed": int}, SplitSpec)
 
     enc = section("encoder")
     enc_backend = backend("encoder", enc, "backend")
-    encoder_spec = None if enc_backend is None else _built(errors, "encoder", lambda: EncoderSpec(
-        backend=enc_backend,
-        **_given(enc, {"dimension": int, "normalize": _boolean("normalize")})))
+    enc_keys = _given(errors, "encoder", enc, {
+        "backend": None, "dimension": int, "normalize": _boolean("normalize")})
+    encoder_spec = None if None in (enc_backend, enc_keys) else _built(
+        errors, "encoder", lambda: EncoderSpec(backend=enc_backend, **enc_keys))
 
     dec = section("decode")
     chat_backend = dec.get("chat_backend")
@@ -267,17 +288,16 @@ def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
     proj_path = dec.get("projector_path")
     proj = None if proj_path is None else _built(
         errors, "decode.projector_path", lambda: load_weights(_resolve(base, proj_path)))
-    decode_strategy = _built(errors, "decode", lambda: DecodeStrategy(
-        chat=chat_backend, toy_space=toy_space, projector=proj,
-        **_given(dec, {"kind": str, "decode_temperature": float,
-                       "refinement_temperature": float})))
+    decode_strategy = _given(errors, "decode", dec, {
+        "chat_backend": None, "toy_parameters": None, "projector_path": None, "kind": str,
+        "decode_temperature": float, "refinement_temperature": float},
+        partial(DecodeStrategy, chat=chat_backend, toy_space=toy_space, projector=proj))
 
-    policy = _built(errors, "policy",
-                    lambda: ExplorationPolicy(**_given(section("policy"), _POLICY_KEYS)))
+    policy = _given(errors, "policy", section("policy"), _POLICY_KEYS, ExplorationPolicy)
     # cast even when a part failed, so every error is listed
-    opt = _built(errors, "optimizer", lambda: _given(section("optimizer"), {
+    opt = _given(errors, "optimizer", section("optimizer"), {
         "select_n": int, "max_iterations": int, "patience": int,
-        "keep_seeds": _boolean("keep_seeds")}))
+        "keep_seeds": _boolean("keep_seeds")})
     optimizer_cfg = None if None in (opt, policy, encoder_spec, decode_strategy) else _built(
         errors, "optimizer", lambda: OptimizerConfig(
             policy=policy, encoder=encoder_spec, decode=decode_strategy, **opt))
@@ -286,19 +306,19 @@ def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
     task_backend = backend("evaluator", ev, "task_backend")
     extraction_backend = backend("evaluator", ev, "extraction_backend")
     # validated even when a backend failed, so every error is listed
-    evaluator = _built(errors, "evaluator", lambda: EvalConfig(
-        task_backend=task_backend, extraction_backend=extraction_backend,
-        **_given(ev, {"max_examples": int, "temperature": float})))
+    evaluator = _given(errors, "evaluator", ev, {
+        "task_backend": None, "extraction_backend": None, "max_examples": int,
+        "temperature": float},
+        partial(EvalConfig, task_backend=task_backend, extraction_backend=extraction_backend))
 
-    limits = _built(errors, "budget", lambda: Budget(
-        **_given(section("budget"), {"max_calls": int, "max_total_tokens": int})))
+    limits = _given(errors, "budget", section("budget"),
+                    {"max_calls": int, "max_total_tokens": int}, Budget)
     # null means the default, as an omitted key does
     out_dir = _built(errors, "out_dir", lambda: _resolve(base, raw.get("out_dir"))) or base / "out"
 
     if errors:
         return None, errors
     return AppConfig(
-        path=path,
         out_dir=out_dir,
         train_path=train_path,
         test_path=test_path,

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -290,12 +290,17 @@ def write_atomic(path: str | Path, lines: Iterable[str]) -> None:
         raise
 
 
-def jsonable(value):
-    """Plain JSON data for records and cache keys; callables by name."""
+def _callable_name(fn) -> str:
+    # stable stand-in; a repr would embed a memory address and break record determinism
+    return f"<callable {getattr(fn, '__qualname__', fn.__class__.__name__)}>"
+
+
+def jsonable(value, name: Callable[[Callable], str] = _callable_name):
+    """Plain JSON data for records and cache keys; a callable as ``name(callable)``."""
     if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
+        return {str(k): jsonable(v, name) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
+        return [jsonable(v, name) for v in value]
     if isinstance(value, np.ndarray):
         return [float(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):
@@ -303,9 +308,7 @@ def jsonable(value):
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if callable(value):
-        # stable stand-in; a repr would embed a memory address and break
-        # record determinism
-        return f"<callable {getattr(value, '__qualname__', value.__class__.__name__)}>"
+        return name(value)
     return repr(value)
 
 

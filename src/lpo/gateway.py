@@ -1,10 +1,16 @@
 """Single choke point for all black-box LLM access.
 
-Chat-style generation and text embedding both go through here, with retry,
-budget enforcement, usage accounting and a per-backend in-flight cap. No
+Chat-style generation and text embedding both go through here, and no
 other module in this package performs network access. Mock backends are
-dispatched here too, so they are budgeted and counted like remote ones; their
-behaviors live in :mod:`lpo.mocks`.
+dispatched here too; their behaviors live in :mod:`lpo.mocks`.
+
+Every call, chat or embed, mock or remote, takes one path, ``_call``: it
+reserves a slot in the run's :class:`Budget`, checks that the backend kind
+serves the job, then makes the attempt under the backend's in-flight cap,
+retrying transient failures with exponential backoff and counting each
+attempt. A failure hands the slot back; a success settles the call's usage
+and counts the call. :func:`chat` and :func:`embed` add only their own
+checks of the request and the reply.
 
 A :class:`BackendConfig` is frozen; each one builds its own private run
 state (lock, in-flight cap, counters, mock scratch). There the gateway notes
@@ -333,14 +339,6 @@ def _callable_tag(fn) -> str:
     return f"<callable {getattr(fn, '__qualname__', type(fn).__qualname__)} #{entry[1]}>"
 
 
-def _tag_callables(value):
-    if isinstance(value, dict):
-        return {k: _tag_callables(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_tag_callables(v) for v in value]
-    return _callable_tag(value) if callable(value) else value
-
-
 def backend_fingerprint(cfg: BackendConfig) -> str:
     """Digest of what decides a backend's replies: kind, resolved endpoint,
     model, mock behavior and params. Response-cache keys include it.
@@ -352,56 +350,67 @@ def backend_fingerprint(cfg: BackendConfig) -> str:
     """
     endpoint = _resolve_endpoint(cfg) if cfg.kind != "mock" else ""
     return text_digest(json.dumps(jsonable(
-        [cfg.kind, endpoint, cfg.model_name, cfg.behavior, _tag_callables(cfg.params)]),
+        [cfg.kind, endpoint, cfg.model_name, cfg.behavior, cfg.params], _callable_tag),
         sort_keys=True))
 
 
-def _call_with_retries(cfg: BackendConfig, label: str, fn: Callable):
-    last: Exception | None = None
-    for attempt in range(1, cfg.max_attempts + 1):
-        with cfg._runtime.lock:
-            cfg._runtime.attempts += 1
-        try:
-            with cfg._runtime.in_flight:
-                started, cpu_started = time.perf_counter(), time.thread_time()
-                try:
-                    return fn()
-                finally:
-                    cpu = time.thread_time() - cpu_started
-                    waited = time.perf_counter() - started - cpu > cpu
-                    with cfg._runtime.lock:
-                        cfg._runtime.tally += 1 if waited else -1
-        except TransientBackendError as exc:
-            last = exc
-            logger.warning("%s attempt %d/%d failed: %s", label, attempt, cfg.max_attempts, exc)
-            if attempt < cfg.max_attempts and cfg.backoff_base > 0:
-                time.sleep(cfg.backoff_base * (2 ** (attempt - 1)))
-    raise BackendError(
-        f"{label} unreachable after {cfg.max_attempts} attempt(s): {last}"
-    )
+_SERVED = {"chat": "chat", "embed": "embeddings"}
+
+
+def _call(cfg: BackendConfig, budget: Budget, job: str, attempt: Callable, mock: Callable,
+          remote: Callable, refusal: str | None = None):
+    """Make one budgeted call from start to end (see the module docstring).
+
+    ``attempt(backend)`` tries ``mock`` or ``remote`` once and returns ``(reply,
+    (prompt_tokens, completion_tokens))``. ``refusal`` is why a remote backend refuses.
+    """
+    budget.ensure_available()
+    try:
+        if cfg.kind == "mock":
+            label, backend = f"mock {job} [{cfg.behavior}]", mock
+        elif cfg.kind != f"remote_{job}":
+            raise ValidationError(f"backend kind {cfg.kind!r} does not serve {_SERVED[job]}")
+        elif refusal is not None:
+            raise BackendError(refusal)
+        else:
+            label, backend = f"{job} {cfg.model_name}", remote
+        for attempts in range(1, cfg.max_attempts + 1):
+            with cfg._runtime.lock:
+                cfg._runtime.attempts += 1
+            try:
+                with cfg._runtime.in_flight:
+                    started, cpu_started = time.perf_counter(), time.thread_time()
+                    try:
+                        reply, usage = attempt(backend)
+                        break
+                    finally:
+                        cpu = time.thread_time() - cpu_started
+                        waited = time.perf_counter() - started - cpu > cpu
+                        with cfg._runtime.lock:
+                            cfg._runtime.tally += 1 if waited else -1
+            except TransientBackendError as exc:
+                last = exc
+                logger.warning("%s attempt %d/%d failed: %s", label, attempts, cfg.max_attempts,
+                               exc)
+                if attempts < cfg.max_attempts and cfg.backoff_base > 0:
+                    time.sleep(cfg.backoff_base * (2 ** (attempts - 1)))
+        else:
+            raise BackendError(f"{label} unreachable after {cfg.max_attempts} attempt(s): {last}")
+    except BaseException:
+        budget.release()
+        raise
+    budget.record(*usage)
+    with cfg._runtime.lock:
+        cfg._runtime.calls += 1
+    return reply
 
 
 def chat(cfg: BackendConfig, req: ChatRequest, budget: Budget) -> ChatResponse:
     """Issue one chat call, retrying transient failures, charging the budget."""
-    budget.ensure_available()
-    try:
-        if cfg.kind == "mock":
-            resp = _call_with_retries(cfg, f"mock chat [{cfg.behavior}]",
-                                      lambda: _mock_chat(cfg, req))
-        elif cfg.kind == "remote_chat":
-            if req.soft_prompt is not None:
-                raise BackendError("soft-prompt injection is not supported by remote backends")
-            resp = _call_with_retries(cfg, f"chat {cfg.model_name}",
-                                      lambda: _remote_chat(cfg, req))
-        else:
-            raise ValidationError(f"backend kind {cfg.kind!r} does not serve chat")
-    except BaseException:
-        budget.release()
-        raise
-    budget.record(resp.prompt_tokens, resp.completion_tokens)
-    with cfg._runtime.lock:
-        cfg._runtime.calls += 1
-    return resp
+    refusal = (None if req.soft_prompt is None
+               else "soft-prompt injection is not supported by remote backends")
+    return _call(cfg, budget, "chat", lambda backend: backend(cfg, req), _mock_chat, _remote_chat,
+                 refusal)
 
 
 def embed(cfg: BackendConfig, texts: Sequence[str], budget: Budget) -> list[np.ndarray]:
@@ -412,28 +421,17 @@ def embed(cfg: BackendConfig, texts: Sequence[str], budget: Budget) -> list[np.n
     """
     if not texts:
         raise ValidationError("embed called with an empty text list")
-    budget.ensure_available()
-    try:
-        if cfg.kind == "mock":
-            vectors, usage = _call_with_retries(
-                cfg, f"mock embed [{cfg.behavior}]", lambda: _mock_embed(cfg, texts))
-        elif cfg.kind == "remote_embed":
-            vectors, usage = _call_with_retries(
-                cfg, f"embed {cfg.model_name}", lambda: _remote_embed(cfg, texts))
-        else:
-            raise ValidationError(f"backend kind {cfg.kind!r} does not serve embeddings")
+
+    def attempt(backend: Callable) -> tuple[list[np.ndarray], tuple[int, int]]:
+        vectors, usage = backend(cfg, texts)
         if len(vectors) != len(texts):
             raise BackendError(f"backend returned {len(vectors)} vectors for {len(texts)} texts")
         dims = {v.size for v in vectors}
         if len(dims) > 1:
             raise BackendError(f"embedding dimension mismatch within batch: {sorted(dims)}")
-    except BaseException:
-        budget.release()
-        raise
-    budget.record(usage[0], usage[1])
-    with cfg._runtime.lock:
-        cfg._runtime.calls += 1
-    return vectors
+        return vectors, usage
+
+    return _call(cfg, budget, "embed", attempt, _mock_embed, _remote_embed)
 
 
 # --- remote wire ----------------------------------------------------------
@@ -473,7 +471,7 @@ def _post_json(cfg: BackendConfig, payload: dict) -> dict:
         raise BackendError(f"backend reply is not JSON: {exc}") from exc
 
 
-def _remote_chat(cfg: BackendConfig, req: ChatRequest) -> ChatResponse:
+def _remote_chat(cfg: BackendConfig, req: ChatRequest) -> tuple[ChatResponse, tuple[int, int]]:
     messages = []
     if req.system_text:
         messages.append({"role": "system", "content": req.system_text})
@@ -489,12 +487,9 @@ def _remote_chat(cfg: BackendConfig, req: ChatRequest) -> ChatResponse:
         text = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
         raise BackendError(f"malformed chat reply: missing choices/message ({exc!r})") from exc
-    usage = body.get("usage") or {}
-    return ChatResponse(
-        text=str(text),
-        prompt_tokens=int(usage.get("prompt_tokens", 0)),
-        completion_tokens=int(usage.get("completion_tokens", 0)),
-    )
+    counts = body.get("usage") or {}
+    usage = int(counts.get("prompt_tokens", 0)), int(counts.get("completion_tokens", 0))
+    return ChatResponse(str(text), *usage), usage
 
 
 def _remote_embed(cfg: BackendConfig, texts: Sequence[str]) -> tuple[list[np.ndarray], tuple[int, int]]:
@@ -518,11 +513,10 @@ def _mock_behavior(table: dict, what: str, cfg: BackendConfig) -> Callable:
         raise ValidationError(f"unknown mock {what} behavior {cfg.behavior!r}") from None
 
 
-def _mock_chat(cfg: BackendConfig, req: ChatRequest) -> ChatResponse:
+def _mock_chat(cfg: BackendConfig, req: ChatRequest) -> tuple[ChatResponse, tuple[int, int]]:
     reply = _mock_behavior(MOCK_CHAT_BEHAVIORS, "chat", cfg)(cfg, req)
-    prompt_tokens, completion_tokens = mocks.usage(cfg, [req.user_text], reply)
-    return ChatResponse(text=reply, prompt_tokens=prompt_tokens,
-                        completion_tokens=completion_tokens)
+    usage = mocks.usage(cfg, [req.user_text], reply)
+    return ChatResponse(reply, *usage), usage
 
 
 def _mock_embed(cfg: BackendConfig, texts: Sequence[str]) -> tuple[list[np.ndarray], tuple[int, int]]:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import lpo.gateway as gw
 from lpo import fixtures
 from lpo.cli import main
-from lpo.config import load_app_config
+from lpo.config import AppConfig, load_app_config
+from lpo.gateway import Budget
 
 
 @pytest.fixture
@@ -114,6 +115,29 @@ class TestOptimize:
         code = run(["evaluate", "--config", toy_workspace / "tight.yaml",
                     "--prompts", toy_workspace / "seeds.jsonl"])
         assert code == 3
+
+    def test_budget_gone_before_iteration_1_exits_3(self, toy_workspace, capsys, monkeypatch):
+        spent = Budget(max_calls=1)
+        spent.ensure_available()
+        spent.record(0, 0)
+        monkeypatch.setattr(AppConfig, "budget", lambda self: spent)
+        code = run(["optimize", "--config", toy_workspace / "config.yaml",
+                    "--seeds", toy_workspace / "seeds.jsonl"])
+        assert code == 3
+        assert "budget exhausted: call budget exhausted (1/1 calls)" in capsys.readouterr().err
+        assert not (toy_workspace / "out" / "run_record.jsonl").exists()
+
+    def test_report_prints_a_partial_run_s_warnings(self, toy_workspace, capsys):
+        config_text = (toy_workspace / "config.yaml").read_text()
+        (toy_workspace / "tight.yaml").write_text(
+            config_text.replace("max_calls: 100000", "max_calls: 30"))
+        assert run(["optimize", "--config", toy_workspace / "tight.yaml",
+                    "--seeds", toy_workspace / "seeds.jsonl"]) == 0
+        capsys.readouterr()
+        assert run(["report", toy_workspace / "out" / "run_record.jsonl"]) == 0
+        out = capsys.readouterr().out
+        assert "warning: stopped after iteration 1: budget exhausted" in out
+        assert "warning: budget exhausted during" in out
 
     def test_backend_failure_exit_4(self, toy_workspace):
         config_text = (toy_workspace / "config.yaml").read_text()
@@ -229,8 +253,8 @@ EDITS = [  # (key, YAML value, what stderr must name)
     ("decode.projector_path", "5", "decode.projector_path: must be a path, got 5"),
     ("dataset.labels", "[1, 2]", "dataset.labels: must be a list of labels, got [1, 2]"),
     ("decode.toy_parameters", "[[1]]", "decode.toy_parameters: unhashable"),
-    ("encoder.dimension", ".inf", "encoder: cannot convert float infinity"),
-    ("budget.max_calls", ".inf", "budget: cannot convert float infinity"),
+    ("encoder.dimension", ".inf", "encoder.dimension: cannot convert float infinity"),
+    ("budget.max_calls", ".inf", "budget.max_calls: cannot convert float infinity"),
     ("evaluator.temperature", ".nan", "evaluator: temperature must be finite"),
     ("decode.decode_temperature", ".nan", "decode: temperatures must be finite"),
     ("decode.refinement_temperature", ".inf", "decode: temperatures must be finite"),
@@ -246,6 +270,11 @@ EDITS = [  # (key, YAML value, what stderr must name)
     ("evaluator.task_backend", "0", "evaluator.task_backend: backend must be a mapping"),
     ("evaluator.extraction_backend", "''",
      "evaluator.extraction_backend: backend must be a mapping"),
+    ("evaluator.max_exampels", "3", "evaluator.max_exampels: unknown key"),
+    ("evalutor", "{max_examples: 3}", "evalutor: unknown key"),
+    ("evaluator.task_backend.max_inflight", "16",
+     "evaluator.task_backend.max_inflight: unknown key"),
+    ("policy.blend_range", "{}", "policy.blend_range: "),
 ]
 
 

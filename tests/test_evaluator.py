@@ -516,6 +516,40 @@ class TestCachePersistence:
         assert (reloaded.get("k1"), reloaded.get("k3")) == ("v1", "v3")
         assert reloaded.skipped == 1
 
+    def test_failed_append_leaves_only_its_own_line_torn(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+
+        class FullDisk:
+            """Writes part of its first line, then fails as a full disk would."""
+
+            def __init__(self, fh):
+                self.fh, self.failed = fh, False
+
+            def write(self, text):
+                if self.failed:
+                    return self.fh.write(text)
+                self.failed = True
+                self.fh.write(text[:12])
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+
+            def flush(self):
+                self.fh.flush()
+
+            def close(self):
+                self.fh.close()
+
+        with caplog.at_level("WARNING"), ResponseCache(path) as cache:
+            cache.put("k1", "v1")
+            cache._fh = FullDisk(cache._fh)
+            cache.put("k2", "v2")
+            assert any("could not append" in r.message for r in caplog.records)
+            assert cache.get("k2") == "v2"  # still served from memory in this run
+            cache.put("k3", "v3")
+        reloaded = ResponseCache(path)
+        assert (reloaded.get("k1"), reloaded.get("k2"), reloaded.get("k3")) == ("v1", None, "v3")
+        assert reloaded.skipped == 1
+
     def test_backends_sharing_a_cache_file_keep_their_own_replies(self, tmp_path):
         examples = [Example(text=f"sample-{i:02d}", label="positive" if i % 2 else "negative")
                     for i in range(1, 21)]

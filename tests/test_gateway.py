@@ -485,6 +485,94 @@ class TestFingerprint:
             "fn": "<callable TestFingerprint.handler_backend.<locals>.handler>"}
 
 
+    def test_callable_free_fingerprint_is_pinned(self):
+        # cache files written before keep hitting only while this digest holds
+        cfg = BackendConfig(kind="mock", behavior="fixed", params={
+            "reply": "x", "usage": [1, 2], 3: {"a": (1, 2.5, None, True)}, "v": np.float64(0.5)})
+        assert backend_fingerprint(cfg) == (
+            "39ed318877066f5d66a186ce69d549006422f54fbb1452eefc4baee13295e303")
+
+    def test_nested_callables_are_tagged_in_walk_order(self):
+        def handler(req):
+            return "x"
+
+        cfg = BackendConfig(kind="mock", behavior="handler",
+                            params={"fn": handler, "more": [{"g": len}]})
+        fingerprint = backend_fingerprint(cfg)
+        tags = gw._callable_tag(handler), gw._callable_tag(len)
+        assert fingerprint == gw.text_digest(json.dumps(
+            ["mock", "", "", "handler", {"fn": tags[0], "more": [{"g": tags[1]}]}],
+            sort_keys=True))
+
+
+EMBED_OK = {"data": [{"embedding": [0.1, 0.2]}, {"embedding": [0.3, 0.4]}],
+            "usage": {"prompt_tokens": 6}}
+JOBS = {  # job: (backend kind, one call, good reply, malformed reply, its error)
+    "chat": ("remote_chat", lambda cfg, budget: chat(cfg, ChatRequest(user_text="x"), budget),
+             chat_body("fine", 4, 2), {"choices": []}, "malformed chat reply"),
+    "embed": ("remote_embed", lambda cfg, budget: embed(cfg, ["a", "b"], budget),
+              EMBED_OK, {"data": EMBED_OK["data"][:1]}, "returned 1 vectors for 2 texts"),
+}
+OUTCOMES = {  # outcome: (HTTP statuses in turn, error raised, attempts)
+    "transient_then_ok": ([500, 200], None, 2),
+    "unreachable": ([503, 503], "{job} m unreachable after 2 attempt", 2),
+    "permanent": ([400], "HTTP 400", 1),
+    "malformed": (["malformed"], None, 1),
+}
+
+
+class TestOneCallPath:
+    """``chat`` and ``embed`` share one path: reserve, dispatch, retry, settle, count."""
+
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    @pytest.mark.parametrize("job", JOBS)
+    def test_attempts_calls_and_budget(self, monkeypatch, job, outcome):
+        kind, call, good, malformed, malformed_error = JOBS[job]
+        statuses, error, attempts = OUTCOMES[outcome]
+        replies = iter(statuses)
+
+        def fake_post(url, **kwargs):
+            status = next(replies)
+            if status == "malformed":
+                return FakeResponse(200, malformed)
+            return FakeResponse(status, good if status == 200 else None, text="no")
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        cfg = BackendConfig(kind=kind, endpoint="https://api.test/v1", model_name="m",
+                            max_attempts=2, backoff_base=0.0)
+        budget = Budget(max_calls=3, max_total_tokens=100)
+        error = malformed_error if outcome == "malformed" else error and error.format(job=job)
+        if error is None:
+            call(cfg, budget)
+        else:
+            with pytest.raises(BackendError, match=error):
+                call(cfg, budget)
+        done = error is None
+        assert attempt_count(cfg) == attempts
+        assert call_count(cfg) == int(done)
+        assert usage_report(budget) == ((1, 6) if done else (0, 0))
+        assert budget.calls_left() == 3 - int(done)
+
+    @pytest.mark.parametrize("kind, job, error", [
+        ("remote_embed", "chat", "backend kind 'remote_embed' does not serve chat"),
+        ("remote_chat", "embed", "backend kind 'remote_chat' does not serve embeddings"),
+        ("remote_chat", "soft", "soft-prompt injection is not supported by remote backends"),
+    ])
+    def test_refusals_reserve_first_and_hand_the_slot_back(self, kind, job, error):
+        cfg = BackendConfig(kind=kind, endpoint="https://api.test/v1", model_name="m")
+        make = {"chat": lambda b: chat(cfg, ChatRequest(user_text="x"), b),
+                "embed": lambda b: embed(cfg, ["a"], b),
+                "soft": lambda b: chat(cfg, ChatRequest(user_text="x", soft_prompt=(0.1,)), b)}
+        budget = Budget(max_calls=1)
+        with pytest.raises((ValidationError, BackendError), match=re.escape(error)):
+            make[job](budget)
+        assert budget.calls_left() == 1 and attempt_count(cfg) == 0
+        budget.ensure_available()
+        budget.record(0, 0)
+        with pytest.raises(BudgetExhaustedError):  # the slot is reserved before the kind check
+            make[job](budget)
+
+
 class TestRepliesFrom:
     """``Budget.replies_from`` binds a cache file to one run's ledger for a block."""
 

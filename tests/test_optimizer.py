@@ -5,7 +5,7 @@ from helpers import build_toy_pipeline, circle_points, spy_on_response_caches, t
 from lpo.core import validate_template
 from lpo.errors import BudgetExhaustedError, ValidationError
 from lpo.evaluator import PerExample, ScoredPrompt
-from lpo.gateway import BackendConfig, call_count
+from lpo.gateway import BackendConfig, call_count, usage_report
 from lpo.optimizer import iterate, run_cycle, select_top
 from lpo.records import run_record_to_lines
 
@@ -239,6 +239,38 @@ class TestIterate:
             return lines
 
         assert normalized(run()) == normalized(run())
+
+    @staticmethod
+    def first_iteration(rng_seed):
+        """An unlimited one-iteration run and the calls it made."""
+        p = build_toy_pipeline(rng_seed=rng_seed)
+        record = iterate(p.seeds, p.cfg, p.eval_cfg, p.eval_set, p.budget)
+        return record.iterations[0], usage_report(p.budget)[0]
+
+    @staticmethod
+    def outcome(iteration):
+        return iteration.selected_ids, [(s.template.id, s.accuracy) for s in iteration.scored]
+
+    def test_budget_spent_by_one_iteration_stops_before_the_next(self):
+        first, calls = self.first_iteration(rng_seed=0)
+        p = build_toy_pipeline(rng_seed=0, max_iterations=3, patience=3, max_calls=calls)
+        record = iterate(p.seeds, p.cfg, p.eval_cfg, p.eval_set, p.budget)
+        # the next cycle's encode finds no call left; iteration 1 is kept whole
+        assert [it.partial for it in record.iterations] == [False]
+        assert self.outcome(record.iterations[0]) == self.outcome(first)
+        assert record.warnings == [
+            f"stopped before iteration 2: call budget exhausted ({calls}/{calls} calls)"]
+        assert record.budget_calls == calls
+
+    def test_budget_running_out_mid_cycle_stops_after_it(self):
+        first, calls = self.first_iteration(rng_seed=0)
+        p = build_toy_pipeline(rng_seed=0, max_iterations=3, patience=3, max_calls=calls + 5)
+        record = iterate(p.seeds, p.cfg, p.eval_cfg, p.eval_set, p.budget)
+        assert [it.partial for it in record.iterations] == [False, True]
+        assert self.outcome(record.iterations[0]) == self.outcome(first)
+        assert record.warnings[-1] == "stopped after iteration 2: budget exhausted"
+        assert any(w.startswith("budget exhausted during") for w in record.iterations[1].warnings)
+        assert record.budget_calls == calls + 5
 
     def test_budget_error_in_first_iteration_closes_the_cache(self, tmp_path, monkeypatch):
         made = spy_on_response_caches(monkeypatch)
