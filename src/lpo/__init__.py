@@ -7,6 +7,8 @@ backend, scored on a validation slice, and the top performers survive into
 the next round.
 """
 
+__version__ = "0.1.0"  # first: the gateway reads it while this package loads
+
 from .core import (
     Dataset,
     Example,
@@ -40,8 +42,6 @@ from .gateway import BackendConfig, Budget, ChatRequest, ChatResponse, chat, emb
 from .optimizer import OptimizerConfig, RunRecord, iterate, run_cycle, select_top
 from .projector import LinearProjector, PairedCorpus, apply, fit_ridge, load_weights, save_weights
 from .toyspace import ToySpaceSpec, toy_decode, toy_encode
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BackendConfig",

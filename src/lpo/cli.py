@@ -110,12 +110,10 @@ def cmd_evaluate(config_path: str, prompts_path: str, split: str,
         return _fail(problems, "evaluate")
     if split == "validation":
         eval_set = _validation_split(app)
-    elif split == "test":
-        if app.test_path is None:
-            return _fail(["dataset.test is not configured"], "evaluate")
-        eval_set = load_dataset(app.test_path, labels=app.labels)
+    elif app.test_path is None:
+        return _fail(["dataset.test is not configured"], "evaluate")
     else:
-        return _fail([f"unknown split {split!r}"], "evaluate")
+        eval_set = load_dataset(app.test_path, labels=app.labels)
     app.out_dir.mkdir(parents=True, exist_ok=True)
     eval_cfg = app.eval_config(split)
     budget = app.budget()
@@ -320,11 +318,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_fit_projector(args.pairs, args.reg, args.out, args.bias)
         if args.command == "report":
             return cmd_report(args.run_record)
-        if args.command == "config":
-            if args.config_command == "init":
-                return cmd_config_init(args.out, args.force)
-            return cmd_config_toy(args.dest)
-        raise ValidationError(f"unknown command {args.command!r}")
+        if args.config_command == "init":  # the one command left is config
+            return cmd_config_init(args.out, args.force)
+        return cmd_config_toy(args.dest)
     except BudgetExhaustedError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3

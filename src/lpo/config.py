@@ -128,15 +128,36 @@ class AppConfig:
         return Budget(max_calls=self.max_calls, max_total_tokens=self.max_total_tokens)
 
 
-def _boolean(key: str) -> Callable:
+def _boolean(value) -> bool:
     """Cast for a boolean key: YAML true/false only, since ``bool("false")`` is True."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"must be true or false, got {value!r}")
+    return value
 
-    def cast(value):
-        if not isinstance(value, bool):
-            raise ValidationError(f"{key} must be true or false, got {value!r}")
-        return value
 
-    return cast
+def _is_pair(value) -> bool:
+    return (isinstance(value, list) and len(value) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value))
+
+
+def _pair(value) -> tuple[float, float]:
+    """Cast for a [low, high] key: a list of exactly two numbers."""
+    if not _is_pair(value):
+        raise ValidationError(f"must be two numbers [low, high], got {value!r}")
+    return float(value[0]), float(value[1])
+
+
+def _pairs(value) -> tuple[tuple[float, float], ...]:
+    """Cast for a list of [low, high] bands."""
+    if not (isinstance(value, list) and all(map(_is_pair, value))):
+        raise ValidationError(f"must be a list of [low, high] pairs of numbers, got {value!r}")
+    return tuple(map(_pair, value))
+
+
+def _weights(mix) -> dict[str, float]:
+    if not isinstance(mix, dict):
+        raise ValidationError(f"must be a mapping of strategy to weight, got {mix!r}")
+    return {str(k): float(v) for k, v in mix.items()}
 
 
 _BACKEND_KEYS = {
@@ -145,9 +166,9 @@ _BACKEND_KEYS = {
     "max_in_flight": int, "behavior": str,
 }
 _POLICY_KEYS = {
-    "strategy_mix": lambda mix: {str(k): float(v) for k, v in mix.items()},
-    "blend_range": lambda band: (float(band[0]), float(band[1])),
-    "extrapolation_range": lambda bands: tuple((float(lo), float(hi)) for lo, hi in bands),
+    "strategy_mix": _weights,
+    "blend_range": _pair,
+    "extrapolation_range": _pairs,
     "sigma": lambda v: None if v is None else float(v),
     "rng_seed": int,
     "candidate_count": int,
@@ -270,7 +291,7 @@ def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
     enc = section("encoder")
     enc_backend = backend("encoder", enc, "backend")
     enc_keys = _given(errors, "encoder", enc, {
-        "backend": None, "dimension": int, "normalize": _boolean("normalize")})
+        "backend": None, "dimension": int, "normalize": _boolean})
     encoder_spec = None if None in (enc_backend, enc_keys) else _built(
         errors, "encoder", lambda: EncoderSpec(backend=enc_backend, **enc_keys))
 
@@ -297,7 +318,7 @@ def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
     # cast even when a part failed, so every error is listed
     opt = _given(errors, "optimizer", section("optimizer"), {
         "select_n": int, "max_iterations": int, "patience": int,
-        "keep_seeds": _boolean("keep_seeds")})
+        "keep_seeds": _boolean})
     optimizer_cfg = None if None in (opt, policy, encoder_spec, decode_strategy) else _built(
         errors, "optimizer", lambda: OptimizerConfig(
             policy=policy, encoder=encoder_spec, decode=decode_strategy, **opt))

@@ -21,11 +21,22 @@ out to ``max_in_flight`` threads only for a backend that blocks.
 Every call receives the run's ledger, a :class:`Budget`: ceilings, usage,
 replies and embeddings. Only this module builds a :class:`ResponseCache`.
 
-Remote wire protocol is JSON-over-HTTP in the de facto chat-completions /
-embeddings shape. Secrets are read from the environment variable named in
-the config (default ``LPO_API_KEY``); ``LPO_ENDPOINT`` overrides the
-configured endpoint. The mock chat backend additionally accepts an optional
-soft-prompt vector alongside the user text; remote backends reject it.
+The remote wire is one JSON POST per attempt, in the de facto
+chat-completions / embeddings shape, made with the standard library's
+``urllib.request`` (imported on the first remote call, so ``import lpo`` and
+a mock run never load it). The request carries ``Content-Type:
+application/json``, ``User-Agent: lpo/<version>`` and, when the environment
+variable named in the config (default ``LPO_API_KEY``) is set, ``Authorization:
+Bearer <key>``; ``LPO_ENDPOINT`` overrides the configured endpoint, and either
+must be an http(s) URL. HTTPS is checked against the system CA store
+(``SSL_CERT_FILE`` selects another). ``timeout`` bounds each socket
+operation: the connect and every read. Every transport failure becomes an
+lpo error: a status of 429 or 5xx, or a connection that is refused, times
+out, resets or ends its body short, is transient and retried; any other
+status of 300 or more (a 307/308 redirect is not re-sent) and a body that is
+not JSON are a :class:`BackendError`. The mock chat backend additionally
+accepts an optional soft-prompt vector alongside the user text; remote
+backends reject it.
 """
 
 from __future__ import annotations
@@ -42,10 +53,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
 
-from . import mocks
+from . import __version__, mocks
 from .core import as_vector, jsonable, text_digest
 from .errors import BackendError, BudgetExhaustedError, TransientBackendError, ValidationError
 from .mocks import MOCK_CHAT_BEHAVIORS, MOCK_EMBED_BEHAVIORS
@@ -285,8 +297,10 @@ class BackendConfig:
     def __post_init__(self) -> None:
         if self.kind not in BACKEND_KINDS:
             raise ValidationError(f"unknown backend kind {self.kind!r}")
-        if self.kind.startswith("remote") and not (self.endpoint and self.model_name):
-            raise ValidationError(f"{self.kind} backend requires endpoint and model_name")
+        if self.kind.startswith("remote"):
+            if not (self.endpoint and self.model_name):
+                raise ValidationError(f"{self.kind} backend requires endpoint and model_name")
+            _check_url(self.endpoint)
         if self.max_attempts < 1:
             raise ValidationError("max_attempts must be >= 1")
         if self.max_in_flight < 1:  # a semaphore of 0 would block the first call forever
@@ -437,15 +451,28 @@ def embed(cfg: BackendConfig, texts: Sequence[str], budget: Budget) -> list[np.n
 # --- remote wire ----------------------------------------------------------
 
 
-def _resolve_endpoint(cfg: BackendConfig) -> str:
-    endpoint = os.environ.get(ENDPOINT_ENV, "").strip() or cfg.endpoint
-    if not endpoint:
-        raise ValidationError("remote backend has no endpoint configured")
+def _check_url(endpoint: str) -> str:
+    """``endpoint``, if it is an http(s) URL with a host and, if it has one, a
+    port from 1 to 65535, written in printable ASCII without spaces (as a
+    request line must be: any other character is to be percent-encoded)."""
+    try:
+        parts = urlsplit(endpoint)
+        valid = (parts.scheme in ("http", "https") and bool(parts.hostname)
+                 and parts.port != 0  # a port that is not a number in range raises ValueError
+                 and endpoint.isascii() and endpoint.isprintable() and " " not in endpoint)
+    except ValueError:  # also an unclosed IPv6 bracket
+        valid = False
+    if not valid:
+        raise ValidationError(f"endpoint must be an http(s) URL, got {endpoint!r}")
     return endpoint
 
 
+def _resolve_endpoint(cfg: BackendConfig) -> str:
+    return _check_url(os.environ.get(ENDPOINT_ENV, "").strip() or cfg.endpoint)
+
+
 def _auth_headers(cfg: BackendConfig) -> dict[str, str]:
-    headers = {"Content-Type": "application/json"}
+    headers = {"Content-Type": "application/json", "User-Agent": f"lpo/{__version__}"}
     key = os.environ.get(cfg.api_key_env, "").strip()
     if key:
         headers["Authorization"] = f"Bearer {key}"
@@ -453,20 +480,25 @@ def _auth_headers(cfg: BackendConfig) -> dict[str, str]:
 
 
 def _post_json(cfg: BackendConfig, payload: dict) -> dict:
-    import requests  # here, so that only a remote call pays for importing it
+    import http.client, urllib.request  # here, so that only a remote call pays for them
 
-    url = _resolve_endpoint(cfg)
+    request = urllib.request.Request(_resolve_endpoint(cfg), json.dumps(payload).encode(),
+                                     _auth_headers(cfg))
     try:
-        response = requests.post(url, json=payload, headers=_auth_headers(cfg),
-                                 timeout=cfg.timeout)
-    except (requests.Timeout, requests.ConnectionError) as exc:
+        try:
+            response = urllib.request.urlopen(request, timeout=cfg.timeout)
+        except urllib.request.HTTPError as exc:  # an error status; its body is read below
+            response = exc
+        with response:
+            status, body = response.status, response.read()
+    except (OSError, http.client.HTTPException) as exc:
         raise TransientBackendError(f"connection failure: {exc}") from exc
-    if response.status_code == 429 or response.status_code >= 500:
-        raise TransientBackendError(f"HTTP {response.status_code}")
-    if response.status_code >= 400:
-        raise BackendError(f"HTTP {response.status_code}: {response.text[:200]}")
+    if status == 429 or status >= 500:
+        raise TransientBackendError(f"HTTP {status}")
+    if status >= 300:  # also a 307/308 redirect, which urllib does not re-send as a POST
+        raise BackendError(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
     try:
-        return response.json()
+        return json.loads(body)
     except ValueError as exc:
         raise BackendError(f"backend reply is not JSON: {exc}") from exc
 

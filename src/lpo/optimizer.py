@@ -288,8 +288,6 @@ def iterate(
                 run_warnings.append(f"stopped after iteration {index}: "
                                     f"no improvement for {no_improve} iteration(s)")
                 break
-            if not result.selected:
-                break
             current = result.selected
 
     calls, tokens = usage_report(budget)

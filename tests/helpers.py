@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import http.server
+import json
+import socket
+import socketserver
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,3 +166,67 @@ def spy_on_response_caches(monkeypatch) -> list:
 
     monkeypatch.setattr(gateway, "ResponseCache", SpyCache)
     return made
+
+
+class LoopbackServer:
+    """An HTTP server on 127.0.0.1 that answers each POST with the next reply
+    of its script, for tests of the remote wire.
+
+    A reply is ``(status, body)``: a dict or list body is sent as JSON, a str
+    as it is. Two replies misbehave: ``"stall"`` sends nothing until the
+    server stops (so the client times out), and ``"short"`` promises 100 body
+    bytes and sends 5. Each request is kept in ``received`` as ``(path,
+    headers, payload)``. Used as a context manager; on exit every handler
+    thread has been joined.
+    """
+
+    def __init__(self, *script):
+        self.script, self.received = list(script), []
+        self.stopping = threading.Event()
+        server = self
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                server.received.append((self.path, self.headers, payload))
+                reply = server.script.pop(0)
+                if reply == "stall":
+                    server.stopping.wait(30)
+                    return
+                status, body = (200, "12345") if reply == "short" else reply
+                data = (body if isinstance(body, str) else json.dumps(body)).encode()
+                self.send_response(status)
+                self.send_header("Content-Length", "100" if reply == "short" else str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, *args):
+                pass
+
+        class Server(socketserver.ThreadingMixIn, http.server.HTTPServer):
+            daemon_threads = False  # so that server_close joins every handler thread
+
+            def handle_error(self, request, client_address):
+                raise  # out of the handler thread, which fails the test
+
+        self._server = Server(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self._server.server_address[1]}"
+        self._thread = threading.Thread(target=self._server.serve_forever,
+                                        kwargs={"poll_interval": 0.05})
+
+    def __enter__(self) -> LoopbackServer:
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stopping.set()
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join()
+
+
+def closed_port_url() -> str:
+    """The URL of a port on 127.0.0.1 that nothing listens on (it was just freed)."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return f"http://127.0.0.1:{sock.getsockname()[1]}"

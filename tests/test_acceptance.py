@@ -9,11 +9,11 @@ the suite.
 import json
 import shutil
 import time
+import urllib.request
 from pathlib import Path
 
 import numpy as np
 import pytest
-import requests
 from helpers import (
     build_toy_pipeline,
     circle_points,
@@ -44,7 +44,7 @@ def no_network(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("network access attempted during acceptance run")
 
-    monkeypatch.setattr(requests, "post", forbidden)
+    monkeypatch.setattr(urllib.request, "urlopen", forbidden)
 
 
 def test_criterion_1_explorer_algebra():

@@ -1,7 +1,8 @@
 import json
+import re
+import urllib.request
 
 import pytest
-import requests
 import yaml
 from helpers import spy_on_response_caches
 from hypothesis import HealthCheck, example, given, settings
@@ -75,8 +76,30 @@ class TestOptimize:
                     "--seeds", toy_workspace / "seeds.jsonl"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "normalize must be true or false, got 'false'" in err
-        assert "keep_seeds must be true or false, got 'false'" in err
+        assert "encoder.normalize: must be true or false, got 'false'" in err
+        assert "optimizer.keep_seeds: must be true or false, got 'false'" in err
+
+    @pytest.mark.parametrize("endpoint, override", [
+        ("api.test/v1/chat", None), ("https://api.test/v1/chat", "api.test/v1/chat")])
+    def test_endpoint_that_is_not_an_http_url_exits_2(self, toy_workspace, capsys, monkeypatch,
+                                                       endpoint, override):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("backend called with an endpoint that is not a URL")
+
+        monkeypatch.setattr(urllib.request, "urlopen", forbidden)
+        if override is None:  # refused by the config loader, before any call
+            monkeypatch.setattr(gw, "_mock_chat", forbidden)
+            monkeypatch.setattr(gw, "_mock_embed", forbidden)
+        else:
+            monkeypatch.setenv("LPO_ENDPOINT", override)
+        config = edited_config(toy_workspace, "evaluator.task_backend",
+                               {"kind": "remote_chat", "endpoint": endpoint, "model_name": "m"})
+        code = run(["optimize", "--config", config, "--seeds", toy_workspace / "seeds.jsonl"])
+        err = capsys.readouterr().err
+        assert code == 2
+        where = "evaluator.task_backend: " if override is None else "error: "
+        assert where + "endpoint must be an http(s) URL, got 'api.test/v1/chat'" in err
+        assert "Traceback" not in err
 
     def test_dry_run_makes_zero_backend_calls(self, toy_workspace, capsys, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -84,7 +107,7 @@ class TestOptimize:
 
         monkeypatch.setattr(gw, "_mock_chat", forbidden)
         monkeypatch.setattr(gw, "_mock_embed", forbidden)
-        monkeypatch.setattr(requests, "post", forbidden)
+        monkeypatch.setattr(urllib.request, "urlopen", forbidden)
         code = run(["optimize", "--config", toy_workspace / "config.yaml",
                     "--seeds", toy_workspace / "seeds.jsonl", "--dry-run"])
         assert code == 0
@@ -138,6 +161,15 @@ class TestOptimize:
         out = capsys.readouterr().out
         assert "warning: stopped after iteration 1: budget exhausted" in out
         assert "warning: budget exhausted during" in out
+
+    def test_report_of_a_run_without_seeds_says_they_were_not_scored(self, toy_workspace,
+                                                                      capsys):
+        config = edited_config(toy_workspace, "optimizer.keep_seeds", False)
+        assert run(["optimize", "--config", config, "--seeds", toy_workspace / "seeds.jsonl"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^best prompt: \d+\.\d\d%  \[it1-\S+\] \(seeds not scored\)$", out,
+                         re.MULTILINE)
+        assert "baseline" not in out
 
     def test_backend_failure_exit_4(self, toy_workspace):
         config_text = (toy_workspace / "config.yaml").read_text()
@@ -274,7 +306,16 @@ EDITS = [  # (key, YAML value, what stderr must name)
     ("evalutor", "{max_examples: 3}", "evalutor: unknown key"),
     ("evaluator.task_backend.max_inflight", "16",
      "evaluator.task_backend.max_inflight: unknown key"),
-    ("policy.blend_range", "{}", "policy.blend_range: "),
+    ("policy.blend_range", "{}", "policy.blend_range: must be two numbers [low, high], got {}"),
+    ("policy.blend_range", "[1]", "policy.blend_range: must be two numbers [low, high], got [1]"),
+    ("policy.blend_range", "[0.3, 0.6, 0.9]",
+     "policy.blend_range: must be two numbers [low, high], got [0.3, 0.6, 0.9]"),
+    ("policy.blend_range", "{0: 0.4, 1: 0.6}",
+     "policy.blend_range: must be two numbers [low, high], got {0: 0.4, 1: 0.6}"),
+    ("policy.extrapolation_range", "[1, 2]",
+     "policy.extrapolation_range: must be a list of [low, high] pairs of numbers, got [1, 2]"),
+    ("policy.strategy_mix", "[1]",
+     "policy.strategy_mix: must be a mapping of strategy to weight, got [1]"),
 ]
 
 
@@ -549,7 +590,7 @@ class TestReport:
 
         monkeypatch.setattr(gw, "chat", forbidden)
         monkeypatch.setattr(gw, "embed", forbidden)
-        monkeypatch.setattr(requests, "post", forbidden)
+        monkeypatch.setattr(urllib.request, "urlopen", forbidden)
         assert run(["report", fixtures.fixture_path("reference_run.jsonl")]) == 0
 
 

@@ -37,7 +37,7 @@ def test_imports_match_declared_dependencies():
     assert third_party_imports() == declared_dependencies()
 
 
-def test_only_the_gateway_builds_reply_caches_or_imports_requests():
+def test_only_the_gateway_builds_reply_caches_or_imports_urllib_request():
     """The choke point that the gateway's docstring claims, checked on the syntax tree."""
     found = set()
     for path in (ROOT / "src" / "lpo").rglob("*.py"):
@@ -45,19 +45,32 @@ def test_only_the_gateway_builds_reply_caches_or_imports_requests():
             if isinstance(node, ast.Call):
                 names = {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
             elif isinstance(node, ast.Import):
-                names = {alias.name.split(".")[0] for alias in node.names}
+                names = {alias.name for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = {node.module.split(".")[0]}
+                names = {node.module} | {f"{node.module}.{alias.name}" for alias in node.names}
             else:
                 continue
-            if names & {"ResponseCache", "requests"}:
+            if names & {"ResponseCache", "urllib.request"}:
                 found.add(path.name)
     assert found == {"gateway.py"}
 
 
-@pytest.mark.parametrize("module", ["scipy", "requests", "concurrent.futures"])
+@pytest.mark.parametrize("module", ["scipy", "urllib.request", "http.client",
+                                    "concurrent.futures"])
 def test_import_leaves_unloaded(module):
     code = f"import sys, lpo; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip() == "False"
+
+
+def test_a_mock_run_loads_no_http_client(tmp_path):
+    """Only a remote call imports the wire; a toy ``lpo optimize`` never does."""
+    code = (f"import sys; from lpo import fixtures; from lpo.cli import main; "
+            f"fixtures.copy_toy_workspace({str(tmp_path)!r}); "
+            f"assert main(['optimize', '--config', {str(tmp_path / 'config.yaml')!r}, "
+            f"'--seeds', {str(tmp_path / 'seeds.jsonl')!r}]) == 0; "
+            f"print(sorted({{'urllib.request', 'http.client'}} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip().splitlines()[-1] == "[]"

@@ -94,6 +94,19 @@ class TestClassifyOne:
                                cfg, b)
         assert raw == "Positive"
 
+    def test_non_utf8_cache_file_is_ignored_with_one_warning(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(json.dumps({"key_hash": "k", "raw_output": "v"}).encode()
+                         + b"\n\xff\xfe\n")
+        b = budget()
+        cfg = config(scripted_task({"good day": "Positive"}), cache_path=path)
+        with caplog.at_level("WARNING"), b.replies_from(path):
+            assert b.replies.get("k") is None  # the whole file is set aside
+            raw = classify_one(TEMPLATE, Example(text="good day", label="positive"), cfg, b)
+        assert raw == "Positive" and call_count(cfg.task_backend) == 1
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 1 and warnings[0].startswith(f"ignoring unreadable cache {path}")
+
     def test_without_cache_leaves_the_cache_file_alone(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.jsonl"
         path.write_text("".join(json.dumps({"key_hash": f"k{i}", "raw_output": "x"}) + "\n"

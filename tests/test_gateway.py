@@ -1,17 +1,20 @@
 import json
+import operator
+import os
 import re
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-import requests
-from helpers import spy_on_response_caches
+from helpers import LoopbackServer, closed_port_url, spy_on_response_caches
 
+import lpo
 import lpo.gateway as gw
 from lpo.errors import BackendError, BudgetExhaustedError, ValidationError
 from lpo.gateway import (
@@ -201,23 +204,19 @@ class TestUsageAccounting:
             last = now
 
 
-class FakeResponse:
-    def __init__(self, status_code, body=None, text=""):
-        self.status_code = status_code
-        self._body = body
-        self.text = text or json.dumps(body)
-
-    def json(self):
-        if self._body is None:
-            raise ValueError("not json")
-        return self._body
-
-
 def chat_body(text, prompt_tokens=4, completion_tokens=2):
     return {
         "choices": [{"message": {"content": text}}],
         "usage": {"prompt_tokens": prompt_tokens, "completion_tokens": completion_tokens},
     }
+
+
+@pytest.fixture(autouse=True)
+def no_proxy(monkeypatch):
+    """Keep the remote tests' connections on 127.0.0.1, whatever proxy the environment names."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
 
 
 class TestRemoteChat:
@@ -229,62 +228,44 @@ class TestRemoteChat:
         return BackendConfig(**kwargs)
 
     def test_success_parses_text_and_usage(self, monkeypatch):
-        seen = {}
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            seen["url"] = url
-            seen["payload"] = json
-            seen["headers"] = headers
-            return FakeResponse(200, chat_body("All good", 11, 5))
-
-        monkeypatch.setattr(requests, "post", fake_post)
         monkeypatch.setenv("LPO_API_KEY", "secret-key")
         budget = big_budget()
-        resp = chat(self.remote_cfg(), ChatRequest(user_text="hi", system_text="sys"), budget)
+        with LoopbackServer((200, chat_body("All good", 11, 5))) as server:
+            cfg = self.remote_cfg(endpoint=server.url + "/v1/chat")
+            resp = chat(cfg, ChatRequest(user_text="hi", system_text="sys"), budget)
         assert resp.text == "All good"
         assert (resp.prompt_tokens, resp.completion_tokens) == (11, 5)
         assert usage_report(budget) == (1, 16)
-        assert seen["url"] == "https://api.test/v1/chat"
-        assert seen["payload"]["model"] == "test-model"
-        assert seen["payload"]["messages"][0] == {"role": "system", "content": "sys"}
-        assert seen["headers"]["Authorization"] == "Bearer secret-key"
+        [(path, headers, payload)] = server.received
+        assert path == "/v1/chat"
+        assert payload["model"] == "test-model"
+        assert payload["messages"][0] == {"role": "system", "content": "sys"}
+        assert headers["Authorization"] == "Bearer secret-key"
 
-    def test_retry_on_500_then_success(self, monkeypatch):
-        responses = [FakeResponse(500), FakeResponse(500), FakeResponse(200, chat_body("ok"))]
-
-        def fake_post(url, **kwargs):
-            return responses.pop(0)
-
-        monkeypatch.setattr(requests, "post", fake_post)
-        cfg = self.remote_cfg(max_attempts=3)
-        assert chat(cfg, ChatRequest(user_text="x"), big_budget()).text == "ok"
+    def test_retry_on_500_then_success(self):
+        with LoopbackServer((500, ""), (500, ""), (200, chat_body("ok"))) as server:
+            cfg = self.remote_cfg(endpoint=server.url, max_attempts=3)
+            assert chat(cfg, ChatRequest(user_text="x"), big_budget()).text == "ok"
         assert attempt_count(cfg) == 3
 
-    def test_404_fails_immediately(self, monkeypatch):
-        monkeypatch.setattr(requests, "post",
-                            lambda url, **kw: FakeResponse(404, {"error": "nope"}))
-        cfg = self.remote_cfg(max_attempts=3)
-        with pytest.raises(BackendError, match="HTTP 404"):
-            chat(cfg, ChatRequest(user_text="x"), big_budget())
+    def test_404_fails_immediately(self):
+        with LoopbackServer((404, {"error": "nope"})) as server:
+            cfg = self.remote_cfg(endpoint=server.url, max_attempts=3)
+            with pytest.raises(BackendError, match="HTTP 404"):
+                chat(cfg, ChatRequest(user_text="x"), big_budget())
         assert attempt_count(cfg) == 1
 
-    def test_malformed_reply(self, monkeypatch):
-        monkeypatch.setattr(requests, "post",
-                            lambda url, **kw: FakeResponse(200, {"unexpected": True}))
-        with pytest.raises(BackendError, match="malformed chat reply"):
-            chat(self.remote_cfg(), ChatRequest(user_text="x"), big_budget())
+    def test_malformed_reply(self):
+        with LoopbackServer((200, {"unexpected": True})) as server:
+            with pytest.raises(BackendError, match="malformed chat reply"):
+                chat(self.remote_cfg(endpoint=server.url), ChatRequest(user_text="x"),
+                     big_budget())
 
     def test_endpoint_env_override(self, monkeypatch):
-        seen = {}
-
-        def fake_post(url, **kwargs):
-            seen["url"] = url
-            return FakeResponse(200, chat_body("ok"))
-
-        monkeypatch.setattr(requests, "post", fake_post)
-        monkeypatch.setenv("LPO_ENDPOINT", "https://override.test/v2")
-        chat(self.remote_cfg(), ChatRequest(user_text="x"), big_budget())
-        assert seen["url"] == "https://override.test/v2"
+        with LoopbackServer((200, chat_body("ok"))) as server:
+            monkeypatch.setenv("LPO_ENDPOINT", server.url + "/v2")
+            chat(self.remote_cfg(), ChatRequest(user_text="x"), big_budget())
+        assert [path for path, _, _ in server.received] == ["/v2"]
 
     def test_fingerprint_follows_endpoint_override(self, monkeypatch):
         configured = gw.backend_fingerprint(self.remote_cfg())
@@ -296,26 +277,106 @@ class TestRemoteChat:
             chat(self.remote_cfg(),
                  ChatRequest(user_text="x", soft_prompt=(0.1, 0.2)), big_budget())
 
-    def test_remote_embed(self, monkeypatch):
+    def test_remote_embed(self):
         body = {
             "data": [{"embedding": [0.1, 0.2]}, {"embedding": [0.3, 0.4]}],
             "usage": {"prompt_tokens": 6},
         }
-        monkeypatch.setattr(requests, "post", lambda url, **kw: FakeResponse(200, body))
-        cfg = BackendConfig(kind="remote_embed", endpoint="https://api.test/emb",
-                            model_name="emb-model")
-        vectors = embed(cfg, ["a", "b"], big_budget())
+        with LoopbackServer((200, body)) as server:
+            cfg = BackendConfig(kind="remote_embed", endpoint=server.url + "/emb",
+                                model_name="emb-model")
+            vectors = embed(cfg, ["a", "b"], big_budget())
         assert np.allclose(vectors[0], [0.1, 0.2])
         assert np.allclose(vectors[1], [0.3, 0.4])
 
     @pytest.mark.parametrize("embedding", ["abc", [1.0, float("nan")], [[1.0], [1.0, 2.0]]])
-    def test_unusable_remote_embedding_is_a_backend_error(self, monkeypatch, embedding):
+    def test_unusable_remote_embedding_is_a_backend_error(self, embedding):
         body = {"data": [{"embedding": embedding}]}
-        monkeypatch.setattr(requests, "post", lambda url, **kw: FakeResponse(200, body))
-        cfg = BackendConfig(kind="remote_embed", endpoint="https://api.test/emb",
-                            model_name="emb-model")
-        with pytest.raises(BackendError, match="malformed embeddings reply"):
-            embed(cfg, ["a"], big_budget())
+        with LoopbackServer((200, body)) as server:
+            cfg = BackendConfig(kind="remote_embed", endpoint=server.url + "/emb",
+                                model_name="emb-model")
+            with pytest.raises(BackendError, match="malformed embeddings reply"):
+                embed(cfg, ["a"], big_budget())
+
+
+WIRE_FAULTS = {  # case: (server script, error raised, attempts)
+    "ok": ([(200, chat_body("fine", 4, 2))], None, 1),
+    "ok_at_the_override": ([(200, chat_body("fine", 4, 2))], None, 1),
+    "429_then_ok": ([(429, "slow down"), (200, chat_body("fine", 4, 2))], None, 2),
+    "5xx_then_ok": ([(502, "bad gateway"), (200, chat_body("fine", 4, 2))], None, 2),
+    "4xx_with_excerpt": ([(422, "e" * 300)], f"^HTTP 422: {'e' * 200}$", 1),
+    "redirect_not_resent": ([(307, "moved")], "^HTTP 307: moved$", 1),
+    "not_json": ([(200, "<html>busy</html>")], "^backend reply is not JSON: ", 1),
+    "timeout": (["stall", "stall"], r"unreachable after 2 attempt\(s\): "
+                                    "connection failure: timed out$", 2),
+    "cut_short": (["short", "short"], r"unreachable after 2 attempt\(s\): "
+                                      r"connection failure: IncompleteRead\(5 bytes read, 95 more", 2),
+}
+
+
+class TestRemoteWire:
+    """Each reply or fault of a real HTTP server on 127.0.0.1 becomes one outcome,
+    and the ledger (attempts, calls, usage, slots) shows it."""
+
+    @pytest.mark.parametrize("case", WIRE_FAULTS)
+    def test_reply_or_fault(self, monkeypatch, case):
+        script, error, attempts = WIRE_FAULTS[case]
+        budget = Budget(max_calls=3, max_total_tokens=100)
+        with LoopbackServer(*script) as server:
+            endpoint = server.url
+            if case == "ok_at_the_override":  # nothing listens at the configured endpoint
+                endpoint = closed_port_url()
+                monkeypatch.setenv("LPO_ENDPOINT", server.url)
+            cfg = BackendConfig(kind="remote_chat", endpoint=endpoint, model_name="m",
+                                max_attempts=2, backoff_base=0.0, timeout=0.2)
+            if error is None:
+                assert chat(cfg, ChatRequest(user_text="x"), budget).text == "fine"
+            else:
+                with pytest.raises(BackendError, match=error):
+                    chat(cfg, ChatRequest(user_text="x"), budget)
+        done = error is None
+        assert len(server.received) == attempts == attempt_count(cfg)
+        assert call_count(cfg) == int(done)
+        assert usage_report(budget) == ((1, 6) if done else (0, 0))
+        assert budget.calls_left() == 3 - int(done)
+
+    def test_refused_connection_is_retried_then_unreachable(self):
+        cfg = BackendConfig(kind="remote_embed", endpoint=closed_port_url(), model_name="m",
+                            max_attempts=2, backoff_base=0.0)
+        budget = Budget(max_calls=3)
+        with pytest.raises(BackendError, match=r"embed m unreachable after 2 attempt\(s\): "
+                                               r"connection failure: .*refused"):
+            embed(cfg, ["a"], budget)
+        assert (attempt_count(cfg), call_count(cfg)) == (2, 0)
+        assert usage_report(budget) == (0, 0) and budget.calls_left() == 3
+
+    @pytest.mark.parametrize("key", ["secret-key", ""])
+    def test_headers(self, monkeypatch, key):
+        monkeypatch.setenv("LPO_API_KEY", key)
+        with LoopbackServer((200, chat_body("fine"))) as server:
+            chat(BackendConfig(kind="remote_chat", endpoint=server.url, model_name="m"),
+                 ChatRequest(user_text="x"), big_budget())
+        [(_, headers, payload)] = server.received
+        assert headers["Content-Type"] == "application/json"
+        assert headers["User-Agent"] == f"lpo/{lpo.__version__}"
+        assert headers.get("Authorization") == (f"Bearer {key}" if key else None)
+        assert payload == {"model": "m", "messages": [{"role": "user", "content": "x"}],
+                           "temperature": 0.0, "max_tokens": 512}
+
+    @pytest.mark.parametrize("endpoint", ["api.test/v1/chat", "ftp://api.test/v1", "https://",
+                                          "http://[::1/v1", "http://api.test:abc/v1", "http://api.test:0/v1",
+                                          "https://api.test/v1/ché", "https://api.test/v1 x"])
+    def test_endpoint_must_be_an_http_url(self, monkeypatch, endpoint):
+        message = f"endpoint must be an http(s) URL, got {endpoint!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            BackendConfig(kind="remote_chat", endpoint=endpoint, model_name="m")
+        # the same check holds for the override, which fails the call without an attempt
+        monkeypatch.setenv("LPO_ENDPOINT", endpoint)
+        cfg = BackendConfig(kind="remote_chat", endpoint="https://api.test/v1", model_name="m")
+        budget = Budget(max_calls=3)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            chat(cfg, ChatRequest(user_text="x"), budget)
+        assert attempt_count(cfg) == 1 and call_count(cfg) == 0 and budget.calls_left() == 3
 
 
 class TestConcurrencyCap:
@@ -492,6 +553,17 @@ class TestFingerprint:
         assert backend_fingerprint(cfg) == (
             "39ed318877066f5d66a186ce69d549006422f54fbb1452eefc4baee13295e303")
 
+    def test_a_callable_without_weak_references_keeps_a_tag_of_its_own(self):
+        first, other = operator.itemgetter(0), operator.itemgetter(0)  # builtin callables
+        with pytest.raises(TypeError):
+            weakref.ref(first)
+        tag = gw._callable_tag(first)
+        assert tag.startswith("<callable itemgetter #")
+        assert gw._callable_tag(first) == tag
+        assert gw._callable_tag(other) != tag
+        cfg = BackendConfig(kind="mock", behavior="handler", params={"fn": first})
+        assert backend_fingerprint(cfg) == backend_fingerprint(replace(cfg))
+
     def test_nested_callables_are_tagged_in_walk_order(self):
         def handler(req):
             return "x"
@@ -526,27 +598,21 @@ class TestOneCallPath:
 
     @pytest.mark.parametrize("outcome", OUTCOMES)
     @pytest.mark.parametrize("job", JOBS)
-    def test_attempts_calls_and_budget(self, monkeypatch, job, outcome):
+    def test_attempts_calls_and_budget(self, job, outcome):
         kind, call, good, malformed, malformed_error = JOBS[job]
         statuses, error, attempts = OUTCOMES[outcome]
-        replies = iter(statuses)
-
-        def fake_post(url, **kwargs):
-            status = next(replies)
-            if status == "malformed":
-                return FakeResponse(200, malformed)
-            return FakeResponse(status, good if status == 200 else None, text="no")
-
-        monkeypatch.setattr(requests, "post", fake_post)
-        cfg = BackendConfig(kind=kind, endpoint="https://api.test/v1", model_name="m",
-                            max_attempts=2, backoff_base=0.0)
+        script = [(200, malformed) if status == "malformed"
+                  else (status, good if status == 200 else "no") for status in statuses]
         budget = Budget(max_calls=3, max_total_tokens=100)
         error = malformed_error if outcome == "malformed" else error and error.format(job=job)
-        if error is None:
-            call(cfg, budget)
-        else:
-            with pytest.raises(BackendError, match=error):
+        with LoopbackServer(*script) as server:
+            cfg = BackendConfig(kind=kind, endpoint=server.url + "/v1", model_name="m",
+                                max_attempts=2, backoff_base=0.0)
+            if error is None:
                 call(cfg, budget)
+            else:
+                with pytest.raises(BackendError, match=error):
+                    call(cfg, budget)
         done = error is None
         assert attempt_count(cfg) == attempts
         assert call_count(cfg) == int(done)

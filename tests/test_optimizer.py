@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import build_toy_pipeline, circle_points, spy_on_response_caches, toy_fitness
 
+from lpo.cli import main
 from lpo.core import validate_template
 from lpo.errors import BudgetExhaustedError, ValidationError
 from lpo.evaluator import PerExample, ScoredPrompt
 from lpo.gateway import BackendConfig, call_count, usage_report
 from lpo.optimizer import iterate, run_cycle, select_top
-from lpo.records import run_record_to_lines
+from lpo.records import read_run_record, run_record_to_lines, write_run_record
 
 
 def scored(tid, text, accuracy, n_total=10):
@@ -88,6 +91,16 @@ class TestRunCycle:
         seed_ids = {s.id for s in p.seeds}
         assert {t.id for t in result.selected} <= seed_ids
         assert len(result.selected) == 3
+
+    def test_all_candidates_invalid_without_kept_seeds_scores_the_seeds(self):
+        p = build_toy_pipeline(rng_seed=2, keep_seeds=False)
+        broken = BackendConfig(kind="mock", behavior="fixed", params={"reply": ""})
+        cfg = replace(p.cfg, decode=replace(p.cfg.decode, chat=broken))
+        result = run_cycle(p.seeds, cfg, p.eval_cfg, p.eval_set, p.budget)
+        assert all(c.invalid_reason is not None for c in result.candidates)
+        assert result.warnings == ["all candidates invalid; selecting among seeds"]
+        assert [sp.template.id for sp in result.scored] == [s.id for s in p.seeds]
+        assert len(result.selected_ids) == 3 and not result.partial
 
     def test_keep_seeds_false_scores_only_candidates(self):
         p = build_toy_pipeline(rng_seed=3, keep_seeds=False)
@@ -271,6 +284,19 @@ class TestIterate:
         assert record.warnings[-1] == "stopped after iteration 2: budget exhausted"
         assert any(w.startswith("budget exhausted during") for w in record.iterations[1].warnings)
         assert record.budget_calls == calls + 5
+
+    def test_partial_iteration_that_scored_nothing_reports_n_a(self, tmp_path, capsys):
+        p = build_toy_pipeline(rng_seed=5, max_calls=6)  # gone before any scoring
+        record = iterate(p.seeds, p.cfg, p.eval_cfg, p.eval_set, p.budget)
+        [iteration] = record.iterations
+        assert iteration.partial and iteration.scored == [] and iteration.selected_ids == []
+        path = tmp_path / "run_record.jsonl"
+        write_run_record(record, path)
+        [saved] = read_run_record(path)[1]
+        assert (saved["best_accuracy"], saved["mean_accuracy"]) == (None, None)
+        assert main(["report", str(path)]) == 0
+        row = capsys.readouterr().out.splitlines()[6]
+        assert row.split()[:3] == ["1", "n/a", "n/a"]
 
     def test_budget_error_in_first_iteration_closes_the_cache(self, tmp_path, monkeypatch):
         made = spy_on_response_caches(monkeypatch)
