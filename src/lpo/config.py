@@ -135,22 +135,18 @@ def _boolean(value) -> bool:
     return value
 
 
-def _is_pair(value) -> bool:
-    return (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value))
-
-
 def _pair(value) -> tuple[float, float]:
     """Cast for a [low, high] key: a list of exactly two numbers."""
-    if not _is_pair(value):
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
         raise ValidationError(f"must be two numbers [low, high], got {value!r}")
     return float(value[0]), float(value[1])
 
 
 def _pairs(value) -> tuple[tuple[float, float], ...]:
     """Cast for a list of [low, high] bands."""
-    if not (isinstance(value, list) and all(map(_is_pair, value))):
-        raise ValidationError(f"must be a list of [low, high] pairs of numbers, got {value!r}")
+    if not isinstance(value, list):
+        raise ValidationError(f"must be a list of [low, high] bands, got {value!r}")
     return tuple(map(_pair, value))
 
 

@@ -33,10 +33,10 @@ must be an http(s) URL. HTTPS is checked against the system CA store
 operation: the connect and every read. Every transport failure becomes an
 lpo error: a status of 429 or 5xx, or a connection that is refused, times
 out, resets or ends its body short, is transient and retried; any other
-status of 300 or more (a 307/308 redirect is not re-sent) and a body that is
-not JSON are a :class:`BackendError`. The mock chat backend additionally
-accepts an optional soft-prompt vector alongside the user text; remote
-backends reject it.
+status of 300 or more (a redirect is never followed, so the key goes to no
+other URL) and a body that is not JSON are a :class:`BackendError`. The mock
+chat backend additionally accepts an optional soft-prompt vector alongside the
+user text; remote backends reject it.
 """
 
 from __future__ import annotations
@@ -482,11 +482,15 @@ def _auth_headers(cfg: BackendConfig) -> dict[str, str]:
 def _post_json(cfg: BackendConfig, payload: dict) -> dict:
     import http.client, urllib.request  # here, so that only a remote call pays for them
 
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args):  # so that every 3xx status is an HTTPError
+            return None
+
     request = urllib.request.Request(_resolve_endpoint(cfg), json.dumps(payload).encode(),
                                      _auth_headers(cfg))
     try:
         try:
-            response = urllib.request.urlopen(request, timeout=cfg.timeout)
+            response = urllib.request.build_opener(NoRedirect).open(request, timeout=cfg.timeout)
         except urllib.request.HTTPError as exc:  # an error status; its body is read below
             response = exc
         with response:
@@ -495,7 +499,7 @@ def _post_json(cfg: BackendConfig, payload: dict) -> dict:
         raise TransientBackendError(f"connection failure: {exc}") from exc
     if status == 429 or status >= 500:
         raise TransientBackendError(f"HTTP {status}")
-    if status >= 300:  # also a 307/308 redirect, which urllib does not re-send as a POST
+    if status >= 300:  # also a redirect, which is never followed
         raise BackendError(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
     try:
         return json.loads(body)

@@ -172,12 +172,13 @@ class LoopbackServer:
     """An HTTP server on 127.0.0.1 that answers each POST with the next reply
     of its script, for tests of the remote wire.
 
-    A reply is ``(status, body)``: a dict or list body is sent as JSON, a str
-    as it is. Two replies misbehave: ``"stall"`` sends nothing until the
-    server stops (so the client times out), and ``"short"`` promises 100 body
-    bytes and sends 5. Each request is kept in ``received`` as ``(path,
-    headers, payload)``. Used as a context manager; on exit every handler
-    thread has been joined.
+    A reply is ``(status, body)`` or ``(status, body, headers)``: a dict or
+    list body is sent as JSON, a str as it is. Two replies misbehave:
+    ``"stall"`` sends nothing until the server stops (so the client times
+    out), and ``"short"`` promises 100 body bytes and sends 5. Each request,
+    a GET too, is kept in ``received`` as ``(path, headers, payload)``, with
+    payload None for an empty body. Used as a context manager; on exit every
+    handler thread has been joined.
     """
 
     def __init__(self, *script):
@@ -187,18 +188,22 @@ class LoopbackServer:
 
         class Handler(http.server.BaseHTTPRequestHandler):
             def do_POST(self):
-                payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-                server.received.append((self.path, self.headers, payload))
+                data = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                server.received.append((self.path, self.headers, json.loads(data) if data else None))
                 reply = server.script.pop(0)
                 if reply == "stall":
                     server.stopping.wait(30)
                     return
-                status, body = (200, "12345") if reply == "short" else reply
+                status, body, *headers = (200, "12345") if reply == "short" else reply
                 data = (body if isinstance(body, str) else json.dumps(body)).encode()
                 self.send_response(status)
-                self.send_header("Content-Length", "100" if reply == "short" else str(len(data)))
+                for name, value in {**(headers[0] if headers else {}),
+                                    "Content-Length": "100" if reply == "short" else len(data)}.items():
+                    self.send_header(name, str(value))
                 self.end_headers()
                 self.wfile.write(data)
+
+            do_GET = do_POST  # so that a redirect followed as a GET is seen too
 
             def log_message(self, *args):
                 pass

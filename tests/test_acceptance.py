@@ -44,7 +44,7 @@ def no_network(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("network access attempted during acceptance run")
 
-    monkeypatch.setattr(urllib.request, "urlopen", forbidden)
+    monkeypatch.setattr(urllib.request.OpenerDirector, "open", forbidden)
 
 
 def test_criterion_1_explorer_algebra():

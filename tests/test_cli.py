@@ -86,7 +86,7 @@ class TestOptimize:
         def forbidden(*args, **kwargs):
             raise AssertionError("backend called with an endpoint that is not a URL")
 
-        monkeypatch.setattr(urllib.request, "urlopen", forbidden)
+        monkeypatch.setattr(urllib.request.OpenerDirector, "open", forbidden)
         if override is None:  # refused by the config loader, before any call
             monkeypatch.setattr(gw, "_mock_chat", forbidden)
             monkeypatch.setattr(gw, "_mock_embed", forbidden)
@@ -107,7 +107,7 @@ class TestOptimize:
 
         monkeypatch.setattr(gw, "_mock_chat", forbidden)
         monkeypatch.setattr(gw, "_mock_embed", forbidden)
-        monkeypatch.setattr(urllib.request, "urlopen", forbidden)
+        monkeypatch.setattr(urllib.request.OpenerDirector, "open", forbidden)
         code = run(["optimize", "--config", toy_workspace / "config.yaml",
                     "--seeds", toy_workspace / "seeds.jsonl", "--dry-run"])
         assert code == 0
@@ -313,7 +313,9 @@ EDITS = [  # (key, YAML value, what stderr must name)
     ("policy.blend_range", "{0: 0.4, 1: 0.6}",
      "policy.blend_range: must be two numbers [low, high], got {0: 0.4, 1: 0.6}"),
     ("policy.extrapolation_range", "[1, 2]",
-     "policy.extrapolation_range: must be a list of [low, high] pairs of numbers, got [1, 2]"),
+     "policy.extrapolation_range: must be two numbers [low, high], got 1"),
+    ("policy.extrapolation_range", "{}",
+     "policy.extrapolation_range: must be a list of [low, high] bands, got {}"),
     ("policy.strategy_mix", "[1]",
      "policy.strategy_mix: must be a mapping of strategy to weight, got [1]"),
 ]
@@ -590,7 +592,7 @@ class TestReport:
 
         monkeypatch.setattr(gw, "chat", forbidden)
         monkeypatch.setattr(gw, "embed", forbidden)
-        monkeypatch.setattr(urllib.request, "urlopen", forbidden)
+        monkeypatch.setattr(urllib.request.OpenerDirector, "open", forbidden)
         assert run(["report", fixtures.fixture_path("reference_run.jsonl")]) == 0
 
 

@@ -305,7 +305,6 @@ WIRE_FAULTS = {  # case: (server script, error raised, attempts)
     "429_then_ok": ([(429, "slow down"), (200, chat_body("fine", 4, 2))], None, 2),
     "5xx_then_ok": ([(502, "bad gateway"), (200, chat_body("fine", 4, 2))], None, 2),
     "4xx_with_excerpt": ([(422, "e" * 300)], f"^HTTP 422: {'e' * 200}$", 1),
-    "redirect_not_resent": ([(307, "moved")], "^HTTP 307: moved$", 1),
     "not_json": ([(200, "<html>busy</html>")], "^backend reply is not JSON: ", 1),
     "timeout": (["stall", "stall"], r"unreachable after 2 attempt\(s\): "
                                     "connection failure: timed out$", 2),
@@ -339,6 +338,21 @@ class TestRemoteWire:
         assert call_count(cfg) == int(done)
         assert usage_report(budget) == ((1, 6) if done else (0, 0))
         assert budget.calls_left() == 3 - int(done)
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_is_not_followed(self, monkeypatch, status):
+        monkeypatch.setenv("LPO_API_KEY", "secret-key")
+        budget = Budget(max_calls=3)
+        with LoopbackServer((200, chat_body("fine"))) as elsewhere:
+            with LoopbackServer((status, "moved", {"Location": elsewhere.url + "/v1"})) as server:
+                cfg = BackendConfig(kind="remote_chat", endpoint=server.url, model_name="m",
+                                    max_attempts=2, backoff_base=0.0)
+                with pytest.raises(BackendError, match=f"^HTTP {status}: moved$"):
+                    chat(cfg, ChatRequest(user_text="x"), budget)
+        assert elsewhere.received == []  # neither the request nor its key went there
+        [(_, headers, _)] = server.received
+        assert headers["Authorization"] == "Bearer secret-key"
+        assert (attempt_count(cfg), call_count(cfg), budget.calls_left()) == (1, 0, 3)
 
     def test_refused_connection_is_retried_then_unreachable(self):
         cfg = BackendConfig(kind="remote_embed", endpoint=closed_port_url(), model_name="m",
