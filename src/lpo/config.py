@@ -41,7 +41,6 @@ dataset:
 
 encoder:
   dimension: 8                # latent dimension d the backend must return
-  normalize: false            # rescale embeddings to unit norm (raw vectors by default)
   backend:
     kind: mock                # mock | remote_embed
     behavior: hash            # mock only: hash | toy | map
@@ -63,12 +62,13 @@ decode:
     params: {}
 
 policy:
-  strategy_mix: {interpolate: 1.0}   # weights over interpolate / extrapolate / perturb
+  strategy_mix: {interpolate: 1.0}   # weights over interpolate / extrapolate / perturb;
+                                     # perturb needs decode.kind soft_prompt or toy_inverse
   blend_range: [0.35, 0.65]          # interpolation weight band around 0.5
-  extrapolation_range: [[-0.5, 0.0], [1.0, 1.5]]
+  extrapolation_range: [[-0.5, 0.0], [1.0, 1.5]]  # weight bands outside (0, 1)
   sigma: null                        # perturbation scale; null = 0.1 x mean seed norm
   rng_seed: 42
-  candidate_count: 15                # candidates generated per cycle
+  candidate_count: 15                # candidates generated per cycle, at most 1000
 
 optimizer:
   select_n: 3                 # templates fed forward from each cycle
@@ -287,7 +287,7 @@ def load_app_config(path: str | Path) -> tuple[AppConfig | None, list[str]]:
     enc = section("encoder")
     enc_backend = backend("encoder", enc, "backend")
     enc_keys = _given(errors, "encoder", enc, {
-        "backend": None, "dimension": int, "normalize": _boolean})
+        "backend": None, "dimension": int})
     encoder_spec = None if None in (enc_backend, enc_keys) else _built(
         errors, "encoder", lambda: EncoderSpec(backend=enc_backend, **enc_keys))
 

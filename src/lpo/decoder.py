@@ -5,12 +5,12 @@ Three routes, picked by DecodeStrategy.kind:
 - ``anchor_blend``: the default for black-box backends. True pseudo-token
   injection needs access to the decoder model's embedding layer, which a
   remote API does not expose; asking the chat backend to merge the
-  candidate's parent prompts in proportion to the blend weight is the
+  candidate's two parent prompts in proportion to the blend weight is the
   closest observable analogue (provenance guarantees the parents exist).
 - ``soft_prompt``: projects the latent point into decoder token space and
   ships it over the gateway's soft-prompt wire extension together with a
-  fixed paraphrase instruction. Mock backends only; remote backends reject
-  the extension.
+  fixed paraphrase instruction. Mock chat backends only; a remote one is
+  refused when the strategy is built.
 - ``toy_inverse``: exact inverse of the toy encoder, for oracle tests.
 
 A second pass (:func:`refine_format`) conforms raw decodes to the seeds'
@@ -64,17 +64,23 @@ class DecodeStrategy:
             raise ValidationError("soft_prompt decoding needs a projector")
         if self.kind in ("anchor_blend", "soft_prompt") and self.chat is None:
             raise ValidationError(f"{self.kind} decoding needs a chat backend")
+        if self.kind == "soft_prompt" and self.chat.kind != "mock":
+            raise ValidationError("soft_prompt decoding needs a mock chat backend: "
+                                  "remote backends refuse soft prompts")
         if not all(map(math.isfinite, (self.decode_temperature, self.refinement_temperature))):
             raise ValidationError("temperatures must be finite")
 
 
 def _parent_templates(candidate: CandidateRecord,
-                      seeds: Sequence[PromptTemplate]) -> list[PromptTemplate]:
+                      seeds: Sequence[PromptTemplate]) -> tuple[PromptTemplate, PromptTemplate]:
     by_id = {s.id: s for s in seeds}
-    missing = [pid for pid in candidate.provenance.parents if pid not in by_id]
+    parents = candidate.provenance.parents
+    missing = [pid for pid in parents if pid not in by_id]
     if missing:
         raise ValidationError(f"candidate {candidate.id} references unknown parents {missing}")
-    return [by_id[pid] for pid in candidate.provenance.parents]
+    if len(parents) != 2:
+        raise ValidationError(f"candidate {candidate.id} has {len(parents)} parent(s), not two")
+    return by_id[parents[0]], by_id[parents[1]]
 
 
 def decode(strategy: DecodeStrategy, candidate: CandidateRecord,
@@ -92,14 +98,9 @@ def decode(strategy: DecodeStrategy, candidate: CandidateRecord,
         )
         return gateway.chat(strategy.chat, req, budget).text
 
-    parents = _parent_templates(candidate, seeds)
-    prov = candidate.provenance
-    if len(parents) >= 2:
-        instruction = prompts.blend_instruction(
-            parents[0].text, parents[1].text, float(prov.weight))
-    else:
-        instruction = prompts.variation_instruction(
-            parents[0].text, float(prov.sigma or 0.0))
+    first, second = _parent_templates(candidate, seeds)
+    weight = float(candidate.provenance.weight)
+    instruction = prompts.blend_instruction(first.text, second.text, weight)
     req = ChatRequest(user_text=instruction, temperature=strategy.decode_temperature)
     return gateway.chat(strategy.chat, req, budget).text
 

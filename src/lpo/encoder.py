@@ -1,13 +1,11 @@
 """Maps prompt templates to latent embedding vectors.
 
 Encoding goes through the gateway's embedding backend. The backend's vector
-is taken as-is (no pooling configuration, no fine-tuning); optionally each
-vector is rescaled to unit Euclidean norm.
+is taken as-is: no pooling configuration, no fine-tuning, no rescaling.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,8 +16,6 @@ from .core import PromptTemplate, as_vector
 from .errors import ValidationError
 from .gateway import BackendConfig, Budget
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class EncoderSpec:
@@ -27,7 +23,6 @@ class EncoderSpec:
 
     backend: BackendConfig
     dimension: int = 8
-    normalize: bool = False
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
@@ -39,8 +34,7 @@ def encode(spec: EncoderSpec, templates: Sequence[PromptTemplate],
     """Embed templates in order, one vector of dimension d per template.
 
     ``budget.embeddings`` serves a text this backend embedded before, as seeds
-    are re-encoded every iteration. With ``normalize`` set, non-zero vectors
-    are scaled to unit norm; zero vectors are left unscaled and flagged.
+    are re-encoded every iteration.
     """
     if not templates:
         raise ValidationError("encode called with no templates")
@@ -52,14 +46,4 @@ def encode(spec: EncoderSpec, templates: Sequence[PromptTemplate],
         for text, vec in zip(missing, vectors):
             known[keys[text]] = as_vector(vec, dim=spec.dimension,
                                           name=f"embedding of {text[:30]!r}")
-    out = []
-    for t in templates:
-        vec = known[keys[t.text]]
-        if spec.normalize:
-            norm = float(np.linalg.norm(vec))
-            if norm == 0.0:
-                logger.warning("zero-norm embedding for template %s left unscaled", t.id)
-            else:
-                vec = vec / norm
-        out.append(vec)
-    return out
+    return [known[keys[t.text]] for t in templates]

@@ -23,6 +23,9 @@ STRATEGIES = ("interpolate", "extrapolate", "perturb")
 # candidates closer than this (L-inf) to an earlier one are regenerated once
 DUPLICATE_TOLERANCE = 1e-12
 
+# the near-duplicate scan is quadratic in the count, so a cycle draws at most this many
+MAX_CANDIDATES = 1000
+
 
 @dataclass(frozen=True)
 class ExplorationPolicy:
@@ -34,8 +37,9 @@ class ExplorationPolicy:
     is a pair of intervals outside [0, 1], and ``sigma`` is the perturbation
     scale (None selects 0.1 x mean seed norm at generation time). Weights are
     >= 0 with a finite positive sum, ``blend_range`` lies in [0, 1], intervals
-    are ordered and finite, ``sigma`` is finite and >= 0, ``rng_seed`` >= 0 and
-    ``candidate_count`` >= 1.
+    are ordered, finite, outside (0, 1) and of positive finite total length,
+    ``sigma`` is finite and >= 0, ``rng_seed`` >= 0 and ``candidate_count``
+    lies in [1, MAX_CANDIDATES].
     """
 
     strategy_mix: dict[str, float] = field(default_factory=lambda: {"interpolate": 1.0})
@@ -60,16 +64,23 @@ class ExplorationPolicy:
         lo, hi = self.blend_range
         if not (0.0 <= lo <= hi <= 1.0):
             raise ValidationError(f"blend_range must be within [0, 1], got {self.blend_range}")
-        for a, b in self.extrapolation_range:
-            if a > b:
-                raise ValidationError("extrapolation intervals must be ordered")
         if self.sigma is not None and self.sigma < 0:
             raise ValidationError("sigma must be >= 0")
-        if self.candidate_count < 1:
-            raise ValidationError("candidate_count must be >= 1")
+        if not 1 <= self.candidate_count <= MAX_CANDIDATES:
+            raise ValidationError(f"candidate_count must be from 1 to {MAX_CANDIDATES}, "
+                                  f"got {self.candidate_count}")
         finite = [sum(weights), self.sigma or 0.0, *np.ravel(self.extrapolation_range)]
         if not np.isfinite(finite).all():
             raise ValidationError("strategy weights, extrapolation bounds and sigma must be finite")
+        for a, b in self.extrapolation_range:
+            if a > b:
+                raise ValidationError("extrapolation intervals must be ordered")
+            if 0.0 < b and a < 1.0:
+                raise ValidationError(f"extrapolation interval [{a}, {b}] overlaps (0, 1)")
+        total = sum(b - a for a, b in self.extrapolation_range)
+        if not 0.0 < total < math.inf:  # the sampler draws an interval by its share of it
+            raise ValidationError(
+                f"extrapolation intervals must have a positive finite total length, got {total}")
         if self.rng_seed < 0:
             raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
@@ -153,8 +164,6 @@ def perturb(vec, sigma: float, noise_seed: int) -> np.ndarray:
 def _sample_outside_unit(rng: np.random.Generator,
                          intervals: tuple[tuple[float, float], ...]) -> float:
     lengths = np.array([hi - lo for lo, hi in intervals], dtype=float)
-    if lengths.sum() <= 0:
-        raise ValidationError("extrapolation intervals have zero total length")
     probs = lengths / lengths.sum()
     # endpoints shared with [0, 1] have measure zero but uniform() can return
     # its low bound exactly; redraw the rare invalid hit

@@ -27,16 +27,20 @@ chat-completions / embeddings shape, made with the standard library's
 a mock run never load it). The request carries ``Content-Type:
 application/json``, ``User-Agent: lpo/<version>`` and, when the environment
 variable named in the config (default ``LPO_API_KEY``) is set, ``Authorization:
-Bearer <key>``; ``LPO_ENDPOINT`` overrides the configured endpoint, and either
+Bearer <key>``; a key that is not printable ASCII without spaces is refused
+(a ValidationError that names the variable, not the key) before any request
+is sent. ``LPO_ENDPOINT`` overrides the configured endpoint, and either
 must be an http(s) URL. HTTPS is checked against the system CA store
 (``SSL_CERT_FILE`` selects another). ``timeout`` bounds each socket
 operation: the connect and every read. Every transport failure becomes an
 lpo error: a status of 429 or 5xx, or a connection that is refused, times
 out, resets or ends its body short, is transient and retried; any other
 status of 300 or more (a redirect is never followed, so the key goes to no
-other URL) and a body that is not JSON are a :class:`BackendError`. The mock
-chat backend additionally accepts an optional soft-prompt vector alongside the
-user text; remote backends reject it.
+other URL), a body that is not JSON and a reply of the wrong shape are a
+:class:`BackendError`. A usage count must be a non-negative integer; a
+missing or null one counts 0. The mock chat backend additionally accepts an
+optional soft-prompt vector alongside the user text; remote backends reject
+it.
 """
 
 from __future__ import annotations
@@ -223,7 +227,11 @@ class Budget:
             self._reserved += 1
 
     def record(self, prompt_tokens: int, completion_tokens: int) -> None:
-        """Settle a reserved slot as one completed call with its usage."""
+        """Settle a reserved slot as one completed call with its usage, which
+        must not be negative (a refused settlement leaves the slot reserved)."""
+        if prompt_tokens < 0 or completion_tokens < 0:
+            raise ValidationError(f"token counts must be >= 0, got {prompt_tokens}, "
+                                  f"{completion_tokens}")
         with self._lock:
             self._reserved -= 1
             self.calls += 1
@@ -410,10 +418,10 @@ def _call(cfg: BackendConfig, budget: Budget, job: str, attempt: Callable, mock:
                     time.sleep(cfg.backoff_base * (2 ** (attempts - 1)))
         else:
             raise BackendError(f"{label} unreachable after {cfg.max_attempts} attempt(s): {last}")
+        budget.record(*usage)
     except BaseException:
         budget.release()
         raise
-    budget.record(*usage)
     with cfg._runtime.lock:
         cfg._runtime.calls += 1
     return reply
@@ -451,15 +459,21 @@ def embed(cfg: BackendConfig, texts: Sequence[str], budget: Budget) -> list[np.n
 # --- remote wire ----------------------------------------------------------
 
 
+def _plain(text: str) -> bool:
+    """Whether ``text`` is printable ASCII without spaces, as a request line
+    and a header value must be (in a URL, any other character is to be
+    percent-encoded)."""
+    return text.isascii() and text.isprintable() and " " not in text
+
+
 def _check_url(endpoint: str) -> str:
     """``endpoint``, if it is an http(s) URL with a host and, if it has one, a
-    port from 1 to 65535, written in printable ASCII without spaces (as a
-    request line must be: any other character is to be percent-encoded)."""
+    port from 1 to 65535, and is :func:`_plain`."""
     try:
         parts = urlsplit(endpoint)
         valid = (parts.scheme in ("http", "https") and bool(parts.hostname)
                  and parts.port != 0  # a port that is not a number in range raises ValueError
-                 and endpoint.isascii() and endpoint.isprintable() and " " not in endpoint)
+                 and _plain(endpoint))
     except ValueError:  # also an unclosed IPv6 bracket
         valid = False
     if not valid:
@@ -475,6 +489,9 @@ def _auth_headers(cfg: BackendConfig) -> dict[str, str]:
     headers = {"Content-Type": "application/json", "User-Agent": f"lpo/{__version__}"}
     key = os.environ.get(cfg.api_key_env, "").strip()
     if key:
+        if not _plain(key):  # the message must not carry the key
+            raise ValidationError(f"the API key in ${cfg.api_key_env} must be printable ASCII "
+                                  "without spaces")
         headers["Authorization"] = f"Bearer {key}"
     return headers
 
@@ -523,8 +540,7 @@ def _remote_chat(cfg: BackendConfig, req: ChatRequest) -> tuple[ChatResponse, tu
         text = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
         raise BackendError(f"malformed chat reply: missing choices/message ({exc!r})") from exc
-    counts = body.get("usage") or {}
-    usage = int(counts.get("prompt_tokens", 0)), int(counts.get("completion_tokens", 0))
+    usage = _usage(body, "prompt_tokens"), _usage(body, "completion_tokens")
     return ChatResponse(str(text), *usage), usage
 
 
@@ -535,8 +551,22 @@ def _remote_embed(cfg: BackendConfig, texts: Sequence[str]) -> tuple[list[np.nda
         vectors = [as_vector(item["embedding"], name="embedding") for item in body["data"]]
     except (KeyError, TypeError, ValidationError) as exc:  # the backend's fault, not the caller's
         raise BackendError(f"malformed embeddings reply: {exc!r}") from exc
-    usage = body.get("usage") or {}
-    return vectors, (int(usage.get("prompt_tokens", 0)), 0)
+    return vectors, (_usage(body, "prompt_tokens"), 0)
+
+
+def _usage(body: dict, name: str) -> int:
+    """The reply's ``usage[name]`` token count: 0 if it or ``usage`` is missing
+    or null, else a non-negative integer or the reply is a BackendError."""
+    counts = body.get("usage")
+    if counts is not None and not isinstance(counts, dict):
+        raise BackendError(f"malformed reply: usage must be an object, got {counts!r:.80}")
+    count = (counts or {}).get(name)
+    if count is None:
+        return 0
+    if type(count) is not int or count < 0:  # also a bool, which is an int
+        raise BackendError(f"malformed reply: usage.{name} must be a non-negative integer, "
+                           f"got {count!r:.80}")
+    return count
 
 
 # --- mock dispatch --------------------------------------------------------

@@ -78,9 +78,9 @@ def _toy_chat(cfg, req) -> str:
     """One toy backend for a whole pipeline, dispatched on the request.
 
     A soft-prompt vector is decoded itself (exercising the wire extension). A
-    refinement gets the placeholder appended to its raw candidate. A blend or
-    variation is the numeric stand-in for a paraphrasing decoder: it blends
-    the parsed parent vectors and returns the canonical toy string without a
+    refinement gets the placeholder appended to its raw candidate. A blend is
+    the numeric stand-in for a paraphrasing decoder: it blends the parsed
+    parent vectors and returns the canonical toy string without a
     placeholder, as a raw decode would.
     """
     if req.soft_prompt is not None:
@@ -90,18 +90,13 @@ def _toy_chat(cfg, req) -> str:
         raw = raw.strip()
         return raw if not raw or PLACEHOLDER in raw else raw + " " + PLACEHOLDER
     parent_a = prompts.extract_block(req.user_text, prompts.BLOCK_A_OPEN, prompts.BLOCK_A_CLOSE)
-    if parent_a is None:
-        raise BackendError("toy chat mock cannot classify the instruction")
-    spec = _toy_spec(cfg)
-    vec_a = toy_encode(spec, strip_placeholder(parent_a))
     parent_b = prompts.extract_block(req.user_text, prompts.BLOCK_B_OPEN, prompts.BLOCK_B_CLOSE)
-    if parent_b is None:
-        return toy_decode(spec, vec_a)
     match = re.search(r"blend_weight=([-+0-9.eE]+)", req.user_text)
-    if match is None:
-        raise BackendError("toy chat mock found no blend weight in the instruction")
+    if parent_a is None or parent_b is None or match is None:
+        raise BackendError("toy chat mock cannot classify the instruction")
     weight = float(match.group(1))
-    vec_b = toy_encode(spec, strip_placeholder(parent_b))
+    spec = _toy_spec(cfg)
+    vec_a, vec_b = (toy_encode(spec, strip_placeholder(p)) for p in (parent_a, parent_b))
     return toy_decode(spec, weight * vec_a + (1.0 - weight) * vec_b)
 
 

@@ -58,6 +58,9 @@ class OptimizerConfig:
             raise ValidationError("max_iterations must be >= 1")
         if self.patience < 0:
             raise ValidationError("patience must be >= 0")
+        if self.decode.kind == "anchor_blend" and self.policy.strategy_mix.get("perturb", 0) > 0:
+            raise ValidationError("strategy_mix gives perturb a weight, but anchor_blend decoding "
+                                  "sends no latent point: use soft_prompt or toy_inverse")
 
 
 @dataclass

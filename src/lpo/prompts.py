@@ -31,18 +31,6 @@ placeholder {{text}} exactly once. Reply with the new instruction only.
 blend_weight={weight!r}
 """
 
-VARIATION_INSTRUCTION = """\
-You will write a variation of the task instruction below.
-
-{a_open}
-{parent_a}
-{a_close}
-
-Write one new instruction that keeps the same task but drifts from the
-original wording (drift scale {sigma!r}). Preserve the literal placeholder
-{{text}} exactly once. Reply with the new instruction only.
-"""
-
 SOFT_PROMPT_INSTRUCTION = """\
 The message carries one continuous pseudo-token in place of ordinary words.
 Paraphrase the instruction that the pseudo-token represents as plain text.
@@ -84,13 +72,6 @@ def blend_instruction(parent_a: str, parent_b: str, weight: float) -> str:
         b_open=BLOCK_B_OPEN, b_close=BLOCK_B_CLOSE,
         parent_a=parent_a, parent_b=parent_b,
         weight=weight, remainder=1.0 - weight,
-    )
-
-
-def variation_instruction(parent_a: str, sigma: float) -> str:
-    return VARIATION_INSTRUCTION.format(
-        a_open=BLOCK_A_OPEN, a_close=BLOCK_A_CLOSE,
-        parent_a=parent_a, sigma=sigma,
     )
 
 

@@ -50,7 +50,6 @@ def config_snapshot(cfg: OptimizerConfig, eval_cfg: EvalConfig) -> dict:
         },
         "encoder": {
             "dimension": cfg.encoder.dimension,
-            "normalize": cfg.encoder.normalize,
             "backend": backend_to_dict(cfg.encoder.backend),
         },
         "decode": {

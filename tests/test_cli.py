@@ -2,6 +2,7 @@ import json
 import re
 import urllib.request
 
+import numpy as np
 import pytest
 import yaml
 from helpers import spy_on_response_caches
@@ -13,6 +14,8 @@ from lpo import fixtures
 from lpo.cli import main
 from lpo.config import AppConfig, load_app_config
 from lpo.gateway import Budget
+from lpo.projector import LinearProjector, save_weights
+from lpo.records import read_run_record
 
 
 @pytest.fixture
@@ -69,14 +72,12 @@ class TestOptimize:
 
     def test_quoted_booleans_are_config_errors(self, toy_workspace, capsys):
         config_text = (toy_workspace / "config.yaml").read_text()
-        config_text = config_text.replace("normalize: false", 'normalize: "false"')
         config_text = config_text.replace("keep_seeds: true", 'keep_seeds: "false"')
         (toy_workspace / "quoted.yaml").write_text(config_text)
         code = run(["optimize", "--config", toy_workspace / "quoted.yaml",
                     "--seeds", toy_workspace / "seeds.jsonl"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "encoder.normalize: must be true or false, got 'false'" in err
         assert "optimizer.keep_seeds: must be true or false, got 'false'" in err
 
     @pytest.mark.parametrize("endpoint, override", [
@@ -100,6 +101,20 @@ class TestOptimize:
         where = "evaluator.task_backend: " if override is None else "error: "
         assert where + "endpoint must be an http(s) URL, got 'api.test/v1/chat'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["clé✓", "sk-abc\nX-Evil: 1"])
+    def test_api_key_that_cannot_be_a_header_exits_2_unsent(self, toy_workspace, capsys,
+                                                              monkeypatch, key):
+        forbid_backends(monkeypatch)
+        monkeypatch.setenv("LPO_API_KEY", key)
+        config = edited_config(toy_workspace, "evaluator.task_backend",
+                               {"kind": "remote_chat", "endpoint": "https://api.test/v1",
+                                "model_name": "m"})
+        code = run(["evaluate", "--config", config, "--prompts", toy_workspace / "seeds.jsonl"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: the API key in $LPO_API_KEY must be printable ASCII without spaces" in err
+        assert "sk-abc" not in err and "clé" not in err and "Traceback" not in err
 
     def test_dry_run_makes_zero_backend_calls(self, toy_workspace, capsys, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -247,14 +262,18 @@ class TestEvaluate:
         assert code == 2
 
 
-def edited_config(workspace, key, value):
-    """Write the toy config with the dotted ``key`` set to ``value``; returns its path."""
+def edited_config(workspace, key, value, *more):
+    """Write the toy config with the dotted ``key`` set to ``value``, and each
+    further key of ``more``, a flat list of keys and values, set alike;
+    returns its path."""
     config = yaml.safe_load((workspace / "config.yaml").read_text())
-    *parents, leaf = key.split(".")
-    node = config
-    for name in parents:
-        node = node[name]
-    node[leaf] = value
+    edits = [key, value, *more]
+    for key, value in zip(edits[::2], edits[1::2]):
+        *parents, leaf = key.split(".")
+        node = config
+        for name in parents:
+            node = node[name]
+        node[leaf] = value
     path = workspace / "edited.yaml"
     path.write_text(yaml.safe_dump(config))
     return path
@@ -318,7 +337,23 @@ EDITS = [  # (key, YAML value, what stderr must name)
      "policy.extrapolation_range: must be a list of [low, high] bands, got {}"),
     ("policy.strategy_mix", "[1]",
      "policy.strategy_mix: must be a mapping of strategy to weight, got [1]"),
+    ("encoder.normalize", "false", "encoder.normalize: unknown key"),
+    ("policy.extrapolation_range", "[[0.2, 0.3], [0.4, 0.5]]",
+     "policy: extrapolation interval [0.2, 0.3] overlaps (0, 1)"),
+    ("policy.extrapolation_range", "[[1.0, 1.0], [1.0, 1.0]]",
+     "policy: extrapolation intervals must have a positive finite total length, got 0.0"),
+    ("policy.candidate_count", "1001", "policy: candidate_count must be from 1 to 1000, got 1001"),
 ]
+
+
+def forbid_backends(monkeypatch):
+    """Fail the test on any backend call, mock or remote."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("backend called before the config was refused")
+
+    monkeypatch.setattr(gw, "_mock_chat", forbidden)
+    monkeypatch.setattr(gw, "_mock_embed", forbidden)
+    monkeypatch.setattr(urllib.request.OpenerDirector, "open", forbidden)
 
 
 class TestConfigValues:
@@ -327,11 +362,7 @@ class TestConfigValues:
     @pytest.mark.parametrize("key, value, named", EDITS, ids=[f"{k}={v}" for k, v, _ in EDITS])
     def test_listed_before_any_backend_call(self, toy_workspace, capsys, monkeypatch,
                                             key, value, named):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("backend called before the config was refused")
-
-        monkeypatch.setattr(gw, "_mock_chat", forbidden)
-        monkeypatch.setattr(gw, "_mock_embed", forbidden)
+        forbid_backends(monkeypatch)
         config = edited_config(toy_workspace, key, yaml.safe_load(value))
         code = run(["optimize", "--config", config, "--seeds", toy_workspace / "seeds.jsonl"])
         err = capsys.readouterr().err
@@ -339,6 +370,44 @@ class TestConfigValues:
         assert named in err
         assert "Traceback" not in err
         assert not list(toy_workspace.rglob("cache_*.jsonl"))
+
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry_run"])
+    def test_perturb_under_anchor_blend_is_listed(self, toy_workspace, capsys, monkeypatch,
+                                                  dry_run):
+        forbid_backends(monkeypatch)
+        config = edited_config(toy_workspace, "decode.kind", "anchor_blend",
+                               "policy.strategy_mix", {"perturb": 1.0})
+        code = run(["optimize", "--config", config, "--seeds", toy_workspace / "seeds.jsonl",
+                    *dry_run])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert ("optimize: config: optimizer: strategy_mix gives perturb a weight, but "
+                "anchor_blend decoding sends no latent point: use soft_prompt or toy_inverse"
+                in err)
+        assert not (toy_workspace / "out").exists()
+
+    def test_perturb_under_toy_inverse_runs(self, toy_workspace, capsys):
+        config = edited_config(toy_workspace, "policy.strategy_mix", {"perturb": 1.0})
+        assert run(["optimize", "--config", config,
+                    "--seeds", toy_workspace / "seeds.jsonl"]) == 0
+        _, iterations = read_run_record(toy_workspace / "out" / "run_record.jsonl")
+        candidates = iterations[0]["candidates"]
+        assert {c["provenance"]["kind"] for c in candidates} == {"perturb"}
+        assert all(c["refined_template"] for c in candidates)
+
+    def test_soft_prompt_with_a_remote_chat_backend_is_listed(self, toy_workspace, capsys,
+                                                              monkeypatch):
+        forbid_backends(monkeypatch)
+        save_weights(LinearProjector(weights=np.eye(2)), toy_workspace / "w.json")
+        remote = {"kind": "remote_chat", "endpoint": "https://api.test/v1", "model_name": "m"}
+        config = edited_config(toy_workspace, "decode.kind", "soft_prompt",
+                               "decode.projector_path", "w.json", "decode.chat_backend", remote)
+        code = run(["optimize", "--config", config, "--seeds", toy_workspace / "seeds.jsonl"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert ("decode: soft_prompt decoding needs a mock chat backend: "
+                "remote backends refuse soft prompts") in err
+        assert not (toy_workspace / "out").exists()
 
     def test_null_out_dir_means_the_default(self, toy_workspace):
         config = edited_config(toy_workspace, "out_dir", None)
@@ -358,10 +427,10 @@ class TestConfigValues:
         capsys.readouterr()
         assert code in (0, 2)
         # these call backends, so a budget or backend failure is an answer too;
-        # --count keeps a large candidate_count edit from drawing that many
-        for args in (["evaluate", "--prompts", seeds],
-                     ["explore", "--seeds", seeds, "--count", 3]):
-            code = run(args + ["--config", config])
+        # --out-dir keeps an out_dir edit from writing outside the workspace
+        for args in (["evaluate", "--prompts", seeds], ["explore", "--seeds", seeds],
+                     ["optimize", "--seeds", seeds]):
+            code = run(args + ["--config", config, "--out-dir", toy_workspace / "out"])
             capsys.readouterr()
             assert code in (0, 2, 3, 4)
 
@@ -422,6 +491,14 @@ class TestExplore:
         code = run(["explore", "--config", toy_workspace / "config.yaml",
                     "--seeds", toy_workspace / "seeds.jsonl", "--count", 0])
         assert code == 2
+
+    def test_count_above_the_limit_rejected_before_any_call(self, toy_workspace, capsys,
+                                                            monkeypatch):
+        forbid_backends(monkeypatch)
+        code = run(["explore", "--config", toy_workspace / "config.yaml",
+                    "--seeds", toy_workspace / "seeds.jsonl", "--count", 1001])
+        assert code == 2
+        assert "candidate_count must be from 1 to 1000, got 1001" in capsys.readouterr().err
 
     def test_fixed_seed_gives_identical_files(self, toy_workspace):
         out_a = toy_workspace / "a.jsonl"

@@ -4,7 +4,7 @@ import pytest
 from lpo import prompts
 from lpo.core import validate_template
 from lpo.decoder import DecodeStrategy, decode, refine_format
-from lpo.errors import BackendError, CandidateInvalidError, ValidationError
+from lpo.errors import CandidateInvalidError, ValidationError
 from lpo.explorer import CandidateRecord, Provenance
 from lpo.gateway import BackendConfig, Budget, ChatRequest
 from lpo.projector import LinearProjector
@@ -78,14 +78,8 @@ class TestDecodeAnchorBlend:
         assert "blend_weight=0.6" in captured["text"]
         assert captured["temperature"] == 0.7
 
-    def test_perturbation_uses_variation_instruction(self):
-        captured = {}
-
-        def handler(req: ChatRequest) -> str:
-            captured["text"] = req.user_text
-            return "varied {text}"
-
-        chat = BackendConfig(kind="mock", behavior="handler", params={"fn": handler})
+    def test_one_parent_candidate_rejected(self):
+        chat = BackendConfig(kind="mock", behavior="echo")
         strategy = DecodeStrategy(kind="anchor_blend", chat=chat)
         candidate = CandidateRecord(
             id="cand-p",
@@ -93,9 +87,10 @@ class TestDecodeAnchorBlend:
             provenance=Provenance(kind="perturb", parents=("seed-a",),
                                   sigma=0.1, noise_seed=5),
         )
-        decode(strategy, candidate, toy_seeds(), budget())
-        assert "variation" in captured["text"]
-        assert "tone=0.2;steps=0.8 {text}" in captured["text"]
+        b = budget()
+        with pytest.raises(ValidationError, match="candidate cand-p has 1 parent"):
+            decode(strategy, candidate, toy_seeds(), b)
+        assert b.calls == 0
 
     def test_unknown_parent_rejected(self):
         chat = BackendConfig(kind="mock", behavior="echo")
@@ -138,10 +133,9 @@ class TestDecodeSoftPrompt:
     def test_remote_backend_rejects_soft_prompt(self):
         chat = BackendConfig(kind="remote_chat", endpoint="https://api.test/chat",
                              model_name="m")
-        strategy = DecodeStrategy(kind="soft_prompt", chat=chat,
-                                  projector=LinearProjector(weights=np.eye(2)))
-        with pytest.raises(BackendError, match="soft-prompt"):
-            decode(strategy, blend_candidate(), toy_seeds(), budget())
+        with pytest.raises(ValidationError, match="remote backends refuse soft prompts"):
+            DecodeStrategy(kind="soft_prompt", chat=chat,
+                           projector=LinearProjector(weights=np.eye(2)))
 
     def test_projector_required(self):
         chat = BackendConfig(kind="mock", behavior="echo")

@@ -14,9 +14,9 @@ def budget():
     return Budget(max_calls=10**6, max_total_tokens=10**9)
 
 
-def hash_spec(dim=16, normalize=False):
+def hash_spec(dim=16):
     backend = BackendConfig(kind="mock", behavior="hash", params={"dimension": dim})
-    return EncoderSpec(backend=backend, dimension=dim, normalize=normalize)
+    return EncoderSpec(backend=backend, dimension=dim)
 
 
 def templates(texts):
@@ -43,21 +43,6 @@ class TestEncode:
                  validate_template("same {text}", template_id="b")]
         va, vb = encode(hash_spec(), seeds, budget())
         assert np.array_equal(va, vb)
-
-    def test_normalize_unit_norm(self):
-        seeds = templates(["one {text}", "two {text}", "three {text}"])
-        vectors = encode(hash_spec(normalize=True), seeds, budget())
-        for v in vectors:
-            assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
-
-    def test_zero_vector_left_unscaled_and_flagged(self, caplog):
-        backend = BackendConfig(kind="mock", behavior="map",
-                                params={"vectors": {"z {text}": [0.0, 0.0]}})
-        spec = EncoderSpec(backend=backend, dimension=2, normalize=True)
-        with caplog.at_level("WARNING", logger="lpo.encoder"):
-            (v,) = encode(spec, templates(["z {text}"]), budget())
-        assert np.array_equal(v, [0.0, 0.0])
-        assert any("zero-norm" in r.message for r in caplog.records)
 
     def test_dimension_mismatch(self):
         backend = BackendConfig(kind="mock", behavior="hash", params={"dimension": 4})

@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import LoopbackServer, closed_port_url, spy_on_response_caches
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lpo
 import lpo.gateway as gw
@@ -391,6 +393,138 @@ class TestRemoteWire:
         with pytest.raises(ValidationError, match=re.escape(message)):
             chat(cfg, ChatRequest(user_text="x"), budget)
         assert attempt_count(cfg) == 1 and call_count(cfg) == 0 and budget.calls_left() == 3
+
+    @pytest.mark.parametrize("key", ["clé✓", "sk-abc\nX-Evil: 1", "sk abc"])
+    def test_key_that_cannot_be_a_header_is_refused_unsent(self, monkeypatch, key):
+        monkeypatch.setenv("LPO_API_KEY", key)
+        budget = Budget(max_calls=3)
+        with LoopbackServer() as server:
+            cfg = BackendConfig(kind="remote_chat", endpoint=server.url, model_name="m")
+            with pytest.raises(ValidationError) as caught:
+                chat(cfg, ChatRequest(user_text="x"), budget)
+        assert str(caught.value) == ("the API key in $LPO_API_KEY must be printable ASCII "
+                                     "without spaces")
+        assert server.received == [] and call_count(cfg) == 0 and budget.calls_left() == 3
+
+
+USAGES = {  # case: (job, the reply's usage, error raised or tokens counted)
+    "chat_count_a_string": ("chat", {"prompt_tokens": "abc"},
+                            "usage.prompt_tokens must be a non-negative integer, got 'abc'"),
+    "chat_usage_a_string": ("chat", "x", "usage must be an object, got 'x'"),
+    "chat_usage_a_list": ("chat", [4, 2], "usage must be an object, got [4, 2]"),
+    "chat_count_a_bool": ("chat", {"completion_tokens": True},
+                          "usage.completion_tokens must be a non-negative integer, got True"),
+    "chat_count_a_fraction": ("chat", {"prompt_tokens": 1.5},
+                              "usage.prompt_tokens must be a non-negative integer, got 1.5"),
+    "chat_count_negative": ("chat", {"completion_tokens": -1},
+                            "usage.completion_tokens must be a non-negative integer, got -1"),
+    "chat_count_null": ("chat", {"prompt_tokens": None, "completion_tokens": 2}, 2),
+    "chat_usage_null": ("chat", None, 0),
+    "embed_count_negative": ("embed", {"prompt_tokens": -3},
+                             "usage.prompt_tokens must be a non-negative integer, got -3"),
+    "embed_count_a_string": ("embed", {"prompt_tokens": "4"},
+                             "usage.prompt_tokens must be a non-negative integer, got '4'"),
+    "embed_count_huge": ("embed", {"prompt_tokens": 10**30}, 10**30),
+}
+
+
+class TestRemoteUsage:
+    """A reply's usage is counted only as non-negative integers; anything else
+    fails the call as a BackendError, and the slot goes back."""
+
+    @pytest.mark.parametrize("case", USAGES)
+    def test_usage_counts_or_fails(self, case):
+        job, usage, outcome = USAGES[case]
+        body = ({"choices": [{"message": {"content": "fine"}}]} if job == "chat"
+                else {"data": [{"embedding": [0.1, 0.2]}]})
+        budget = Budget(max_calls=3)
+        with LoopbackServer((200, {**body, "usage": usage})) as server:
+            cfg = BackendConfig(kind=f"remote_{job}", endpoint=server.url, model_name="m",
+                                max_attempts=2, backoff_base=0.0)
+            call = {"chat": lambda: chat(cfg, ChatRequest(user_text="x"), budget),
+                    "embed": lambda: embed(cfg, ["a"], budget)}[job]
+            if isinstance(outcome, str):
+                with pytest.raises(BackendError, match=re.escape(f"malformed reply: {outcome}")):
+                    call()
+            else:
+                call()
+        done = not isinstance(outcome, str)
+        assert attempt_count(cfg) == 1  # a malformed reply is not retried
+        assert usage_report(budget) == ((1, outcome) if done else (0, 0))
+        assert budget.calls_left() == 3 - int(done)
+
+    def test_negative_settlement_is_refused_and_the_slot_handed_back(self):
+        cfg = BackendConfig(kind="mock", behavior="hash", params={"usage": [-3, 0]})
+        budget = Budget(max_calls=3)
+        with pytest.raises(ValidationError, match="token counts must be >= 0, got -3, 0"):
+            embed(cfg, ["a"], budget)
+        assert usage_report(budget) == (0, 0) and budget.calls_left() == 3
+        assert call_count(cfg) == 0
+
+
+JSON_VALUES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+               | st.lists(st.integers(0, 3), max_size=2)
+               | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+def either(right):
+    """``right`` or a value of any JSON type in its place."""
+    return right | JSON_VALUES
+
+
+COUNTS = either(st.integers(0, 50) | st.integers(max_value=-1) | st.integers(min_value=10**18)
+                | st.floats(0, 50))
+CHAT_BODIES = st.fixed_dictionaries(
+    {"choices": either(st.lists(st.fixed_dictionaries(
+        {"message": either(st.fixed_dictionaries({"content": either(st.text(max_size=5))}))}),
+        min_size=1, max_size=2))},
+    optional={"usage": either(st.fixed_dictionaries(
+        {}, optional={"prompt_tokens": COUNTS, "completion_tokens": COUNTS}))})
+EMBED_BODIES = st.fixed_dictionaries(
+    {"data": either(st.lists(st.fixed_dictionaries(
+        {"embedding": either(st.lists(st.floats(), min_size=1, max_size=2))}),
+        min_size=1, max_size=2))},
+    optional={"usage": either(st.fixed_dictionaries({}, optional={"prompt_tokens": COUNTS}))})
+STATUSES = [200, 200, 200, 301, 302, 307, 400, 404, 422, 429, 500, 503, "short", "stall"]
+REPLIES = st.tuples(st.sampled_from(STATUSES),  # a body cut short, or none before the timeout
+                    CHAT_BODIES | EMBED_BODIES | JSON_VALUES | st.text(max_size=8)).map(
+    lambda reply: reply[0] if isinstance(reply[0], str) else reply)
+
+
+class TestRemoteReplyContract:
+    """Whatever a server on 127.0.0.1 replies, a call returns or raises an lpo backend
+    or budget error, within its attempts, and the tokens spent never go down."""
+
+    def test_every_reply_is_a_reply_or_an_lpo_error(self):
+        @settings(max_examples=25, deadline=None)
+        @given(jobs=st.lists(st.sampled_from(["chat", "embed"]), min_size=1, max_size=3),
+               replies=st.lists(REPLIES, min_size=6, max_size=6),  # 2 attempts for 3 calls
+               max_calls=st.integers(1, 3))
+        @example(jobs=["chat", "embed"], max_calls=3, replies=[  # each escaped once
+            (200, {"choices": [{"message": {"content": "ok"}}], "usage": "x"}),
+            (200, {"data": [{"embedding": [0.1]}], "usage": {"prompt_tokens": -3}}),
+            *[(500, "")] * 4])
+        def check(jobs, replies, max_calls):
+            server.script[:], server.received[:] = replies, []
+            budget = Budget(max_calls=max_calls, max_total_tokens=100)
+            spent = 0
+            for job in jobs:
+                cfg = BackendConfig(kind=f"remote_{job}", endpoint=server.url, model_name="m",
+                                    max_attempts=2, backoff_base=0.0, timeout=0.2)
+                try:
+                    if job == "chat":
+                        chat(cfg, ChatRequest(user_text="x"), budget)
+                    else:
+                        embed(cfg, ["a"], budget)
+                except (BackendError, BudgetExhaustedError):  # a TransientBackendError too
+                    pass
+                assert attempt_count(cfg) <= cfg.max_attempts
+                assert usage_report(budget)[1] >= spent
+                spent = usage_report(budget)[1]
+            assert len(server.received) <= 2 * len(jobs)
+
+        with LoopbackServer() as server:  # one server, so that no example waits for a shutdown
+            check()
 
 
 class TestConcurrencyCap:

@@ -33,12 +33,10 @@ PARENT_B = "tone=0.9;steps=0.1 {text}"
      "tone=0.3;steps=0.7 {text}"),
     (ChatRequest(user_text=prompts.blend_instruction(PARENT_A, PARENT_B, 0.5)),
      f"tone={0.5 * 0.2 + 0.5 * 0.9!r};steps={0.5 * 0.8 + 0.5 * 0.1!r}"),
-    (ChatRequest(user_text=prompts.variation_instruction(PARENT_A, 0.1)),
-     "tone=0.2;steps=0.8"),
     (ChatRequest(user_text=prompts.SOFT_PROMPT_INSTRUCTION, soft_prompt=(0.25, 0.75)),
      "tone=0.25;steps=0.75"),
     (ChatRequest(user_text="Tell me a joke."), BackendError),
-], ids=["refine", "blend", "variation", "soft_prompt", "unclassifiable"])
+], ids=["refine", "blend", "soft_prompt", "unclassifiable"])
 def test_toy_chat_dispatch(req, expected):
     cfg = BackendConfig(kind="mock", behavior="toy_chat",
                         params={"parameters": ["tone", "steps"]})

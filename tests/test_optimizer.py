@@ -184,6 +184,29 @@ class TestRunCycle:
         assert len(result.selected) == 3
         assert all(c.refined_template is not None for c in result.candidates)
 
+    def test_perturb_refused_under_anchor_blend(self):
+        p = build_toy_pipeline(decode_kind="anchor_blend")
+        policy = replace(p.cfg.policy, strategy_mix={"interpolate": 0.5, "perturb": 0.5})
+        with pytest.raises(ValidationError, match="perturb .* anchor_blend"):
+            replace(p.cfg, policy=policy)
+
+    @pytest.mark.parametrize("decode_kind", ["toy_inverse", "soft_prompt"])
+    def test_perturb_runs_under_the_routes_that_use_the_point(self, decode_kind):
+        from lpo.decoder import DecodeStrategy
+        from lpo.projector import LinearProjector
+
+        p = build_toy_pipeline(rng_seed=4)
+        cfg = replace(p.cfg, policy=replace(p.cfg.policy, strategy_mix={"perturb": 1.0}))
+        if decode_kind == "soft_prompt":
+            chat = BackendConfig(kind="mock", behavior="toy_chat",
+                                 params={"parameters": ["tone", "steps"]})
+            cfg = replace(cfg, decode=DecodeStrategy(
+                kind="soft_prompt", chat=chat, projector=LinearProjector(weights=np.eye(2))))
+        result = run_cycle(p.seeds, cfg, p.eval_cfg, p.eval_set, p.budget)
+        assert {c.provenance.kind for c in result.candidates} == {"perturb"}
+        assert all(c.refined_template is not None for c in result.candidates)
+        assert len(result.selected) == 3
+
 
 class TestIterate:
     def test_single_iteration_by_default(self):
