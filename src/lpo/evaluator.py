@@ -15,6 +15,11 @@ template and encodes its label set once, and each example's text is hashed
 once per process (``Example.digest``); the keys are the same strings as ever,
 so cache files written by earlier versions still hit.
 
+A new reply is served from memory as soon as it is put. Its line is written
+when its template's calls end, with one write per template (also for a
+template cut short by the budget), or when the cache closes, so a crash loses
+at most the current template's replies. Nothing is fsynced.
+
 A backend that the gateway has seen block (see :func:`gateway.blocks`) gets a
 template's calls from up to ``max_in_flight`` threads at once, so their
 waiting overlaps; results are collected in input order and equal a serial
@@ -251,7 +256,8 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
 
     Accuracy is the exact integer ratio correct/total. Budget exhaustion
     mid-set raises an error naming how many examples completed. Replies are
-    kept in ``cfg.cache_path`` (:meth:`Budget.replies_from`).
+    kept in ``cfg.cache_path`` (:meth:`Budget.replies_from`), and the lines of
+    this template's new replies are written there once its calls end.
 
     When the task or extraction backend blocks (:func:`gateway.blocks`), its
     calls for this template run on up to its ``max_in_flight`` threads: first
@@ -286,13 +292,16 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
     texts = _by_value([ex.text for ex in slice_examples]) if max(widths) > 1 else []
     try:
         with budget.replies_from(cfg.cache_path):
-            if texts and budget.calls_left() >= 2 * len(texts):
-                _fan_out(texts, classify, widths[0])
-                _fan_out(_by_value(raws), extract, widths[1])
-            else:
-                for index in range(n):
-                    classify(index)
-                    extract(index)
+            try:
+                if texts and budget.calls_left() >= 2 * len(texts):
+                    _fan_out(texts, classify, widths[0])
+                    _fan_out(_by_value(raws), extract, widths[1])
+                else:
+                    for index in range(n):
+                        classify(index)
+                        extract(index)
+            finally:  # also a template cut short by the budget keeps its replies
+                budget.replies.flush()
     except BudgetExhaustedError as exc:
         completed = labels.index(None)
         raise BudgetExhaustedError(

@@ -6,11 +6,15 @@ dispatched here too; their behaviors live in :mod:`lpo.mocks`.
 
 Every call, chat or embed, mock or remote, takes one path, ``_call``: it
 reserves a slot in the run's :class:`Budget`, checks that the backend kind
-serves the job, then makes the attempt under the backend's in-flight cap,
-retrying transient failures with exponential backoff and counting each
-attempt. A failure hands the slot back; a success settles the call's usage
-and counts the call. :func:`chat` and :func:`embed` add only their own
-checks of the request and the reply.
+serves the job (and, for a remote backend, reads its endpoint and key once),
+then makes the attempt under the backend's in-flight cap, retrying transient
+failures with exponential backoff. The cap is a queue of ``max_in_flight``
+tokens: an attempt takes one before it starts and puts it back when it ends,
+however it ends, so at most ``max_in_flight`` attempts run at once, from any
+thread. A failure hands the slot back; a success settles the call's usage.
+Each attempt is counted, with its blocking vote and, once settled, its call,
+in one section under the backend's lock. :func:`chat` and :func:`embed` add
+only their own checks of the request and the reply.
 
 A :class:`BackendConfig` is frozen; each one builds its own private run
 state (lock, in-flight cap, counters, mock scratch). There the gateway notes
@@ -50,11 +54,13 @@ import json
 import logging
 import math
 import os
+import queue
 import threading
 import time
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 from urllib.parse import urlsplit
@@ -107,20 +113,25 @@ class ChatResponse:
 class ResponseCache:
     """Append-only JSONL cache of backend replies, keyed by content hash.
 
-    The file is read once, here. The first ``put`` opens one append handle
-    (creating the directory); each ``put`` then writes one line and flushes
-    it, so the line has reached the operating system when ``put`` returns
-    (it is not fsynced). Whoever makes a cache closes it: ``close()``, or use
-    it as a context manager.
+    The file is read once, here. ``put`` serves the reply from memory at once
+    and queues its line; :meth:`flush` writes the queued lines as one group,
+    with one write and one flush, so they have reached the operating system
+    when it returns (they are not fsynced). The first group opens one append
+    handle (creating the directory). :func:`lpo.evaluator.evaluate` flushes
+    once per template, and ``close()`` flushes first, so a crash loses at most
+    the replies put since the last flush. Whoever makes a cache closes it:
+    ``close()``, or use it as a context manager.
 
     I/O problems are downgraded to warnings; the evaluator then simply falls
-    back to live calls. Undecodable lines, such as one cut short by a crash,
-    are skipped and counted. Appends are serialized.
+    back to live calls. A group whose write fails stays in memory only, and
+    the next group starts on a new line. Undecodable lines, such as one cut
+    short by a crash, are skipped and counted. Puts and flushes are serialized.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._entries: dict[str, str] = {}
+        self._pending: list[str] = []  # lines put since the last flush
         self._lock = threading.Lock()
         self._fh = None
         self.skipped = 0
@@ -150,25 +161,38 @@ class ResponseCache:
         return self._entries.get(key)
 
     def put(self, key: str, raw_output: str) -> None:
+        if self.path is None:
+            with self._lock:
+                self._entries[key] = raw_output
+            return
+        # the bytes of json.dumps({"key_hash": key, "raw_output": raw_output})
+        line = ('{"key_hash": ' + json.dumps(key) + ', "raw_output": ' + json.dumps(raw_output)
+                + "}\n")
         with self._lock:
             self._entries[key] = raw_output
-            if self.path is None:
+            self._pending.append(line)
+
+    def flush(self) -> None:
+        """Write the lines put since the last flush as one group."""
+        with self._lock:
+            if not self._pending:
                 return
+            group, self._pending = "".join(self._pending), []
             try:
                 if self._fh is None:
                     self.path.parent.mkdir(parents=True, exist_ok=True)
                     self._fh = open(self.path, "a", encoding="utf-8")
-                prefix = "\n" if self._cut_off else ""
-                self._fh.write(prefix + json.dumps({"key_hash": key, "raw_output": raw_output})
-                               + "\n")
+                self._fh.write("\n" + group if self._cut_off else group)
                 self._fh.flush()
                 self._cut_off = False
             except OSError as exc:
-                if self._fh is not None:  # part of the line may be out; start afresh
+                if self._fh is not None:  # part of the group may be out; start afresh
                     self._cut_off = True
-                logger.warning("could not append to cache %s: %s", self.path, exc)
+                logger.warning("could not append %d line(s) to cache %s: %s",
+                               group.count("\n"), self.path, exc)
 
     def close(self) -> None:
+        self.flush()
         with self._lock:
             if self._fh is not None:
                 fh, self._fh = self._fh, None
@@ -273,7 +297,9 @@ class _Runtime:
     """One backend's run state: lock, in-flight cap, counters, mock scratch."""
 
     def __init__(self, max_in_flight: int):
-        self.lock, self.in_flight = threading.Lock(), threading.BoundedSemaphore(max_in_flight)
+        self.lock, self.in_flight = threading.Lock(), queue.SimpleQueue()
+        for _ in range(max_in_flight):  # an attempt holds one token while it runs
+            self.in_flight.put(None)
         self.calls = self.attempts = 0
         self.tally = 0  # +1 per attempt that waited longer than it computed, -1 per other
         self.scratch: dict = {}  # a mock's own state
@@ -311,7 +337,7 @@ class BackendConfig:
             _check_url(self.endpoint)
         if self.max_attempts < 1:
             raise ValidationError("max_attempts must be >= 1")
-        if self.max_in_flight < 1:  # a semaphore of 0 would block the first call forever
+        if self.max_in_flight < 1:  # a cap of 0 would block the first call forever
             raise ValidationError(f"max_in_flight must be >= 1, got {self.max_in_flight!r}")
         if not self.timeout > 0:
             raise ValidationError(f"timeout must be > 0, got {self.timeout!r}")
@@ -394,37 +420,39 @@ def _call(cfg: BackendConfig, budget: Budget, job: str, attempt: Callable, mock:
             raise ValidationError(f"backend kind {cfg.kind!r} does not serve {_SERVED[job]}")
         elif refusal is not None:
             raise BackendError(refusal)
-        else:
-            label, backend = f"{job} {cfg.model_name}", remote
+        else:  # read once per call, so that a bad endpoint or key is refused before any attempt
+            wire = _resolve_endpoint(cfg), _auth_headers(cfg)
+            label, backend = f"{job} {cfg.model_name}", partial(remote, wire=wire)
+        runtime = cfg._runtime
         for attempts in range(1, cfg.max_attempts + 1):
-            with cfg._runtime.lock:
-                cfg._runtime.attempts += 1
+            settled = False
+            runtime.in_flight.get()  # a token, put back as soon as the attempt ends
+            started, cpu_started = time.perf_counter(), time.thread_time()
             try:
-                with cfg._runtime.in_flight:
-                    started, cpu_started = time.perf_counter(), time.thread_time()
-                    try:
-                        reply, usage = attempt(backend)
-                        break
-                    finally:
-                        cpu = time.thread_time() - cpu_started
-                        waited = time.perf_counter() - started - cpu > cpu
-                        with cfg._runtime.lock:
-                            cfg._runtime.tally += 1 if waited else -1
+                try:
+                    reply, usage = attempt(backend)
+                finally:
+                    cpu = time.thread_time() - cpu_started
+                    waited = time.perf_counter() - started - cpu > cpu
+                    runtime.in_flight.put(None)
+                budget.record(*usage)
+                settled = True
             except TransientBackendError as exc:
                 last = exc
-                logger.warning("%s attempt %d/%d failed: %s", label, attempts, cfg.max_attempts,
-                               exc)
-                if attempts < cfg.max_attempts and cfg.backoff_base > 0:
-                    time.sleep(cfg.backoff_base * (2 ** (attempts - 1)))
-        else:
-            raise BackendError(f"{label} unreachable after {cfg.max_attempts} attempt(s): {last}")
-        budget.record(*usage)
+            finally:
+                with runtime.lock:
+                    runtime.attempts += 1
+                    runtime.tally += 1 if waited else -1
+                    runtime.calls += settled
+            if settled:
+                return reply
+            logger.warning("%s attempt %d/%d failed: %s", label, attempts, cfg.max_attempts, last)
+            if attempts < cfg.max_attempts and cfg.backoff_base > 0:
+                time.sleep(cfg.backoff_base * (2 ** (attempts - 1)))
+        raise BackendError(f"{label} unreachable after {cfg.max_attempts} attempt(s): {last}")
     except BaseException:
         budget.release()
         raise
-    with cfg._runtime.lock:
-        cfg._runtime.calls += 1
-    return reply
 
 
 def chat(cfg: BackendConfig, req: ChatRequest, budget: Budget) -> ChatResponse:
@@ -496,15 +524,17 @@ def _auth_headers(cfg: BackendConfig) -> dict[str, str]:
     return headers
 
 
-def _post_json(cfg: BackendConfig, payload: dict) -> dict:
+def _post_json(cfg: BackendConfig, wire: tuple[str, dict[str, str]], payload: dict) -> dict:
+    """POST ``payload`` to ``wire``'s endpoint with its headers (read once per
+    call by ``_call``)."""
     import http.client, urllib.request  # here, so that only a remote call pays for them
 
     class NoRedirect(urllib.request.HTTPRedirectHandler):
         def redirect_request(self, *args):  # so that every 3xx status is an HTTPError
             return None
 
-    request = urllib.request.Request(_resolve_endpoint(cfg), json.dumps(payload).encode(),
-                                     _auth_headers(cfg))
+    endpoint, headers = wire
+    request = urllib.request.Request(endpoint, json.dumps(payload).encode(), headers)
     try:
         try:
             response = urllib.request.build_opener(NoRedirect).open(request, timeout=cfg.timeout)
@@ -524,7 +554,8 @@ def _post_json(cfg: BackendConfig, payload: dict) -> dict:
         raise BackendError(f"backend reply is not JSON: {exc}") from exc
 
 
-def _remote_chat(cfg: BackendConfig, req: ChatRequest) -> tuple[ChatResponse, tuple[int, int]]:
+def _remote_chat(cfg: BackendConfig, req: ChatRequest, *,
+                 wire: tuple[str, dict[str, str]]) -> tuple[ChatResponse, tuple[int, int]]:
     messages = []
     if req.system_text:
         messages.append({"role": "system", "content": req.system_text})
@@ -535,7 +566,7 @@ def _remote_chat(cfg: BackendConfig, req: ChatRequest) -> tuple[ChatResponse, tu
         "temperature": req.temperature,
         "max_tokens": req.max_tokens,
     }
-    body = _post_json(cfg, payload)
+    body = _post_json(cfg, wire, payload)
     try:
         text = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
@@ -544,9 +575,10 @@ def _remote_chat(cfg: BackendConfig, req: ChatRequest) -> tuple[ChatResponse, tu
     return ChatResponse(str(text), *usage), usage
 
 
-def _remote_embed(cfg: BackendConfig, texts: Sequence[str]) -> tuple[list[np.ndarray], tuple[int, int]]:
+def _remote_embed(cfg: BackendConfig, texts: Sequence[str], *,
+                  wire: tuple[str, dict[str, str]]) -> tuple[list[np.ndarray], tuple[int, int]]:
     payload = {"model": cfg.model_name, "input": list(texts)}
-    body = _post_json(cfg, payload)
+    body = _post_json(cfg, wire, payload)
     try:
         vectors = [as_vector(item["embedding"], name="embedding") for item in body["data"]]
     except (KeyError, TypeError, ValidationError) as exc:  # the backend's fault, not the caller's

@@ -1,7 +1,11 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from lpo.gateway import (
     chat,
 )
 
+ROOT = Path(__file__).parent.parent
 LABELS = ("negative", "neutral", "positive")
 
 
@@ -508,12 +513,33 @@ class TestCachePersistence:
                          {"key_hash": "k2", "raw_output": "v2"}]
 
     def test_put_is_visible_to_a_second_cache_while_the_first_is_open(self, tmp_path):
+        """A put is served from memory at once and reaches the file on flush."""
         path = tmp_path / "cache.jsonl"
         with ResponseCache(path) as first:
             first.put("k1", "v1")
-            assert ResponseCache(path).get("k1") == "v1"
             first.put("k2", "v2")
-            assert ResponseCache(path).get("k2") == "v2"
+            assert (first.get("k1"), first.get("k2")) == ("v1", "v2")
+            unflushed = ResponseCache(path)
+            assert (unflushed.get("k1"), unflushed.get("k2")) == (None, None)
+            first.flush()
+            flushed = ResponseCache(path)
+            assert (flushed.get("k1"), flushed.get("k2")) == ("v1", "v2")
+            first.flush()  # nothing new: no line is written twice
+            first.put("k3", "v3")
+            assert ResponseCache(path).get("k3") is None
+        closed = ResponseCache(path)
+        assert (closed.get("k1"), closed.get("k2"), closed.get("k3")) == ("v1", "v2", "v3")
+        assert len(path.read_text().splitlines()) == 3
+
+    def test_lines_are_the_bytes_of_the_json_of_a_dict(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        pairs = [("k", "plain"), ('q"uote', "line\nbreak\ttab\\"), ("ü", "日本 ✓"), ("", "")]
+        with ResponseCache(path) as cache:
+            for key, raw in pairs:
+                cache.put(key, raw)
+        assert path.read_text() == "".join(
+            json.dumps({"key_hash": key, "raw_output": raw}) + "\n" for key, raw in pairs)
+        assert path.read_text().isascii()
 
     def test_cut_off_line_skipped_and_next_append_kept(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
@@ -533,7 +559,7 @@ class TestCachePersistence:
         path = tmp_path / "cache.jsonl"
 
         class FullDisk:
-            """Writes part of its first line, then fails as a full disk would."""
+            """Writes part of its first group, then fails as a full disk would."""
 
             def __init__(self, fh):
                 self.fh, self.failed = fh, False
@@ -554,14 +580,60 @@ class TestCachePersistence:
 
         with caplog.at_level("WARNING"), ResponseCache(path) as cache:
             cache.put("k1", "v1")
+            cache.flush()
             cache._fh = FullDisk(cache._fh)
             cache.put("k2", "v2")
-            assert any("could not append" in r.message for r in caplog.records)
-            assert cache.get("k2") == "v2"  # still served from memory in this run
             cache.put("k3", "v3")
+            cache.flush()
+            failures = [r for r in caplog.records if "could not append" in r.message]
+            assert len(failures) == 1 and "2 line(s)" in failures[0].message
+            assert (cache.get("k2"), cache.get("k3")) == ("v2", "v3")  # still served from memory
+            cache.put("k4", "v4")
+            cache.put("k5", "v5")
         reloaded = ResponseCache(path)
-        assert (reloaded.get("k1"), reloaded.get("k2"), reloaded.get("k3")) == ("v1", None, "v3")
+        assert [reloaded.get(f"k{i}") for i in range(1, 6)] == ["v1", None, None, "v4", "v5"]
         assert reloaded.skipped == 1
+        assert path.read_text().endswith('{"key_hash": "k5", "raw_output": "v5"}\n')
+
+    def test_evaluate_writes_each_template_once_its_calls_end(self, tmp_path):
+        """A process that dies before a flush loses only the replies put since
+        the last template, and leaves no torn line."""
+        path = tmp_path / "cache.jsonl"
+        code = f"""if True:
+            import os
+            from lpo.core import Dataset, Example, validate_template
+            from lpo.evaluator import EvalConfig, evaluate
+            from lpo.gateway import BackendConfig, Budget
+            ds = Dataset(examples=tuple(Example(text=f"row-{{i}}", label="positive")
+                                        for i in range(6)), label_set=("negative", "positive"))
+            fixed = BackendConfig(kind="mock", behavior="fixed", params={{"reply": "positive"}})
+            cfg = EvalConfig(task_backend=fixed, extraction_backend=fixed,
+                             cache_path={str(path)!r})
+            budget = Budget()
+            with budget.replies_from(cfg.cache_path):
+                for text in ("First: {{text}}", "Second: {{text}}"):
+                    evaluate(validate_template(text), ds, cfg, budget)
+                budget.replies.put("unflushed", "lost")
+                os._exit(0)
+            """
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) == 2 * 6 and all(line.endswith("\n") for line in lines)
+        reloaded = ResponseCache(path)
+        assert reloaded.skipped == 0 and reloaded.get("unflushed") is None
+
+    def test_template_cut_short_by_the_budget_keeps_its_replies(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        ds = dataset([(f"ex{i}", "positive") for i in range(5)])
+        cfg = config(scripted_task({f"ex{i}": "positive" for i in range(5)}), cache_path=path)
+        spent = budget(max_calls=3)
+        with spent.replies_from(path):
+            with pytest.raises(BudgetExhaustedError, match="after 3 of 5"):
+                evaluate(TEMPLATE, ds, cfg, spent)
+            assert len(path.read_text().splitlines()) == 3  # written before the cache closes
+        rerun = budget(max_calls=2)  # the three replies kept come from the file
+        assert evaluate(TEMPLATE, ds, cfg, rerun).n_total == 5
 
     def test_backends_sharing_a_cache_file_keep_their_own_replies(self, tmp_path):
         examples = [Example(text=f"sample-{i:02d}", label="positive" if i % 2 else "negative")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import lpo
 import lpo.gateway as gw
-from lpo.errors import BackendError, BudgetExhaustedError, ValidationError
+from lpo.errors import BackendError, BudgetExhaustedError, TransientBackendError, ValidationError
 from lpo.gateway import (
     BackendConfig,
     Budget,
@@ -392,7 +392,8 @@ class TestRemoteWire:
         budget = Budget(max_calls=3)
         with pytest.raises(ValidationError, match=re.escape(message)):
             chat(cfg, ChatRequest(user_text="x"), budget)
-        assert attempt_count(cfg) == 1 and call_count(cfg) == 0 and budget.calls_left() == 3
+        assert attempt_count(cfg) == 0 and call_count(cfg) == 0 and budget.calls_left() == 3
+        assert not blocks(cfg)  # a call refused unsent casts no blocking vote
 
     @pytest.mark.parametrize("key", ["clé✓", "sk-abc\nX-Evil: 1", "sk abc"])
     def test_key_that_cannot_be_a_header_is_refused_unsent(self, monkeypatch, key):
@@ -405,6 +406,7 @@ class TestRemoteWire:
         assert str(caught.value) == ("the API key in $LPO_API_KEY must be printable ASCII "
                                      "without spaces")
         assert server.received == [] and call_count(cfg) == 0 and budget.calls_left() == 3
+        assert attempt_count(cfg) == 0 and not blocks(cfg)
 
 
 USAGES = {  # case: (job, the reply's usage, error raised or tokens counted)
@@ -554,6 +556,65 @@ class TestConcurrencyCap:
             t.join()
         assert active["peak"] <= 2
         assert usage_report(budget)[0] == 8
+
+    def test_no_way_a_call_ends_loses_a_token(self):
+        width = 4  # more than the failing calls below, so that a leak cannot block them
+        active = {"now": 0, "peak": 0}
+        lock = threading.Lock()
+        burst = threading.Barrier(width, timeout=10)
+        failures = {"flaky": 1}
+
+        def handler(req):
+            text = req.user_text
+            if failures.get(text, 0) > 0:
+                failures[text] -= 1
+                raise TransientBackendError("dropped")
+            if text == "broken":
+                raise BackendError("refused by the backend")
+            if text == "invalid":
+                raise ValidationError("refused by the handler")
+            if text == "together":
+                with lock:
+                    active["now"] += 1
+                    active["peak"] = max(active["peak"], active["now"])
+                try:
+                    burst.wait()  # returns only once width calls are in flight at once
+                finally:
+                    with lock:
+                        active["now"] -= 1
+            return "ok"
+
+        cfg = mock_chat_cfg(behavior="handler", params={"fn": handler}, max_in_flight=width)
+        budget = big_budget()
+        assert chat(cfg, ChatRequest(user_text="flaky"), budget).text == "ok"  # 2 attempts
+        with pytest.raises(BackendError, match="refused by the backend"):
+            chat(cfg, ChatRequest(user_text="broken"), budget)
+        with pytest.raises(ValidationError, match="refused by the handler"):
+            chat(cfg, ChatRequest(user_text="invalid"), budget)
+        spent = Budget(max_calls=1)
+        chat(cfg, ChatRequest(user_text="once"), spent)
+        with pytest.raises(BudgetExhaustedError):
+            chat(cfg, ChatRequest(user_text="once"), spent)  # refused before any attempt
+        assert (attempt_count(cfg), call_count(cfg)) == (5, 2)
+
+        replies = []
+        threads = [threading.Thread(target=lambda: replies.append(
+            chat(cfg, ChatRequest(user_text="together"), budget).text), daemon=True)
+            for _ in range(2 * width)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose a lost count
+        try:
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 15  # a lost token would leave a caller waiting forever
+            for t in threads:
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert replies == ["ok"] * (2 * width)
+        assert active["peak"] == width
+        assert (attempt_count(cfg), call_count(cfg)) == (5 + 2 * width, 2 + 2 * width)
 
 
 class TestBudgetUnderThreads:
