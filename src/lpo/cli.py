@@ -1,14 +1,15 @@
 """Command-line entry point: optimize, evaluate, explore, fit-projector, report.
 
-Exit codes: 0 success, 2 validation error, 3 budget exhaustion, 4 backend
-failure. Config and seed validation failures are listed exhaustively before
-any backend call. Reporting is purely offline: it reads a run record and
-never constructs a backend.
+Exit codes: 0 success, 2 validation error or a path that cannot be read or
+written, 3 budget exhaustion, 4 backend failure. Config and seed validation
+failures are listed exhaustively before any backend call. Reporting is purely
+offline: it reads a run record and never constructs a backend.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
 from dataclasses import replace
@@ -20,7 +21,7 @@ from . import encoder as encoder_mod
 from . import evaluator as evaluator_mod
 from . import fixtures
 from .config import DEFAULT_CONFIG_TEXT, AppConfig, load_app_config, load_seed_templates
-from .core import Dataset, load_dataset, split_dataset
+from .core import Dataset, load_dataset, split_dataset, write_atomic
 from .errors import BackendError, BudgetExhaustedError, LPOError, ValidationError
 from .explorer import generate_candidates
 from .optimizer import iterate
@@ -118,10 +119,9 @@ def cmd_evaluate(config_path: str, prompts_path: str, split: str,
     eval_cfg = app.eval_config(split)
     budget = app.budget()
     rows = []
-    with budget.replies_from(eval_cfg.cache_path):  # read once for all prompts
-        for template in templates:
-            scored = evaluator_mod.evaluate(template, eval_set, eval_cfg, budget)
-            rows.append((template.id, scored.accuracy))
+    for template in templates:  # the first evaluation reads the cache file
+        scored = evaluator_mod.evaluate(template, eval_set, eval_cfg, budget)
+        rows.append((template.id, scored.accuracy))
     width = max(len(r[0]) for r in rows)
     print(f"{'prompt':<{width}}  accuracy")
     for tid, accuracy in rows:
@@ -145,17 +145,15 @@ def cmd_explore(config_path: str, seeds_path: str, count: int | None = None,
     vectors = encoder_mod.encode(app.optimizer.encoder, seeds, budget)
     candidates = generate_candidates([(s.id, v) for s, v in zip(seeds, vectors)], policy)
     out = Path(out_path) if out_path else app.out_dir / "candidates.jsonl"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    import json
 
-    with open(out, "w", encoding="utf-8") as fh:
-        for candidate in candidates:
-            payload = candidate_to_dict(candidate)
-            payload["embedding"] = candidate.embedding.tolist()  # floats, unlike the record
-            payload.pop("decoded_text", None)
-            payload.pop("refined_template", None)
-            payload.pop("invalid_reason", None)
-            fh.write(json.dumps(payload, ensure_ascii=False) + "\n")
+    def line(candidate) -> str:
+        payload = candidate_to_dict(candidate)
+        payload["embedding"] = candidate.embedding.tolist()  # floats, unlike the record
+        for undecoded in ("decoded_text", "refined_template", "invalid_reason"):
+            del payload[undecoded]
+        return json.dumps(payload, ensure_ascii=False)
+
+    write_atomic(out, map(line, candidates))
     print(f"wrote {len(candidates)} candidate records to {out}")
     return 0
 
@@ -327,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     except BackendError as exc:
         print(f"backend failure: {exc}", file=sys.stderr)
         return 4
-    except LPOError as exc:
+    except (LPOError, OSError) as exc:  # an OSError names the input or output path at fault
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

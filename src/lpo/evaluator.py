@@ -10,15 +10,19 @@ would inflate scores.
 Replies are cached in the budget and in the append-only JSONL file
 ``cache_path``, keyed by content hashes and the answering backend's
 fingerprint, so a warm rerun issues zero gateway calls and returns identical
-scores, and no backend is served another's reply. :func:`evaluate` hashes its
-template and encodes its label set once, and each example's text is hashed
-once per process (``Example.digest``); the keys are the same strings as ever,
-so cache files written by earlier versions still hit.
+scores, and no backend is served another's reply. The first evaluation with
+a cache path binds the budget to that file, which is read then and only
+then; the budget stays bound to it until an evaluation names another.
+:func:`evaluate` hashes its template and encodes its label set once, and
+each example's text is hashed once per process (``Example.digest``); the
+keys are the same strings as ever, so cache files written by earlier
+versions still hit.
 
-A new reply is served from memory as soon as it is put. Its line is written
-when its template's calls end, with one write per template (also for a
-template cut short by the budget), or when the cache closes, so a crash loses
-at most the current template's replies. Nothing is fsynced.
+A new reply is served from memory as soon as it is put. Its line is appended
+when its template's calls end, with one open, write and close of the file per
+template (also for a template cut short by the budget), so a crash loses at
+most the current template's replies and no file is held open between
+templates. Nothing is fsynced.
 
 A backend that the gateway has seen block (see :func:`gateway.blocks`) gets a
 template's calls from up to ``max_in_flight`` threads at once, so their
@@ -69,7 +73,7 @@ class EvalConfig:
             raise ValidationError(f"temperature must be finite, got {self.temperature}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerExample:
     """Outcome of one example: raw reply, extracted label, correctness."""
 
@@ -126,7 +130,7 @@ def classify_one(template: PromptTemplate, ex: Example, cfg: EvalConfig,
     ``keys`` gives an example's cache key (:func:`_classify_keys` for this
     template and the task backend), for callers that score many examples.
     The reply is looked up in and kept in ``budget.replies``; :func:`evaluate`
-    binds ``cfg.cache_path`` there once per template, since reading that file
+    binds ``cfg.cache_path`` there, once per budget, since reading that file
     per call would cost more than the call.
     """
     keys = keys or _classify_keys(gateway.backend_fingerprint(cfg.task_backend), cfg, template)
@@ -256,8 +260,11 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
 
     Accuracy is the exact integer ratio correct/total. Budget exhaustion
     mid-set raises an error naming how many examples completed. Replies are
-    kept in ``cfg.cache_path`` (:meth:`Budget.replies_from`), and the lines of
-    this template's new replies are written there once its calls end.
+    kept in ``budget.replies``, which a ``cfg.cache_path`` binds to that file
+    (:meth:`Budget.bind_replies`): the first evaluation reads it, and the
+    budget stays bound to it, so later evaluations on that budget read
+    nothing. The lines of this template's new replies are appended there
+    once its calls end.
 
     When the task or extraction backend blocks (:func:`gateway.blocks`), its
     calls for this template run on up to its ``max_in_flight`` threads: first
@@ -290,24 +297,24 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
 
     widths = _width(cfg.task_backend), _width(cfg.extraction_backend)
     texts = _by_value([ex.text for ex in slice_examples]) if max(widths) > 1 else []
+    if cfg.cache_path is not None:
+        budget.bind_replies(cfg.cache_path)
     try:
-        with budget.replies_from(cfg.cache_path):
-            try:
-                if texts and budget.calls_left() >= 2 * len(texts):
-                    _fan_out(texts, classify, widths[0])
-                    _fan_out(_by_value(raws), extract, widths[1])
-                else:
-                    for index in range(n):
-                        classify(index)
-                        extract(index)
-            finally:  # also a template cut short by the budget keeps its replies
-                budget.replies.flush()
+        if texts and budget.calls_left() >= 2 * len(texts):
+            _fan_out(texts, classify, widths[0])
+            _fan_out(_by_value(raws), extract, widths[1])
+        else:
+            for index in range(n):
+                classify(index)
+                extract(index)
     except BudgetExhaustedError as exc:
         completed = labels.index(None)
         raise BudgetExhaustedError(
             f"budget exhausted after {completed} of {n} "
             f"examples for template {template.id}: {exc}"
         ) from exc
+    finally:  # also a template cut short by the budget keeps its replies
+        budget.replies.flush()
     outcomes = tuple(
         PerExample(index=index, raw_output=raw, extracted_label=label,
                    correct=(label == ex.label))

@@ -23,7 +23,8 @@ compute. :func:`blocks` reports it, and the evaluator fans a template's calls
 out to ``max_in_flight`` threads only for a backend that blocks.
 
 Every call receives the run's ledger, a :class:`Budget`: ceilings, usage,
-replies and embeddings. Only this module builds a :class:`ResponseCache`.
+replies and embeddings. Only this module builds a :class:`ResponseCache`; one
+keeps no file open, since each flush appends one group and closes the file.
 
 The remote wire is one JSON POST per attempt, in the de facto
 chat-completions / embeddings shape, made with the standard library's
@@ -58,11 +59,10 @@ import queue
 import threading
 import time
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -110,22 +110,25 @@ class ChatResponse:
             raise ValidationError("token counts must be >= 0")
 
 
+_APPEND = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+
+
 class ResponseCache:
     """Append-only JSONL cache of backend replies, keyed by content hash.
 
     The file is read once, here. ``put`` serves the reply from memory at once
-    and queues its line; :meth:`flush` writes the queued lines as one group,
-    with one write and one flush, so they have reached the operating system
-    when it returns (they are not fsynced). The first group opens one append
-    handle (creating the directory). :func:`lpo.evaluator.evaluate` flushes
-    once per template, and ``close()`` flushes first, so a crash loses at most
-    the replies put since the last flush. Whoever makes a cache closes it:
-    ``close()``, or use it as a context manager.
+    and queues its line; :meth:`flush` appends the queued lines as one group
+    with one open, one write and one close (creating the directory only when
+    the open finds it missing), so they have reached the operating system when
+    it returns (they are not fsynced) and no file stays open between flushes.
+    :func:`lpo.evaluator.evaluate` flushes once per template, so a crash loses
+    at most the replies put since the last flush.
 
     I/O problems are downgraded to warnings; the evaluator then simply falls
-    back to live calls. A group whose write fails stays in memory only, and
-    the next group starts on a new line. Undecodable lines, such as one cut
-    short by a crash, are skipped and counted. Puts and flushes are serialized.
+    back to live calls. A group whose write fails or falls short stays in
+    memory only, and the next group starts on a new line. Undecodable lines,
+    such as one cut short by a crash, are skipped and counted. Puts and
+    flushes are serialized.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -133,12 +136,11 @@ class ResponseCache:
         self._entries: dict[str, str] = {}
         self._pending: list[str] = []  # lines put since the last flush
         self._lock = threading.Lock()
-        self._fh = None
         self.skipped = 0
         self._cut_off = False  # last line lacks its newline; next append starts a new one
         if self.path is None or not self.path.exists():
             return
-        line = ""
+        line, replies = "", {}  # one copy of each distinct reply; a label repeats a lot
         try:
             # lpo writes ASCII-only JSON, so a cut-off line is still valid UTF-8
             with open(self.path, encoding="utf-8") as fh:
@@ -147,7 +149,8 @@ class ResponseCache:
                         continue
                     try:
                         obj = json.loads(line)
-                        self._entries[obj["key_hash"]] = obj["raw_output"]
+                        raw = obj["raw_output"]
+                        self._entries[obj["key_hash"]] = replies.setdefault(raw, raw)
                     except (ValueError, KeyError, TypeError):
                         self.skipped += 1
         except (OSError, UnicodeDecodeError) as exc:
@@ -173,39 +176,29 @@ class ResponseCache:
             self._pending.append(line)
 
     def flush(self) -> None:
-        """Write the lines put since the last flush as one group."""
+        """Append the lines put since the last flush as one group."""
         with self._lock:
             if not self._pending:
                 return
-            group, self._pending = "".join(self._pending), []
+            lines, self._pending = self._pending, []
+            data = (("\n" if self._cut_off else "") + "".join(lines)).encode("ascii")
             try:
-                if self._fh is None:
+                try:
+                    fd = os.open(self.path, _APPEND)
+                except FileNotFoundError:
                     self.path.parent.mkdir(parents=True, exist_ok=True)
-                    self._fh = open(self.path, "a", encoding="utf-8")
-                self._fh.write("\n" + group if self._cut_off else group)
-                self._fh.flush()
+                    fd = os.open(self.path, _APPEND)
+                self._cut_off = True  # part of the group may be out until all of it is
+                try:
+                    written = os.write(fd, data)
+                finally:
+                    os.close(fd)
+                if written < len(data):
+                    raise OSError(f"short write, {written} of {len(data)} bytes")
                 self._cut_off = False
             except OSError as exc:
-                if self._fh is not None:  # part of the group may be out; start afresh
-                    self._cut_off = True
                 logger.warning("could not append %d line(s) to cache %s: %s",
-                               group.count("\n"), self.path, exc)
-
-    def close(self) -> None:
-        self.flush()
-        with self._lock:
-            if self._fh is not None:
-                fh, self._fh = self._fh, None
-                try:
-                    fh.close()
-                except OSError as exc:
-                    logger.warning("could not close cache %s: %s", self.path, exc)
-
-    def __enter__(self) -> ResponseCache:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+                               len(lines), self.path, exc)
 
 
 @dataclass
@@ -219,9 +212,11 @@ class Budget:
     ceiling refuses new calls once the tokens spent reach it; calls already
     admitted may end above it.
 
-    ``replies`` is the evaluator's reply cache, in memory unless
-    :meth:`replies_from` binds a file. ``embeddings`` holds the encoder's
-    vectors, keyed by backend fingerprint and text.
+    ``replies`` is the evaluator's reply cache, in memory until
+    :func:`lpo.evaluator.evaluate` binds it to a cache file
+    (:meth:`bind_replies`); it stays bound to the last file it was bound to.
+    ``embeddings`` holds the encoder's vectors, keyed by backend fingerprint
+    and text.
     """
 
     max_calls: int = 100_000
@@ -271,20 +266,13 @@ class Budget:
         with self._lock:
             return self.max_calls - self.calls - self._reserved
 
-    @contextmanager
-    def replies_from(self, path: str | Path | None) -> Iterator[None]:
-        """Read the cache file at ``path`` once and keep this block's replies in
-        it, unless it is bound already (or None). On exit, however the block
-        ends, the outer cache is back and the file is closed."""
-        if path is None or self.replies.path == Path(path):
-            yield
-            return
-        outer = self.replies
-        try:
-            with ResponseCache(path) as self.replies:
-                yield
-        finally:
-            self.replies = outer
+    def bind_replies(self, path: str | Path) -> None:
+        """Keep replies in the cache file at ``path`` from now on. Unless they
+        are kept there already, the current cache is flushed and the file is
+        read, once; the budget stays bound to it until another path comes."""
+        if self.replies.path != Path(path):
+            self.replies.flush()
+            self.replies = ResponseCache(path)
 
 
 def usage_report(budget: Budget) -> tuple[int, int]:

@@ -152,8 +152,9 @@ def run_cycle(
     are the cycle's own start and finish. Budget exhaustion partway yields
     a partial record flagged as such rather than an exception; a cycle in
     which every candidate decoded invalid falls back to selecting among the
-    seeds, with a warning. Without ``state`` the cycle is number 1 and binds
-    ``eval_cfg.cache_path`` to the budget for its own length.
+    seeds, with a warning. Without ``state`` the cycle is number 1. Replies
+    are kept as :func:`lpo.evaluator.evaluate` keeps them: the budget stays
+    bound to ``eval_cfg.cache_path`` after the cycle.
     """
     if not seeds:
         raise ValidationError("run_cycle needs at least one seed template")
@@ -166,8 +167,7 @@ def run_cycle(
             f"({cfg.policy.candidate_count} + {len(seeds)})"
         )
     if state is None:
-        with budget.replies_from(eval_cfg.cache_path):
-            return run_cycle(seeds, cfg, eval_cfg, eval_set, budget, _RunState())
+        state = _RunState()
     started = _now()
     state.iteration += 1
     warnings: list[str] = []
@@ -261,37 +261,36 @@ def iterate(
     best: float | None = None
     no_improve = 0
 
-    with budget.replies_from(eval_cfg.cache_path):
-        state = _RunState()
-        for index in range(1, cfg.max_iterations + 1):
-            try:
-                result = run_cycle(current, cfg, eval_cfg, eval_set, budget, state=state)
-            except BudgetExhaustedError as exc:
-                if not iterations:
-                    raise
-                run_warnings.append(f"stopped before iteration {index}: {exc}")
-                break
-            iterations.append(result)
-            run_warnings.extend(result.warnings)
-            if result.partial:
-                run_warnings.append(f"stopped after iteration {index}: budget exhausted")
-                break
-            if best is None:
-                # the incumbent to beat is the best of the original seeds
-                seed_ids = {t.id for t in current}
-                best = max((s.accuracy for s in result.scored if s.template.id in seed_ids),
-                           default=-np.inf)
-            iter_best = max((s.accuracy for s in result.scored), default=-np.inf)
-            if iter_best > best:
-                best = iter_best
-                no_improve = 0
-            else:
-                no_improve += 1
-            if no_improve > cfg.patience:
-                run_warnings.append(f"stopped after iteration {index}: "
-                                    f"no improvement for {no_improve} iteration(s)")
-                break
-            current = result.selected
+    state = _RunState()
+    for index in range(1, cfg.max_iterations + 1):
+        try:
+            result = run_cycle(current, cfg, eval_cfg, eval_set, budget, state=state)
+        except BudgetExhaustedError as exc:
+            if not iterations:
+                raise
+            run_warnings.append(f"stopped before iteration {index}: {exc}")
+            break
+        iterations.append(result)
+        run_warnings.extend(result.warnings)
+        if result.partial:
+            run_warnings.append(f"stopped after iteration {index}: budget exhausted")
+            break
+        if best is None:
+            # the incumbent to beat is the best of the original seeds
+            seed_ids = {t.id for t in current}
+            best = max((s.accuracy for s in result.scored if s.template.id in seed_ids),
+                       default=-np.inf)
+        iter_best = max((s.accuracy for s in result.scored), default=-np.inf)
+        if iter_best > best:
+            best = iter_best
+            no_improve = 0
+        else:
+            no_improve += 1
+        if no_improve > cfg.patience:
+            run_warnings.append(f"stopped after iteration {index}: "
+                                f"no improvement for {no_improve} iteration(s)")
+            break
+        current = result.selected
 
     calls, tokens = usage_report(budget)
     info = dict(dataset_info or {})

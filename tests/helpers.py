@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import http.server
 import json
+import os
 import socket
 import socketserver
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from lpo import evaluator, gateway
 from lpo.core import Dataset, Example, PromptTemplate, validate_template
@@ -150,22 +153,34 @@ def build_toy_pipeline(
 
 
 def spy_on_response_caches(monkeypatch) -> list:
-    """Record every ``ResponseCache`` lpo makes from now on (the gateway
-    makes them all); each gets a ``closed`` flag that its ``close()`` sets."""
+    """Record every ``ResponseCache`` that a budget binds to a file from now
+    on (:meth:`lpo.gateway.Budget.bind_replies`); each one read its file once."""
     made = []
 
     class SpyCache(evaluator.ResponseCache):
         def __init__(self, path=None):
             super().__init__(path)
-            self.closed = False
             made.append(self)
-
-        def close(self):
-            super().close()
-            self.closed = True
 
     monkeypatch.setattr(gateway, "ResponseCache", SpyCache)
     return made
+
+
+def open_descriptors(path) -> list[str]:
+    """This process's file descriptors open on ``path``; skips the test where
+    ``/proc/self/fd`` does not exist."""
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("no /proc/self/fd to list descriptors")
+    target = Path(path).resolve()
+    found = []
+    for fd in os.listdir(fds):
+        try:
+            if Path(os.readlink(fds / fd)) == target:
+                found.append(fd)
+        except OSError:  # the descriptor of the listing itself is gone by now
+            pass
+    return found
 
 
 class LoopbackServer:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import urllib.request
@@ -5,12 +6,12 @@ import urllib.request
 import numpy as np
 import pytest
 import yaml
-from helpers import spy_on_response_caches
+from helpers import open_descriptors, spy_on_response_caches
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import lpo.gateway as gw
-from lpo import fixtures
+from lpo import core, fixtures
 from lpo.cli import main
 from lpo.config import AppConfig, load_app_config
 from lpo.gateway import Budget
@@ -249,9 +250,10 @@ class TestEvaluate:
         code = run(["evaluate", "--config", toy_workspace / "config.yaml",
                     "--prompts", toy_workspace / "seeds.jsonl"])
         assert code == 0
-        assert made and all(cache.closed for cache in made)
-        assert len([cache for cache in made if cache.path is not None]) == 1  # read once
-        assert (toy_workspace / "out" / "cache_validation.jsonl").stat().st_size > 0
+        cache = toy_workspace / "out" / "cache_validation.jsonl"
+        assert open_descriptors(cache) == []
+        assert [c.path for c in made] == [cache]  # read once
+        assert cache.stat().st_size > 0
 
     def test_missing_test_split_configured(self, toy_workspace, capsys):
         config_text = (toy_workspace / "config.yaml").read_text()
@@ -508,6 +510,47 @@ class TestExplore:
                         "--seeds", toy_workspace / "seeds.jsonl", "--out", out]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_toy_output_keeps_its_bytes(self, toy_workspace):
+        """The default candidates file of the toy workspace, byte for byte as
+        lpo wrote it line by line before it went through ``write_atomic``."""
+        out = toy_workspace / "cands.jsonl"
+        assert run(["explore", "--config", toy_workspace / "config.yaml",
+                    "--seeds", toy_workspace / "seeds.jsonl", "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "3cec7b16bae576404c478898955135a6064b3c5ebb80534d9d3c72876a596e2b")
+
+    def test_write_failing_mid_file_keeps_the_earlier_file(self, toy_workspace, capsys,
+                                                           monkeypatch):
+        out = toy_workspace / "cands.jsonl"
+        out.write_text("earlier\n")
+        real_open = open
+
+        class FullDisk:
+            """Takes two lines, then fails as a full disk would."""
+
+            def __init__(self, fh):
+                self.fh, self.lines = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def write(self, text):
+                if self.lines == 2:
+                    raise OSError(28, "No space left on device")
+                self.lines += text == "\n"
+                return self.fh.write(text)
+
+        monkeypatch.setattr(core, "open", lambda *a, **k: FullDisk(real_open(*a, **k)),
+                            raising=False)
+        assert run(["explore", "--config", toy_workspace / "config.yaml",
+                    "--seeds", toy_workspace / "seeds.jsonl", "--out", out]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert out.read_text() == "earlier\n"
+        assert not list(toy_workspace.glob("*.tmp"))
+
 
 class TestFitProjector:
     def test_exact_pairs_tiny_residual(self, tmp_path, capsys):
@@ -621,6 +664,29 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert f"{bad.name} is not UTF-8 text" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["optimize", "evaluate", "explore", "config-init", "config-toy"])
+def test_unusable_path_exits_2_naming_it(toy_workspace, capsys, case):
+    """An input or output path the OS refuses is an error that names it, not a traceback."""
+    blocker = toy_workspace / "blocker"
+    blocker.write_text("a file where a directory is wanted\n")
+    missing = toy_workspace / "missing" / "x.yaml"
+    config, seeds = toy_workspace / "config.yaml", toy_workspace / "seeds.jsonl"
+    args, named = {
+        "optimize": (["optimize", "--config", config, "--seeds", seeds, "--out-dir", blocker],
+                     blocker),
+        "evaluate": (["evaluate", "--config", config, "--prompts", seeds, "--out-dir", blocker],
+                     blocker),
+        "explore": (["explore", "--config", config, "--seeds", seeds,
+                     "--out", blocker / "x.jsonl"], blocker),
+        "config-init": (["config", "init", "--out", missing], missing),
+        "config-toy": (["config", "toy", "--dest", blocker], blocker),
+    }[case]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(named) in err
+    assert "Traceback" not in err
 
 
 class TestReport:

@@ -3,12 +3,14 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import open_descriptors, spy_on_response_caches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,13 +93,11 @@ class TestClassifyOne:
     def test_unreadable_cache_file_falls_back_to_live(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
         path.write_text("{broken json\n")
-        b = budget()
-        with caplog.at_level("WARNING", logger="lpo.evaluator"), b.replies_from(path):
+        cfg = config(scripted_task({"good day": "Positive"}), cache_path=path)
+        with caplog.at_level("WARNING", logger="lpo.evaluator"):
+            scored = evaluate(TEMPLATE, dataset([("good day", "positive")]), cfg, budget())
             assert any("unreadable cache" in r.message for r in caplog.records)
-            cfg = config(scripted_task({"good day": "Positive"}), cache_path=path)
-            raw = classify_one(TEMPLATE, Example(text="good day", label="positive"),
-                               cfg, b)
-        assert raw == "Positive"
+        assert scored.per_example[0].raw_output == "Positive"
 
     def test_non_utf8_cache_file_is_ignored_with_one_warning(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
@@ -105,10 +105,12 @@ class TestClassifyOne:
                          + b"\n\xff\xfe\n")
         b = budget()
         cfg = config(scripted_task({"good day": "Positive"}), cache_path=path)
-        with caplog.at_level("WARNING"), b.replies_from(path):
+        with caplog.at_level("WARNING"):
+            scored = evaluate(TEMPLATE, dataset([("good day", "positive")]), cfg, b)
+            assert b.replies.path == path
             assert b.replies.get("k") is None  # the whole file is set aside
-            raw = classify_one(TEMPLATE, Example(text="good day", label="positive"), cfg, b)
-        assert raw == "Positive" and call_count(cfg.task_backend) == 1
+        assert scored.per_example[0].raw_output == "Positive"
+        assert call_count(cfg.task_backend) == 1
         warnings = [r.getMessage() for r in caplog.records]
         assert len(warnings) == 1 and warnings[0].startswith(f"ignoring unreadable cache {path}")
 
@@ -502,9 +504,10 @@ class TestScoredPromptInvariants:
 class TestCachePersistence:
     def test_appended_entries_survive_reload(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        with ResponseCache(path) as cache:
-            cache.put("k1", "v1")
-            cache.put("k2", "v2")
+        cache = ResponseCache(path)
+        cache.put("k1", "v1")
+        cache.put("k2", "v2")
+        cache.flush()
         reloaded = ResponseCache(path)
         assert reloaded.get("k1") == "v1"
         assert reloaded.get("k2") == "v2"
@@ -512,31 +515,41 @@ class TestCachePersistence:
         assert lines == [{"key_hash": "k1", "raw_output": "v1"},
                          {"key_hash": "k2", "raw_output": "v2"}]
 
+    def test_a_reload_keeps_one_copy_of_each_distinct_reply(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text("".join(json.dumps({"key_hash": f"k{i}", "raw_output": "positive"}) + "\n"
+                                for i in range(3)))
+        reloaded = ResponseCache(path)
+        assert reloaded.get("k0") == "positive"
+        assert reloaded.get("k0") is reloaded.get("k1") is reloaded.get("k2")
+
     def test_put_is_visible_to_a_second_cache_while_the_first_is_open(self, tmp_path):
         """A put is served from memory at once and reaches the file on flush."""
         path = tmp_path / "cache.jsonl"
-        with ResponseCache(path) as first:
-            first.put("k1", "v1")
-            first.put("k2", "v2")
-            assert (first.get("k1"), first.get("k2")) == ("v1", "v2")
-            unflushed = ResponseCache(path)
-            assert (unflushed.get("k1"), unflushed.get("k2")) == (None, None)
-            first.flush()
-            flushed = ResponseCache(path)
-            assert (flushed.get("k1"), flushed.get("k2")) == ("v1", "v2")
-            first.flush()  # nothing new: no line is written twice
-            first.put("k3", "v3")
-            assert ResponseCache(path).get("k3") is None
-        closed = ResponseCache(path)
-        assert (closed.get("k1"), closed.get("k2"), closed.get("k3")) == ("v1", "v2", "v3")
+        first = ResponseCache(path)
+        first.put("k1", "v1")
+        first.put("k2", "v2")
+        assert (first.get("k1"), first.get("k2")) == ("v1", "v2")
+        unflushed = ResponseCache(path)
+        assert (unflushed.get("k1"), unflushed.get("k2")) == (None, None)
+        first.flush()
+        flushed = ResponseCache(path)
+        assert (flushed.get("k1"), flushed.get("k2")) == ("v1", "v2")
+        first.flush()  # nothing new: no line is written twice
+        first.put("k3", "v3")
+        assert ResponseCache(path).get("k3") is None
+        first.flush()
+        reloaded = ResponseCache(path)
+        assert (reloaded.get("k1"), reloaded.get("k2"), reloaded.get("k3")) == ("v1", "v2", "v3")
         assert len(path.read_text().splitlines()) == 3
 
     def test_lines_are_the_bytes_of_the_json_of_a_dict(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         pairs = [("k", "plain"), ('q"uote', "line\nbreak\ttab\\"), ("ü", "日本 ✓"), ("", "")]
-        with ResponseCache(path) as cache:
-            for key, raw in pairs:
-                cache.put(key, raw)
+        cache = ResponseCache(path)
+        for key, raw in pairs:
+            cache.put(key, raw)
+        cache.flush()
         assert path.read_text() == "".join(
             json.dumps({"key_hash": key, "raw_output": raw}) + "\n" for key, raw in pairs)
         assert path.read_text().isascii()
@@ -546,54 +559,94 @@ class TestCachePersistence:
         good = json.dumps({"key_hash": "k1", "raw_output": "v1"})
         # a crash mid-append leaves a line without its end
         path.write_text(good + "\n" + '{"key_hash": "k2", "raw_ou')
-        with caplog.at_level("WARNING", logger="lpo.evaluator"), ResponseCache(path) as cache:
+        with caplog.at_level("WARNING", logger="lpo.evaluator"):
+            cache = ResponseCache(path)
             assert cache.get("k1") == "v1"
             assert cache.skipped == 1
             assert len([r for r in caplog.records if "unreadable" in r.message]) == 1
             cache.put("k3", "v3")
+            cache.flush()
         reloaded = ResponseCache(path)
         assert (reloaded.get("k1"), reloaded.get("k3")) == ("v1", "v3")
         assert reloaded.skipped == 1
 
-    def test_failed_append_leaves_only_its_own_line_torn(self, tmp_path, caplog):
+    def test_failed_append_leaves_only_its_own_line_torn(self, tmp_path, caplog, monkeypatch):
         path = tmp_path / "cache.jsonl"
+        real_write = os.write
 
-        class FullDisk:
-            """Writes part of its first group, then fails as a full disk would."""
+        def full_disk(fd, data):
+            """Writes part of the group, then fails as a full disk would."""
+            real_write(fd, data[:12])
+            raise OSError(28, "No space left on device")
 
-            def __init__(self, fh):
-                self.fh, self.failed = fh, False
-
-            def write(self, text):
-                if self.failed:
-                    return self.fh.write(text)
-                self.failed = True
-                self.fh.write(text[:12])
-                self.fh.flush()
-                raise OSError(28, "No space left on device")
-
-            def flush(self):
-                self.fh.flush()
-
-            def close(self):
-                self.fh.close()
-
-        with caplog.at_level("WARNING"), ResponseCache(path) as cache:
+        with caplog.at_level("WARNING"):
+            cache = ResponseCache(path)
             cache.put("k1", "v1")
             cache.flush()
-            cache._fh = FullDisk(cache._fh)
             cache.put("k2", "v2")
             cache.put("k3", "v3")
-            cache.flush()
+            with monkeypatch.context() as patched:
+                patched.setattr(os, "write", full_disk)
+                cache.flush()
             failures = [r for r in caplog.records if "could not append" in r.message]
             assert len(failures) == 1 and "2 line(s)" in failures[0].message
             assert (cache.get("k2"), cache.get("k3")) == ("v2", "v3")  # still served from memory
             cache.put("k4", "v4")
             cache.put("k5", "v5")
+            cache.flush()
         reloaded = ResponseCache(path)
         assert [reloaded.get(f"k{i}") for i in range(1, 6)] == ["v1", None, None, "v4", "v5"]
         assert reloaded.skipped == 1
         assert path.read_text().endswith('{"key_hash": "k5", "raw_output": "v5"}\n')
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.booleans(), st.lists(st.tuples(
+        st.lists(st.text(max_size=6), min_size=1, max_size=4),
+        st.one_of(st.none(), st.tuples(st.sampled_from(["raise", "short"]),
+                                       st.floats(0, 1, exclude_max=True)))), max_size=6))
+    def test_torn_groups_are_skipped_and_whole_lines_kept(self, crashed_before, groups):
+        """Each flush may write only a prefix of its group, then raise ENOSPC
+        or return short. A reload serves every line that reached the file
+        whole (all of a whole group's), skips one line per group cut within a
+        line, and the group after a failure starts on a new line."""
+        real_write = os.write
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cache.jsonl"
+            if crashed_before:
+                path.write_text('{"key_hash": "old", "raw_ou')
+            expected, torn, cut_off = {}, int(crashed_before), crashed_before
+            cache = ResponseCache(path)
+            for g, (values, fault) in enumerate(groups):
+                lines = {f"g{g}-{i}": value for i, value in enumerate(values)}
+                dumped = {json.dumps({"key_hash": k, "raw_output": v}): k for k, v in lines.items()}
+                data = (("\n" if cut_off else "") + "".join(d + "\n" for d in dumped)).encode()
+                kept = len(data) if fault is None else int(fault[1] * len(data))
+
+                def write(fd, out, fault=fault, kept=kept, data=data):
+                    assert out == data  # a group after a torn one starts on a new line
+                    real_write(fd, out[:kept])
+                    if fault is not None and fault[0] == "raise":
+                        raise OSError(28, "No space left on device")
+                    return kept
+
+                for key, value in lines.items():
+                    cache.put(key, value)
+                with pytest.MonkeyPatch.context() as patched:
+                    patched.setattr(os, "write", write)
+                    cache.flush()
+                # a line is whole once its closing brace is out, even without its newline
+                *out, rest = data[:kept].decode().split("\n")
+                for line in filter(None, out + [rest]):
+                    if line in dumped:
+                        expected[dumped[line]] = lines[dumped[line]]
+                torn += bool(rest) and rest not in dumped
+                cut_off = fault is not None
+                assert all(cache.get(k) == v for k, v in lines.items())  # memory keeps all
+            reloaded = ResponseCache(path)
+            every = [f"g{g}-{i}" for g, (values, _) in enumerate(groups)
+                     for i in range(len(values))]
+            assert {k: reloaded.get(k) for k in every if reloaded.get(k) is not None} == expected
+            assert reloaded.get("old") is None and reloaded.skipped == torn
 
     def test_evaluate_writes_each_template_once_its_calls_end(self, tmp_path):
         """A process that dies before a flush loses only the replies put since
@@ -610,11 +663,10 @@ class TestCachePersistence:
             cfg = EvalConfig(task_backend=fixed, extraction_backend=fixed,
                              cache_path={str(path)!r})
             budget = Budget()
-            with budget.replies_from(cfg.cache_path):
-                for text in ("First: {{text}}", "Second: {{text}}"):
-                    evaluate(validate_template(text), ds, cfg, budget)
-                budget.replies.put("unflushed", "lost")
-                os._exit(0)
+            for text in ("First: {{text}}", "Second: {{text}}"):
+                evaluate(validate_template(text), ds, cfg, budget)
+            budget.replies.put("unflushed", "lost")
+            os._exit(0)
             """
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
                        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
@@ -628,10 +680,9 @@ class TestCachePersistence:
         ds = dataset([(f"ex{i}", "positive") for i in range(5)])
         cfg = config(scripted_task({f"ex{i}": "positive" for i in range(5)}), cache_path=path)
         spent = budget(max_calls=3)
-        with spent.replies_from(path):
-            with pytest.raises(BudgetExhaustedError, match="after 3 of 5"):
-                evaluate(TEMPLATE, ds, cfg, spent)
-            assert len(path.read_text().splitlines()) == 3  # written before the cache closes
+        with pytest.raises(BudgetExhaustedError, match="after 3 of 5"):
+            evaluate(TEMPLATE, ds, cfg, spent)
+        assert len(path.read_text().splitlines()) == 3  # written before evaluate returns
         rerun = budget(max_calls=2)  # the three replies kept come from the file
         assert evaluate(TEMPLATE, ds, cfg, rerun).n_total == 5
 
@@ -661,3 +712,45 @@ class TestCachePersistence:
         for reply, accuracy in (("positive", 1.0), ("negative", 0.0)):
             cfg = config(scripted_task({"row-a": reply}), cache_path=shared)
             assert evaluate(TEMPLATE, ds, cfg, budget()).accuracy == accuracy
+
+
+class TestCacheBinding:
+    """:func:`evaluate` binds the budget to ``cfg.cache_path``, which stays bound."""
+
+    def test_evaluations_on_one_budget_read_the_file_once(self, tmp_path, monkeypatch):
+        made = spy_on_response_caches(monkeypatch)
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps({"key_hash": "k", "raw_output": "v"}) + "\n")
+        ds = dataset([("good day", "positive")])
+        b = budget()
+        for cache_path in (path, str(path)):
+            cfg = config(scripted_task({"good day": "Positive"}), cache_path=cache_path)
+            evaluate(TEMPLATE, ds, cfg, b)
+        assert len(made) == 1 and b.replies is made[0]
+        assert b.replies.get("k") == "v"
+        assert open_descriptors(path) == []
+
+    def test_another_cache_path_takes_over_after_a_flush(self, tmp_path, monkeypatch):
+        made = spy_on_response_caches(monkeypatch)
+        first, second = tmp_path / "first.jsonl", tmp_path / "sub" / "second.jsonl"
+        ds = dataset([("good day", "positive")])
+        b = budget()
+        for cache_path in (first, second):
+            evaluate(TEMPLATE, ds, config(scripted_task({"good day": "Positive"}),
+                                          cache_path=cache_path), b)
+        assert [cache.path for cache in made] == [first, second] and b.replies is made[1]
+        assert len(first.read_text().splitlines()) == len(second.read_text().splitlines()) == 1
+
+    def test_budget_exhaustion_leaves_the_file_bound_and_no_descriptor_open(self, tmp_path,
+                                                                            monkeypatch):
+        made = spy_on_response_caches(monkeypatch)
+        path = tmp_path / "cache.jsonl"
+        b = budget(max_calls=1)
+        fixed = BackendConfig(kind="mock", behavior="fixed", params={"reply": "positive"})
+        cfg = EvalConfig(task_backend=fixed, extraction_backend=fixed, cache_path=path)
+        ds = dataset([("a", "positive"), ("b", "positive")])
+        with pytest.raises(BudgetExhaustedError):
+            evaluate(TEMPLATE, ds, cfg, b)
+        assert len(made) == 1 and b.replies is made[0] and b.replies.path == path
+        assert open_descriptors(path) == []
+        assert len(path.read_text().splitlines()) == 1

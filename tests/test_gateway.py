@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import LoopbackServer, closed_port_url, spy_on_response_caches
+from helpers import LoopbackServer, closed_port_url
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -846,40 +846,6 @@ class TestOneCallPath:
         budget.record(0, 0)
         with pytest.raises(BudgetExhaustedError):  # the slot is reserved before the kind check
             make[job](budget)
-
-
-class TestRepliesFrom:
-    """``Budget.replies_from`` binds a cache file to one run's ledger for a block."""
-
-    def test_nested_block_for_the_same_file_reads_it_once(self, tmp_path, monkeypatch):
-        made = spy_on_response_caches(monkeypatch)
-        path = tmp_path / "cache.jsonl"
-        path.write_text(json.dumps({"key_hash": "k", "raw_output": "v"}) + "\n")
-        budget = big_budget()
-        with budget.replies_from(path):
-            outer = budget.replies
-            with budget.replies_from(str(path)):
-                assert budget.replies is outer
-                assert budget.replies.get("k") == "v"
-        assert len(made) == 1 and made[0].closed
-
-    def test_budget_exhaustion_restores_the_outer_cache(self, tmp_path, monkeypatch):
-        from lpo.core import Dataset, Example, validate_template
-        from lpo.evaluator import EvalConfig, evaluate
-
-        made = spy_on_response_caches(monkeypatch)
-        budget = Budget(max_calls=1)
-        outer = budget.replies
-        task = mock_chat_cfg(behavior="fixed", params={"reply": "positive"})
-        cfg = EvalConfig(task_backend=task, extraction_backend=task,
-                         cache_path=tmp_path / "cache.jsonl")
-        ds = Dataset(examples=(Example("a", "positive"), Example("b", "positive")),
-                     label_set=("negative", "positive"))
-        with pytest.raises(BudgetExhaustedError):
-            evaluate(validate_template("Say: {text}"), ds, cfg, budget)
-        assert budget.replies is outer
-        assert len(made) == 1 and made[0].closed
-        assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 1
 
 
 def test_only_gateway_touches_the_network():

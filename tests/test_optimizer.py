@@ -2,7 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import build_toy_pipeline, circle_points, spy_on_response_caches, toy_fitness
+from helpers import (build_toy_pipeline, circle_points, open_descriptors,
+                     spy_on_response_caches, toy_fitness)
 
 from lpo.cli import main
 from lpo.core import validate_template
@@ -321,21 +322,22 @@ class TestIterate:
         row = capsys.readouterr().out.splitlines()[6]
         assert row.split()[:3] == ["1", "n/a", "n/a"]
 
-    def test_budget_error_in_first_iteration_closes_the_cache(self, tmp_path, monkeypatch):
-        made = spy_on_response_caches(monkeypatch)
+    def test_budget_error_in_first_iteration_closes_the_cache(self, tmp_path):
         p = build_toy_pipeline(rng_seed=0, cache_path=tmp_path / "cache.jsonl", max_calls=1)
         p.budget.ensure_available()
         p.budget.record(0, 0)  # spent before the run starts
         with pytest.raises(BudgetExhaustedError):
             iterate(p.seeds, p.cfg, p.eval_cfg, p.eval_set, p.budget)
-        assert made and all(cache.closed for cache in made)
+        assert open_descriptors(tmp_path / "cache.jsonl") == []
 
-    def test_caches_closed_after_a_run(self, tmp_path, monkeypatch):
+    def test_iterate_then_run_cycle_read_the_cache_file_once(self, tmp_path, monkeypatch):
         made = spy_on_response_caches(monkeypatch)
         p = build_toy_pipeline(rng_seed=0, cache_path=tmp_path / "cache.jsonl")
         iterate(p.seeds, p.cfg, p.eval_cfg, p.eval_set, p.budget)
+        assert open_descriptors(tmp_path / "cache.jsonl") == []
         run_cycle(p.seeds, p.cfg, p.eval_cfg, p.eval_set, p.budget)
-        assert len(made) == 2 and all(cache.closed for cache in made)
+        assert len(made) == 1 and p.budget.replies is made[0]  # the file stays bound
+        assert open_descriptors(tmp_path / "cache.jsonl") == []
         assert (tmp_path / "cache.jsonl").stat().st_size > 0
 
     def test_seed_scores_cached_across_iterations(self):
