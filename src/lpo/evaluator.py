@@ -22,14 +22,23 @@ A new reply is served from memory as soon as it is put. Its line is appended
 when its template's calls end, with one open, write and close of the file per
 template (also for a template cut short by the budget), so a crash loses at
 most the current template's replies and no file is held open between
-templates. Nothing is fsynced.
+templates. In a batch that fans out, a template's classify replies are
+appended when its last classify call ends and the extraction replies after
+the batch, so a crash loses at most the replies of the templates still
+classifying, or the batch's extractions. Nothing is fsynced.
 
-A backend that the gateway has seen block (see :func:`gateway.blocks`) gets a
-template's calls from up to ``max_in_flight`` threads at once, so their
-waiting overlaps; results are collected in input order and equal a serial
-run's. Backends that compute rather than wait, like the in-process mocks,
-are called one at a time from the calling thread, because threads would
-only take turns on the interpreter lock.
+:func:`evaluate_batch` scores a cycle's templates. While neither the task
+nor the extraction backend has been seen to block (see
+:func:`gateway.blocks`), or the calls left do not cover the worst case, it
+scores one template at a time with :func:`evaluate`. Otherwise it scores the
+templates left as one batch on up to ``max_in_flight`` threads per backend:
+every classify call of every template first, then every extraction, each
+distinct request made once. :func:`evaluate` is the one-template case of the
+same code. Results equal a serial run's; a batch cut short by the budget
+keeps the templates completed in order, found by a replay from the reply
+cache that makes no call. Backends that compute rather than wait, like the
+in-process mocks, are called one at a time from the calling thread, because
+threads would only take turns on the interpreter lock.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from . import gateway, prompts
 from .core import Dataset, Example, PromptTemplate, render_prompt, text_digest
@@ -170,6 +179,20 @@ def _field_match(lowered: str, label_set: Sequence[str]) -> str | None:
     return None
 
 
+def _local_label(raw: str, label_set: Sequence[str]) -> str | None:
+    """Stage 1 of :func:`extract_label`: the label ``raw`` names on its own, or None."""
+    lowered = raw.lower()
+    return _whole_word_match(lowered, label_set) or _field_match(lowered, label_set)
+
+
+def _reply_label(reply: str, label_set: Sequence[str]) -> str:
+    """The label an extraction reply asserts, or ``"unparsed"``."""
+    normalized = reply.strip().lower()
+    if normalized in label_set:
+        return normalized
+    return _whole_word_match(normalized, label_set) or UNPARSED
+
+
 def extract_label(raw: str, label_set: Sequence[str], cfg: EvalConfig,
                   budget: Budget, *, keys: Callable[[str], str] | None = None) -> str:
     """Resolve a raw task reply to a label, or ``"unparsed"``.
@@ -185,8 +208,7 @@ def extract_label(raw: str, label_set: Sequence[str], cfg: EvalConfig,
     """
     if not label_set:
         raise ValidationError("extract_label needs a non-empty label set")
-    lowered = raw.lower()
-    hit = _whole_word_match(lowered, label_set) or _field_match(lowered, label_set)
+    hit = _local_label(raw, label_set)
     if hit is not None:
         return hit
 
@@ -202,36 +224,40 @@ def extract_label(raw: str, label_set: Sequence[str], cfg: EvalConfig,
             logger.warning("label extraction failed, counting as unparsed: %s", exc)
             return UNPARSED
         replies.put(key, reply)
-    normalized = reply.strip().lower()
-    if normalized in label_set:
-        return normalized
-    return _whole_word_match(normalized, label_set) or UNPARSED
+    return _reply_label(reply, label_set)
 
 
 def _width(backend: BackendConfig) -> int:
     return backend.max_in_flight if gateway.blocks(backend) else 1
 
 
-def _by_value(values: Sequence) -> list[list[int]]:
+def _by_value(indexed: Iterable[tuple[int, Hashable]]) -> list[list[int]]:
     """Indices grouped by equal value, groups in order of first occurrence."""
     groups: dict = {}
-    for index, value in enumerate(values):
+    for index, value in indexed:
         groups.setdefault(value, []).append(index)
     return list(groups.values())
 
 
-def _fan_out(groups: list[list[int]], work: Callable[[int], None], width: int) -> None:
+def _fan_out(groups: list[list[int]], work: Callable[[int], None],
+             width: Callable[[int], int]) -> None:
     """Run ``work`` on every index; each group in order on one thread.
 
-    With ``width`` 1 this is a plain loop in the calling thread. Otherwise a
-    ``ThreadPoolExecutor`` of up to ``width`` threads takes the groups in
-    order; after a failure no group starts, one already started runs to its
-    end, and once every thread has stopped the lowest index's failure is raised.
+    Before each group, ``width(groups left)`` says how many threads the groups
+    left may use. While it is 1 they run in the calling thread, and the first
+    failure is raised at once. Once it is more, a ``ThreadPoolExecutor`` of
+    up to that many threads takes the groups left in order; after a failure
+    no group starts, one already started runs to its end, and once every
+    thread has stopped the lowest index's failure is raised. This is the
+    package's one thread pool; the optimizer's decode stage uses it too.
     """
-    if width == 1 or len(groups) == 1:
-        for group in groups:
-            for index in group:
-                work(index)
+    for start, group in enumerate(groups):
+        threads = min(width(len(groups) - start), len(groups) - start)
+        if threads > 1:
+            break
+        for index in group:
+            work(index)
+    else:  # every group ran in the calling thread
         return
     from concurrent.futures import ThreadPoolExecutor
 
@@ -248,10 +274,117 @@ def _fan_out(groups: list[list[int]], work: Callable[[int], None], width: int) -
                 return index, exc
         return None
 
-    with ThreadPoolExecutor(min(width, len(groups)), thread_name_prefix="lpo-evaluate") as pool:
-        failures = [f for f in pool.map(run, groups) if f is not None]
+    with ThreadPoolExecutor(threads, thread_name_prefix="lpo-fan-out") as pool:
+        failures = [f for f in pool.map(run, groups[start:]) if f is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
+
+
+def _slice(eval_set: Dataset, cfg: EvalConfig) -> tuple[Example, ...]:
+    if len(eval_set) == 0:
+        raise ValidationError("evaluation set is empty")
+    return eval_set.examples[: min(len(eval_set), cfg.max_examples)]
+
+
+def _fans_out(templates: int, examples: Sequence[Example], cfg: EvalConfig,
+              budget: Budget) -> bool:
+    """Whether ``templates`` templates are scored as one fan-out: only if the
+    task or extraction backend blocks and the calls left cover the worst
+    case, one classify and one extract call per distinct text per template."""
+    return (max(_width(cfg.task_backend), _width(cfg.extraction_backend)) > 1
+            and budget.calls_left() >= 2 * templates * len({ex.text for ex in examples}))
+
+
+def _score(templates: Sequence[PromptTemplate], eval_set: Dataset, cfg: EvalConfig,
+           budget: Budget) -> tuple[list[ScoredPrompt], BudgetExhaustedError | None]:
+    """Score ``templates`` as one batch; see :func:`evaluate_batch` for the result.
+
+    Item ``k`` is example ``k % n`` under template ``k // n``. Serially, each
+    item is classified then extracted, in order. In a fan-out, every classify
+    call runs first, grouped by (template, text), then every extraction,
+    grouped by raw reply. Once the budget runs out, a zero-call replay from
+    ``budget.replies`` finds the items done in order, so the prefix kept and
+    the count in the error do not depend on thread timing.
+    """
+    examples = _slice(eval_set, cfg)
+    n, label_set = len(examples), eval_set.label_set
+    eval_set_id = Dataset(examples=examples, label_set=label_set).fingerprint()
+    task_id = gateway.backend_fingerprint(cfg.task_backend)
+    classify_keys = [_classify_keys(task_id, cfg, template) for template in templates]
+    extract_keys = _extract_keys(gateway.backend_fingerprint(cfg.extraction_backend), label_set)
+    items = range(n * len(templates))
+    raws: list[str | None] = [None] * len(items)
+    labels: list[str | None] = [None] * len(items)
+    unclassified, lock = [n] * len(templates), threading.Lock()
+
+    def classify(k: int) -> None:
+        """Classify item ``k``; a template's last classify call appends the replies put so far."""
+        t, i = divmod(k, n)
+        raws[k] = classify_one(templates[t], examples[i], cfg, budget, keys=classify_keys[t])
+        with lock:
+            unclassified[t] -= 1
+            last = not unclassified[t]
+        if last:
+            budget.replies.flush()
+
+    def extract(k: int) -> None:
+        labels[k] = extract_label(raws[k], label_set, cfg, budget, keys=extract_keys)
+
+    def replay(k: int) -> bool:
+        """Label item ``k`` from the replies kept, making no call; False if it needs one."""
+        t, i = divmod(k, n)
+        if raws[k] is None:
+            raws[k] = budget.replies.get(classify_keys[t](examples[i]))
+            if raws[k] is None:
+                return False
+        label = _local_label(raws[k], label_set)
+        if label is None:
+            reply = budget.replies.get(extract_keys(raws[k]))
+            if reply is None:
+                return False
+            label = _reply_label(reply, label_set)
+        labels[k] = label
+        return True
+
+    if cfg.cache_path is not None:
+        budget.bind_replies(cfg.cache_path)
+    exhausted = None
+    try:
+        if _fans_out(len(templates), examples, cfg, budget):
+            _fan_out(_by_value((k, (templates[k // n].text, examples[k % n].text))
+                               for k in items), classify, lambda left: _width(cfg.task_backend))
+            _fan_out(_by_value((k, raws[k]) for k in items), extract,
+                     lambda left: _width(cfg.extraction_backend))
+        else:
+            for t, (template, keys) in enumerate(zip(templates, classify_keys)):
+                for k, ex in enumerate(examples, start=t * n):
+                    raws[k] = raw = classify_one(template, ex, cfg, budget, keys=keys)
+                    labels[k] = extract_label(raw, label_set, cfg, budget, keys=extract_keys)
+                budget.replies.flush()  # each template's replies once its calls end
+    except BudgetExhaustedError as exc:
+        exhausted = exc
+    finally:  # also a batch cut short, by the budget or a failure, keeps its replies
+        budget.replies.flush()
+
+    scored: list[ScoredPrompt] = []
+    for t, template in enumerate(templates):
+        row = slice(t * n, (t + 1) * n)
+        if None in labels[row]:  # the budget ran out before this template's end
+            done = next((i for i, k in enumerate(items[row])
+                         if labels[k] is None and not replay(k)), n)
+            if done < n:
+                error = BudgetExhaustedError(f"budget exhausted after {done} of {n} examples "
+                                             f"for template {template.id}: {exhausted}")
+                error.__cause__ = exhausted
+                return scored, error
+        outcomes = tuple(
+            PerExample(index=i, raw_output=raw, extracted_label=label, correct=(label == ex.label))
+            for i, (ex, raw, label) in enumerate(zip(examples, raws[row], labels[row])))
+        n_correct = sum(1 for o in outcomes if o.correct)
+        scored.append(ScoredPrompt(template=template, accuracy=n_correct / n,
+                                   n_correct=n_correct, n_total=n, per_example=outcomes,
+                                   eval_set_id=eval_set_id))
+    return scored, None
 
 
 def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
@@ -259,72 +392,56 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
     """Score one template over the first ``max_examples`` of the eval set.
 
     Accuracy is the exact integer ratio correct/total. Budget exhaustion
-    mid-set raises an error naming how many examples completed. Replies are
-    kept in ``budget.replies``, which a ``cfg.cache_path`` binds to that file
-    (:meth:`Budget.bind_replies`): the first evaluation reads it, and the
-    budget stays bound to it, so later evaluations on that budget read
-    nothing. The lines of this template's new replies are appended there
-    once its calls end.
+    mid-set raises an error naming how many examples completed in order.
+    Replies are kept in ``budget.replies``, which a ``cfg.cache_path`` binds
+    to that file (:meth:`Budget.bind_replies`): the first evaluation reads
+    it, and the budget stays bound to it, so later evaluations on that budget
+    read nothing. The lines of this template's new replies are appended
+    there once its calls end.
 
-    When the task or extraction backend blocks (:func:`gateway.blocks`), its
-    calls for this template run on up to its ``max_in_flight`` threads: first
-    every classify call, then every extraction. Examples that share a text,
-    or a reply, are handled in order on one thread, so each distinct request
-    is still made once and served from the cache after. A template whose
-    worst case, one classify and one extract call per distinct text, could
-    exhaust the calls left in the budget runs serially, so where exhaustion
-    strikes, and the error naming it, do not depend on thread timing.
+    This is the one-template case of :func:`evaluate_batch`'s fan-out: when
+    the task or extraction backend blocks (:func:`gateway.blocks`) and the
+    calls left cover the worst case, one classify and one extract call per
+    distinct text, its calls run on up to its ``max_in_flight`` threads:
+    first every classify call, then every extraction. Otherwise they run
+    serially.
     """
-    if len(eval_set) == 0:
-        raise ValidationError("evaluation set is empty")
-    slice_examples = eval_set.examples[: min(len(eval_set), cfg.max_examples)]
-    n = len(slice_examples)
-    eval_set_id = Dataset(examples=slice_examples,
-                          label_set=eval_set.label_set).fingerprint()
-    classify_keys = _classify_keys(gateway.backend_fingerprint(cfg.task_backend), cfg, template)
-    extract_keys = _extract_keys(gateway.backend_fingerprint(cfg.extraction_backend),
-                                 eval_set.label_set)
-    raws: list[str] = [""] * n
-    labels: list[str | None] = [None] * n
+    scored, exhausted = _score([template], eval_set, cfg, budget)
+    if exhausted is not None:
+        raise exhausted
+    return scored[0]
 
-    def classify(index: int) -> None:
-        raws[index] = classify_one(template, slice_examples[index], cfg, budget,
-                                   keys=classify_keys)
 
-    def extract(index: int) -> None:
-        labels[index] = extract_label(raws[index], eval_set.label_set, cfg, budget,
-                                      keys=extract_keys)
+def evaluate_batch(templates: Sequence[PromptTemplate], eval_set: Dataset, cfg: EvalConfig,
+                   budget: Budget) -> tuple[list[ScoredPrompt], BudgetExhaustedError | None]:
+    """Score ``templates`` in order, as :func:`evaluate` scores one.
 
-    widths = _width(cfg.task_backend), _width(cfg.extraction_backend)
-    texts = _by_value([ex.text for ex in slice_examples]) if max(widths) > 1 else []
-    if cfg.cache_path is not None:
-        budget.bind_replies(cfg.cache_path)
-    try:
-        if texts and budget.calls_left() >= 2 * len(texts):
-            _fan_out(texts, classify, widths[0])
-            _fan_out(_by_value(raws), extract, widths[1])
-        else:
-            for index in range(n):
-                classify(index)
-                extract(index)
-    except BudgetExhaustedError as exc:
-        completed = labels.index(None)
-        raise BudgetExhaustedError(
-            f"budget exhausted after {completed} of {n} "
-            f"examples for template {template.id}: {exc}"
-        ) from exc
-    finally:  # also a template cut short by the budget keeps its replies
-        budget.replies.flush()
-    outcomes = tuple(
-        PerExample(index=index, raw_output=raw, extracted_label=label,
-                   correct=(label == ex.label))
-        for index, (ex, raw, label) in enumerate(zip(slice_examples, raws, labels)))
-    n_correct = sum(1 for o in outcomes if o.correct)
-    return ScoredPrompt(
-        template=template,
-        accuracy=n_correct / n,
-        n_correct=n_correct,
-        n_total=n,
-        per_example=outcomes,
-        eval_set_id=eval_set_id,
-    )
+    Returns the scores of the templates completed in order, a prefix of
+    ``templates``, and the error that stopped the rest (None when every
+    template was scored); any other failure is raised.
+
+    Before each template the batch asks whether the task or extraction
+    backend blocks and the calls left cover the worst case of every template
+    from there on, two calls per distinct text per template. If so, those
+    templates are scored as one fan-out: every classify call of every
+    template at once, grouped by (template, text), then every extraction,
+    grouped by raw reply across the batch, so each distinct request is made
+    once. The reply-cache file is appended to each time one more template's
+    classify calls have all ended, and once more after the extractions.
+    Otherwise the template is scored by :func:`evaluate`, so a backend that
+    computes starts no thread and a fresh process widens after its first
+    template. A fan-out cut short by the budget keeps the templates that a
+    zero-call serial replay from ``budget.replies`` completes in order, so
+    the scores kept read like a serial run's.
+    """
+    examples = _slice(eval_set, cfg)
+    scored: list[ScoredPrompt] = []
+    for start, template in enumerate(templates):
+        if _fans_out(len(templates) - start, examples, cfg, budget):
+            tail, exhausted = _score(templates[start:], eval_set, cfg, budget)
+            return scored + tail, exhausted
+        try:
+            scored.append(evaluate(template, eval_set, cfg, budget))
+        except BudgetExhaustedError as exc:
+            return scored, exc
+    return scored, None

@@ -127,7 +127,8 @@ class ResponseCache:
     I/O problems are downgraded to warnings; the evaluator then simply falls
     back to live calls. A group whose write fails or falls short stays in
     memory only, and the next group starts on a new line. Undecodable lines,
-    such as one cut short by a crash, are skipped and counted. Puts and
+    such as one cut short by a crash, and lines whose key or reply is not a
+    string are skipped and counted, with one warning. Puts and
     flushes are serialized.
     """
 
@@ -149,9 +150,12 @@ class ResponseCache:
                         continue
                     try:
                         obj = json.loads(line)
-                        raw = obj["raw_output"]
-                        self._entries[obj["key_hash"]] = replies.setdefault(raw, raw)
+                        key, raw = obj["key_hash"], obj["raw_output"]
                     except (ValueError, KeyError, TypeError):
+                        key = raw = None
+                    if isinstance(key, str) and isinstance(raw, str):
+                        self._entries[key] = replies.setdefault(raw, raw)
+                    else:
                         self.skipped += 1
         except (OSError, UnicodeDecodeError) as exc:
             logger.warning("ignoring unreadable cache %s: %s", self.path, exc)

@@ -6,6 +6,18 @@ they compete), and keeps the top performers. Iterating feeds the selected
 templates back in as the next round's seeds, coarse to fine; with seeds
 competing, the incumbent best is never lost, so the per-iteration best score
 is nondecreasing.
+
+Each stage of a cycle fans out where its backend waits rather than computes
+(:func:`lpo.gateway.blocks`). Before each candidate, the decode stage asks
+whether the decode chat backend blocks and the calls left cover two per
+candidate left; if so, the remaining candidates' decode -> refine chains run
+on up to its ``max_in_flight`` threads. The scoring stage hands every
+template that misses the score cache, each text once, to
+:func:`lpo.evaluator.evaluate_batch`, which fans them out as one batch on
+the same terms. Backends that compute, like the in-process mocks, start no
+thread. A stage cut short by the budget keeps, in order, the candidates and
+templates whose calls all finished, so a partial record reads like a serial
+run's.
 """
 
 from __future__ import annotations
@@ -20,7 +32,7 @@ import numpy as np
 from . import decoder as decoder_mod
 from . import encoder as encoder_mod
 from . import evaluator as evaluator_mod
-from . import explorer
+from . import explorer, gateway
 from .core import Dataset, PromptTemplate
 from .decoder import DecodeStrategy
 from .encoder import EncoderSpec
@@ -180,7 +192,8 @@ def run_cycle(
     for candidate in candidates:
         candidate.id = f"it{state.iteration}-{candidate.id}"
 
-    for position, candidate in enumerate(candidates):
+    def decode_one(position: int) -> None:
+        candidate = candidates[position]
         try:
             candidate.decoded_text = decoder_mod.decode(cfg.decode, candidate, seeds, budget)
             candidate.refined_template = decoder_mod.refine_format(
@@ -188,40 +201,62 @@ def run_cycle(
                 template_id=candidate.id)
         except CandidateInvalidError as exc:
             candidate.invalid_reason = str(exc)
-        except BudgetExhaustedError as exc:
-            warnings.append(f"budget exhausted during decoding: {exc}")
-            partial = True
-            for skipped in candidates[position:]:
-                skipped.invalid_reason = f"not decoded: {exc}"
-            break
+
+    chat = cfg.decode.chat
+
+    def width(left: int) -> int:
+        """Threads for the candidates left: one until the chat backend blocks
+        and the calls left cover two per candidate."""
+        if chat is not None and gateway.blocks(chat) and budget.calls_left() >= 2 * left:
+            return chat.max_in_flight
+        return 1
+
+    try:
+        evaluator_mod._fan_out([[i] for i in range(len(candidates))], decode_one, width)
+    except BudgetExhaustedError as exc:
+        warnings.append(f"budget exhausted during decoding: {exc}")
+        partial = True
+        # keep the candidates finished in order; a fan-out may have finished some past the cut
+        cut = next(i for i, c in enumerate(candidates)
+                   if c.refined_template is None and c.invalid_reason is None)
+        for later in candidates[cut + 1:]:
+            later.decoded_text = later.refined_template = None
+        for skipped in candidates[cut:]:
+            skipped.invalid_reason = f"not decoded: {exc}"
 
     by_id: dict[str, ScoredPrompt] = {}  # a score-cache hit may carry another id
 
     def score_all(templates: Sequence[PromptTemplate]) -> None:
-        """Score in order, from the score cache where it can, until the budget runs out."""
+        """Score in order, from the score cache where it can, until the budget runs out.
+
+        The templates the cache misses go to one :func:`evaluate_batch`, each
+        text once; a template is kept only if every one before it was scored.
+        """
         nonlocal partial
+        fresh: dict[str, PromptTemplate] = {}
+        for template in templates:
+            if template.text not in state.score_cache:
+                fresh.setdefault(template.text, template)
+        results, exhausted = evaluator_mod.evaluate_batch(list(fresh.values()), eval_set,
+                                                          eval_cfg, budget)
+        for result in results:
+            state.score_cache[result.template.text] = result
         for template in templates:
             result = state.score_cache.get(template.text)
-            if result is None:
-                try:
-                    result = evaluator_mod.evaluate(template, eval_set, eval_cfg, budget)
-                except BudgetExhaustedError as exc:
-                    warnings.append(f"budget exhausted during evaluation: {exc}")
-                    partial = True
-                    return
-                state.score_cache[template.text] = result
+            if result is None:  # the template the budget ran out on
+                break
             by_id.setdefault(result.template.id, result)
+        if exhausted is not None:
+            warnings.append(f"budget exhausted during evaluation: {exhausted}")
+            partial = True
 
-    if cfg.keep_seeds:
-        score_all(seeds)
     valid = [c.refined_template for c in candidates if c.refined_template is not None]
+    score_all((list(seeds) if cfg.keep_seeds else []) + ([] if partial else valid))
     if not valid and not partial:
         warnings.append("all candidates invalid; selecting among seeds")
         logger.warning("all %d candidates decoded invalid", len(candidates))
         if not cfg.keep_seeds:
             score_all(seeds)
-    if not partial:
-        score_all(valid)
 
     scored = list(by_id.values())
     if not scored:

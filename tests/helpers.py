@@ -8,6 +8,7 @@ import os
 import socket
 import socketserver
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -150,6 +151,31 @@ def build_toy_pipeline(
         task_backend=task_backend, extraction_backend=extraction_backend,
         target=tuple(target),
     )
+
+
+def sleeping(reply_for, delay=0.002, peak=None, threads=None):
+    """Handler backend that sleeps like a remote call; ``peak`` tracks overlap,
+    and ``threads`` the name of the thread making each call.
+
+    The reply is worked out first, so a failing request fails at once.
+    """
+    lock = threading.Lock()
+    active = [0]
+
+    def handler(req):
+        reply = reply_for(req.user_text)
+        with lock:
+            active[0] += 1
+            if peak is not None:
+                peak.append(active[0])
+            if threads is not None:
+                threads.append(threading.current_thread().name)
+        time.sleep(delay)
+        with lock:
+            active[0] -= 1
+        return reply
+
+    return handler
 
 
 def spy_on_response_caches(monkeypatch) -> list:

@@ -74,3 +74,22 @@ def test_a_mock_run_loads_no_http_client(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_one_file_holds_the_thread_pool():
+    """``ThreadPoolExecutor`` is named in one module only, so the evaluator's
+    ``_fan_out`` stays the package's one pool."""
+    found = set()
+    for path in (ROOT / "src" / "lpo").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name.split(".")[-1] for alias in node.names}
+            else:
+                continue
+            if "ThreadPoolExecutor" in names:
+                found.add(path.name)
+    assert found == {"evaluator.py"}

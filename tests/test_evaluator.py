@@ -5,16 +5,16 @@ import subprocess
 import sys
 import tempfile
 import threading
-import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import open_descriptors, spy_on_response_caches
+from helpers import open_descriptors, sleeping, spy_on_response_caches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpo import core, evaluator
+from lpo import core, evaluator, gateway
 from lpo.core import Dataset, Example, text_digest, validate_template
 from lpo.errors import BudgetExhaustedError, ValidationError
 from lpo.evaluator import (
@@ -369,34 +369,14 @@ class TestEvaluate:
             evaluate(TEMPLATE, ds, config(scripted_task({})), budget())
 
 
-def sleeping(reply_for, delay=0.002, peak=None):
-    """Handler backend that sleeps like a remote call; ``peak`` tracks overlap.
-
-    The reply is worked out first, so a failing request fails at once.
-    """
-    lock = threading.Lock()
-    active = [0]
-
-    def handler(req):
-        reply = reply_for(req.user_text)
-        with lock:
-            active[0] += 1
-            if peak is not None:
-                peak.append(active[0])
-        time.sleep(delay)
-        with lock:
-            active[0] -= 1
-        return reply
-
-    return handler
-
-
-def blocking_config(task_reply, extraction_reply, width, peak=None, delay=0.002):
-    """EvalConfig over sleeping backends that the gateway has already seen block."""
+def blocking_config(task_reply, extraction_reply, width, peak=None, delay=0.002, usage=None):
+    """EvalConfig over sleeping backends that the gateway has already seen block;
+    ``usage`` fixes each call's (prompt, completion) tokens."""
+    extra = {} if usage is None else {"usage": usage}
     task = BackendConfig(kind="mock", behavior="handler", max_in_flight=width,
-                         params={"fn": sleeping(task_reply, delay, peak)})
+                         params={"fn": sleeping(task_reply, delay, peak), **extra})
     extraction = BackendConfig(kind="mock", behavior="handler", max_in_flight=width,
-                               params={"fn": sleeping(extraction_reply, delay)})
+                               params={"fn": sleeping(extraction_reply, delay), **extra})
     for backend in (task, extraction):
         chat(backend, ChatRequest(user_text="warm-up"), budget())
         assert blocks(backend)
@@ -463,6 +443,20 @@ class TestFanOut:
         assert len(messages) == 1
         assert "after 7 of 12" in messages.pop()
 
+    def test_token_ceiling_in_a_fan_out_names_the_examples_done_in_order(self):
+        ds = dataset([(f"ex{i}", "positive") for i in range(12)])
+        done = []
+        for _ in range(20):
+            cfg = blocking_config(lambda prompt: "positive", extraction_by_hash, 4,
+                                  usage=(4, 6))
+            # calls may start while fewer than 65 tokens are spent: seven at least
+            spent = Budget(max_calls=10**6, max_total_tokens=65)
+            with pytest.raises(BudgetExhaustedError) as caught:
+                evaluate(TEMPLATE, ds, cfg, spent)
+            assert spent.calls_left() >= 24  # so the fan-out ran
+            done.append(int(re.search(r"after (\d+) of 12 ", str(caught.value)).group(1)))
+        assert min(done) >= 7
+
     def test_first_failure_stops_the_pool_and_lowest_index_is_raised(self):
         ds = dataset([(f"ex{i}", "positive") for i in range(20)])
 
@@ -476,6 +470,88 @@ class TestFanOut:
             evaluate(TEMPLATE, ds, cfg, budget())
         # the warm-up, then at most the four examples handed out before ex0 failed
         assert attempt_count(cfg.task_backend) <= 1 + 4
+
+
+def batch_config(width=4, peak=None):
+    """EvalConfig whose task backend answers ``maybe-<n>`` for ``Template <n>``,
+    on sleeping backends that block unless ``width`` is 1."""
+    def task_reply(prompt):
+        return "maybe-" + prompt.split(":")[0].split()[-1]
+
+    task = BackendConfig(kind="mock", behavior="handler", max_in_flight=width,
+                         params={"fn": sleeping(task_reply, 0.002, peak)})
+    extraction = BackendConfig(kind="mock", behavior="handler", max_in_flight=width,
+                               params={"fn": sleeping(extraction_by_hash, 0.002)})
+    if width > 1:
+        for backend in (task, extraction):
+            chat(backend, ChatRequest(user_text="Template 0: warm-up"), budget())
+    return config(task, extraction)
+
+
+BATCH = [validate_template(f"Template {i}: {{text}}", template_id=f"t{i}") for i in range(3)]
+
+
+class TestEvaluateBatch:
+    """Templates scored as one batch score as :func:`evaluate` scores each."""
+
+    def test_scores_equal_one_evaluate_per_template(self):
+        ds = dataset([(f"ex{i}", LABELS[i % 3]) for i in range(8)] + [("ex0", "neutral")])
+        serial = batch_config(width=1)
+        expected = [evaluate(t, ds, serial, budget()) for t in BATCH]
+        peak = []
+        cfg = batch_config(peak=peak)
+        peak.clear()
+        b = budget()
+        scored, exhausted = evaluator.evaluate_batch(BATCH, ds, cfg, b)
+        assert exhausted is None and scored == expected
+        assert 1 < max(peak) <= 4
+        # one classify call per (template, text); one extraction per distinct reply
+        assert (call_count(cfg.task_backend) - 1, call_count(cfg.extraction_backend) - 1) \
+            == (3 * 8, 3)
+
+    def test_a_computing_backend_scores_through_evaluate(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(evaluator, "evaluate",
+                            lambda t, *args: seen.append(t.id) or evaluate(t, *args))
+        ds = dataset([("row-a", "positive"), ("row-b", "negative")])
+        cfg = config(scripted_task({"row-a": "positive", "row-b": "negative"}))
+        scored, exhausted = evaluator.evaluate_batch(BATCH, ds, cfg, budget())
+        assert exhausted is None and seen == ["t0", "t1", "t2"]
+        assert [s.accuracy for s in scored] == [1.0] * 3
+
+    def test_file_grows_as_each_template_ends_its_classify_calls(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        ds = dataset([(f"ex{i}", "positive") for i in range(6)])
+        cfg = replace(batch_config(), cache_path=path)
+        b = budget()
+        b.bind_replies(path)
+        flush, lines = b.replies.flush, []
+
+        def counted_flush():
+            flush()
+            lines.append(len(path.read_text().splitlines()) if path.exists() else 0)
+
+        b.replies.flush = counted_flush
+        scored, exhausted = evaluator.evaluate_batch(BATCH, ds, cfg, b)
+        assert exhausted is None and len(scored) == 3
+        # one append per template's last classify call, then the extractions
+        assert len(lines) == 3 + 1
+        assert all(count >= 6 * (k + 1) for k, count in enumerate(lines[:3]))
+        assert lines[-1] == 3 * 6 + 3
+
+    def test_budget_cut_keeps_the_templates_done_in_order(self):
+        ds = dataset([(f"ex{i}", "positive") for i in range(6)])
+        expected, _ = evaluator.evaluate_batch(BATCH, ds, batch_config(width=1), budget())
+        for ceiling in (30, 70, 110, 150):
+            cfg = batch_config()
+            for backend in (cfg.task_backend, cfg.extraction_backend):
+                backend.params["usage"] = (4, 6)
+            spent = Budget(max_calls=10**6, max_total_tokens=ceiling)
+            scored, exhausted = evaluator.evaluate_batch(BATCH, ds, cfg, spent)
+            assert scored == expected[:len(scored)] and len(scored) < 3
+            assert str(exhausted).startswith("budget exhausted after ")
+            assert f"for template {BATCH[len(scored)].id}: token budget exhausted" \
+                in str(exhausted)
 
 
 class TestEvalConfig:
@@ -569,6 +645,35 @@ class TestCachePersistence:
         reloaded = ResponseCache(path)
         assert (reloaded.get("k1"), reloaded.get("k3")) == ("v1", "v3")
         assert reloaded.skipped == 1
+
+    @pytest.mark.parametrize("value", [5, None, ["positive"], {"label": "positive"}])
+    @pytest.mark.parametrize("field", ["key_hash", "raw_output"])
+    def test_line_whose_key_or_reply_is_not_a_string_is_skipped(self, tmp_path, caplog,
+                                                                  field, value):
+        path = tmp_path / "cache.jsonl"
+        bad = {"key_hash": "k1", "raw_output": "positive", field: value}
+        path.write_text(json.dumps(bad) + "\n"
+                        + json.dumps({"key_hash": "k2", "raw_output": "negative"}) + "\n")
+        with caplog.at_level("WARNING"):
+            cache = ResponseCache(path)
+        assert cache.skipped == 1 and cache.get("k2") == "negative"
+        assert cache.get("k1") is None
+        if field == "key_hash" and not isinstance(value, (list, dict)):
+            assert cache.get(value) is None  # nor is an int or null key kept
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipped 1 unreadable cache line(s) in {path}"]
+
+    def test_reply_that_is_not_a_string_is_asked_for_again(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cfg = config(scripted_task({"good day": "maybe"}), fixed_extraction("positive"),
+                     cache_path=path)
+        ex = Example(text="good day", label="positive")
+        key = evaluator._classify_keys(gateway.backend_fingerprint(cfg.task_backend), cfg,
+                                       TEMPLATE)(ex)
+        path.write_text(json.dumps({"key_hash": key, "raw_output": 5}) + "\n")
+        scored = evaluate(TEMPLATE, Dataset(examples=(ex,), label_set=LABELS), cfg, budget())
+        assert scored.per_example[0].raw_output == "maybe" and scored.accuracy == 1.0
+        assert call_count(cfg.task_backend) == 1
 
     def test_failed_append_leaves_only_its_own_line_torn(self, tmp_path, caplog, monkeypatch):
         path = tmp_path / "cache.jsonl"

@@ -1,15 +1,23 @@
-from dataclasses import replace
+import json
+import threading
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from helpers import (build_toy_pipeline, circle_points, open_descriptors,
+from helpers import (build_toy_pipeline, circle_points, open_descriptors, sleeping,
                      spy_on_response_caches, toy_fitness)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lpo import prompts
 from lpo.cli import main
 from lpo.core import validate_template
+from lpo.encoder import encode
 from lpo.errors import BudgetExhaustedError, ValidationError
 from lpo.evaluator import PerExample, ScoredPrompt
-from lpo.gateway import BackendConfig, call_count, usage_report
+from lpo.gateway import (MOCK_CHAT_BEHAVIORS, BackendConfig, Budget, ChatRequest, call_count,
+                         chat, usage_report)
 from lpo.optimizer import iterate, run_cycle, select_top
 from lpo.records import read_run_record, run_record_to_lines, write_run_record
 
@@ -24,6 +32,18 @@ def scored(tid, text, accuracy, n_total=10):
     return ScoredPrompt(template=template, accuracy=n_correct / n_total,
                         n_correct=n_correct, n_total=n_total, per_example=per,
                         eval_set_id="fixed")
+
+
+def normalized(record) -> list[str]:
+    """The record's lines with every timestamp blanked."""
+    lines = []
+    for line in run_record_to_lines(record):
+        obj = json.loads(line)
+        for key in list(obj):
+            if key.endswith("_at"):
+                obj[key] = None
+        lines.append(json.dumps(obj, sort_keys=True))
+    return lines
 
 
 class TestSelectTop:
@@ -263,18 +283,6 @@ class TestIterate:
             p = build_toy_pipeline(rng_seed=4, max_iterations=2, patience=2)
             return iterate(p.seeds, p.cfg, p.eval_cfg, p.eval_set, p.budget)
 
-        import json
-
-        def normalized(record):
-            lines = []
-            for line in run_record_to_lines(record):
-                obj = json.loads(line)
-                for key in list(obj):
-                    if key.endswith("_at"):
-                        obj[key] = None
-                lines.append(json.dumps(obj, sort_keys=True))
-            return lines
-
         assert normalized(run()) == normalized(run())
 
     @staticmethod
@@ -348,3 +356,180 @@ class TestIterate:
         distinct_templates = call_count(p.task_backend) / 20
         assert distinct_templates == int(distinct_templates)
         assert distinct_templates <= 5 + 15 + 15  # seeds + 2 rounds of candidates
+
+
+LABELS = ("negative", "positive")
+# how the sleeping task backend words a label; "maybe" replies need the extraction backend
+VARIANTS = ("{label}", "{Label}.", "maybe {label}", "maybe", "???", '{{"label": "{label}"}}')
+
+
+@dataclass
+class SleepyRun:
+    record: object
+    budget: Budget
+    calls: dict[str, int]
+    peaks: dict[str, list[int]]    # overlap seen by each call, per backend
+    threads: dict[str, list[str]]  # the thread making each call, per backend
+
+
+def sleepy_run(width, rng_seed=0, variants=("{label}", "{label}"), max_calls=10**7,
+               max_total_tokens=10**12, usage=None) -> SleepyRun:
+    """``iterate`` over the anchor_blend toy pipeline (6 examples, 6 candidates,
+    2 iterations), with fresh decode, task and extraction backends that sleep
+    like remote ones and allow ``width`` calls in flight. ``variants`` words
+    the negative and positive task replies; ``usage`` fixes each chat call's
+    (prompt, completion) tokens."""
+    p = build_toy_pipeline(rng_seed=rng_seed, n_examples=6, candidate_count=6, select_n=2,
+                           max_iterations=2, patience=2, decode_kind="anchor_blend")
+    peaks = {name: [] for name in ("chat", "task", "extract")}
+    threads = {name: [] for name in peaks}
+
+    def backend(name, reply_for):
+        params = {"fn": sleeping(reply_for, 0.002, peaks[name], threads[name])}
+        if usage is not None:
+            params["usage"] = usage
+        return BackendConfig(kind="mock", behavior="handler", max_in_flight=width, params=params)
+
+    def toy(behavior, cfg):
+        return lambda text: MOCK_CHAT_BEHAVIORS[behavior](cfg, ChatRequest(user_text=text))
+
+    def task_reply(text):
+        label = toy("toy_task", p.task_backend)(text)
+        return variants[LABELS.index(label)].format(label=label, Label=label.capitalize())
+
+    backends = {
+        "chat": backend("chat", toy("toy_chat", p.chat_backend)),
+        "task": backend("task", task_reply),
+        "extract": backend("extract", lambda text: LABELS[sum(text.encode()) % 2]
+                           if "maybe" in text else "no idea"),
+    }
+    cfg = replace(p.cfg, decode=replace(p.cfg.decode, chat=backends["chat"]))
+    eval_cfg = replace(p.eval_cfg, task_backend=backends["task"],
+                       extraction_backend=backends["extract"])
+    budget = Budget(max_calls=max_calls, max_total_tokens=max_total_tokens)
+    record = iterate(p.seeds, cfg, eval_cfg, p.eval_set, budget)
+    return SleepyRun(record, budget, {name: call_count(b) for name, b in backends.items()},
+                     peaks, threads)
+
+
+def decoded(iteration) -> list:
+    """Each candidate's id and decode, up to the first one without a decode."""
+    done = []
+    for c in iteration.candidates:
+        if c.decoded_text is None:
+            break
+        done.append((c.id, c.decoded_text))
+    return done
+
+
+def finished(iteration) -> list:
+    """Each candidate's id and outcome, up to the first one the budget stopped."""
+    done = []
+    for c in iteration.candidates:
+        if c.invalid_reason is not None and c.invalid_reason.startswith("not decoded"):
+            break
+        done.append((c.id, c.refined_template, c.invalid_reason))
+    return done
+
+
+def scores(iteration) -> list:
+    return [(s.template.id, s.accuracy, s.per_example) for s in iteration.scored]
+
+
+def is_prefix(part: list, whole: list) -> bool:
+    return part == whole[:len(part)]
+
+
+class TestCycleFanOut:
+    """A cycle over backends that block decodes its candidates concurrently
+    and scores its templates as one batch, with a serial run's results."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(0, 10**6), st.tuples(st.sampled_from(VARIANTS), st.sampled_from(VARIANTS)))
+    def test_width_four_equals_width_one(self, rng_seed, variants):
+        wide, serial = (sleepy_run(width, rng_seed, variants) for width in (4, 1))
+        assert normalized(wide.record) == normalized(serial.record)
+        assert wide.calls == serial.calls
+        assert usage_report(wide.budget) == usage_report(serial.budget)
+        for name in ("chat", "task"):
+            assert 1 < max(wide.peaks[name]) <= 4
+            assert max(serial.peaks[name]) == 1
+        # fresh backends: the first candidate (a blend and a refine) and the first
+        # template (one classify call per example) run serially, then it widens
+        assert wide.threads["chat"][:2] == ["MainThread"] * 2
+        assert wide.threads["chat"].count("MainThread") == 2
+        assert wide.threads["task"].count("MainThread") == 6
+
+    def test_computing_backends_start_no_thread(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", forbidden)
+        p = build_toy_pipeline(rng_seed=3, decode_kind="anchor_blend", max_iterations=2,
+                               patience=2)
+        record = iterate(p.seeds, p.cfg, p.eval_cfg, p.eval_set, p.budget)
+        assert len(record.iterations) == 2 and not record.iterations[-1].partial
+
+    # what the serial loops made of these budgets before the batch existed
+    @pytest.mark.parametrize("max_calls, scored_ids, warning", [
+        (60, ["seed-1", "seed-2", "seed-3", "seed-4", "seed-5", "it1-cand-00", "it1-cand-01"],
+         "budget exhausted during evaluation: budget exhausted after 5 of 6 examples for "
+         "template it1-cand-02: call budget exhausted (60/60 calls)"),
+        (90, ["it1-cand-01", "it1-cand-03"],
+         "budget exhausted during decoding: call budget exhausted (90/90 calls)"),
+    ])
+    def test_call_ceiling_too_small_for_the_batch_keeps_the_serial_record(
+            self, max_calls, scored_ids, warning):
+        wide, serial = (sleepy_run(width, rng_seed=1, max_calls=max_calls) for width in (4, 1))
+        assert normalized(wide.record) == normalized(serial.record)
+        assert wide.calls == serial.calls
+        assert usage_report(wide.budget)[0] == max_calls
+        last = wide.record.iterations[-1]
+        assert last.partial and [s.template.id for s in last.scored] == scored_ids
+        assert last.warnings == [warning]
+
+    def test_candidates_finished_past_the_cut_are_dropped(self):
+        p = build_toy_pipeline(rng_seed=0, candidate_count=6, decode_kind="anchor_blend")
+        first = run_cycle(p.seeds, p.cfg, p.eval_cfg, p.eval_set, p.budget).candidates[0]
+        parents = {s.id: s.text for s in p.seeds}
+        slow = prompts.blend_instruction(*(parents[pid] for pid in first.provenance.parents),
+                                         float(first.provenance.weight))
+
+        def reply(req):  # the first candidate's blend outlasts the other five chains
+            time.sleep(0.2 if req.user_text == slow else 0.002)
+            return MOCK_CHAT_BEHAVIORS["toy_chat"](p.chat_backend, req)
+
+        backend = BackendConfig(kind="mock", behavior="handler",
+                                params={"fn": reply, "usage": (5, 5)})
+        chat(backend, ChatRequest(user_text=slow), Budget())  # seen to block from the start
+        cfg = replace(p.cfg, decode=replace(p.cfg.decode, chat=backend))
+        embedded = Budget()
+        encode(cfg.encoder, p.seeds, embedded)
+        # tokens for the five other chains and the slow blend; its refine is refused
+        budget = Budget(max_total_tokens=embedded.total_tokens + 5 * 20 + 5)
+        result = run_cycle(p.seeds, cfg, p.eval_cfg, p.eval_set, budget)
+        assert call_count(backend) == 1 + 1 + 5 * 2
+        assert result.partial and result.warnings[0].startswith("budget exhausted during decoding")
+        head, *rest = result.candidates
+        assert head.decoded_text == first.decoded_text and head.refined_template is None
+        assert all(c.decoded_text is None and c.refined_template is None for c in rest)
+        assert all(c.invalid_reason.startswith("not decoded") for c in result.candidates)
+
+    def test_token_ceiling_in_a_fan_out_keeps_a_prefix(self):
+        full = sleepy_run(4, rng_seed=2, usage=(5, 5))
+        spent = usage_report(full.budget)[1]
+        stages = set()
+        for share in (0.03, 0.1, 0.3, 0.5, 0.7, 0.9):
+            part = sleepy_run(4, rng_seed=2, usage=(5, 5), max_total_tokens=int(share * spent))
+            *whole, last = part.record.iterations
+            assert last.partial and len(part.record.warnings) >= 1
+            assert normalized(part.record)[1:len(whole) + 1] == \
+                normalized(full.record)[1:len(whole) + 1]
+            same = full.record.iterations[len(whole)]
+            assert decoded(last) and is_prefix(decoded(last), decoded(same))
+            assert is_prefix(finished(last), finished(same))
+            assert all(c.invalid_reason.startswith("not decoded") and c.refined_template is None
+                       for c in last.candidates[len(finished(last)):])
+            assert is_prefix(scores(last), scores(same))
+            stages.update(w.split(":")[0] for w in last.warnings if w.startswith("budget"))
+        assert stages == {"budget exhausted during decoding", "budget exhausted during evaluation"}
