@@ -118,10 +118,10 @@ def cmd_evaluate(config_path: str, prompts_path: str, split: str,
     app.out_dir.mkdir(parents=True, exist_ok=True)
     eval_cfg = app.eval_config(split)
     budget = app.budget()
-    rows = []
-    for template in templates:  # the first evaluation reads the cache file
-        scored = evaluator_mod.evaluate(template, eval_set, eval_cfg, budget)
-        rows.append((template.id, scored.accuracy))
+    scored, exhausted = evaluator_mod.evaluate_batch(templates, eval_set, eval_cfg, budget)
+    if exhausted is not None:
+        raise exhausted
+    rows = [(s.template.id, s.accuracy) for s in scored]
     width = max(len(r[0]) for r in rows)
     print(f"{'prompt':<{width}}  accuracy")
     for tid, accuracy in rows:

@@ -22,23 +22,23 @@ A new reply is served from memory as soon as it is put. Its line is appended
 when its template's calls end, with one open, write and close of the file per
 template (also for a template cut short by the budget), so a crash loses at
 most the current template's replies and no file is held open between
-templates. In a batch that fans out, a template's classify replies are
-appended when its last classify call ends and the extraction replies after
-the batch, so a crash loses at most the replies of the templates still
-classifying, or the batch's extractions. Nothing is fsynced.
+templates. When calls are made ahead for several templates, a template's
+classify replies are appended when its last classify call ends and the
+extraction replies after them all, so a crash loses at most the replies of
+the templates still classifying, or those extractions. Nothing is fsynced.
 
-:func:`evaluate_batch` scores a cycle's templates. While neither the task
-nor the extraction backend has been seen to block (see
-:func:`gateway.blocks`), or the calls left do not cover the worst case, it
-scores one template at a time with :func:`evaluate`. Otherwise it scores the
-templates left as one batch on up to ``max_in_flight`` threads per backend:
-every classify call of every template first, then every extraction, each
-distinct request made once. :func:`evaluate` is the one-template case of the
-same code. Results equal a serial run's; a batch cut short by the budget
-keeps the templates completed in order, found by a replay from the reply
-cache that makes no call. Backends that compute rather than wait, like the
-in-process mocks, are called one at a time from the calling thread, because
-threads would only take turns on the interpreter lock.
+Every score comes from one serial loop, :func:`evaluate`, which classifies
+and labels the examples in order and reads each reply from the cache if it
+is there. Concurrency only fills the cache ahead of it: while the task or
+extraction backend has been seen to block (see :func:`gateway.blocks`) and
+the calls left cover the worst case, ``_prefetch`` makes the calls that miss
+the cache on up to ``max_in_flight`` threads per backend, every classify
+call first, then every extraction, each distinct request once.
+:func:`evaluate_batch` prefetches a cycle's templates as one batch. So
+results equal a serial run's by construction, and a budget cut stops the
+loop at its first missing reply. Backends that compute rather than wait,
+like the in-process mocks, are called one at a time from the calling
+thread, because threads would only take turns on the interpreter lock.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import gateway, prompts
 from .core import Dataset, Example, PromptTemplate, render_prompt, text_digest
@@ -185,14 +185,6 @@ def _local_label(raw: str, label_set: Sequence[str]) -> str | None:
     return _whole_word_match(lowered, label_set) or _field_match(lowered, label_set)
 
 
-def _reply_label(reply: str, label_set: Sequence[str]) -> str:
-    """The label an extraction reply asserts, or ``"unparsed"``."""
-    normalized = reply.strip().lower()
-    if normalized in label_set:
-        return normalized
-    return _whole_word_match(normalized, label_set) or UNPARSED
-
-
 def extract_label(raw: str, label_set: Sequence[str], cfg: EvalConfig,
                   budget: Budget, *, keys: Callable[[str], str] | None = None) -> str:
     """Resolve a raw task reply to a label, or ``"unparsed"``.
@@ -224,60 +216,53 @@ def extract_label(raw: str, label_set: Sequence[str], cfg: EvalConfig,
             logger.warning("label extraction failed, counting as unparsed: %s", exc)
             return UNPARSED
         replies.put(key, reply)
-    return _reply_label(reply, label_set)
+    normalized = reply.strip().lower()
+    if normalized in label_set:
+        return normalized
+    return _whole_word_match(normalized, label_set) or UNPARSED
 
 
 def _width(backend: BackendConfig) -> int:
     return backend.max_in_flight if gateway.blocks(backend) else 1
 
 
-def _by_value(indexed: Iterable[tuple[int, Hashable]]) -> list[list[int]]:
-    """Indices grouped by equal value, groups in order of first occurrence."""
-    groups: dict = {}
-    for index, value in indexed:
-        groups.setdefault(value, []).append(index)
-    return list(groups.values())
+def _fan_out(count: int, work: Callable[[int], None], width: Callable[[int], int]) -> None:
+    """Run ``work`` on each index below ``count``, in order.
 
-
-def _fan_out(groups: list[list[int]], work: Callable[[int], None],
-             width: Callable[[int], int]) -> None:
-    """Run ``work`` on every index; each group in order on one thread.
-
-    Before each group, ``width(groups left)`` says how many threads the groups
-    left may use. While it is 1 they run in the calling thread, and the first
-    failure is raised at once. Once it is more, a ``ThreadPoolExecutor`` of
-    up to that many threads takes the groups left in order; after a failure
-    no group starts, one already started runs to its end, and once every
-    thread has stopped the lowest index's failure is raised. This is the
-    package's one thread pool; the optimizer's decode stage uses it too.
+    Before each index, ``width(indices left)`` says how many threads the
+    indices left may use. While it is 1 they run in the calling thread, and
+    the first failure is raised at once. Once it is more, a
+    ``ThreadPoolExecutor`` of up to that many threads takes the indices left
+    in order; after a failure no index starts, one already started runs to
+    its end, and once every thread has stopped the lowest index's failure is
+    raised. This is the package's one thread pool; the optimizer's decode
+    stage uses it too.
     """
-    for start, group in enumerate(groups):
-        threads = min(width(len(groups) - start), len(groups) - start)
+    for start in range(count):
+        threads = min(width(count - start), count - start)
         if threads > 1:
             break
-        for index in group:
-            work(index)
-    else:  # every group ran in the calling thread
+        work(start)
+    else:  # every index ran in the calling thread
         return
     from concurrent.futures import ThreadPoolExecutor
 
     failed = threading.Event()
 
-    def run(group: list[int]) -> tuple[int, BaseException] | None:
+    def run(index: int) -> BaseException | None:
         if failed.is_set():
             return None
-        for index in group:
-            try:
-                work(index)
-            except BaseException as exc:  # re-raised in the calling thread
-                failed.set()
-                return index, exc
+        try:
+            work(index)
+        except BaseException as exc:  # re-raised in the calling thread
+            failed.set()
+            return exc
         return None
 
     with ThreadPoolExecutor(threads, thread_name_prefix="lpo-fan-out") as pool:
-        failures = [f for f in pool.map(run, groups[start:]) if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+        failures = [f for f in pool.map(run, range(start, count)) if f is not None]
+    if failures:  # in index order
+        raise failures[0]
 
 
 def _slice(eval_set: Dataset, cfg: EvalConfig) -> tuple[Example, ...]:
@@ -286,105 +271,62 @@ def _slice(eval_set: Dataset, cfg: EvalConfig) -> tuple[Example, ...]:
     return eval_set.examples[: min(len(eval_set), cfg.max_examples)]
 
 
-def _fans_out(templates: int, examples: Sequence[Example], cfg: EvalConfig,
-              budget: Budget) -> bool:
-    """Whether ``templates`` templates are scored as one fan-out: only if the
-    task or extraction backend blocks and the calls left cover the worst
-    case, one classify and one extract call per distinct text per template."""
-    return (max(_width(cfg.task_backend), _width(cfg.extraction_backend)) > 1
-            and budget.calls_left() >= 2 * templates * len({ex.text for ex in examples}))
+def _prefetch(templates: Sequence[PromptTemplate], examples: Sequence[Example],
+              label_set: Sequence[str], cfg: EvalConfig, budget: Budget) -> bool:
+    """Make ahead, on up to ``max_in_flight`` threads per backend, the calls
+    that scoring ``templates`` will make, so :func:`evaluate` finds their
+    replies in ``budget.replies``; False if the terms below do not hold.
 
-
-def _score(templates: Sequence[PromptTemplate], eval_set: Dataset, cfg: EvalConfig,
-           budget: Budget) -> tuple[list[ScoredPrompt], BudgetExhaustedError | None]:
-    """Score ``templates`` as one batch; see :func:`evaluate_batch` for the result.
-
-    Item ``k`` is example ``k % n`` under template ``k // n``. Serially, each
-    item is classified then extracted, in order. In a fan-out, every classify
-    call runs first, grouped by (template, text), then every extraction,
-    grouped by raw reply. Once the budget runs out, a zero-call replay from
-    ``budget.replies`` finds the items done in order, so the prefix kept and
-    the count in the error do not depend on thread timing.
+    It runs only while the task or extraction backend blocks and the calls
+    left cover the worst case, two per (template, distinct text). First every
+    classify call that misses the cache, one per (template, text), appending
+    to the cache file as each template's calls end; then one extraction per
+    distinct reply that stage 1 of :func:`extract_label` cannot label, and
+    one more append. A prefetch that finds every classify reply cached makes
+    no call. A cut by the budget ends it quietly: :func:`evaluate` meets the
+    first missing reply and stops where a serial run stops.
     """
-    examples = _slice(eval_set, cfg)
-    n, label_set = len(examples), eval_set.label_set
-    eval_set_id = Dataset(examples=examples, label_set=label_set).fingerprint()
-    task_id = gateway.backend_fingerprint(cfg.task_backend)
-    classify_keys = [_classify_keys(task_id, cfg, template) for template in templates]
-    extract_keys = _extract_keys(gateway.backend_fingerprint(cfg.extraction_backend), label_set)
-    items = range(n * len(templates))
-    raws: list[str | None] = [None] * len(items)
-    labels: list[str | None] = [None] * len(items)
-    unclassified, lock = [n] * len(templates), threading.Lock()
+    if (max(_width(cfg.task_backend), _width(cfg.extraction_backend)) == 1
+            or budget.calls_left() < 2 * len(templates) * len({ex.text for ex in examples})):
+        return False
+    replies, task_id = budget.replies, gateway.backend_fingerprint(cfg.task_backend)
+    keys = [_classify_keys(task_id, cfg, template) for template in templates]
+    pairs: dict[str, tuple[int, Example]] = {}  # classify key -> its first (template, example)
+    for t, template_keys in enumerate(keys):
+        for ex in examples:
+            pairs.setdefault(template_keys(ex), (t, ex))
+    missing = [pair for key, pair in pairs.items() if replies.get(key) is None]
+    if not missing:
+        return True
+    unclassified, lock = [0] * len(templates), threading.Lock()
+    for t, _ in missing:
+        unclassified[t] += 1
 
     def classify(k: int) -> None:
-        """Classify item ``k``; a template's last classify call appends the replies put so far."""
-        t, i = divmod(k, n)
-        raws[k] = classify_one(templates[t], examples[i], cfg, budget, keys=classify_keys[t])
+        """Classify pair ``k``; a template's last classify call appends the replies put so far."""
+        t, ex = missing[k]
+        classify_one(templates[t], ex, cfg, budget, keys=keys[t])
         with lock:
             unclassified[t] -= 1
             last = not unclassified[t]
         if last:
-            budget.replies.flush()
+            replies.flush()
 
-    def extract(k: int) -> None:
-        labels[k] = extract_label(raws[k], label_set, cfg, budget, keys=extract_keys)
-
-    def replay(k: int) -> bool:
-        """Label item ``k`` from the replies kept, making no call; False if it needs one."""
-        t, i = divmod(k, n)
-        if raws[k] is None:
-            raws[k] = budget.replies.get(classify_keys[t](examples[i]))
-            if raws[k] is None:
-                return False
-        label = _local_label(raws[k], label_set)
-        if label is None:
-            reply = budget.replies.get(extract_keys(raws[k]))
-            if reply is None:
-                return False
-            label = _reply_label(reply, label_set)
-        labels[k] = label
-        return True
-
-    if cfg.cache_path is not None:
-        budget.bind_replies(cfg.cache_path)
-    exhausted = None
     try:
-        if _fans_out(len(templates), examples, cfg, budget):
-            _fan_out(_by_value((k, (templates[k // n].text, examples[k % n].text))
-                               for k in items), classify, lambda left: _width(cfg.task_backend))
-            _fan_out(_by_value((k, raws[k]) for k in items), extract,
-                     lambda left: _width(cfg.extraction_backend))
-        else:
-            for t, (template, keys) in enumerate(zip(templates, classify_keys)):
-                for k, ex in enumerate(examples, start=t * n):
-                    raws[k] = raw = classify_one(template, ex, cfg, budget, keys=keys)
-                    labels[k] = extract_label(raw, label_set, cfg, budget, keys=extract_keys)
-                budget.replies.flush()  # each template's replies once its calls end
-    except BudgetExhaustedError as exc:
-        exhausted = exc
-    finally:  # also a batch cut short, by the budget or a failure, keeps its replies
-        budget.replies.flush()
-
-    scored: list[ScoredPrompt] = []
-    for t, template in enumerate(templates):
-        row = slice(t * n, (t + 1) * n)
-        if None in labels[row]:  # the budget ran out before this template's end
-            done = next((i for i, k in enumerate(items[row])
-                         if labels[k] is None and not replay(k)), n)
-            if done < n:
-                error = BudgetExhaustedError(f"budget exhausted after {done} of {n} examples "
-                                             f"for template {template.id}: {exhausted}")
-                error.__cause__ = exhausted
-                return scored, error
-        outcomes = tuple(
-            PerExample(index=i, raw_output=raw, extracted_label=label, correct=(label == ex.label))
-            for i, (ex, raw, label) in enumerate(zip(examples, raws[row], labels[row])))
-        n_correct = sum(1 for o in outcomes if o.correct)
-        scored.append(ScoredPrompt(template=template, accuracy=n_correct / n,
-                                   n_correct=n_correct, n_total=n, per_example=outcomes,
-                                   eval_set_id=eval_set_id))
-    return scored, None
+        _fan_out(len(missing), classify, lambda left: _width(cfg.task_backend))
+        extract_keys = _extract_keys(gateway.backend_fingerprint(cfg.extraction_backend),
+                                     label_set)
+        unlabelled = [raw for raw in dict.fromkeys(map(replies.get, pairs))
+                      if _local_label(raw, label_set) is None
+                      and replies.get(extract_keys(raw)) is None]
+        _fan_out(len(unlabelled),
+                 lambda k: extract_label(unlabelled[k], label_set, cfg, budget, keys=extract_keys),
+                 lambda left: _width(cfg.extraction_backend))
+    except BudgetExhaustedError:
+        pass  # evaluate meets the cut where a serial run would
+    finally:  # also a prefetch cut short, by the budget or a failure, keeps its replies
+        replies.flush()
+    return True
 
 
 def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
@@ -399,47 +341,66 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
     read nothing. The lines of this template's new replies are appended
     there once its calls end.
 
-    This is the one-template case of :func:`evaluate_batch`'s fan-out: when
-    the task or extraction backend blocks (:func:`gateway.blocks`) and the
-    calls left cover the worst case, one classify and one extract call per
-    distinct text, its calls run on up to its ``max_in_flight`` threads:
-    first every classify call, then every extraction. Otherwise they run
-    serially.
+    The examples are scored one after another, each classified and then
+    labelled, and this is the one place a :class:`ScoredPrompt` is built.
+    Before the first and the second example it asks :func:`_prefetch` to
+    make the template's calls ahead, so a backend first seen to block by the
+    first example's call overlaps the rest. Whatever the prefetch made is
+    read from the reply cache, so the result equals a serial run's, and a
+    budget cut stops at the first example whose reply is missing, with the
+    error a serial run raises there.
     """
-    scored, exhausted = _score([template], eval_set, cfg, budget)
-    if exhausted is not None:
-        raise exhausted
-    return scored[0]
+    examples = _slice(eval_set, cfg)
+    n, label_set = len(examples), eval_set.label_set
+    if cfg.cache_path is not None:
+        budget.bind_replies(cfg.cache_path)
+    classify_keys = _classify_keys(gateway.backend_fingerprint(cfg.task_backend), cfg, template)
+    extract_keys = _extract_keys(gateway.backend_fingerprint(cfg.extraction_backend), label_set)
+    outcomes: list[PerExample] = []
+    try:
+        for i, ex in enumerate(examples):
+            if i < 2:
+                _prefetch([template], examples, label_set, cfg, budget)
+            raw = classify_one(template, ex, cfg, budget, keys=classify_keys)
+            label = extract_label(raw, label_set, cfg, budget, keys=extract_keys)
+            outcomes.append(PerExample(index=i, raw_output=raw, extracted_label=label,
+                                       correct=(label == ex.label)))
+    except BudgetExhaustedError as exc:
+        raise BudgetExhaustedError(f"budget exhausted after {len(outcomes)} of {n} examples "
+                                   f"for template {template.id}: {exc}") from exc
+    finally:  # also a template cut short by the budget keeps its replies
+        budget.replies.flush()
+    n_correct = sum(1 for o in outcomes if o.correct)
+    return ScoredPrompt(template=template, accuracy=n_correct / n, n_correct=n_correct,
+                        n_total=n, per_example=tuple(outcomes),
+                        eval_set_id=Dataset(examples=examples, label_set=label_set).fingerprint())
 
 
 def evaluate_batch(templates: Sequence[PromptTemplate], eval_set: Dataset, cfg: EvalConfig,
                    budget: Budget) -> tuple[list[ScoredPrompt], BudgetExhaustedError | None]:
-    """Score ``templates`` in order, as :func:`evaluate` scores one.
+    """Score ``templates`` in order, each with :func:`evaluate`.
 
     Returns the scores of the templates completed in order, a prefix of
     ``templates``, and the error that stopped the rest (None when every
     template was scored); any other failure is raised.
 
-    Before each template the batch asks whether the task or extraction
-    backend blocks and the calls left cover the worst case of every template
-    from there on, two calls per distinct text per template. If so, those
-    templates are scored as one fan-out: every classify call of every
-    template at once, grouped by (template, text), then every extraction,
-    grouped by raw reply across the batch, so each distinct request is made
-    once. The reply-cache file is appended to each time one more template's
-    classify calls have all ended, and once more after the extractions.
-    Otherwise the template is scored by :func:`evaluate`, so a backend that
-    computes starts no thread and a fresh process widens after its first
-    template. A fan-out cut short by the budget keeps the templates that a
-    zero-call serial replay from ``budget.replies`` completes in order, so
-    the scores kept read like a serial run's.
+    Before each template, until one prefetch has run, the batch asks
+    :func:`_prefetch` to make the calls of every template left at once: each
+    classify call grouped by (template, text), then each distinct extraction
+    across the batch. So a backend that computes starts no thread, a fresh
+    process widens once its first calls show the backend to block, and the
+    scores equal a serial run's. Under a call ceiling the calls ahead are
+    made only when they all fit, so a cut stops where a serial run stops;
+    under a token ceiling the scores kept are a prefix of a full run's.
     """
     examples = _slice(eval_set, cfg)
+    if cfg.cache_path is not None:
+        budget.bind_replies(cfg.cache_path)
     scored: list[ScoredPrompt] = []
+    prefetched = False
     for start, template in enumerate(templates):
-        if _fans_out(len(templates) - start, examples, cfg, budget):
-            tail, exhausted = _score(templates[start:], eval_set, cfg, budget)
-            return scored + tail, exhausted
+        prefetched = prefetched or _prefetch(templates[start:], examples, eval_set.label_set,
+                                             cfg, budget)
         try:
             scored.append(evaluate(template, eval_set, cfg, budget))
         except BudgetExhaustedError as exc:

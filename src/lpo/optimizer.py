@@ -13,8 +13,9 @@ whether the decode chat backend blocks and the calls left cover two per
 candidate left; if so, the remaining candidates' decode -> refine chains run
 on up to its ``max_in_flight`` threads. The scoring stage hands every
 template that misses the score cache, each text once, to
-:func:`lpo.evaluator.evaluate_batch`, which fans them out as one batch on
-the same terms. Backends that compute, like the in-process mocks, start no
+:func:`lpo.evaluator.evaluate_batch`, which makes their calls ahead as one
+batch on the same terms and then scores each template serially from the
+reply cache. Backends that compute, like the in-process mocks, start no
 thread. A stage cut short by the budget keeps, in order, the candidates and
 templates whose calls all finished, so a partial record reads like a serial
 run's.
@@ -212,7 +213,7 @@ def run_cycle(
         return 1
 
     try:
-        evaluator_mod._fan_out([[i] for i in range(len(candidates))], decode_one, width)
+        evaluator_mod._fan_out(len(candidates), decode_one, width)
     except BudgetExhaustedError as exc:
         warnings.append(f"budget exhausted during decoding: {exc}")
         partial = True

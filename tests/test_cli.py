@@ -255,6 +255,17 @@ class TestEvaluate:
         assert [c.path for c in made] == [cache]  # read once
         assert cache.stat().st_size > 0
 
+    def test_budget_exhaustion_exits_3_naming_the_examples_done_and_the_template(
+            self, toy_workspace, capsys):
+        config = toy_workspace / "config.yaml"
+        config.write_text(config.read_text().replace("max_calls: 100000", "max_calls: 12"))
+        code = run(["evaluate", "--config", config, "--prompts", toy_workspace / "seeds.jsonl"])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("budget exhausted: budget exhausted after 2 of 10 examples for template "
+                       "seed-2: call budget exhausted (12/12 calls)\n")
+
     def test_missing_test_split_configured(self, toy_workspace, capsys):
         config_text = (toy_workspace / "config.yaml").read_text()
         config_text = config_text.replace("test: test.jsonl", "test: null")

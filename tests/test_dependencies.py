@@ -93,3 +93,30 @@ def test_one_file_holds_the_thread_pool():
             if "ThreadPoolExecutor" in names:
                 found.add(path.name)
     assert found == {"evaluator.py"}
+
+
+def test_only_evaluate_builds_scored_prompts():
+    """Every score comes from the one serial loop in ``evaluator.evaluate``:
+    no other function of the package constructs a ``ScoredPrompt``."""
+    found = set()
+
+    class Finder(ast.NodeVisitor):
+        def __init__(self, module: str) -> None:
+            self.scope = [module]
+
+        def visit_FunctionDef(self, node) -> None:
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Call(self, node) -> None:
+            if "ScoredPrompt" in {getattr(node.func, "id", None),
+                                  getattr(node.func, "attr", None)}:
+                found.add(".".join(self.scope))
+            self.generic_visit(node)
+
+    for path in (ROOT / "src" / "lpo").rglob("*.py"):
+        Finder(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert found == {"evaluator.evaluate"}

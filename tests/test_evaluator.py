@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from lpo import core, evaluator, gateway
 from lpo.core import Dataset, Example, text_digest, validate_template
-from lpo.errors import BudgetExhaustedError, ValidationError
+from lpo.errors import BackendError, BudgetExhaustedError, ValidationError
 from lpo.evaluator import (
     EvalConfig,
     PerExample,
@@ -457,6 +457,24 @@ class TestFanOut:
             done.append(int(re.search(r"after (\d+) of 12 ", str(caught.value)).group(1)))
         assert min(done) >= 7
 
+    def test_fresh_backends_make_one_call_on_the_calling_thread_then_widen(self):
+        task_threads, extraction_threads = [], []
+        replies = {f"ex{i}": f"maybe-{i % 3}" for i in range(12)}
+        task = BackendConfig(kind="mock", behavior="handler", max_in_flight=4,
+                             params={"fn": sleeping(reply_by_example(replies),
+                                                    threads=task_threads)})
+        extraction = BackendConfig(kind="mock", behavior="handler", max_in_flight=4,
+                                   params={"fn": sleeping(extraction_by_hash,
+                                                          threads=extraction_threads)})
+        ds = dataset([(f"ex{i}", LABELS[i % 3]) for i in range(12)])
+        scored = evaluate(TEMPLATE, ds, config(task, extraction), budget())
+        assert scored == evaluate(TEMPLATE, ds, blocking_config(
+            reply_by_example(replies), extraction_by_hash, 1), budget())
+        # the first example's calls show both backends to block; the rest overlap
+        assert len(task_threads) == 12 and task_threads.count("MainThread") == 1
+        assert task_threads[0] == "MainThread"
+        assert extraction_threads.count("MainThread") == 1
+
     def test_first_failure_stops_the_pool_and_lowest_index_is_raised(self):
         ds = dataset([(f"ex{i}", "positive") for i in range(20)])
 
@@ -528,8 +546,12 @@ class TestEvaluateBatch:
         flush, lines = b.replies.flush, []
 
         def counted_flush():
+            """Records the line count each time it changes: a flush with nothing
+            pending, as the serial loop makes after each template, adds none."""
             flush()
-            lines.append(len(path.read_text().splitlines()) if path.exists() else 0)
+            count = len(path.read_text().splitlines()) if path.exists() else 0
+            if count != (lines[-1] if lines else 0):
+                lines.append(count)
 
         b.replies.flush = counted_flush
         scored, exhausted = evaluator.evaluate_batch(BATCH, ds, cfg, b)
@@ -552,6 +574,97 @@ class TestEvaluateBatch:
             assert str(exhausted).startswith("budget exhausted after ")
             assert f"for template {BATCH[len(scored)].id}: token budget exhausted" \
                 in str(exhausted)
+
+
+def scripted_batch(replies, width, usage=None, fails=lambda prompt: False):
+    """EvalConfig over sleeping backends: the task answers ``replies[(t, text)]``
+    for ``Template t`` on ``text`` ("positive" where unscripted), and the
+    extraction backend raises ``BackendError`` where ``fails(prompt)``. Unless
+    ``width`` is 1, both backends are seen to block from the start."""
+    def task_reply(prompt):
+        head, text = prompt.rsplit(" ", 1)
+        return replies.get((int(head.split(":")[0].split()[-1]), text), "positive")
+
+    def extraction_reply(prompt):
+        if fails(prompt):
+            raise BackendError("extraction refused")
+        return extraction_by_hash(prompt)
+
+    extra = {} if usage is None else {"usage": usage}
+    task = BackendConfig(kind="mock", behavior="handler", max_in_flight=width,
+                         params={"fn": sleeping(task_reply, 0.001), **extra})
+    extraction = BackendConfig(kind="mock", behavior="handler", max_in_flight=width,
+                               params={"fn": sleeping(extraction_reply, 0.001), **extra})
+    if width > 1:
+        for backend in (task, extraction):
+            chat(backend, ChatRequest(user_text="Template 0: warm-up"), budget())
+    return config(task, extraction)
+
+
+TEXTS = [f"ex{i}" for i in range(4)]
+BATCHES = st.tuples(
+    st.integers(1, 3),  # templates
+    st.lists(st.tuples(st.sampled_from(TEXTS), st.sampled_from(LABELS)), min_size=1,
+             max_size=6),  # examples; texts repeat
+    st.dictionaries(st.tuples(st.integers(0, 2), st.sampled_from(TEXTS)),
+                    REPLIES | st.sampled_from(["maybe-c", "???!"]), max_size=12))
+
+
+class TestOneScoringPath:
+    """Scores come from one serial loop; making calls ahead changes none of them."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(BATCHES, st.integers(1, 40))
+    def test_every_call_ceiling_gives_the_serial_scores_and_message(self, batch, max_calls):
+        count, rows, replies = batch
+        ds = dataset(rows)
+        runs = []
+        for width in (1, 4):
+            b = budget(max_calls)
+            scored, exhausted = evaluator.evaluate_batch(BATCH[:count], ds,
+                                                         scripted_batch(replies, width), b)
+            runs.append((scored, str(exhausted), b.calls))
+        assert runs[0] == runs[1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(BATCHES, st.integers(1, 400))
+    def test_a_token_ceiling_keeps_a_prefix_of_the_full_scores(self, batch, max_tokens):
+        count, rows, replies = batch
+        ds = dataset(rows)
+        full, _ = evaluator.evaluate_batch(BATCH[:count], ds, scripted_batch(replies, 1),
+                                           budget())
+        cfg = scripted_batch(replies, 4, usage=(4, 6))
+        spent = Budget(max_calls=10**6, max_total_tokens=max_tokens)
+        scored, exhausted = evaluator.evaluate_batch(BATCH[:count], ds, cfg, spent)
+        assert scored == full[:len(scored)]
+        if exhausted is None:
+            assert len(scored) == count
+        else:
+            assert re.match(rf"budget exhausted after \d+ of {len(rows)} examples for template "
+                            rf"{BATCH[len(scored)].id}: token budget exhausted", str(exhausted))
+
+    @settings(max_examples=25, deadline=None)
+    @given(BATCHES)
+    def test_failed_extractions_read_unparsed_at_one_extra_call_per_reply(self, batch):
+        count, rows, replies = batch
+        ds = dataset(rows)
+
+        def fails(prompt):
+            return "maybe-b" in prompt or "???" in prompt
+
+        runs = []
+        for width in (1, 4):
+            cfg = scripted_batch(replies, width, fails=fails)
+            scored, exhausted = evaluator.evaluate_batch(BATCH[:count], ds, cfg, budget())
+            assert exhausted is None
+            runs.append((scored, attempt_count(cfg.extraction_backend) - (width > 1)))
+        (serial, serial_calls), (wide, wide_calls) = runs
+        assert wide == serial
+        outcomes = [o for s in wide for o in s.per_example]
+        failing = {o.raw_output for o in outcomes if fails(o.raw_output)}
+        assert all(o.extracted_label == "unparsed" for o in outcomes if o.raw_output in failing)
+        # the prefetch asks once per failing reply; the loop asks at each occurrence
+        assert serial_calls <= wide_calls <= serial_calls + len(failing)
 
 
 class TestEvalConfig:

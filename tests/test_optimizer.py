@@ -455,10 +455,10 @@ class TestCycleFanOut:
             assert 1 < max(wide.peaks[name]) <= 4
             assert max(serial.peaks[name]) == 1
         # fresh backends: the first candidate (a blend and a refine) and the first
-        # template (one classify call per example) run serially, then it widens
+        # template's first classify call run serially, then it widens
         assert wide.threads["chat"][:2] == ["MainThread"] * 2
         assert wide.threads["chat"].count("MainThread") == 2
-        assert wide.threads["task"].count("MainThread") == 6
+        assert wide.threads["task"].count("MainThread") == 1
 
     def test_computing_backends_start_no_thread(self, monkeypatch):
         def forbidden(*args, **kwargs):
