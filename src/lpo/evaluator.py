@@ -13,10 +13,18 @@ fingerprint, so a warm rerun issues zero gateway calls and returns identical
 scores, and no backend is served another's reply. The first evaluation with
 a cache path binds the budget to that file, which is read then and only
 then; the budget stays bound to it until an evaluation names another.
-:func:`evaluate` hashes its template and encodes its label set once, and
-each example's text is hashed once per process (``Example.digest``); the
-keys are the same strings as ever, so cache files written by earlier
-versions still hit.
+Each line of the file is decoded by the JSON scanner itself, and a line
+nested past the recursion limit is skipped like any other undecodable one
+(see :class:`gateway.ResponseCache`).
+
+A warm rerun does each piece of work once. Each example's text is hashed
+once per process (``Example.digest``). Each template's classify keys are
+derived once per slice, shared by the scoring loop and the calls made
+ahead, and its label set is encoded once. Stage 1 of :func:`extract_label`
+runs once per distinct reply while it stays among the last few hundred
+asked, and the slice's fingerprint, every score's ``eval_set_id``, is taken
+once per slice: once per :func:`evaluate_batch`. The keys are the same
+strings as ever, so cache files written by earlier versions still hit.
 
 A new reply is served from memory as soon as it is put. Its line is appended
 when its template's calls end, with one open, write and close of the file per
@@ -49,7 +57,7 @@ import math
 import re
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -179,8 +187,14 @@ def _field_match(lowered: str, label_set: Sequence[str]) -> str | None:
     return None
 
 
-def _local_label(raw: str, label_set: Sequence[str]) -> str | None:
-    """Stage 1 of :func:`extract_label`: the label ``raw`` names on its own, or None."""
+@lru_cache(maxsize=256)
+def _local_label(raw: str, label_set: tuple[str, ...]) -> str | None:
+    """Stage 1 of :func:`extract_label`: the label ``raw`` names on its own, or None.
+
+    It is pure, so it is worked out once per distinct (reply, label set)
+    while that pair stays among the last 256 asked; on a warm rerun most
+    replies are a handful of bare labels.
+    """
     lowered = raw.lower()
     return _whole_word_match(lowered, label_set) or _field_match(lowered, label_set)
 
@@ -200,7 +214,7 @@ def extract_label(raw: str, label_set: Sequence[str], cfg: EvalConfig,
     """
     if not label_set:
         raise ValidationError("extract_label needs a non-empty label set")
-    hit = _local_label(raw, label_set)
+    hit = _local_label(raw, tuple(label_set))
     if hit is not None:
         return hit
 
@@ -265,17 +279,52 @@ def _fan_out(count: int, work: Callable[[int], None], width: Callable[[int], int
         raise failures[0]
 
 
-def _slice(eval_set: Dataset, cfg: EvalConfig) -> tuple[Example, ...]:
+class _Slice(Dataset):
+    """The first ``max_examples`` of an eval set, as one evaluation or one
+    batch scores them under one config.
+
+    What scoring derives from the slice alone is derived once: its
+    fingerprint, which is every score's ``eval_set_id``, and each template's
+    classify keys, which a batch's prefetch derives and :func:`evaluate`
+    then takes over.
+    """
+
+    @cached_property
+    def eval_set_id(self) -> str:
+        return self.fingerprint()
+
+    @cached_property
+    def _keys(self) -> dict[str, list[str]]:  # template text -> its classify keys
+        return {}
+
+    def classify_keys(self, template: PromptTemplate, cfg: EvalConfig) -> list[str]:
+        """``template``'s classify key for each example, derived on first use
+        and kept until :meth:`drop_keys`."""
+        keys = self._keys.get(template.text)
+        if keys is None:
+            key = _classify_keys(gateway.backend_fingerprint(cfg.task_backend), cfg, template)
+            keys = self._keys[template.text] = [key(ex) for ex in self.examples]
+        return keys
+
+    def drop_keys(self, template: PromptTemplate) -> None:
+        self._keys.pop(template.text, None)
+
+
+def _slice(eval_set: Dataset, cfg: EvalConfig) -> _Slice:
     if len(eval_set) == 0:
         raise ValidationError("evaluation set is empty")
-    return eval_set.examples[: min(len(eval_set), cfg.max_examples)]
+    if isinstance(eval_set, _Slice) and len(eval_set) <= cfg.max_examples:
+        return eval_set  # a batch's slice
+    return _Slice(examples=eval_set.examples[: cfg.max_examples],
+                  label_set=tuple(eval_set.label_set))
 
 
-def _prefetch(templates: Sequence[PromptTemplate], examples: Sequence[Example],
-              label_set: Sequence[str], cfg: EvalConfig, budget: Budget) -> bool:
+def _prefetch(templates: Sequence[PromptTemplate], view: _Slice, cfg: EvalConfig,
+              budget: Budget) -> bool:
     """Make ahead, on up to ``max_in_flight`` threads per backend, the calls
-    that scoring ``templates`` will make, so :func:`evaluate` finds their
-    replies in ``budget.replies``; False if the terms below do not hold.
+    that scoring ``templates`` on ``view`` will make, so :func:`evaluate`
+    finds their replies in ``budget.replies``; False if the terms below do
+    not hold.
 
     It runs only while the task or extraction backend blocks and the calls
     left cover the worst case, two per (template, distinct text). First every
@@ -286,26 +335,26 @@ def _prefetch(templates: Sequence[PromptTemplate], examples: Sequence[Example],
     no call. A cut by the budget ends it quietly: :func:`evaluate` meets the
     first missing reply and stops where a serial run stops.
     """
+    examples, label_set = view.examples, view.label_set
     if (max(_width(cfg.task_backend), _width(cfg.extraction_backend)) == 1
             or budget.calls_left() < 2 * len(templates) * len({ex.text for ex in examples})):
         return False
-    replies, task_id = budget.replies, gateway.backend_fingerprint(cfg.task_backend)
-    keys = [_classify_keys(task_id, cfg, template) for template in templates]
+    replies = budget.replies
     pairs: dict[str, tuple[int, Example]] = {}  # classify key -> its first (template, example)
-    for t, template_keys in enumerate(keys):
-        for ex in examples:
-            pairs.setdefault(template_keys(ex), (t, ex))
-    missing = [pair for key, pair in pairs.items() if replies.get(key) is None]
+    for t, template in enumerate(templates):
+        for key, ex in zip(view.classify_keys(template, cfg), examples):
+            pairs.setdefault(key, (t, ex))
+    missing = [(key, *pair) for key, pair in pairs.items() if replies.get(key) is None]
     if not missing:
         return True
     unclassified, lock = [0] * len(templates), threading.Lock()
-    for t, _ in missing:
+    for _, t, _ in missing:
         unclassified[t] += 1
 
     def classify(k: int) -> None:
         """Classify pair ``k``; a template's last classify call appends the replies put so far."""
-        t, ex = missing[k]
-        classify_one(templates[t], ex, cfg, budget, keys=keys[t])
+        key, t, ex = missing[k]
+        classify_one(templates[t], ex, cfg, budget, keys=lambda _ex: key)
         with lock:
             unclassified[t] -= 1
             last = not unclassified[t]
@@ -343,25 +392,27 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
 
     The examples are scored one after another, each classified and then
     labelled, and this is the one place a :class:`ScoredPrompt` is built.
-    Before the first and the second example it asks :func:`_prefetch` to
-    make the template's calls ahead, so a backend first seen to block by the
-    first example's call overlaps the rest. Whatever the prefetch made is
-    read from the reply cache, so the result equals a serial run's, and a
-    budget cut stops at the first example whose reply is missing, with the
-    error a serial run raises there.
+    Each example's classify key is derived once, for the loop and the
+    prefetches alike. Before the first and the second example it asks
+    :func:`_prefetch` to make the template's calls ahead, so a backend first
+    seen to block by the first example's call overlaps the rest. Whatever the
+    prefetch made is read from the reply cache, so the result equals a
+    serial run's, and a budget cut stops at the first example whose reply is
+    missing, with the error a serial run raises there.
     """
-    examples = _slice(eval_set, cfg)
-    n, label_set = len(examples), eval_set.label_set
+    view = _slice(eval_set, cfg)
+    examples, label_set = view.examples, view.label_set
+    n = len(examples)
     if cfg.cache_path is not None:
         budget.bind_replies(cfg.cache_path)
-    classify_keys = _classify_keys(gateway.backend_fingerprint(cfg.task_backend), cfg, template)
+    keys = view.classify_keys(template, cfg)
     extract_keys = _extract_keys(gateway.backend_fingerprint(cfg.extraction_backend), label_set)
     outcomes: list[PerExample] = []
     try:
-        for i, ex in enumerate(examples):
+        for i, (ex, key) in enumerate(zip(examples, keys)):
             if i < 2:
-                _prefetch([template], examples, label_set, cfg, budget)
-            raw = classify_one(template, ex, cfg, budget, keys=classify_keys)
+                _prefetch([template], view, cfg, budget)
+            raw = classify_one(template, ex, cfg, budget, keys=lambda _ex, key=key: key)
             label = extract_label(raw, label_set, cfg, budget, keys=extract_keys)
             outcomes.append(PerExample(index=i, raw_output=raw, extracted_label=label,
                                        correct=(label == ex.label)))
@@ -369,11 +420,11 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
         raise BudgetExhaustedError(f"budget exhausted after {len(outcomes)} of {n} examples "
                                    f"for template {template.id}: {exc}") from exc
     finally:  # also a template cut short by the budget keeps its replies
+        view.drop_keys(template)
         budget.replies.flush()
     n_correct = sum(1 for o in outcomes if o.correct)
     return ScoredPrompt(template=template, accuracy=n_correct / n, n_correct=n_correct,
-                        n_total=n, per_example=tuple(outcomes),
-                        eval_set_id=Dataset(examples=examples, label_set=label_set).fingerprint())
+                        n_total=n, per_example=tuple(outcomes), eval_set_id=view.eval_set_id)
 
 
 def evaluate_batch(templates: Sequence[PromptTemplate], eval_set: Dataset, cfg: EvalConfig,
@@ -392,17 +443,20 @@ def evaluate_batch(templates: Sequence[PromptTemplate], eval_set: Dataset, cfg: 
     scores equal a serial run's. Under a call ceiling the calls ahead are
     made only when they all fit, so a cut stops where a serial run stops;
     under a token ceiling the scores kept are a prefix of a full run's.
+
+    Every template is scored on one slice of the eval set, so its
+    fingerprint is taken once per batch, and the classify keys a prefetch
+    derives serve :func:`evaluate` too.
     """
-    examples = _slice(eval_set, cfg)
+    view = _slice(eval_set, cfg)
     if cfg.cache_path is not None:
         budget.bind_replies(cfg.cache_path)
     scored: list[ScoredPrompt] = []
     prefetched = False
     for start, template in enumerate(templates):
-        prefetched = prefetched or _prefetch(templates[start:], examples, eval_set.label_set,
-                                             cfg, budget)
+        prefetched = prefetched or _prefetch(templates[start:], view, cfg, budget)
         try:
-            scored.append(evaluate(template, eval_set, cfg, budget))
+            scored.append(evaluate(template, view, cfg, budget))
         except BudgetExhaustedError as exc:
             return scored, exc
     return scored, None

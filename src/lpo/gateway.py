@@ -116,20 +116,26 @@ _APPEND = os.O_WRONLY | os.O_APPEND | os.O_CREAT
 class ResponseCache:
     """Append-only JSONL cache of backend replies, keyed by content hash.
 
-    The file is read once, here. ``put`` serves the reply from memory at once
-    and queues its line; :meth:`flush` appends the queued lines as one group
-    with one open, one write and one close (creating the directory only when
-    the open finds it missing), so they have reached the operating system when
-    it returns (they are not fsynced) and no file stays open between flushes.
+    The file is read once, here, a line at a time. Each line goes straight to
+    the JSON scanner (``json.JSONDecoder().scan_once``), and only whitespace
+    may follow its value; a line with no value at its start, such as an
+    indented one, goes through ``json.loads``. So a line is accepted or
+    skipped exactly as ``json.loads`` would decide, without that call's
+    overhead per line, and each distinct reply is kept once. ``put`` serves
+    the reply from memory at once and queues its line; :meth:`flush` appends
+    the queued lines as one group with one open, one write and one close
+    (creating the directory only when the open finds it missing), so they
+    have reached the operating system when it returns (they are not fsynced)
+    and no file stays open between flushes.
     :func:`lpo.evaluator.evaluate` flushes once per template, so a crash loses
     at most the replies put since the last flush.
 
     I/O problems are downgraded to warnings; the evaluator then simply falls
     back to live calls. A group whose write fails or falls short stays in
     memory only, and the next group starts on a new line. Undecodable lines,
-    such as one cut short by a crash, and lines whose key or reply is not a
-    string are skipped and counted, with one warning. Puts and
-    flushes are serialized.
+    such as one cut short by a crash or one nested past the recursion limit,
+    and lines whose key or reply is not a string are skipped and counted,
+    with one warning. Puts and flushes are serialized.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -142,16 +148,22 @@ class ResponseCache:
         if self.path is None or not self.path.exists():
             return
         line, replies = "", {}  # one copy of each distinct reply; a label repeats a lot
+        scan = json.JSONDecoder().scan_once  # json.loads without its per-call checks
         try:
             # lpo writes ASCII-only JSON, so a cut-off line is still valid UTF-8
             with open(self.path, encoding="utf-8") as fh:
                 for line in fh:
-                    if not line.strip():
-                        continue
                     try:
-                        obj = json.loads(line)
+                        try:
+                            obj, end = scan(line, 0)
+                        except StopIteration:  # no value at the start: blank, indented or junk
+                            if not line.strip():
+                                continue
+                            obj, end = json.loads(line), len(line)
+                        if line[end:].strip(" \t\n\r"):  # what json.loads calls extra data
+                            raise ValueError
                         key, raw = obj["key_hash"], obj["raw_output"]
-                    except (ValueError, KeyError, TypeError):
+                    except (ValueError, KeyError, TypeError, RecursionError):
                         key = raw = None
                     if isinstance(key, str) and isinstance(raw, str):
                         self._entries[key] = replies.setdefault(raw, raw)

@@ -192,6 +192,31 @@ def spy_on_response_caches(monkeypatch) -> list:
     return made
 
 
+def reference_cache_read(path) -> tuple[dict[str, str], int, bool]:
+    """The reply-cache reader of earlier versions, one ``json.loads`` per line,
+    widened to count a line nested past the recursion limit as undecodable:
+    the entries, skipped-line count and cut-off flag that
+    ``ResponseCache(path)`` must give."""
+    entries, skipped, line = {}, 0, ""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                    key, raw = obj["key_hash"], obj["raw_output"]
+                except (ValueError, KeyError, TypeError, RecursionError):
+                    key = raw = None
+                if isinstance(key, str) and isinstance(raw, str):
+                    entries[key] = raw
+                else:
+                    skipped += 1
+    except (OSError, UnicodeDecodeError):
+        entries = {}
+    return entries, skipped, bool(line) and not line.endswith("\n")
+
+
 def open_descriptors(path) -> list[str]:
     """This process's file descriptors open on ``path``; skips the test where
     ``/proc/self/fd`` does not exist."""

@@ -228,6 +228,19 @@ class TestEvaluate:
         assert (out / "cache_validation.jsonl").exists()
         assert (out / "cache_test.jsonl").exists()
 
+    def test_cache_line_nested_past_the_recursion_limit_is_skipped(self, toy_workspace,
+                                                                   caplog):
+        args = ["evaluate", "--config", toy_workspace / "config.yaml",
+                "--prompts", toy_workspace / "seeds.jsonl"]
+        assert run(args) == 0
+        cache = toy_workspace / "out" / "cache_validation.jsonl"
+        with cache.open("a") as fh:
+            fh.write("[" * 100_000 + "]" * 100_000 + "\n")
+        with caplog.at_level("WARNING"):
+            assert run(args) == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipped 1 unreadable cache line(s) in {cache}"]
+
     def test_out_dir_flag_relocates_cache(self, toy_workspace, tmp_path):
         alt = tmp_path / "elsewhere"
         code = run(["evaluate", "--config", toy_workspace / "config.yaml",

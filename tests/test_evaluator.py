@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import open_descriptors, sleeping, spy_on_response_caches
+from helpers import open_descriptors, reference_cache_read, sleeping, spy_on_response_caches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -177,6 +177,20 @@ class TestExtractLabel:
         assert label == "unparsed"
         assert any("counting as unparsed" in r.message for r in caplog.records)
 
+    def test_failed_extraction_is_asked_again_at_each_occurrence(self):
+        def refuse(req):
+            raise BackendError("extraction refused")
+
+        extraction = BackendConfig(kind="mock", behavior="handler", params={"fn": refuse})
+        ds = dataset([(f"row-{i}", "positive") for i in range(4)])
+        cfg = config(scripted_task({"row-": "positive or negative"}), extraction)
+        b = budget()
+        scored, exhausted = evaluator.evaluate_batch(BATCH[:2], ds, cfg, b)
+        assert exhausted is None
+        assert {o.extracted_label for s in scored for o in s.per_example} == {"unparsed"}
+        assert attempt_count(extraction) == 2 * 4  # one per occurrence, none memoized
+        assert call_count(extraction) == 0 and b.calls == 2 * 4  # the task calls only
+
     def test_empty_label_set(self):
         cfg = config(scripted_task({}))
         with pytest.raises(ValidationError, match="non-empty label set"):
@@ -262,6 +276,31 @@ class TestKeysAndPatterns:
         reply = "".join(pieces).lower()
         assert (evaluator._whole_word_match(reply, tuple(label_set))
                 == old_whole_word_match(reply, tuple(label_set)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.lists(st.one_of(st.sampled_from(TRICKY_LABELS), st.text(min_size=1)),
+                               min_size=1, max_size=6, unique=True))
+    def test_memoized_stage_one_equals_the_unmemoized(self, data, label_set):
+        labels = tuple(label_set)
+        pieces = data.draw(st.lists(st.one_of(
+            st.sampled_from(labels), st.sampled_from(labels).map(str.upper),
+            st.sampled_from(labels).map(lambda lab: json.dumps({"label": lab})),
+            st.text(max_size=4), st.sampled_from([" ", ".", "_", "x", "!", '"sentiment": "'])),
+            max_size=8))
+        reply = "".join(pieces)
+        unmemoized = evaluator._local_label.__wrapped__(reply, labels)
+        assert evaluator._local_label(reply, labels) == unmemoized  # worked out, or memoized
+        assert evaluator._local_label(reply, labels) == unmemoized  # from the memo
+
+    def test_stage_one_runs_once_per_distinct_reply(self):
+        evaluator._local_label.cache_clear()
+        ds = dataset([(f"row-{i}", "positive") for i in range(6)])
+        cfg = config(scripted_task({f"row-{i}": ("Positive!", "so positive")[i % 2]
+                                    for i in range(6)}))
+        scored, exhausted = evaluator.evaluate_batch(BATCH, ds, cfg, budget())
+        assert exhausted is None and [s.accuracy for s in scored] == [1.0] * 3
+        info = evaluator._local_label.cache_info()
+        assert (info.misses, info.hits) == (2, 3 * 6 - 2)
 
     def test_overlapping_labels_stay_ambiguous(self):
         labels = ("positive", "very positive")
@@ -537,6 +576,42 @@ class TestEvaluateBatch:
         assert exhausted is None and seen == ["t0", "t1", "t2"]
         assert [s.accuracy for s in scored] == [1.0] * 3
 
+    def test_the_slice_is_fingerprinted_once_per_batch(self, monkeypatch):
+        sizes, fingerprint = [], Dataset.fingerprint
+
+        def spy(ds):
+            sizes.append(len(ds))
+            return fingerprint(ds)
+
+        monkeypatch.setattr(Dataset, "fingerprint", spy)
+        ds = dataset([(f"row-{i}", "positive") for i in range(5)])
+        cfg = config(scripted_task({"row-": "positive"}), max_examples=3)
+        scored, exhausted = evaluator.evaluate_batch(BATCH, ds, cfg, budget())
+        assert exhausted is None and len(scored) == 3 and sizes == [3]
+        head = Dataset(examples=ds.examples[:3], label_set=LABELS)
+        assert {s.eval_set_id for s in scored} == {fingerprint(head)}
+        evaluator.evaluate_batch(BATCH, ds, cfg, budget())
+        assert evaluate(BATCH[0], ds, cfg, budget()).eval_set_id == fingerprint(head)
+        assert sizes == [3, 3, 3]  # once per batch, and once per evaluate on its own
+
+    def test_a_prefetched_template_derives_its_keys_once(self, monkeypatch):
+        hashed = []
+
+        def spy(text):
+            hashed.append(text)
+            return text_digest(text)
+
+        monkeypatch.setattr(evaluator, "text_digest", spy)
+        ds = dataset([(f"ex{i}", "positive") for i in range(5)])
+        for width in (1, 4):  # a serial batch, and one that makes its calls ahead
+            hashed.clear()
+            cfg = batch_config(width=width)
+            b = budget()
+            scored, exhausted = evaluator.evaluate_batch(BATCH, ds, cfg, b)
+            assert exhausted is None and len(scored) == 3
+            assert [hashed.count(t.text) for t in BATCH] == [1, 1, 1]
+            assert b.calls == 3 * 5 + 3  # every (template, text), then each distinct reply
+
     def test_file_grows_as_each_template_ends_its_classify_calls(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         ds = dataset([(f"ex{i}", "positive") for i in range(6)])
@@ -690,6 +765,45 @@ class TestScoredPromptInvariants:
                          per_example=per, eval_set_id="e")
 
 
+def cache_line(key: str, raw) -> str:
+    return json.dumps({"key_hash": key, "raw_output": raw})
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+WHOLE_LINES = st.one_of(
+    st.builds(cache_line, st.sampled_from(["k1", "k2", "k3"]), st.sampled_from(["a", "b", "ab"])),
+    st.builds(cache_line, st.text(max_size=8), st.text(max_size=8)),
+    st.builds(lambda k, r: json.dumps({"raw_output": r, "key_hash": k}, ensure_ascii=False),
+              st.text(max_size=6), st.text(max_size=6)),
+    st.builds(cache_line, st.sampled_from(["k1", "k2"]), JSON_VALUES),
+    st.builds(lambda value: json.dumps({"key_hash": value, "raw_output": "v"}), JSON_VALUES),
+    JSON_VALUES.map(json.dumps),
+    st.sampled_from([
+        r'{"key_hash": "\ud800", "raw_output": "\u00e9\n\udc00"}',  # lone surrogates
+        r'{"key_hash": "k1", "raw_output": "\u0041\"\\"}',
+        '{"key_hash": "k1", "key_hash": "k2", "raw_output": "dup"}',
+        '{"key_hash": "k1", "raw_output": NaN}',
+        '{"key_hash": "k1", "raw_output": "v"} {"key_hash": "k2", "raw_output": "w"}',
+        '{"key_hash": "k1", "raw_output": "v", "n": ' + "9" * 4301 + "}",  # past int's limit
+        '{"key_hash": "k2", "raw_output": "v", "n": ' + "9" * 4300 + "}",
+        "[" * 100_000 + "]" * 100_000,  # past the recursion limit
+        '{"key_hash": "k3", "raw_output": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        "\ufeff" + '{"key_hash": "k1", "raw_output": "bom"}',
+        "null", "", "}", '"key_hash"',
+    ]))
+CACHE_LINES = st.one_of(
+    st.tuples(st.sampled_from(["", " ", "\t", "  \t"]), WHOLE_LINES,
+              st.sampled_from(["", " ", "\t", "\r", "\x0c", "\xa0", "\u2028", " x"]))
+    .map("".join).map(str.encode),
+    st.tuples(WHOLE_LINES, st.floats(0, 1)).map(  # a line cut short
+        lambda cut: cut[0][: int(cut[1] * len(cut[0]))].encode()),
+    st.sampled_from([b"", b" ", b"\t\t", b"\x0c", b"\xff\xfe"]))  # blank, or not UTF-8
+
+
 class TestCachePersistence:
     def test_appended_entries_survive_reload(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -775,6 +889,33 @@ class TestCachePersistence:
             assert cache.get(value) is None  # nor is an int or null key kept
         assert [r.getMessage() for r in caplog.records] == [
             f"skipped 1 unreadable cache line(s) in {path}"]
+
+    @pytest.mark.parametrize("indent", ["", " "])  # the scanner, and json.loads
+    def test_line_nested_past_the_recursion_limit_is_skipped(self, tmp_path, caplog, indent):
+        path = tmp_path / "cache.jsonl"
+        good = json.dumps({"key_hash": "k1", "raw_output": "v1"})
+        deep = indent + "[" * 100_000 + "]" * 100_000
+        path.write_text(f"{deep}\n{good}\n{indent}" + '{"key_hash": "k2", "raw_output": '
+                        + "[" * 100_000 + "]" * 100_000 + "}\n")
+        with caplog.at_level("WARNING"):
+            cache = ResponseCache(path)
+        assert cache.get("k1") == "v1" and cache.get("k2") is None and cache.skipped == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipped 2 unreadable cache line(s) in {path}"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(CACHE_LINES, max_size=12), st.booleans())
+    def test_the_loader_keeps_and_skips_what_json_loads_would(self, lines, ends_line):
+        """On any mix of lines the loader gives the entries, skipped count and
+        cut-off flag of the per-line ``json.loads`` reader, and keeps one copy
+        of each distinct reply."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cache.jsonl"
+            path.write_bytes(b"\n".join(lines) + (b"\n" if ends_line and lines else b""))
+            cache = ResponseCache(path)
+            assert (cache._entries, cache.skipped, cache._cut_off) == reference_cache_read(path)
+            replies = cache._entries.values()
+            assert len({id(raw) for raw in replies}) == len(set(replies))
 
     def test_reply_that_is_not_a_string_is_asked_for_again(self, tmp_path):
         path = tmp_path / "cache.jsonl"
