@@ -176,7 +176,13 @@ def cmd_fit_projector(pairs_path: str, reg: float, out_path: str,
 
 
 def format_report(header: dict, iterations: list[dict]) -> str:
-    """Render per-iteration accuracy, the baseline comparison, and budget use."""
+    """Render per-iteration accuracy, the baseline comparison, and budget use.
+
+    Best and mean are taken over the templates scored on the whole slice;
+    each iteration's raced templates, stopped once they could no longer be
+    selected, are counted on their own. Records of every version are read:
+    one written before racing has no raced templates.
+    """
     lines = ["optimization run report", "======================="]
     ds = header.get("dataset", {})
     lines.append(
@@ -185,7 +191,8 @@ def format_report(header: dict, iterations: list[dict]) -> str:
     )
     lines.append(f"iterations: {len(iterations)}")
     lines.append("")
-    lines.append(f"{'iter':>4}  {'best':>8}  {'mean':>8}  {'cands':>5}  {'invalid':>7}  selected")
+    lines.append(f"{'iter':>4}  {'best':>8}  {'mean':>8}  {'cands':>5}  {'invalid':>7}  "
+                 f"{'raced':>5}  selected")
     all_scored: list[tuple[float, str]] = []
     seed_scored: list[tuple[float, str]] = []
     for it in iterations:
@@ -197,13 +204,14 @@ def format_report(header: dict, iterations: list[dict]) -> str:
         selected = ",".join(it.get("selected", []))
         lines.append(
             f"{it.get('index', '?'):>4}  {_pct(best):>8}  {_pct(mean):>8}  "
-            f"{len(candidates):>5}  {invalid:>7}  {selected}"
+            f"{len(candidates):>5}  {invalid:>7}  {len(it.get('raced', [])):>5}  {selected}"
         )
         for s in scored:
             entry = (s["accuracy"], s["template"]["id"])
             all_scored.append(entry)
             if s["template"].get("origin") == "seed":
                 seed_scored.append(entry)
+    lines.append("(best and mean: complete templates only; raced: stopped once unselectable)")
     lines.append("")
     if all_scored:
         best_all = max(all_scored, key=lambda t: t[0])

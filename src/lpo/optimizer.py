@@ -19,6 +19,18 @@ reply cache. Backends that compute, like the in-process mocks, start no
 thread. A stage cut short by the budget keeps, in order, the candidates and
 templates whose calls all finished, so a partial record reads like a serial
 run's.
+
+Scoring races for the ``select_n`` places: a template stops once it can no
+longer reach the ``select_n``-th best complete score of the cycle so far,
+counting the score cache's hits before its first miss, and goes to the
+record's ``raced`` list instead of ``scored``. The floor only rises, so a
+raced template scores strictly below the final ``select_n``-th in full, and
+the selection, the best score and the patience count are those of a cycle
+that scores every template in full. A hit after a miss is not counted: a
+budget cut before it would leave it out of the record. Seeds are scored
+first, so a raced seed scores below a complete one, and the best seed is
+never raced. Raced templates stay out of the score cache; one that comes
+back in a later cycle is replayed from the reply cache.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ from .core import Dataset, PromptTemplate
 from .decoder import DecodeStrategy
 from .encoder import EncoderSpec
 from .errors import BudgetExhaustedError, CandidateInvalidError, ValidationError
-from .evaluator import EvalConfig, ScoredPrompt
+from .evaluator import EvalConfig, RacedPrompt, ScoredPrompt
 from .explorer import CandidateRecord, ExplorationPolicy
 from .gateway import Budget, usage_report
 from .records import config_snapshot
@@ -87,7 +99,12 @@ class _RunState:
 @dataclass
 class IterationRecord:
     """One cycle's seeds, candidates, scores, selection and warnings, as
-    :func:`run_cycle` returns it; ``selected_ids`` are in selection order."""
+    :func:`run_cycle` returns it; ``selected_ids`` are in selection order.
+
+    ``scored`` holds the templates scored on the whole slice and ``raced``
+    those whose scoring stopped once they could no longer be selected; the
+    best and mean accuracy are taken over ``scored``.
+    """
 
     index: int
     seeds: list[PromptTemplate]
@@ -98,6 +115,7 @@ class IterationRecord:
     partial: bool
     started_at: str
     finished_at: str
+    raced: list[RacedPrompt] = field(default_factory=list)
 
     @property
     def selected(self) -> list[PromptTemplate]:
@@ -226,27 +244,42 @@ def run_cycle(
             skipped.invalid_reason = f"not decoded: {exc}"
 
     by_id: dict[str, ScoredPrompt] = {}  # a score-cache hit may carry another id
+    raced_by_id: dict[str, RacedPrompt] = {}
 
     def score_all(templates: Sequence[PromptTemplate]) -> None:
         """Score in order, from the score cache where it can, until the budget runs out.
 
         The templates the cache misses go to one :func:`evaluate_batch`, each
-        text once; a template is kept only if every one before it was scored.
+        text once, racing for the ``select_n`` places against the hits
+        before the first of them; a template is kept only if every one before
+        it was scored or raced. A hit after a miss may follow a budget cut,
+        so no template races against it.
         """
         nonlocal partial
         fresh: dict[str, PromptTemplate] = {}
+        known: dict[str, ScoredPrompt] = {}
         for template in templates:
-            if template.text not in state.score_cache:
+            hit = state.score_cache.get(template.text)
+            if hit is None:
                 fresh.setdefault(template.text, template)
-        results, exhausted = evaluator_mod.evaluate_batch(list(fresh.values()), eval_set,
-                                                          eval_cfg, budget)
+            elif not fresh:
+                known.setdefault(hit.template.id, hit)
+        results, exhausted = evaluator_mod.evaluate_batch(
+            list(fresh.values()), eval_set, eval_cfg, budget, cfg.select_n, list(known.values()))
+        raced = {}
         for result in results:
-            state.score_cache[result.template.text] = result
+            if isinstance(result, ScoredPrompt):
+                state.score_cache[result.template.text] = result
+            else:  # replayed from the reply cache if it comes back
+                raced[result.template.text] = result
         for template in templates:
-            result = state.score_cache.get(template.text)
+            result = state.score_cache.get(template.text) or raced.get(template.text)
             if result is None:  # the template the budget ran out on
                 break
-            by_id.setdefault(result.template.id, result)
+            if isinstance(result, ScoredPrompt):
+                by_id.setdefault(result.template.id, result)
+            else:
+                raced_by_id.setdefault(result.template.id, result)
         if exhausted is not None:
             warnings.append(f"budget exhausted during evaluation: {exhausted}")
             partial = True
@@ -273,6 +306,7 @@ def run_cycle(
         partial=partial,
         started_at=started,
         finished_at=_now(),
+        raced=list(raced_by_id.values()),
     )
 
 

@@ -1,12 +1,18 @@
 """Serialization of run records to JSONL: one header object plus one object
 per iteration.
 
-Record version 2 stores each candidate's ``embedding`` as one base64 string
-of the vector's little-endian float64 bytes, which decodes bit for bit with
+Record version 3 adds each iteration's ``raced`` list: the templates whose
+scoring stopped once they could no longer be selected, each with its
+template, ``n_correct``, ``n_total`` (the examples scored), ``eval_set_id``
+and the ``per_example`` outcomes of that prefix, and no accuracy. ``scored``
+holds only templates scored on the whole slice, and ``best_accuracy`` and
+``mean_accuracy`` are taken over them. Version 2 stores each candidate's
+``embedding`` as one base64 string of the vector's little-endian float64
+bytes, which decodes bit for bit with
 ``np.frombuffer(base64.b64decode(s), "<f8")``; version 1 stored a list of
 decimal floats. Reading back yields plain dicts (not reconstructed domain
 objects), embeddings left encoded, so that reporting stays purely offline,
-never needs a backend, and reads both versions.
+never needs a backend, and reads every version.
 """
 
 from __future__ import annotations
@@ -17,14 +23,14 @@ from typing import TYPE_CHECKING, Iterator
 
 from .core import PromptTemplate, encode_float64, jsonable, read_jsonl, write_atomic
 from .errors import ValidationError
-from .evaluator import EvalConfig, ScoredPrompt
+from .evaluator import EvalConfig, RacedPrompt, ScoredPrompt
 from .explorer import CandidateRecord
 from .gateway import BackendConfig
 
 if TYPE_CHECKING:  # the optimizer imports this module
     from .optimizer import IterationRecord, OptimizerConfig, RunRecord
 
-RECORD_VERSION = 2
+RECORD_VERSION = 3
 
 
 def backend_to_dict(cfg: BackendConfig) -> dict:
@@ -100,18 +106,18 @@ def candidate_to_dict(c: CandidateRecord) -> dict:
     }
 
 
-def scored_to_dict(s: ScoredPrompt) -> dict:
-    return {
-        "template": template_to_dict(s.template),
-        "accuracy": s.accuracy,
+def scored_to_dict(s: ScoredPrompt | RacedPrompt) -> dict:
+    """A score as a dict; a raced template's has no ``accuracy``."""
+    out = {"template": template_to_dict(s.template)}
+    if isinstance(s, ScoredPrompt):
+        out["accuracy"] = s.accuracy
+    out.update({
         "n_correct": s.n_correct,
         "n_total": s.n_total,
         "eval_set_id": s.eval_set_id,
-        "per_example": [
-            [p.index, p.raw_output, p.extracted_label, p.correct]
-            for p in s.per_example
-        ],
-    }
+        "per_example": [list(p) for p in s.per_example],
+    })
+    return out
 
 
 def iteration_to_dict(it: IterationRecord) -> dict:
@@ -121,6 +127,7 @@ def iteration_to_dict(it: IterationRecord) -> dict:
         "seeds": [template_to_dict(t) for t in it.seeds],
         "candidates": [candidate_to_dict(c) for c in it.candidates],
         "scored": [scored_to_dict(s) for s in it.scored],
+        "raced": [scored_to_dict(r) for r in it.raced],
         "selected": list(it.selected_ids),
         "best_accuracy": it.best_accuracy,
         "mean_accuracy": it.mean_accuracy,

@@ -4,14 +4,16 @@ import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import open_descriptors, reference_cache_read, sleeping, spy_on_response_caches
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpo import core, evaluator, gateway
@@ -20,6 +22,7 @@ from lpo.errors import BackendError, BudgetExhaustedError, ValidationError
 from lpo.evaluator import (
     EvalConfig,
     PerExample,
+    RacedPrompt,
     ResponseCache,
     ScoredPrompt,
     classify_one,
@@ -35,6 +38,7 @@ from lpo.gateway import (
     call_count,
     chat,
 )
+from lpo.optimizer import select_top
 
 ROOT = Path(__file__).parent.parent
 LABELS = ("negative", "neutral", "positive")
@@ -301,6 +305,52 @@ class TestKeysAndPatterns:
         assert exhausted is None and [s.accuracy for s in scored] == [1.0] * 3
         info = evaluator._local_label.cache_info()
         assert (info.misses, info.hits) == (2, 3 * 6 - 2)
+
+    def test_handler_keys_in_a_fresh_process_are_pinned(self, tmp_path):
+        """The cache lines a fresh interpreter writes for a toy evaluation carry
+        the keys of the documented formulas, with the task handler numbered
+        first and the extraction handler second: the order in which scoring
+        first fingerprints the backends is part of the cache format."""
+        script = textwrap.dedent("""
+            import sys
+            from lpo.core import Dataset, Example, validate_template
+            from lpo.evaluator import EvalConfig, evaluate
+            from lpo.gateway import BackendConfig, Budget
+
+            def task(req):
+                return "maybe" if req.user_text.endswith("ex1") else "positive"
+
+            def extract(req):
+                return "negative"
+
+            def handler(fn):
+                return BackendConfig(kind="mock", behavior="handler", params={"fn": fn})
+
+            ds = Dataset(examples=(Example("ex0", "positive"), Example("ex1", "negative")),
+                         label_set=("negative", "positive"))
+            cfg = EvalConfig(task_backend=handler(task), extraction_backend=handler(extract),
+                             cache_path=sys.argv[1])
+            scored = evaluate(validate_template("Classify: {text}", template_id="t"), ds, cfg,
+                              Budget())
+            assert scored.n_correct == 2
+        """)
+        path = tmp_path / "cache.jsonl"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        subprocess.run([sys.executable, "-c", script, str(path)], check=True, env=env,
+                       timeout=120)
+
+        def backend_id(name, number):
+            params = {"fn": f"<callable {name} #{number}>"}
+            return text_digest(json.dumps(["mock", "", "", "handler", params], sort_keys=True))
+
+        task_id, extract_id = backend_id("task", 1), backend_id("extract", 2)
+        expected = {text_digest(json.dumps(["classify", task_id, text_digest("Classify: {text}"),
+                                            text_digest(text), repr(0.0)]))
+                    for text in ("ex0", "ex1")}
+        expected.add(text_digest(json.dumps(["extract", extract_id, text_digest("maybe"),
+                                             ["negative", "positive"]])))
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert {line["key_hash"] for line in lines} == expected and len(lines) == 3
 
     def test_overlapping_labels_stay_ambiguous(self):
         labels = ("positive", "very positive")
@@ -612,29 +662,31 @@ class TestEvaluateBatch:
             assert [hashed.count(t.text) for t in BATCH] == [1, 1, 1]
             assert b.calls == 3 * 5 + 3  # every (template, text), then each distinct reply
 
-    def test_file_grows_as_each_template_ends_its_classify_calls(self, tmp_path):
+    def test_file_grows_as_each_template_is_resolved(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         ds = dataset([(f"ex{i}", "positive") for i in range(6)])
         cfg = replace(batch_config(), cache_path=path)
-        b = budget()
-        b.bind_replies(path)
-        flush, lines = b.replies.flush, []
+        reply, seen = cfg.task_backend.params["fn"], []
 
-        def counted_flush():
-            """Records the line count each time it changes: a flush with nothing
-            pending, as the serial loop makes after each template, adds none."""
-            flush()
-            count = len(path.read_text().splitlines()) if path.exists() else 0
-            if count != (lines[-1] if lines else 0):
-                lines.append(count)
+        def lines():
+            return len(path.read_text().splitlines()) if path.exists() else 0
 
-        b.replies.flush = counted_flush
-        scored, exhausted = evaluator.evaluate_batch(BATCH, ds, cfg, b)
+        def last_waits(req):
+            """Template 2's calls end only once template 0's six classify
+            replies and its one extraction are in the file, or after 2 s."""
+            if req.user_text.startswith("Template 2:"):
+                deadline = time.monotonic() + 2
+                while lines() < 6 + 1 and time.monotonic() < deadline:
+                    time.sleep(0.002)
+                seen.append(lines())
+            return reply(req)
+
+        cfg.task_backend.params["fn"] = last_waits
+        scored, exhausted = evaluator.evaluate_batch(BATCH, ds, cfg, budget())
         assert exhausted is None and len(scored) == 3
-        # one append per template's last classify call, then the extractions
-        assert len(lines) == 3 + 1
-        assert all(count >= 6 * (k + 1) for k, count in enumerate(lines[:3]))
-        assert lines[-1] == 3 * 6 + 3
+        # template 0 was appended once resolved, while the last template's calls ran
+        assert len(seen) == 6 and min(seen) >= 6 + 1
+        assert lines() == 3 * 6 + 3
 
     def test_budget_cut_keeps_the_templates_done_in_order(self):
         ds = dataset([(f"ex{i}", "positive") for i in range(6)])
@@ -742,6 +794,231 @@ class TestOneScoringPath:
         assert serial_calls <= wide_calls <= serial_calls + len(failing)
 
 
+TEMPLATES = [validate_template(f"Template {i}: {{text}}", template_id=f"t{i}") for i in range(6)]
+
+
+def racing_config(replies, width, asked=None, fails=lambda prompt: False):
+    """EvalConfig whose task backend answers ``replies[(t, text)]`` for
+    ``Template t`` on ``text`` ("positive" where unscripted) and raises where
+    ``fails(prompt)``. At width 1 both backends compute; otherwise they sleep
+    like remote ones and are seen to block from the start. ``asked`` collects
+    every prompt either backend is sent."""
+    def task_reply(prompt):
+        if asked is not None:
+            asked.append(prompt)
+        if fails(prompt):
+            raise RuntimeError(f"failed on {prompt}")
+        head, text = prompt.rsplit(" ", 1)
+        return replies.get((int(head.split(":")[0].split()[-1]), text), "positive")
+
+    def extraction_reply(prompt):
+        if asked is not None:
+            asked.append(prompt)
+        return extraction_by_hash(prompt)
+
+    if width == 1:
+        return config(*(BackendConfig(kind="mock", behavior="handler",
+                                      params={"fn": lambda req, reply=reply: reply(req.user_text)})
+                        for reply in (task_reply, extraction_reply)))
+    cfg = scripted_batch({}, width)  # backends already seen to block
+    for backend, reply in ((cfg.task_backend, task_reply),
+                           (cfg.extraction_backend, extraction_reply)):
+        backend.params["fn"] = sleeping(reply, 0.001)
+    return cfg
+
+
+OUTCOME_MATRICES = st.tuples(
+    st.integers(1, 6),  # templates
+    st.lists(st.sampled_from(LABELS), min_size=1, max_size=12),  # one label per example
+    st.dictionaries(st.tuples(st.integers(0, 5), st.sampled_from([f"ex{j}" for j in range(12)])),
+                    REPLIES, max_size=72),
+    st.integers(1, 4))  # keep
+# t1 races before its second example and t2 before its seventh; the wide run makes
+# pairs past both points
+RACING = (4, ["positive"] * 12,
+          {**{(1, f"ex{j}"): "negative" for j in range(12)}, (2, "ex5"): "negative",
+           **{(3, f"ex{j}"): "maybe-a" for j in range(0, 12, 2)}}, 1)
+
+
+class TestRacing:
+    """A batch with ``keep`` stops scoring a template once it can no longer be
+    selected, and selects what a batch without racing selects."""
+
+    def test_a_template_stops_once_the_floor_is_out_of_reach(self):
+        ds = dataset([(f"ex{i}", "positive") for i in range(5)])
+        cfg = config(scripted_task({"ex": "negative"}))
+        raced = evaluate(TEMPLATE, ds, cfg, budget(), 3)
+        # before example 3 it could reach 0 + 2 < 3 at most
+        assert raced == RacedPrompt(TEMPLATE, 0, 3, raced.per_example, raced.eval_set_id)
+        assert [p.index for p in raced.per_example] == [0, 1, 2]
+        assert evaluate(TEMPLATE, ds, cfg, budget(), 2).n_total == 4
+        assert isinstance(evaluate(TEMPLATE, ds, cfg, budget(), 1), ScoredPrompt)
+        assert isinstance(evaluate(TEMPLATE, ds, cfg, budget()), ScoredPrompt)
+
+    def test_a_template_that_can_still_reach_the_floor_completes(self):
+        ds = dataset([(f"ex{i}", "positive") for i in range(4)])
+        cfg = config(scripted_task({"ex0": "negative", "ex": "positive"}))
+        scored = evaluate(TEMPLATE, ds, cfg, budget(), 3)
+        assert isinstance(scored, ScoredPrompt) and scored.n_correct == 3
+
+    @settings(max_examples=30, deadline=None)
+    @given(OUTCOME_MATRICES)
+    @example(RACING)
+    def test_racing_selects_what_a_full_batch_selects(self, matrix):
+        count, labels, replies, keep = matrix
+        ds = dataset([(f"ex{j}", label) for j, label in enumerate(labels)])
+        templates = TEMPLATES[:count]
+        full_budget = budget()
+        full, exhausted = evaluator.evaluate_batch(templates, ds, racing_config(replies, 1),
+                                                   full_budget)
+        assert exhausted is None and all(isinstance(s, ScoredPrompt) for s in full)
+        runs = []
+        for width in (1, 4, 4):
+            b = budget()
+            cfg = racing_config(replies, width)
+            results, exhausted = evaluator.evaluate_batch(templates, ds, cfg, b, keep)
+            assert exhausted is None
+            # the task calls, less the one that showed a wide backend to block
+            runs.append((results, (b.calls, b.total_tokens),
+                         call_count(cfg.task_backend) - (width > 1)))
+        (serial, serial_usage, serial_pairs), (wide, wide_usage, wide_pairs), again = runs
+        assert again == (wide, wide_usage, wide_pairs)  # budget totals included
+        assert wide == serial  # serial and wide: only the budget totals may differ
+        complete = [r for r in serial if isinstance(r, ScoredPrompt)]
+        raced = [r for r in serial if isinstance(r, RacedPrompt)]
+        assert serial_usage[0] <= wide_usage[0] <= full_budget.calls
+        # every pair is a distinct request: the serial loop's pairs, and up to
+        # 2w - 1 more of each raced template made ahead
+        n = len(labels)
+        assert serial_pairs == sum(r.n_total for r in serial)
+        assert wide_pairs == n * len(complete) + sum(min(n, r.n_total + 2 * 4 - 1) for r in raced)
+        assert [s.template.id for s in select_top(complete, keep)] == \
+            [s.template.id for s in select_top(full, keep)]
+        by_id = {s.template.id: s for s in full}
+        assert all(s == by_id[s.template.id] for s in complete)
+        for r in raced:
+            assert by_id[r.template.id].n_correct < select_top(full, keep)[-1].n_correct
+            assert r.per_example == by_id[r.template.id].per_example[:r.n_total]
+        assert complete[:keep] == serial[:keep]  # the first keep always complete
+        if matrix == RACING:
+            assert [r.n_total for r in raced[:2]] == [1, 6]
+            assert serial_usage[0] < wide_usage[0] < full_budget.calls
+
+    @settings(max_examples=20, deadline=None)
+    @given(OUTCOME_MATRICES, st.lists(st.sampled_from([f"ex{j}" for j in range(3)]),
+                                      min_size=1, max_size=8))
+    def test_each_distinct_request_is_made_once(self, matrix, texts):
+        count, labels, replies, keep = matrix
+        # texts repeat, and so do the ambiguous replies among REPLIES
+        ds = dataset([(text, label) for text, label in zip(texts, labels * 8)])
+        asked = []
+        cfg = racing_config(replies, 4, asked=asked)
+        results, exhausted = evaluator.evaluate_batch(TEMPLATES[:count], ds, cfg, budget(), keep)
+        assert exhausted is None and len(results) == count
+        assert len(asked) == len(set(asked))
+
+    @settings(max_examples=25, deadline=None)
+    @given(OUTCOME_MATRICES, st.integers(1, 60))
+    def test_every_call_ceiling_gives_the_serial_results_and_message(self, matrix, max_calls):
+        count, labels, replies, keep = matrix
+        ds = dataset([(f"ex{j}", label) for j, label in enumerate(labels)])
+        runs = []
+        for width in (1, 4):
+            results, exhausted = evaluator.evaluate_batch(
+                TEMPLATES[:count], ds, racing_config(replies, width), budget(max_calls), keep)
+            runs.append((results, str(exhausted)))
+        assert runs[0] == runs[1]
+
+    @settings(max_examples=20, deadline=None)
+    @given(OUTCOME_MATRICES, st.integers(1, 400))
+    def test_a_token_ceiling_keeps_a_prefix_of_the_full_results(self, matrix, max_tokens):
+        count, labels, replies, keep = matrix
+        ds = dataset([(f"ex{j}", label) for j, label in enumerate(labels)])
+        full, _ = evaluator.evaluate_batch(TEMPLATES[:count], ds, racing_config(replies, 1),
+                                           budget(), keep)
+        spent = Budget(max_calls=10**6, max_total_tokens=max_tokens)
+        results, exhausted = evaluator.evaluate_batch(
+            TEMPLATES[:count], ds, racing_config(replies, 4), spent, keep)
+        assert results == full[:len(results)]
+        assert (exhausted is None) == (len(results) == count)
+
+    def test_pairs_past_the_window_wait_for_the_floor(self):
+        ds = dataset([(f"ex{j}", "positive") for j in range(12)])
+        cfg = racing_config({(1, f"ex{j}"): "negative" for j in range(12)}, 4)
+        reply = cfg.task_backend.params["fn"]
+
+        def slow_first(req):  # t0, and so t1's floor, stays open while t1's pairs run
+            if req.user_text == "Template 0: ex0":
+                time.sleep(0.2)
+            return reply(req)
+
+        cfg.task_backend.params["fn"] = slow_first
+        results, _ = evaluator.evaluate_batch(TEMPLATES[:2], ds, cfg, budget(), 1)
+        assert results[1].n_total == 1
+        # t1's first 2w pairs start at once; its first outcome bars the rest
+        assert call_count(cfg.task_backend) - 1 == 12 + 8
+
+    def test_many_threads_switching_often_make_the_same_calls(self):
+        ds = dataset([(f"ex{j}", LABELS[j % 3]) for j in range(12)])
+        words = ("positive", "negative", "Neutral.", "maybe-a", "???")
+        replies = {(t, f"ex{j}"): words[(t * 7 + j) % 5] for t in range(6) for j in range(12)}
+        serial, _ = evaluator.evaluate_batch(TEMPLATES, ds, racing_config(replies, 1), budget(), 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            seen = set()
+            for _ in range(5):
+                cfg = racing_config(replies, 8)
+                b = budget()
+                results, exhausted = evaluator.evaluate_batch(TEMPLATES, ds, cfg, b, 2)
+                assert exhausted is None and results == serial
+                seen.add((b.calls, b.total_tokens, call_count(cfg.task_backend)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 1
+
+    def test_a_raced_template_scored_again_replays_its_prefix(self):
+        ds = dataset([(f"ex{j}", "positive") for j in range(8)])
+        asked = []
+        cfg = racing_config({(1, f"ex{j}"): "negative" for j in range(3)}, 1, asked)
+        b = budget()
+        first, _ = evaluator.evaluate_batch(TEMPLATES[:2], ds, cfg, b, 1)
+        assert isinstance(first[1], RacedPrompt) and first[1].n_total == 1
+        again, _ = evaluator.evaluate_batch(TEMPLATES[1:2], ds, cfg, b, 1)
+        assert isinstance(again[0], ScoredPrompt) and again[0].n_correct == 5
+        assert again[0].per_example[:1] == first[1].per_example
+        assert len(asked) == len(set(asked)) == 8 + 8
+
+    def test_a_failure_past_the_point_a_template_races_is_never_raised(self):
+        ds = dataset([(f"ex{j}", "positive") for j in range(8)])
+        replies = {(1, "ex0"): "negative"}  # t1 races before its second example
+        runs = []
+        for width in (1, 4):
+            asked = []
+            cfg = racing_config(replies, width, asked,
+                                fails=lambda prompt: prompt == "Template 1: ex5")
+            results, exhausted = evaluator.evaluate_batch(TEMPLATES[:2], ds, cfg, budget(), 1)
+            assert exhausted is None
+            runs.append((results, asked.count("Template 1: ex5")))
+        (serial, serial_asked), (wide, wide_asked) = runs
+        assert serial == wide and isinstance(wide[1], RacedPrompt) and wide[1].n_total == 1
+        assert (serial_asked, wide_asked) == (0, 1)  # made ahead, failed, and never raised
+
+    def test_a_failure_the_loop_reaches_is_raised_without_asking_again(self):
+        ds = dataset([(f"ex{j}", "positive") for j in range(8)])
+        asked = []
+        cfg = racing_config({}, 4, asked, fails=lambda prompt: prompt == "Template 1: ex2")
+        with pytest.raises(RuntimeError, match="failed on Template 1: ex2"):
+            evaluator.evaluate_batch(TEMPLATES[:2], ds, cfg, budget(), 1)
+        assert asked.count("Template 1: ex2") == 1
+        # without a floor a template makes its calls ahead before its first two
+        # examples; the second round does not ask for the failed one again
+        asked.clear()
+        with pytest.raises(RuntimeError, match="failed on Template 1: ex2"):
+            evaluate(TEMPLATES[1], ds, cfg, budget())
+        assert asked.count("Template 1: ex2") == 1
+
+
 class TestEvalConfig:
     @pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
     def test_temperature_must_be_finite(self, temperature):
@@ -756,6 +1033,19 @@ class TestScoredPromptInvariants:
         with pytest.raises(ValidationError, match="accuracy"):
             ScoredPrompt(template=TEMPLATE, accuracy=0.5, n_correct=1, n_total=1,
                          per_example=per, eval_set_id="e")
+
+    def test_per_example_is_a_tuple_of_four_named_fields(self):
+        outcome = PerExample(3, "Positive!", "positive", True)
+        assert PerExample._fields == ("index", "raw_output", "extracted_label", "correct")
+        assert outcome == (3, "Positive!", "positive", True) and outcome.correct
+
+    def test_a_raced_prompt_covers_the_examples_it_scored(self):
+        per = (PerExample(0, "x", "negative", False), PerExample(1, "y", "positive", True))
+        assert RacedPrompt(TEMPLATE, 1, 2, per, "e").n_total == 2
+        with pytest.raises(ValidationError, match="examples scored"):
+            RacedPrompt(TEMPLATE, 1, 3, per, "e")
+        with pytest.raises(ValidationError, match="n_correct"):
+            RacedPrompt(TEMPLATE, 2, 2, per, "e")
 
     def test_counts_must_match_outcomes(self):
         per = (PerExample(index=0, raw_output="x", extracted_label="positive",

@@ -10,7 +10,7 @@ from helpers import (build_toy_pipeline, circle_points, open_descriptors, sleepi
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpo import prompts
+from lpo import evaluator, fixtures, prompts
 from lpo.cli import main
 from lpo.core import validate_template
 from lpo.encoder import encode
@@ -18,7 +18,7 @@ from lpo.errors import BudgetExhaustedError, ValidationError
 from lpo.evaluator import PerExample, ScoredPrompt
 from lpo.gateway import (MOCK_CHAT_BEHAVIORS, BackendConfig, Budget, ChatRequest, call_count,
                          chat, usage_report)
-from lpo.optimizer import iterate, run_cycle, select_top
+from lpo.optimizer import _RunState, iterate, run_cycle, select_top
 from lpo.records import read_run_record, run_record_to_lines, write_run_record
 
 
@@ -86,8 +86,9 @@ class TestRunCycle:
         assert len(result.selected) == 3
         assert len(result.candidates) == 15
         assert all(c.refined_template is not None for c in result.candidates)
-        # seeds compete alongside all valid candidates
-        assert len(result.scored) == 20
+        # seeds compete alongside all valid candidates; a template that can no
+        # longer be selected is raced instead of scored in full
+        assert len(result.scored) + len(result.raced) == 20
         assert not result.partial
 
     def test_scores_match_quantized_fitness(self):
@@ -126,9 +127,9 @@ class TestRunCycle:
     def test_keep_seeds_false_scores_only_candidates(self):
         p = build_toy_pipeline(rng_seed=3, keep_seeds=False)
         result = run_cycle(p.seeds, p.cfg, p.eval_cfg, p.eval_set, p.budget)
-        assert len(result.scored) == 15
+        assert len(result.scored) + len(result.raced) == 15
         seed_ids = {s.id for s in p.seeds}
-        assert all(sp.template.id not in seed_ids for sp in result.scored)
+        assert all(sp.template.id not in seed_ids for sp in result.scored + result.raced)
 
     def test_deterministic_across_runs(self):
         a = build_toy_pipeline(rng_seed=4)
@@ -348,14 +349,18 @@ class TestIterate:
         assert open_descriptors(tmp_path / "cache.jsonl") == []
         assert (tmp_path / "cache.jsonl").stat().st_size > 0
 
-    def test_seed_scores_cached_across_iterations(self):
+    def test_seed_scores_cached_across_iterations(self, monkeypatch):
+        asked = []
+        task = MOCK_CHAT_BEHAVIORS["toy_task"]
+        monkeypatch.setitem(MOCK_CHAT_BEHAVIORS, "toy_task",
+                            lambda cfg, req: asked.append(req.user_text) or task(cfg, req))
         p = build_toy_pipeline(rng_seed=5, max_iterations=2, patience=2)
         iterate(p.seeds, p.cfg, p.eval_cfg, p.eval_set, p.budget)
         # templates selected into iteration 2 were already scored in iteration 1,
-        # so the task backend only sees each distinct template once
-        distinct_templates = call_count(p.task_backend) / 20
-        assert distinct_templates == int(distinct_templates)
-        assert distinct_templates <= 5 + 15 + 15  # seeds + 2 rounds of candidates
+        # and a raced template is replayed from the reply cache, so the task
+        # backend sees each classify request once
+        assert len(asked) == len(set(asked)) == call_count(p.task_backend)
+        assert len(asked) <= 20 * (5 + 15 + 15)  # seeds + 2 rounds of candidates
 
 
 LABELS = ("negative", "positive")
@@ -533,3 +538,102 @@ class TestCycleFanOut:
             assert is_prefix(scores(last), scores(same))
             stages.update(w.split(":")[0] for w in last.warnings if w.startswith("budget"))
         assert stages == {"budget exhausted during decoding", "budget exhausted during evaluation"}
+
+
+def without_racing(monkeypatch) -> None:
+    """Make run_cycle score every template on the whole slice."""
+    batch = evaluator.evaluate_batch
+    monkeypatch.setattr(evaluator, "evaluate_batch",
+                        lambda templates, eval_set, cfg, budget, keep=None, known=():
+                        batch(templates, eval_set, cfg, budget))
+
+
+def racing_and_full(monkeypatch, **kwargs):
+    """The record of a toy run, and of the same run scoring every template in full."""
+    p = build_toy_pipeline(**kwargs)
+    racing = iterate(p.seeds, p.cfg, p.eval_cfg, p.eval_set, p.budget)
+    with monkeypatch.context() as patched:
+        without_racing(patched)
+        q = build_toy_pipeline(**kwargs)
+        full = iterate(q.seeds, q.cfg, q.eval_cfg, q.eval_set, q.budget)
+    return racing, full
+
+
+class TestRacing:
+    """A cycle stops scoring a template once it can no longer be selected,
+    and selects what a cycle that scores every template in full selects."""
+
+    @pytest.mark.parametrize("keep_seeds", [True, False])
+    def test_selection_equals_a_run_without_racing(self, monkeypatch, keep_seeds):
+        raced_total = 0
+        for rng_seed in range(6):
+            racing, full = racing_and_full(monkeypatch, rng_seed=rng_seed, max_iterations=3,
+                                           patience=3, keep_seeds=keep_seeds)
+            assert len(racing.iterations) == len(full.iterations)
+            for it, whole in zip(racing.iterations, full.iterations):
+                assert it.selected_ids == whole.selected_ids
+                assert it.best_accuracy == whole.best_accuracy and not whole.raced
+                raced = {r.template.id: r for r in it.raced}
+                assert it.scored == [s for s in whole.scored if s.template.id not in raced]
+                kth = select_top(whole.scored, 3)[-1].accuracy
+                for s in whole.scored:
+                    if s.template.id in raced:
+                        assert s.accuracy < kth
+                        assert raced[s.template.id].per_example == \
+                            s.per_example[:raced[s.template.id].n_total]
+                raced_total += len(raced)
+            assert racing.budget_calls <= full.budget_calls
+        assert raced_total > 0
+
+    def test_a_cut_before_a_score_cache_hit_selects_as_without_racing(self, monkeypatch):
+        """The budget runs out before a template the score cache holds. That
+        hit is not kept, so no template kept may have been raced against it."""
+        kwargs = dict(rng_seed=1, keep_seeds=False, select_n=1, target=(0.0, 1.0))
+        p = build_toy_pipeline(**kwargs)
+        with monkeypatch.context() as patched:
+            without_racing(patched)
+            whole = run_cycle(p.seeds, p.cfg, p.eval_cfg, p.eval_set, p.budget)
+        hit = select_top(whole.scored, 1)[0]
+        cuts = 0
+        for max_calls in range(p.budget.calls // 4, p.budget.calls, 5):
+            q = build_toy_pipeline(max_calls=max_calls, **kwargs)
+            state = _RunState(score_cache={hit.template.text: hit})
+            it = run_cycle(q.seeds, q.cfg, q.eval_cfg, q.eval_set, q.budget, state)
+            kept = {s.template.id for s in it.scored + it.raced}
+            if not it.partial or hit.template.id in kept:
+                continue
+            cuts += 1
+            pool = [s for s in whole.scored if s.template.id in kept]
+            expected = [s.template.id for s in select_top(pool, 1)] if pool else []
+            assert it.selected_ids == expected
+        assert cuts > 0
+
+    def test_the_report_reads_every_record_version(self, monkeypatch, tmp_path, capsys):
+        racing, full = racing_and_full(monkeypatch, rng_seed=3, max_iterations=2, patience=2)
+        assert [len(it.raced) for it in racing.iterations] != [0, 0]
+        reports = {}
+        for name, record in (("racing", racing), ("full", full)):
+            path = tmp_path / f"{name}.jsonl"
+            write_run_record(record, path)
+            assert main(["report", str(path)]) == 0
+            reports[name] = capsys.readouterr().out.splitlines()
+        header, iterations = read_run_record(tmp_path / "racing.jsonl")
+        assert header["version"] == 3
+        # the raced column counts each iteration's raced templates
+        rows = reports["racing"][6:6 + len(iterations)]
+        assert [int(row.split()[5]) for row in rows] == [len(it.raced) for it in racing.iterations]
+        # the best seed and the best prompt are complete, so the comparison is unchanged
+        tail = [line for line in reports["racing"] if line.startswith(("baseline", "best", "impr"))]
+        assert len(tail) == 3
+        assert tail == [line for line in reports["full"]
+                        if line.startswith(("baseline", "best", "impr"))]
+        # a version 2 record has no raced templates
+        header["version"] = 2
+        lines = [json.dumps(header)] + [
+            json.dumps({k: v for k, v in it.items() if k != "raced"}) for it in iterations]
+        (tmp_path / "v2.jsonl").write_text("\n".join(lines) + "\n")
+        assert main(["report", str(tmp_path / "v2.jsonl")]) == 0
+        rows = capsys.readouterr().out.splitlines()[6:6 + len(iterations)]
+        assert [row.split()[5] for row in rows] == ["0"] * len(iterations)
+        assert main(["report", str(fixtures.fixture_path("reference_run.jsonl"))]) == 0
+        assert capsys.readouterr().out.splitlines()[6].split()[5] == "0"  # version 1

@@ -53,7 +53,7 @@ class TestRoundTrip:
         write_run_record(make_record(embedding.copy()), second)
         assert first.read_bytes() == second.read_bytes()
         header, iterations = read_run_record(first)
-        assert header["version"] == RECORD_VERSION == 2
+        assert header["version"] == RECORD_VERSION == 3
         assert header["config"] == {"select_n": 3}
         stored = iterations[0]["candidates"][0]
         decoded = np.frombuffer(base64.b64decode(stored["embedding"]), "<f8")
