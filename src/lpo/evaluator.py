@@ -30,34 +30,37 @@ A new reply is served from memory as soon as it is put. Its line is appended
 when its template's calls end, with one open, write and close of the file per
 template (also for a template cut short by the budget), so a crash loses at
 most the current template's replies and no file is held open between
-templates. When calls are made ahead for several templates, the replies put
-so far are appended each time one more template is resolved, so a crash
-loses at most the replies of the templates not yet resolved. Nothing is
-fsynced.
+templates. When calls are made ahead for several templates, a template's
+classify replies are appended when its last classify call ends and the
+extraction replies after them all, so a crash loses at most the replies of
+the templates still classifying, or those extractions. Nothing is fsynced.
 
 Scoring races (:func:`evaluate_batch` with ``keep``): a template stops once
 the examples left cannot lift it to the ``keep``-th best complete score so
-far, the floor. The rule is exact, in integer counts: a raced template's
-full score is strictly below the final ``keep``-th, so the best ``keep``
-are those of a run that scores everything. A raced template is returned as
-a :class:`RacedPrompt` of the examples it scored; only complete templates
-are :class:`ScoredPrompt`, which always covers the whole slice. Without
-``keep`` nothing races.
+far, the floor. The rule is checked before every ``RACE_EVERY``-th example,
+at fixed points like the rungs of successive halving, so a slice of
+``RACE_EVERY`` examples or fewer is always scored in full. It is exact, in
+integer counts: a raced template's full score is strictly below the final
+``keep``-th, so the best ``keep`` are those of a run that scores
+everything. A raced template is returned as a :class:`RacedPrompt` of the
+examples it scored; only complete templates are :class:`ScoredPrompt`,
+which always covers the whole slice. Without ``keep`` nothing races.
 
 Every result comes from one serial loop, :func:`evaluate`, which classifies
 and labels the examples in order and reads each reply from the cache if it
 is there. Concurrency only fills the cache ahead of it: while the task or
 extraction backend has been seen to block (see :func:`gateway.blocks`) and
-the calls left cover the worst case, ``_prefetch`` walks the (template,
-example) pairs in scoring order on up to ``max_in_flight`` threads, each
-classifying its pair and then labelling it, each distinct request once.
-It races too, and which calls it makes follows from the replies alone:
-the serial loop's, plus at most 2w - 1 per raced template on w threads.
-:func:`evaluate_batch` prefetches a cycle's templates as one batch. So
-results equal a serial run's by construction, and a budget cut stops the
-loop at its first missing reply. Backends that compute rather than wait,
-like the in-process mocks, are called one at a time from the calling
-thread, because threads would only take turns on the interpreter lock.
+the calls left cover the worst case, ``_prefetch`` makes the calls that miss
+the cache on up to ``max_in_flight`` threads per backend, every classify
+call first, then every extraction, each distinct request once. It does not
+race: on a blocking backend every template's calls are made ahead in full,
+so the threads never wait for a floor, and racing changes the record but
+saves no call. :func:`evaluate_batch` prefetches a cycle's templates as one
+batch. So results equal a serial run's by construction, and a budget cut
+stops the loop at its first missing reply. Backends that compute rather
+than wait, like the in-process mocks, are called one at a time from the
+calling thread, because threads would only take turns on the interpreter
+lock; there racing saves the calls it skips.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ from .gateway import BackendConfig, Budget, ChatRequest, ResponseCache  # noqa: 
 logger = logging.getLogger(__name__)
 
 UNPARSED = "unparsed"
+RACE_EVERY = 8  # examples from one check of the racing rule to the next
 
 
 @dataclass(frozen=True)
@@ -380,186 +384,75 @@ class _Top:
         return self.heap[0] if len(self.heap) == self.keep else None
 
 
-class _Race:
-    """Which (template, example) pairs a prefetch starts, in scoring order.
-
-    Pair j of template t starts once t's outcomes 0..j-2w are known (w
-    threads), every template before t is resolved, so t's floor is known,
-    and the racing rule of :func:`evaluate` has not fired on those outcomes.
-    So a raced template gets the serial loop's pairs and at most 2w - 1
-    more. Two kinds of pair start without waiting for the templates before,
-    since the floor cannot stop them: pairs 0..2w-1, which need no outcome,
-    and every pair of a template that can have no floor (fewer than ``keep``
-    complete scores even if every template before it completes). Which pairs
-    start follows from the replies alone, never from thread timing.
-
-    Templates are resolved in order, complete or raced as :func:`evaluate`
-    will find them; a raced one then starts the pairs left that the rule
-    allowed. All state is kept under ``cond``.
-    """
-
-    def __init__(self, templates: int, n: int, width: int, keep: int | None,
-                 scores: Sequence[int]):
-        self.n, self.window = n, 2 * width
-        self.cond = threading.Condition(threading.Lock())
-        self.next = [0] * templates                 # each template's next pair to start
-        self.limit = [n] * templates                # the pairs a resolved template starts
-        self.outcomes = [[None] * n for _ in range(templates)]
-        self.prefix = [[0] for _ in range(templates)]  # correct counts of each known prefix
-        self.open = 0                               # the templates before it are resolved
-        self.top = _Top(keep, scores)
-        self.running = 0
-        self.stopped = False
-
-    def _fired(self, t: int, known: int) -> bool:
-        """Whether the rule fires before example ``known`` of open template ``t``."""
-        floor = self.top.floor
-        return floor is not None and self.prefix[t][known] + self.n - known < floor
-
-    def _may_start(self, t: int, j: int) -> bool:
-        if t < self.open:  # resolved
-            return j < self.limit[t]
-        if j >= self.n:
-            return False
-        known, top = j - self.window + 1, self.top
-        if known <= 0 or top.keep is None or len(top.heap) + t - self.open < top.keep:
-            return True  # the floor cannot stop it
-        return t == self.open and known < len(self.prefix[t]) and not self._fired(t, known)
-
-    def start(self) -> tuple[int, int] | None:
-        """The next pair to make, waiting while none may start yet; None once
-        the prefetch stopped or nothing can change any more."""
-        with self.cond:
-            while not self.stopped:
-                t = next((t for t, j in enumerate(self.next) if self._may_start(t, j)), None)
-                if t is not None:
-                    self.next[t] += 1
-                    self.running += 1
-                    return t, self.next[t] - 1
-                if not self.running:
-                    break
-                self.cond.wait()
-            return None
-
-    def finish(self, t: int, j: int, correct: bool) -> bool:
-        """Record pair (t, j)'s outcome; True if a template was resolved."""
-        with self.cond:
-            self.running -= 1
-            self.outcomes[t][j] = correct
-            prefix, row = self.prefix[t], self.outcomes[t]
-            while len(prefix) <= self.n and row[len(prefix) - 1] is not None:
-                prefix.append(prefix[-1] + row[len(prefix) - 1])
-            resolved = False
-            while self.open < len(self.next):
-                first = self.open
-                known = min(len(self.prefix[first]) - 1, self.n - 1)
-                if self._fired(first, known):  # raced before example ``fired``
-                    fired = next(k for k in range(known + 1) if self._fired(first, k))
-                    self.limit[first] = min(self.n, fired + self.window - 1)
-                elif len(self.prefix[first]) > self.n:
-                    self.top.add(self.prefix[first][-1])
-                else:
-                    break
-                self.open += 1
-                resolved = True
-            self.cond.notify_all()
-            return resolved
-
-    def stop(self) -> None:
-        """End the prefetch after a failure: no pair starts any more."""
-        with self.cond:
-            self.running -= 1
-            self.stopped = True
-            self.cond.notify_all()
-
-
 def _prefetch(templates: Sequence[PromptTemplate], view: _Slice, cfg: EvalConfig,
-              budget: Budget, keep: int | None = None, scores: Sequence[int] = ()) -> bool:
-    """Make ahead, on up to ``max_in_flight`` threads, the calls that scoring
-    ``templates`` on ``view`` will make, so :func:`evaluate` finds their
-    replies in ``budget.replies``; False if the terms below do not hold.
+              budget: Budget) -> bool:
+    """Make ahead, on up to ``max_in_flight`` threads per backend, the calls
+    that scoring ``templates`` on ``view`` in full would make, so
+    :func:`evaluate` finds their replies in ``budget.replies``; False if the
+    terms below do not hold.
 
     It runs only while the task or extraction backend blocks and the calls
-    left cover the worst case, two per (template, distinct text); a prefetch
-    that finds every classify reply cached makes no call. The threads walk
-    the (template, example) pairs in scoring order; each classifies its pair
-    and then labels it, as the serial loop does, and a pair starts only as
-    :class:`_Race` allows. With ``keep``, templates race as in
-    :func:`evaluate_batch`, from the complete ``scores`` before them, so it
-    makes the serial loop's calls plus at most 2w - 1 per raced template.
-    Each distinct classify or extract request is made once; one in flight
-    is waited for, not sent again.
-
-    A template's replies are appended to the cache file once it is resolved,
-    and the rest at the end. A cut by the budget ends it quietly:
-    :func:`evaluate` meets the first missing reply and stops where a serial
-    run stops. Any other failure stops it too, and is kept in
-    ``view.failed`` for :func:`evaluate` to raise if it reaches that pair.
+    left cover the worst case, two per (template, distinct text). First every
+    classify call that misses the cache, one per (template, text), appending
+    to the cache file as each template's calls end; then one extraction per
+    distinct reply that stage 1 of :func:`extract_label` cannot label, and
+    one more append. A prefetch that finds every classify reply cached makes
+    no call. A cut by the budget ends it quietly: :func:`evaluate` meets the
+    first missing reply and stops where a serial run stops. A classify call
+    that fails otherwise stops it too, and is kept in ``view.failed``,
+    neither raised here nor asked again, for :func:`evaluate` to raise if it
+    reaches that example: a racing template may never reach it.
     """
     examples, label_set = view.examples, view.label_set
-    width = max(_width(cfg.task_backend), _width(cfg.extraction_backend))
-    if width == 1 or budget.calls_left() < 2 * len(templates) * len({ex.text for ex in examples}):
+    if (max(_width(cfg.task_backend), _width(cfg.extraction_backend)) == 1
+            or budget.calls_left() < 2 * len(templates) * len({ex.text for ex in examples})):
         return False
-    replies = budget.replies
-    keys = [view.classify_keys(template, cfg) for template in templates]
-    if all(replies.get(key) is not None for row in keys for key in row):
+    replies, failed = budget.replies, view.failed
+    pairs: dict[str, tuple[int, Example]] = {}  # classify key -> its first (template, example)
+    for t, template in enumerate(templates):
+        for key, ex in zip(view.classify_keys(template, cfg), examples):
+            pairs.setdefault(key, (t, ex))
+    missing = [(key, *pair) for key, pair in pairs.items()
+               if replies.get(key) is None and key not in failed]
+    if not missing:
         return True
-    extract_keys = _extract_keys(gateway.backend_fingerprint(cfg.extraction_backend), label_set)
-    race = _Race(len(templates), len(examples), width, keep, scores)
-    asked: dict[str, list] = {}  # request key -> [done, answer, failure]
-    lock = threading.Lock()
+    unclassified, lock, stopped = [0] * len(templates), threading.Lock(), threading.Event()
+    for _, t, _ in missing:
+        unclassified[t] += 1
 
-    def once(key: str, ask: Callable[[], str]) -> str:
+    def classify(k: int) -> None:
+        """Classify pair ``k``; a template's last classify call appends the replies put so far."""
+        if stopped.is_set():
+            return
+        key, t, ex = missing[k]
+        try:
+            classify_one(templates[t], ex, cfg, budget, keys=lambda _ex: key)
+        except BudgetExhaustedError:
+            raise
+        except Exception as exc:  # raised by evaluate once it reaches this example
+            failed[key] = exc
+            stopped.set()
+            return
         with lock:
-            slot = asked.get(key)
-            mine = slot is None
-            if mine:
-                slot = asked[key] = [threading.Event(), None, None]
-        if mine:
-            try:
-                slot[1] = ask()
-            except BaseException as exc:  # raised in every thread that asks for it
-                slot[2] = exc
-            slot[0].set()
-        else:
-            slot[0].wait()
-        if slot[2] is not None:
-            raise slot[2]
-        return slot[1]
-
-    def correct(t: int, j: int) -> bool:
-        key, ex = keys[t][j], examples[j]
-        if key in view.failed:  # failed while made ahead before: not asked again
-            raise view.failed[key]
-        raw = replies.get(key)
-        if raw is None:
-            raw = once(key, lambda: classify_one(templates[t], ex, cfg, budget,
-                                                 keys=lambda _ex: key))
-        label = _local_label(raw, label_set)
-        if label is None:
-            label_key = extract_keys(raw)
-            label = once(label_key, lambda: extract_label(raw, label_set, cfg, budget,
-                                                          keys=lambda _raw: label_key))
-        return label == ex.label
-
-    def work(_: int) -> None:
-        while (pair := race.start()) is not None:
-            try:
-                outcome = correct(*pair)
-            except BudgetExhaustedError:
-                race.stop()  # evaluate meets the cut where a serial run would
-            except Exception as exc:
-                view.failed[keys[pair[0]][pair[1]]] = exc
-                race.stop()
-            except BaseException:
-                race.stop()
-                raise
-            else:
-                if race.finish(*pair, outcome):
-                    replies.flush()
+            unclassified[t] -= 1
+            last = not unclassified[t]
+        if last:
+            replies.flush()
 
     try:
-        _fan_out(width, work, lambda left: width)
+        _fan_out(len(missing), classify, lambda left: _width(cfg.task_backend))
+        if stopped.is_set():
+            return True
+        extract_keys = _extract_keys(gateway.backend_fingerprint(cfg.extraction_backend),
+                                     label_set)
+        unlabelled = [raw for raw in dict.fromkeys(map(replies.get, pairs))
+                      if raw is not None and _local_label(raw, label_set) is None
+                      and replies.get(extract_keys(raw)) is None]
+        _fan_out(len(unlabelled),
+                 lambda k: extract_label(unlabelled[k], label_set, cfg, budget, keys=extract_keys),
+                 lambda left: _width(cfg.extraction_backend))
+    except BudgetExhaustedError:
+        pass  # evaluate meets the cut where a serial run would
     finally:  # also a prefetch cut short, by the budget or a failure, keeps its replies
         replies.flush()
     return True
@@ -580,20 +473,20 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
     The examples are scored one after another, each classified and then
     labelled, and this is the one place a score is built. With a ``floor``,
     an ``n_correct`` that the template must reach to be selected, scoring
-    races: before example i it stops once ``correct + (n - i) < floor``,
-    since the template can then no longer reach it, and returns a
-    :class:`RacedPrompt` of the examples scored. Without one it always
-    returns a :class:`ScoredPrompt`.
+    races: before example i, for i a multiple of ``RACE_EVERY``, it stops
+    once ``correct + (n - i) < floor``, since the template can then no
+    longer reach it, and returns a :class:`RacedPrompt` of the examples
+    scored. Without one it always returns a :class:`ScoredPrompt`.
 
     Each example's classify key is derived once, for the loop and the
-    prefetches alike. Without a floor, before the first and the second
-    example it asks :func:`_prefetch` to make the template's calls ahead, so
-    a backend first seen to block by the first example's call overlaps the
-    rest; a racing template's calls are made ahead only by its batch
-    (:func:`evaluate_batch`). Whatever a prefetch made is read from the
-    reply cache, so the result equals a serial run's, and a budget cut stops
-    at the first example whose reply is missing, with the error a serial run
-    raises there.
+    prefetches alike. Before the first and the second example it asks
+    :func:`_prefetch` to make the template's calls ahead, so a backend first
+    seen to block by the first example's call overlaps the rest. Whatever the
+    prefetch made is read from the reply cache, so the result equals a
+    serial run's, and a budget cut stops at the first example whose reply is
+    missing, with the error a serial run raises there. A call that failed
+    while made ahead is raised here, without asking again, once the loop
+    reaches its example.
     """
     view = _slice(eval_set, cfg)
     examples, label_set = view.examples, view.label_set
@@ -607,10 +500,9 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
     n_correct = 0
     try:
         for i, (ex, key) in enumerate(zip(examples, keys)):
-            if floor is not None:
-                if n_correct + n - i < floor:
-                    break
-            elif i < 2:
+            if floor is not None and i % RACE_EVERY == 0 and n_correct + n - i < floor:
+                break
+            if i < 2:
                 _prefetch([template], view, cfg, budget)
             if key in failed:
                 raise failed.pop(key)
@@ -651,12 +543,15 @@ def evaluate_batch(templates: Sequence[PromptTemplate], eval_set: Dataset, cfg: 
     templates always complete. Without ``keep`` every template completes.
 
     Before each template, until one prefetch has run, the batch asks
-    :func:`_prefetch` to make the calls of every template left at once, with
-    the same floors. So a backend that computes starts no thread, a fresh
+    :func:`_prefetch` to make the calls of every template left at once: each
+    classify call grouped by (template, text), then each distinct extraction
+    across the batch. So a backend that computes starts no thread, a fresh
     process widens once its first calls show the backend to block, and the
     results equal a serial run's. Under a call ceiling the calls ahead are
-    made only when they all fit, so a cut stops where a serial run stops;
-    under a token ceiling the results kept are a prefix of a full run's.
+    made only when they all fit; a cut keeps a prefix of the results of a
+    run without a ceiling, and on a backend that computes it stops where a
+    serial run stops. Under a token ceiling, too, the results kept are a
+    prefix of a full run's.
 
     Every template is scored on one slice of the eval set, so its
     fingerprint is taken once per batch, and the classify keys a prefetch
@@ -671,7 +566,7 @@ def evaluate_batch(templates: Sequence[PromptTemplate], eval_set: Dataset, cfg: 
     results: list[ScoredPrompt | RacedPrompt] = []
     prefetched = False
     for start, template in enumerate(templates):
-        prefetched = prefetched or _prefetch(templates[start:], view, cfg, budget, keep, top.heap)
+        prefetched = prefetched or _prefetch(templates[start:], view, cfg, budget)
         try:
             result = evaluate(template, view, cfg, budget, top.floor)
         except BudgetExhaustedError as exc:

@@ -20,10 +20,13 @@ thread. A stage cut short by the budget keeps, in order, the candidates and
 templates whose calls all finished, so a partial record reads like a serial
 run's.
 
-Scoring races for the ``select_n`` places: a template stops once it can no
-longer reach the ``select_n``-th best complete score of the cycle so far,
+Scoring races for the ``select_n`` places: a template stops, at one of the
+evaluator's fixed checkpoints (every ``RACE_EVERY`` examples), once it can
+no longer reach the ``select_n``-th best complete score of the cycle so far,
 counting the score cache's hits before its first miss, and goes to the
-record's ``raced`` list instead of ``scored``. The floor only rises, so a
+record's ``raced`` list instead of ``scored``. It saves the calls it skips
+where scoring is serial; the calls made ahead for a blocking backend cover
+every template in full. The floor only rises, so a
 raced template scores strictly below the final ``select_n``-th in full, and
 the selection, the best score and the patience count are those of a cycle
 that scores every template in full. A hit after a miss is not counted: a

@@ -6,7 +6,7 @@ import sys
 import tempfile
 import textwrap
 import threading
-import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -662,31 +662,29 @@ class TestEvaluateBatch:
             assert [hashed.count(t.text) for t in BATCH] == [1, 1, 1]
             assert b.calls == 3 * 5 + 3  # every (template, text), then each distinct reply
 
-    def test_file_grows_as_each_template_is_resolved(self, tmp_path):
+    def test_file_grows_as_each_template_ends_its_classify_calls(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         ds = dataset([(f"ex{i}", "positive") for i in range(6)])
         cfg = replace(batch_config(), cache_path=path)
-        reply, seen = cfg.task_backend.params["fn"], []
+        b = budget()
+        b.bind_replies(path)
+        flush, lines = b.replies.flush, []
 
-        def lines():
-            return len(path.read_text().splitlines()) if path.exists() else 0
+        def counted_flush():
+            """Records the line count each time it changes: a flush with nothing
+            pending, as the serial loop makes after each template, adds none."""
+            flush()
+            count = len(path.read_text().splitlines()) if path.exists() else 0
+            if count != (lines[-1] if lines else 0):
+                lines.append(count)
 
-        def last_waits(req):
-            """Template 2's calls end only once template 0's six classify
-            replies and its one extraction are in the file, or after 2 s."""
-            if req.user_text.startswith("Template 2:"):
-                deadline = time.monotonic() + 2
-                while lines() < 6 + 1 and time.monotonic() < deadline:
-                    time.sleep(0.002)
-                seen.append(lines())
-            return reply(req)
-
-        cfg.task_backend.params["fn"] = last_waits
-        scored, exhausted = evaluator.evaluate_batch(BATCH, ds, cfg, budget())
+        b.replies.flush = counted_flush
+        scored, exhausted = evaluator.evaluate_batch(BATCH, ds, cfg, b)
         assert exhausted is None and len(scored) == 3
-        # template 0 was appended once resolved, while the last template's calls ran
-        assert len(seen) == 6 and min(seen) >= 6 + 1
-        assert lines() == 3 * 6 + 3
+        # one append per template's last classify call, then the extractions
+        assert len(lines) == 3 + 1
+        assert all(count >= 6 * (k + 1) for k, count in enumerate(lines[:3]))
+        assert lines[-1] == 3 * 6 + 3
 
     def test_budget_cut_keeps_the_templates_done_in_order(self):
         ds = dataset([(f"ex{i}", "positive") for i in range(6)])
@@ -827,14 +825,23 @@ def racing_config(replies, width, asked=None, fails=lambda prompt: False):
     return cfg
 
 
+@contextmanager
+def race_every(examples):
+    """Check the racing rule every ``examples`` examples instead of every
+    ``RACE_EVERY``, so the small slices here race."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluator, "RACE_EVERY", examples)
+        yield
+
+
 OUTCOME_MATRICES = st.tuples(
     st.integers(1, 6),  # templates
     st.lists(st.sampled_from(LABELS), min_size=1, max_size=12),  # one label per example
     st.dictionaries(st.tuples(st.integers(0, 5), st.sampled_from([f"ex{j}" for j in range(12)])),
                     REPLIES, max_size=72),
     st.integers(1, 4))  # keep
-# t1 races before its second example and t2 before its seventh; the wide run makes
-# pairs past both points
+CHECKPOINTS = st.sampled_from([1, 2, 3, 8])  # examples from one check of the rule to the next
+# checked before every example, t1 races before its second example and t2 before its seventh
 RACING = (4, ["positive"] * 12,
           {**{(1, f"ex{j}"): "negative" for j in range(12)}, (2, "ex5"): "negative",
            **{(3, f"ex{j}"): "maybe-a" for j in range(0, 12, 2)}}, 1)
@@ -847,24 +854,38 @@ class TestRacing:
     def test_a_template_stops_once_the_floor_is_out_of_reach(self):
         ds = dataset([(f"ex{i}", "positive") for i in range(5)])
         cfg = config(scripted_task({"ex": "negative"}))
-        raced = evaluate(TEMPLATE, ds, cfg, budget(), 3)
-        # before example 3 it could reach 0 + 2 < 3 at most
-        assert raced == RacedPrompt(TEMPLATE, 0, 3, raced.per_example, raced.eval_set_id)
-        assert [p.index for p in raced.per_example] == [0, 1, 2]
-        assert evaluate(TEMPLATE, ds, cfg, budget(), 2).n_total == 4
-        assert isinstance(evaluate(TEMPLATE, ds, cfg, budget(), 1), ScoredPrompt)
-        assert isinstance(evaluate(TEMPLATE, ds, cfg, budget()), ScoredPrompt)
+        with race_every(1):
+            raced = evaluate(TEMPLATE, ds, cfg, budget(), 3)
+            # before example 3 it could reach 0 + 2 < 3 at most
+            assert raced == RacedPrompt(TEMPLATE, 0, 3, raced.per_example, raced.eval_set_id)
+            assert [p.index for p in raced.per_example] == [0, 1, 2]
+            assert evaluate(TEMPLATE, ds, cfg, budget(), 2).n_total == 4
+            assert isinstance(evaluate(TEMPLATE, ds, cfg, budget(), 1), ScoredPrompt)
+            assert isinstance(evaluate(TEMPLATE, ds, cfg, budget()), ScoredPrompt)
+
+    def test_the_rule_is_checked_every_race_every_examples(self):
+        assert evaluator.RACE_EVERY == 8
+        cfg = config(scripted_task({"ex": "negative"}))
+        ds = dataset([(f"ex{i}", "positive") for i in range(20)])
+        # out of reach from example 6 on (0 + 14 < 15), stopped at the checkpoint before 8
+        assert evaluate(TEMPLATE, ds, cfg, budget(), 15).n_total == 8
+        # still in reach before example 8 (0 + 12), out of reach from 9 on, stopped before 16
+        assert evaluate(TEMPLATE, ds, cfg, budget(), 12).n_total == 16
+        # a slice of eight is scored in full whatever the floor
+        short = dataset([(f"ex{i}", "positive") for i in range(8)])
+        assert isinstance(evaluate(TEMPLATE, short, cfg, budget(), 8), ScoredPrompt)
 
     def test_a_template_that_can_still_reach_the_floor_completes(self):
         ds = dataset([(f"ex{i}", "positive") for i in range(4)])
         cfg = config(scripted_task({"ex0": "negative", "ex": "positive"}))
-        scored = evaluate(TEMPLATE, ds, cfg, budget(), 3)
+        with race_every(1):
+            scored = evaluate(TEMPLATE, ds, cfg, budget(), 3)
         assert isinstance(scored, ScoredPrompt) and scored.n_correct == 3
 
     @settings(max_examples=30, deadline=None)
-    @given(OUTCOME_MATRICES)
-    @example(RACING)
-    def test_racing_selects_what_a_full_batch_selects(self, matrix):
+    @given(OUTCOME_MATRICES, CHECKPOINTS)
+    @example(RACING, 1)
+    def test_racing_selects_what_a_full_batch_selects(self, matrix, every):
         count, labels, replies, keep = matrix
         ds = dataset([(f"ex{j}", label) for j, label in enumerate(labels)])
         templates = TEMPLATES[:count]
@@ -873,36 +894,38 @@ class TestRacing:
                                                    full_budget)
         assert exhausted is None and all(isinstance(s, ScoredPrompt) for s in full)
         runs = []
-        for width in (1, 4, 4):
-            b = budget()
-            cfg = racing_config(replies, width)
-            results, exhausted = evaluator.evaluate_batch(templates, ds, cfg, b, keep)
-            assert exhausted is None
-            # the task calls, less the one that showed a wide backend to block
-            runs.append((results, (b.calls, b.total_tokens),
-                         call_count(cfg.task_backend) - (width > 1)))
+        with race_every(every):
+            for width in (1, 4, 4):
+                b = budget()
+                cfg = racing_config(replies, width)
+                results, exhausted = evaluator.evaluate_batch(templates, ds, cfg, b, keep)
+                assert exhausted is None
+                # the task calls, less the one that showed a wide backend to block
+                runs.append((results, (b.calls, b.total_tokens),
+                             call_count(cfg.task_backend) - (width > 1)))
         (serial, serial_usage, serial_pairs), (wide, wide_usage, wide_pairs), again = runs
         assert again == (wide, wide_usage, wide_pairs)  # budget totals included
         assert wide == serial  # serial and wide: only the budget totals may differ
         complete = [r for r in serial if isinstance(r, ScoredPrompt)]
         raced = [r for r in serial if isinstance(r, RacedPrompt)]
-        assert serial_usage[0] <= wide_usage[0] <= full_budget.calls
-        # every pair is a distinct request: the serial loop's pairs, and up to
-        # 2w - 1 more of each raced template made ahead
+        # the serial loop makes the pairs it scores; the calls made ahead cover
+        # every template in full
         n = len(labels)
         assert serial_pairs == sum(r.n_total for r in serial)
-        assert wide_pairs == n * len(complete) + sum(min(n, r.n_total + 2 * 4 - 1) for r in raced)
+        assert wide_pairs == n * count
+        assert serial_usage[0] <= wide_usage[0] == full_budget.calls
         assert [s.template.id for s in select_top(complete, keep)] == \
             [s.template.id for s in select_top(full, keep)]
         by_id = {s.template.id: s for s in full}
         assert all(s == by_id[s.template.id] for s in complete)
         for r in raced:
+            assert r.n_total % every == 0
             assert by_id[r.template.id].n_correct < select_top(full, keep)[-1].n_correct
             assert r.per_example == by_id[r.template.id].per_example[:r.n_total]
         assert complete[:keep] == serial[:keep]  # the first keep always complete
-        if matrix == RACING:
+        if (matrix, every) == (RACING, 1):
             assert [r.n_total for r in raced[:2]] == [1, 6]
-            assert serial_usage[0] < wide_usage[0] < full_budget.calls
+            assert serial_usage[0] < wide_usage[0]
 
     @settings(max_examples=20, deadline=None)
     @given(OUTCOME_MATRICES, st.lists(st.sampled_from([f"ex{j}" for j in range(3)]),
@@ -913,68 +936,71 @@ class TestRacing:
         ds = dataset([(text, label) for text, label in zip(texts, labels * 8)])
         asked = []
         cfg = racing_config(replies, 4, asked=asked)
-        results, exhausted = evaluator.evaluate_batch(TEMPLATES[:count], ds, cfg, budget(), keep)
+        with race_every(1):
+            results, exhausted = evaluator.evaluate_batch(TEMPLATES[:count], ds, cfg, budget(),
+                                                          keep)
         assert exhausted is None and len(results) == count
         assert len(asked) == len(set(asked))
 
     @settings(max_examples=25, deadline=None)
-    @given(OUTCOME_MATRICES, st.integers(1, 60))
-    def test_every_call_ceiling_gives_the_serial_results_and_message(self, matrix, max_calls):
+    @given(OUTCOME_MATRICES, CHECKPOINTS, st.integers(1, 60))
+    def test_a_call_ceiling_keeps_a_prefix_of_the_full_results(self, matrix, every, max_calls):
         count, labels, replies, keep = matrix
         ds = dataset([(f"ex{j}", label) for j, label in enumerate(labels)])
-        runs = []
-        for width in (1, 4):
-            results, exhausted = evaluator.evaluate_batch(
-                TEMPLATES[:count], ds, racing_config(replies, width), budget(max_calls), keep)
-            runs.append((results, str(exhausted)))
-        assert runs[0] == runs[1]
+        with race_every(every):
+            full, _ = evaluator.evaluate_batch(TEMPLATES[:count], ds, racing_config(replies, 1),
+                                               budget(), keep)
+            kept = []
+            for width in (1, 4):
+                results, exhausted = evaluator.evaluate_batch(
+                    TEMPLATES[:count], ds, racing_config(replies, width), budget(max_calls), keep)
+                assert results == full[:len(results)]
+                assert (exhausted is None) == (len(results) == count)
+                kept.append(len(results))
+        # the calls made ahead include those racing skips, so a wide run keeps no more
+        assert kept[1] <= kept[0]
 
     @settings(max_examples=20, deadline=None)
     @given(OUTCOME_MATRICES, st.integers(1, 400))
     def test_a_token_ceiling_keeps_a_prefix_of_the_full_results(self, matrix, max_tokens):
         count, labels, replies, keep = matrix
         ds = dataset([(f"ex{j}", label) for j, label in enumerate(labels)])
-        full, _ = evaluator.evaluate_batch(TEMPLATES[:count], ds, racing_config(replies, 1),
-                                           budget(), keep)
-        spent = Budget(max_calls=10**6, max_total_tokens=max_tokens)
-        results, exhausted = evaluator.evaluate_batch(
-            TEMPLATES[:count], ds, racing_config(replies, 4), spent, keep)
+        with race_every(1):
+            full, _ = evaluator.evaluate_batch(TEMPLATES[:count], ds, racing_config(replies, 1),
+                                               budget(), keep)
+            spent = Budget(max_calls=10**6, max_total_tokens=max_tokens)
+            results, exhausted = evaluator.evaluate_batch(
+                TEMPLATES[:count], ds, racing_config(replies, 4), spent, keep)
         assert results == full[:len(results)]
         assert (exhausted is None) == (len(results) == count)
 
-    def test_pairs_past_the_window_wait_for_the_floor(self):
+    def test_calls_made_ahead_cover_a_raced_template_in_full(self):
         ds = dataset([(f"ex{j}", "positive") for j in range(12)])
         cfg = racing_config({(1, f"ex{j}"): "negative" for j in range(12)}, 4)
-        reply = cfg.task_backend.params["fn"]
-
-        def slow_first(req):  # t0, and so t1's floor, stays open while t1's pairs run
-            if req.user_text == "Template 0: ex0":
-                time.sleep(0.2)
-            return reply(req)
-
-        cfg.task_backend.params["fn"] = slow_first
-        results, _ = evaluator.evaluate_batch(TEMPLATES[:2], ds, cfg, budget(), 1)
+        with race_every(1):
+            results, _ = evaluator.evaluate_batch(TEMPLATES[:2], ds, cfg, budget(), 1)
         assert results[1].n_total == 1
-        # t1's first 2w pairs start at once; its first outcome bars the rest
-        assert call_count(cfg.task_backend) - 1 == 12 + 8
+        assert call_count(cfg.task_backend) - 1 == 12 + 12
 
     def test_many_threads_switching_often_make_the_same_calls(self):
         ds = dataset([(f"ex{j}", LABELS[j % 3]) for j in range(12)])
         words = ("positive", "negative", "Neutral.", "maybe-a", "???")
         replies = {(t, f"ex{j}"): words[(t * 7 + j) % 5] for t in range(6) for j in range(12)}
-        serial, _ = evaluator.evaluate_batch(TEMPLATES, ds, racing_config(replies, 1), budget(), 2)
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            seen = set()
-            for _ in range(5):
-                cfg = racing_config(replies, 8)
-                b = budget()
-                results, exhausted = evaluator.evaluate_batch(TEMPLATES, ds, cfg, b, 2)
-                assert exhausted is None and results == serial
-                seen.add((b.calls, b.total_tokens, call_count(cfg.task_backend)))
-        finally:
-            sys.setswitchinterval(interval)
+        with race_every(1):
+            serial, _ = evaluator.evaluate_batch(TEMPLATES, ds, racing_config(replies, 1),
+                                                 budget(), 2)
+            sys.setswitchinterval(1e-6)
+            try:
+                seen = set()
+                for _ in range(5):
+                    cfg = racing_config(replies, 8)
+                    b = budget()
+                    results, exhausted = evaluator.evaluate_batch(TEMPLATES, ds, cfg, b, 2)
+                    assert exhausted is None and results == serial
+                    seen.add((b.calls, b.total_tokens, call_count(cfg.task_backend)))
+            finally:
+                sys.setswitchinterval(interval)
         assert len(seen) == 1
 
     def test_a_raced_template_scored_again_replays_its_prefix(self):
@@ -982,9 +1008,10 @@ class TestRacing:
         asked = []
         cfg = racing_config({(1, f"ex{j}"): "negative" for j in range(3)}, 1, asked)
         b = budget()
-        first, _ = evaluator.evaluate_batch(TEMPLATES[:2], ds, cfg, b, 1)
-        assert isinstance(first[1], RacedPrompt) and first[1].n_total == 1
-        again, _ = evaluator.evaluate_batch(TEMPLATES[1:2], ds, cfg, b, 1)
+        with race_every(1):
+            first, _ = evaluator.evaluate_batch(TEMPLATES[:2], ds, cfg, b, 1)
+            assert isinstance(first[1], RacedPrompt) and first[1].n_total == 1
+            again, _ = evaluator.evaluate_batch(TEMPLATES[1:2], ds, cfg, b, 1)
         assert isinstance(again[0], ScoredPrompt) and again[0].n_correct == 5
         assert again[0].per_example[:1] == first[1].per_example
         assert len(asked) == len(set(asked)) == 8 + 8
@@ -997,7 +1024,8 @@ class TestRacing:
             asked = []
             cfg = racing_config(replies, width, asked,
                                 fails=lambda prompt: prompt == "Template 1: ex5")
-            results, exhausted = evaluator.evaluate_batch(TEMPLATES[:2], ds, cfg, budget(), 1)
+            with race_every(1):
+                results, exhausted = evaluator.evaluate_batch(TEMPLATES[:2], ds, cfg, budget(), 1)
             assert exhausted is None
             runs.append((results, asked.count("Template 1: ex5")))
         (serial, serial_asked), (wide, wide_asked) = runs
