@@ -94,7 +94,7 @@ def decode(strategy: DecodeStrategy, candidate: CandidateRecord,
         req = ChatRequest(
             user_text=prompts.SOFT_PROMPT_INSTRUCTION,
             temperature=strategy.decode_temperature,
-            soft_prompt=tuple(float(v) for v in projected),
+            soft_prompt=tuple(projected.tolist()),
         )
         return gateway.chat(strategy.chat, req, budget).text
 

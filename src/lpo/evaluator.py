@@ -22,9 +22,10 @@ once per process (``Example.digest``). Each template's classify keys are
 derived once per slice, shared by the scoring loop and the calls made
 ahead, and its label set is encoded once. Stage 1 of :func:`extract_label`
 runs once per distinct reply while it stays among the last few hundred
-asked, and the slice's fingerprint, every score's ``eval_set_id``, is taken
-once per slice: once per :func:`evaluate_batch`. The keys are the same
-strings as ever, so cache files written by earlier versions still hit.
+asked. The slice's fingerprint, every score's ``eval_set_id``, is taken
+once per slice: once per :func:`evaluate_batch`; so is each backend's
+fingerprint, which every cache key holds. The keys are the same strings as
+ever, so cache files written by earlier versions still hit.
 
 A new reply is served from memory as soon as it is put. Its line is appended
 when its template's calls end, with one open, write and close of the file per
@@ -321,11 +322,12 @@ class _Slice(Dataset):
     batch scores them under one config.
 
     What scoring derives from the slice alone is derived once: its
-    fingerprint, which is every score's ``eval_set_id``, and each template's
-    classify keys, which a batch's prefetch derives and :func:`evaluate`
-    then takes over. ``failed`` holds the failure of each classify request
-    that failed while made ahead, by its key, for :func:`evaluate` to raise
-    when it reaches that example.
+    fingerprint, which is every score's ``eval_set_id``, each backend's
+    fingerprint (:meth:`backend_id`), and each template's classify keys,
+    which a batch's prefetch derives and :func:`evaluate` then takes over.
+    ``failed`` holds the failure of each classify request that failed while
+    made ahead, by its key, for :func:`evaluate` to raise when it reaches
+    that example.
     """
 
     @cached_property
@@ -340,12 +342,24 @@ class _Slice(Dataset):
     def failed(self) -> dict[str, Exception]:
         return {}
 
+    @cached_property
+    def _backend_ids(self) -> dict[int, tuple[BackendConfig, str]]:
+        return {}  # id -> (the backend, kept so that its id is not reused; its fingerprint)
+
+    def backend_id(self, backend: BackendConfig) -> str:
+        """``backend``'s fingerprint, taken on first use: once per slice, so
+        a change to its params between batches makes new keys."""
+        entry = self._backend_ids.get(id(backend))
+        if entry is None:
+            entry = self._backend_ids[id(backend)] = backend, gateway.backend_fingerprint(backend)
+        return entry[1]
+
     def classify_keys(self, template: PromptTemplate, cfg: EvalConfig) -> list[str]:
         """``template``'s classify key for each example, derived on first use
         and kept until :meth:`drop_keys`."""
         keys = self._keys.get(template.text)
         if keys is None:
-            key = _classify_keys(gateway.backend_fingerprint(cfg.task_backend), cfg, template)
+            key = _classify_keys(self.backend_id(cfg.task_backend), cfg, template)
             keys = self._keys[template.text] = [key(ex) for ex in self.examples]
         return keys
 
@@ -443,8 +457,7 @@ def _prefetch(templates: Sequence[PromptTemplate], view: _Slice, cfg: EvalConfig
         _fan_out(len(missing), classify, lambda left: _width(cfg.task_backend))
         if stopped.is_set():
             return True
-        extract_keys = _extract_keys(gateway.backend_fingerprint(cfg.extraction_backend),
-                                     label_set)
+        extract_keys = _extract_keys(view.backend_id(cfg.extraction_backend), label_set)
         unlabelled = [raw for raw in dict.fromkeys(map(replies.get, pairs))
                       if raw is not None and _local_label(raw, label_set) is None
                       and replies.get(extract_keys(raw)) is None]
@@ -494,7 +507,7 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
     if cfg.cache_path is not None:
         budget.bind_replies(cfg.cache_path)
     keys = view.classify_keys(template, cfg)
-    extract_keys = _extract_keys(gateway.backend_fingerprint(cfg.extraction_backend), label_set)
+    extract_keys = _extract_keys(view.backend_id(cfg.extraction_backend), label_set)
     failed = view.failed
     outcomes: list[PerExample] = []
     n_correct = 0
@@ -554,8 +567,8 @@ def evaluate_batch(templates: Sequence[PromptTemplate], eval_set: Dataset, cfg: 
     prefix of a full run's.
 
     Every template is scored on one slice of the eval set, so its
-    fingerprint is taken once per batch, and the classify keys a prefetch
-    derives serve :func:`evaluate` too.
+    fingerprint and each backend's are taken once per batch, and the classify
+    keys a prefetch derives serve :func:`evaluate` too.
     """
     if keep is not None and keep < 1:
         raise ValidationError("keep must be >= 1")

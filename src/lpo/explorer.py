@@ -23,7 +23,7 @@ STRATEGIES = ("interpolate", "extrapolate", "perturb")
 # candidates closer than this (L-inf) to an earlier one are regenerated once
 DUPLICATE_TOLERANCE = 1e-12
 
-# the near-duplicate scan is quadratic in the count, so a cycle draws at most this many
+# a cycle draws at most this many: each candidate costs a decode call and a record entry
 MAX_CANDIDATES = 1000
 
 
@@ -186,6 +186,12 @@ def generate_candidates(
     weight or noise seed is drawn from the applicable range. Parent pairs may
     repeat across candidates. Near-duplicate embeddings (within L-inf 1e-12
     of an earlier candidate) are regenerated once, then kept.
+
+    The near-duplicate check is screened on the first coordinate: an earlier
+    candidate can be within L-inf ``DUPLICATE_TOLERANCE`` only if its first
+    coordinate is, so one vector operation over the earlier first coordinates
+    picks out the few worth comparing in full. The decision to redraw is the
+    same as comparing every earlier candidate in full.
     """
     if not seeds:
         raise ValidationError("generate_candidates needs at least one seed")
@@ -231,12 +237,18 @@ def generate_candidates(
             prov = Provenance(kind=strategy, parents=(ids[i], ids[j]), weight=weight)
         return CandidateRecord(id=f"cand-{index:02d}", embedding=embedding, provenance=prov)
 
+    firsts = np.empty(policy.candidate_count)  # each candidate's first coordinate
     for index in range(policy.candidate_count):
         candidate = draw(index)
-        if any(
-            np.max(np.abs(candidate.embedding - prior.embedding)) <= DUPLICATE_TOLERANCE
-            for prior in candidates
-        ):
+        embedding = candidate.embedding
+        near = np.flatnonzero(np.abs(firsts[:index] - embedding[0]) <= DUPLICATE_TOLERANCE)
+        if any(_near_duplicate(embedding, candidates[k].embedding) for k in near):
             candidate = draw(index)
+        firsts[index] = candidate.embedding[0]
         candidates.append(candidate)
     return candidates
+
+
+def _near_duplicate(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` lies within L-inf ``DUPLICATE_TOLERANCE`` of ``b``."""
+    return bool(np.max(np.abs(a - b)) <= DUPLICATE_TOLERANCE)

@@ -7,7 +7,7 @@ from lpo.decoder import DecodeStrategy, decode, refine_format
 from lpo.errors import CandidateInvalidError, ValidationError
 from lpo.explorer import CandidateRecord, Provenance
 from lpo.gateway import BackendConfig, Budget, ChatRequest
-from lpo.projector import LinearProjector
+from lpo.projector import LinearProjector, apply
 from lpo.toyspace import ToySpaceSpec
 
 SPEC = ToySpaceSpec(("tone", "steps"))
@@ -129,6 +129,24 @@ class TestDecodeSoftPrompt:
         strategy = DecodeStrategy(kind="soft_prompt", chat=chat, projector=projector)
         decode(strategy, blend_candidate(embedding=(0.1, 0.2)), toy_seeds(), budget())
         assert np.allclose(seen["soft"], [0.2, 0.4, 0.3])
+
+    def test_soft_prompt_is_a_tuple_of_floats_bit_equal_to_the_projection(self):
+        seen = {}
+
+        def handler(req: ChatRequest) -> str:
+            seen["soft"] = req.soft_prompt
+            return "ok {text}"
+
+        rng = np.random.default_rng(3)
+        chat = BackendConfig(kind="mock", behavior="handler", params={"fn": handler})
+        projector = LinearProjector(weights=rng.standard_normal((16, 8)),
+                                    bias=rng.standard_normal(16))
+        strategy = DecodeStrategy(kind="soft_prompt", chat=chat, projector=projector)
+        candidate = blend_candidate(embedding=rng.standard_normal(8))
+        decode(strategy, candidate, toy_seeds(), budget())
+        soft = seen["soft"]
+        assert type(soft) is tuple and {type(v) for v in soft} == {float}
+        assert np.array(soft).tobytes() == apply(projector, candidate.embedding).tobytes()
 
     def test_remote_backend_rejects_soft_prompt(self):
         chat = BackendConfig(kind="remote_chat", endpoint="https://api.test/chat",

@@ -53,6 +53,14 @@ def dataset(labels_by_text):
     return Dataset(examples=examples, label_set=LABELS)
 
 
+def spy_on_fingerprints(monkeypatch) -> list:
+    """The backends ``gateway.backend_fingerprint`` is asked about, in order."""
+    seen, fingerprint = [], gateway.backend_fingerprint
+    monkeypatch.setattr(gateway, "backend_fingerprint",
+                        lambda backend: seen.append(backend) or fingerprint(backend))
+    return seen
+
+
 def scripted_task(reply_by_needle):
     """Task mock answering by which example text appears in the prompt."""
 
@@ -643,6 +651,39 @@ class TestEvaluateBatch:
         evaluator.evaluate_batch(BATCH, ds, cfg, budget())
         assert evaluate(BATCH[0], ds, cfg, budget()).eval_set_id == fingerprint(head)
         assert sizes == [3, 3, 3]  # once per batch, and once per evaluate on its own
+
+    @pytest.mark.parametrize("width", [1, 4])  # a serial batch, and one that makes its calls ahead
+    def test_each_backend_is_fingerprinted_once_per_batch(self, monkeypatch, width):
+        cfg = batch_config(width=width)
+        seen = spy_on_fingerprints(monkeypatch)
+        ds = dataset([(f"ex{i}", "positive") for i in range(5)])
+        templates = [validate_template(f"Template {i}: {{text}}", template_id=f"t{i}")
+                     for i in range(20)]
+        scored, exhausted = evaluator.evaluate_batch(templates, ds, cfg, budget())
+        assert exhausted is None and len(scored) == 20
+        assert list(map(id, seen)) == [id(cfg.task_backend), id(cfg.extraction_backend)]
+
+    def test_params_changed_between_batches_make_new_keys(self):
+        ds = dataset([(f"row-{i}", "positive") for i in range(4)])
+        cfg = config(scripted_task({"row-": "maybe"}), fixed_extraction("positive"))
+        b = budget()
+        for _ in range(2):  # the second batch is served from the cache
+            scored, exhausted = evaluator.evaluate_batch(BATCH, ds, cfg, b)
+            assert exhausted is None and [s.accuracy for s in scored] == [1.0] * 3
+            assert (call_count(cfg.task_backend), call_count(cfg.extraction_backend)) == (12, 1)
+        for backend in (cfg.task_backend, cfg.extraction_backend):
+            backend.params["revision"] = 2
+        evaluator.evaluate_batch(BATCH, ds, cfg, b)
+        assert (call_count(cfg.task_backend), call_count(cfg.extraction_backend)) == (24, 2)
+
+    def test_classify_one_and_extract_label_alone_fingerprint_their_backend(self, monkeypatch):
+        cfg = config(scripted_task({"row": "maybe"}), fixed_extraction("positive"))
+        seen = spy_on_fingerprints(monkeypatch)
+        b = budget()
+        for _ in range(2):
+            assert classify_one(TEMPLATE, Example("row", "positive"), cfg, b) == "maybe"
+            assert extract_label("maybe", LABELS, cfg, b) == "positive"
+        assert list(map(id, seen)) == [id(cfg.task_backend), id(cfg.extraction_backend)] * 2
 
     def test_a_prefetched_template_derives_its_keys_once(self, monkeypatch):
         hashed = []

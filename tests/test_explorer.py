@@ -6,11 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lpo import explorer
 from lpo.errors import ValidationError
 from lpo.explorer import (
+    DUPLICATE_TOLERANCE,
+    MAX_CANDIDATES,
     STRATEGIES,
+    CandidateRecord,
     ExplorationPolicy,
     Provenance,
+    _sample_outside_unit,
     extrapolate,
     generate_candidates,
     interpolate,
@@ -339,3 +344,105 @@ class TestAlgebraProperties:
         assert len(first) == count
         assert [(c.id, c.provenance) for c in first] == [(c.id, c.provenance) for c in again]
         assert all(np.array_equal(x.embedding, y.embedding) for x, y in zip(first, again))
+
+
+def pairwise_reference(seeds, policy):
+    """``generate_candidates`` with the scan it had before the first-coordinate
+    screen: each candidate compared in full with every earlier one."""
+    ids = [sid for sid, _ in seeds]
+    vectors = [np.asarray(v, dtype=float) for _, v in seeds]
+    names = [s for s in STRATEGIES if policy.strategy_mix.get(s, 0.0) > 0]
+    weights = np.array([policy.strategy_mix[s] for s in names], dtype=float)
+    probs = weights / weights.sum()
+    sigma = policy.sigma
+    if sigma is None:
+        sigma = 0.1 * float(np.mean([np.linalg.norm(v) for v in vectors]))
+    rng = np.random.default_rng(policy.rng_seed)
+    candidates = []
+
+    def draw(index):
+        strategy = names[int(rng.choice(len(names), p=probs))]
+        if strategy == "perturb":
+            parent = int(rng.integers(len(seeds)))
+            noise_seed = int(rng.integers(0, 2**63 - 1))
+            embedding = perturb(vectors[parent], sigma, noise_seed)
+            prov = Provenance(kind="perturb", parents=(ids[parent],),
+                              sigma=sigma, noise_seed=noise_seed)
+        else:
+            i, j = (int(x) for x in rng.choice(len(seeds), size=2, replace=False))
+            if strategy == "interpolate":
+                weight = float(rng.uniform(*policy.blend_range))
+                embedding = interpolate(vectors[i], vectors[j], weight)
+            else:
+                weight = _sample_outside_unit(rng, policy.extrapolation_range)
+                embedding = extrapolate(vectors[i], vectors[j], weight)
+            prov = Provenance(kind=strategy, parents=(ids[i], ids[j]), weight=weight)
+        return CandidateRecord(id=f"cand-{index:02d}", embedding=embedding, provenance=prov)
+
+    for index in range(policy.candidate_count):
+        candidate = draw(index)
+        if any(
+            np.max(np.abs(candidate.embedding - prior.embedding)) <= DUPLICATE_TOLERANCE
+            for prior in candidates
+        ):
+            candidate = draw(index)
+        candidates.append(candidate)
+    return candidates
+
+
+@st.composite
+def screen_cases(draw):
+    """Seeds and a policy; the seeds are distinct, all one point, or share
+    their first coordinate, so that the screen passes every earlier candidate."""
+    d = draw(st.sampled_from([1, 2, 3, 64]))
+    n_seeds = draw(st.integers(2, 5))
+    layout = draw(st.sampled_from(["distinct", "coincident", "shared_first"]))
+    vector = arrays(np.float64, d, elements=st.floats(-10.0, 10.0))
+    if layout == "coincident":
+        point = draw(vector)
+        vectors = [point.copy() for _ in range(n_seeds)]
+    else:
+        vectors = [draw(vector) for _ in range(n_seeds)]
+        if layout == "shared_first":
+            for vec in vectors:
+                vec[0] = vectors[0][0]
+    mix = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda w: sum(w) > 0))
+    policy = ExplorationPolicy(strategy_mix=dict(zip(STRATEGIES, mix)),
+                               sigma=draw(st.sampled_from([None, 0.0])),
+                               rng_seed=draw(st.integers(0, 2**32)),
+                               candidate_count=draw(st.integers(1, 200)))
+    return [(f"s{i}", vec) for i, vec in enumerate(vectors)], policy
+
+
+class TestNearDuplicateScreen:
+    @settings(max_examples=40, deadline=None)
+    @given(screen_cases())
+    def test_screened_scan_draws_the_pairwise_scans_candidates(self, case):
+        seeds, policy = case
+        screened = generate_candidates(seeds, policy)
+        reference = pairwise_reference(seeds, policy)
+        assert [(c.id, c.provenance) for c in screened] == \
+            [(c.id, c.provenance) for c in reference]
+        assert [c.embedding.tobytes() for c in screened] == \
+            [c.embedding.tobytes() for c in reference]
+
+    def test_a_shared_first_coordinate_passes_every_earlier_candidate(self, monkeypatch):
+        compared = []
+        near = explorer._near_duplicate
+        monkeypatch.setattr(explorer, "_near_duplicate",
+                            lambda a, b: compared.append(1) or near(a, b))
+        seeds = [("a", np.array([0.5, 0.1, 0.9])), ("b", np.array([0.5, 0.8, -0.3]))]
+        candidates = generate_candidates(seeds, ExplorationPolicy(rng_seed=1, candidate_count=6))
+        assert {c.embedding[0] for c in candidates} == {0.5}
+        assert len(compared) == 1 + 2 + 3 + 4 + 5  # none is a near-duplicate
+
+    def test_full_comparisons_stay_few_at_the_largest_count(self, monkeypatch):
+        compared = []
+        near = explorer._near_duplicate
+        monkeypatch.setattr(explorer, "_near_duplicate",
+                            lambda a, b: compared.append(1) or near(a, b))
+        policy = ExplorationPolicy(strategy_mix=dict.fromkeys(STRATEGIES, 1.0), rng_seed=4,
+                                   candidate_count=MAX_CANDIDATES)
+        candidates = generate_candidates(seed_vectors(count=5, dim=1024), policy)
+        assert len(candidates) == MAX_CANDIDATES
+        assert len(compared) <= 5  # the pairwise scan made 499,500
