@@ -379,10 +379,8 @@ def _slice(eval_set: Dataset, cfg: EvalConfig) -> _Slice:
 class _Top:
     """The best ``keep`` complete scores so far, kept as a min-heap."""
 
-    def __init__(self, keep: int | None, scores: Sequence[int] = ()):
+    def __init__(self, keep: int | None):
         self.keep, self.heap = keep, []
-        for score in scores:
-            self.add(score)
 
     def add(self, score: int) -> None:
         if self.keep is None:
@@ -538,7 +536,7 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
 
 
 def evaluate_batch(templates: Sequence[PromptTemplate], eval_set: Dataset, cfg: EvalConfig,
-                   budget: Budget, keep: int | None = None, known: Sequence[ScoredPrompt] = (),
+                   budget: Budget, keep: int | None = None,
                    ) -> tuple[list[ScoredPrompt | RacedPrompt], BudgetExhaustedError | None]:
     """Score ``templates`` in order, each with :func:`evaluate`.
 
@@ -547,13 +545,12 @@ def evaluate_batch(templates: Sequence[PromptTemplate], eval_set: Dataset, cfg: 
     template was scored); any other failure is raised.
 
     With ``keep``, templates race for the best ``keep`` places: each is
-    scored against the floor of the ``keep``-th best complete score so far,
-    counting the complete scores in ``known`` (on the same slice) and those
-    of the templates before it, and stops once it can no longer reach it
+    scored against the floor of the ``keep``-th best complete score among
+    the templates before it, and stops once it can no longer reach it
     (:func:`evaluate`). The floor only rises, so a raced template's full
     score is strictly below the final ``keep``-th, and the best ``keep``
-    are those of a run without racing. The first ``keep - len(known)``
-    templates always complete. Without ``keep`` every template completes.
+    are those of a run without racing. The first ``keep`` templates always
+    complete. Without ``keep`` every template completes.
 
     Before each template, until one prefetch has run, the batch asks
     :func:`_prefetch` to make the calls of every template left at once: each
@@ -575,7 +572,7 @@ def evaluate_batch(templates: Sequence[PromptTemplate], eval_set: Dataset, cfg: 
     view = _slice(eval_set, cfg)
     if cfg.cache_path is not None:
         budget.bind_replies(cfg.cache_path)
-    top = _Top(keep, [s.n_correct for s in known])
+    top = _Top(keep)
     results: list[ScoredPrompt | RacedPrompt] = []
     prefetched = False
     for start, template in enumerate(templates):

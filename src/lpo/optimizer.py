@@ -11,29 +11,29 @@ Each stage of a cycle fans out where its backend waits rather than computes
 (:func:`lpo.gateway.blocks`). Before each candidate, the decode stage asks
 whether the decode chat backend blocks and the calls left cover two per
 candidate left; if so, the remaining candidates' decode -> refine chains run
-on up to its ``max_in_flight`` threads. The scoring stage hands every
-template that misses the score cache, each text once, to
-:func:`lpo.evaluator.evaluate_batch`, which makes their calls ahead as one
-batch on the same terms and then scores each template serially from the
-reply cache. Backends that compute, like the in-process mocks, start no
-thread. A stage cut short by the budget keeps, in order, the candidates and
-templates whose calls all finished, so a partial record reads like a serial
-run's.
+on up to its ``max_in_flight`` threads. The scoring stage hands the cycle's
+pool -- the seeds when they compete, then the valid candidates -- each text
+once, to one :func:`lpo.evaluator.evaluate_batch`, which makes their calls
+ahead as one batch on the same terms and then scores each template serially
+from the reply cache. Backends that compute, like the in-process mocks,
+start no thread. A stage cut short by the budget keeps, in order, the
+candidates and templates whose calls all finished, so a partial record reads
+like a serial run's.
 
 Scoring races for the ``select_n`` places: a template stops, at one of the
 evaluator's fixed checkpoints (every ``RACE_EVERY`` examples), once it can
 no longer reach the ``select_n``-th best complete score of the cycle so far,
-counting the score cache's hits before its first miss, and goes to the
-record's ``raced`` list instead of ``scored``. It saves the calls it skips
-where scoring is serial; the calls made ahead for a blocking backend cover
-every template in full. The floor only rises, so a
-raced template scores strictly below the final ``select_n``-th in full, and
-the selection, the best score and the patience count are those of a cycle
-that scores every template in full. A hit after a miss is not counted: a
-budget cut before it would leave it out of the record. Seeds are scored
-first, so a raced seed scores below a complete one, and the best seed is
-never raced. Raced templates stay out of the score cache; one that comes
-back in a later cycle is replayed from the reply cache.
+and goes to the record's ``raced`` list instead of ``scored``. It saves the
+calls it skips where scoring is serial; the calls made ahead for a blocking
+backend cover every template in full. The floor only rises, so a raced
+template scores strictly below the final ``select_n``-th in full, and the
+selection, the best score and the patience count are those of a cycle that
+scores every template in full. Seeds are scored first, so a raced seed
+scores below a complete one, and the best seed is never raced.
+
+No score outlives its cycle. A template that an earlier cycle scored or
+raced, a selected seed above all, is scored again from the reply cache with
+no backend call; only an extraction that failed there is asked again.
 """
 
 from __future__ import annotations
@@ -89,14 +89,6 @@ class OptimizerConfig:
         if self.decode.kind == "anchor_blend" and self.policy.strategy_mix.get("perturb", 0) > 0:
             raise ValidationError("strategy_mix gives perturb a weight, but anchor_blend decoding "
                                   "sends no latent point: use soft_prompt or toy_inverse")
-
-
-@dataclass
-class _RunState:
-    """Scores shared by all cycles of one run, and the number of cycles started."""
-
-    score_cache: dict[str, ScoredPrompt] = field(default_factory=dict)
-    iteration: int = 0
 
 
 @dataclass
@@ -178,17 +170,23 @@ def run_cycle(
     eval_cfg: EvalConfig,
     eval_set: Dataset,
     budget: Budget,
-    state: _RunState | None = None,
+    iteration: int = 1,
 ) -> IterationRecord:
     """Run one encode-explore-decode-score-select cycle and return its record.
 
-    The record's index is the cycle's number in ``state``, and its stamps
-    are the cycle's own start and finish. Budget exhaustion partway yields
-    a partial record flagged as such rather than an exception; a cycle in
-    which every candidate decoded invalid falls back to selecting among the
-    seeds, with a warning. Without ``state`` the cycle is number 1. Replies
-    are kept as :func:`lpo.evaluator.evaluate` keeps them: the budget stays
-    bound to ``eval_cfg.cache_path`` after the cycle.
+    ``iteration`` is the cycle's number in its run: the record's index, the
+    prefix of its candidate ids and the offset of its exploration seed. The
+    record's stamps are the cycle's own start and finish.
+
+    The cycle scores one pool in one :func:`lpo.evaluator.evaluate_batch`
+    racing for ``select_n`` places: the seeds when ``keep_seeds`` is set,
+    then the valid candidates; or, when every candidate decoded invalid, the
+    seeds alone, with a warning. Each text is scored once, under its first
+    template, and ``scored`` and ``raced`` hold the batch's results in pool
+    order. Budget exhaustion partway yields a partial record flagged as such
+    rather than an exception; after a cut in decoding no candidate is
+    scored. Replies are kept as :func:`lpo.evaluator.evaluate` keeps them:
+    the budget stays bound to ``eval_cfg.cache_path`` after the cycle.
     """
     if not seeds:
         raise ValidationError("run_cycle needs at least one seed template")
@@ -200,19 +198,16 @@ def run_cycle(
             f"select_n {cfg.select_n} exceeds candidates + seeds "
             f"({cfg.policy.candidate_count} + {len(seeds)})"
         )
-    if state is None:
-        state = _RunState()
     started = _now()
-    state.iteration += 1
     warnings: list[str] = []
     partial = False
 
     seed_vectors = encoder_mod.encode(cfg.encoder, seeds, budget)
     # a fresh stream per iteration, still fully determined by the policy seed
-    policy = replace(cfg.policy, rng_seed=cfg.policy.rng_seed + state.iteration - 1)
+    policy = replace(cfg.policy, rng_seed=cfg.policy.rng_seed + iteration - 1)
     candidates = explorer.generate_candidates(list(zip(ids, seed_vectors)), policy)
     for candidate in candidates:
-        candidate.id = f"it{state.iteration}-{candidate.id}"
+        candidate.id = f"it{iteration}-{candidate.id}"
 
     def decode_one(position: int) -> None:
         candidate = candidates[position]
@@ -246,61 +241,30 @@ def run_cycle(
         for skipped in candidates[cut:]:
             skipped.invalid_reason = f"not decoded: {exc}"
 
-    by_id: dict[str, ScoredPrompt] = {}  # a score-cache hit may carry another id
-    raced_by_id: dict[str, RacedPrompt] = {}
-
-    def score_all(templates: Sequence[PromptTemplate]) -> None:
-        """Score in order, from the score cache where it can, until the budget runs out.
-
-        The templates the cache misses go to one :func:`evaluate_batch`, each
-        text once, racing for the ``select_n`` places against the hits
-        before the first of them; a template is kept only if every one before
-        it was scored or raced. A hit after a miss may follow a budget cut,
-        so no template races against it.
-        """
-        nonlocal partial
-        fresh: dict[str, PromptTemplate] = {}
-        known: dict[str, ScoredPrompt] = {}
-        for template in templates:
-            hit = state.score_cache.get(template.text)
-            if hit is None:
-                fresh.setdefault(template.text, template)
-            elif not fresh:
-                known.setdefault(hit.template.id, hit)
-        results, exhausted = evaluator_mod.evaluate_batch(
-            list(fresh.values()), eval_set, eval_cfg, budget, cfg.select_n, list(known.values()))
-        raced = {}
-        for result in results:
-            if isinstance(result, ScoredPrompt):
-                state.score_cache[result.template.text] = result
-            else:  # replayed from the reply cache if it comes back
-                raced[result.template.text] = result
-        for template in templates:
-            result = state.score_cache.get(template.text) or raced.get(template.text)
-            if result is None:  # the template the budget ran out on
-                break
-            if isinstance(result, ScoredPrompt):
-                by_id.setdefault(result.template.id, result)
-            else:
-                raced_by_id.setdefault(result.template.id, result)
-        if exhausted is not None:
-            warnings.append(f"budget exhausted during evaluation: {exhausted}")
-            partial = True
-
     valid = [c.refined_template for c in candidates if c.refined_template is not None]
-    score_all((list(seeds) if cfg.keep_seeds else []) + ([] if partial else valid))
-    if not valid and not partial:
-        warnings.append("all candidates invalid; selecting among seeds")
-        logger.warning("all %d candidates decoded invalid", len(candidates))
-        if not cfg.keep_seeds:
-            score_all(seeds)
+    pool = list(seeds) if cfg.keep_seeds else []
+    if not partial:
+        if valid:
+            pool += valid
+        else:
+            warnings.append("all candidates invalid; selecting among seeds")
+            logger.warning("all %d candidates decoded invalid", len(candidates))
+            pool = list(seeds)
+    first: dict[str, PromptTemplate] = {}  # each text is scored once, under its first template
+    for template in pool:
+        first.setdefault(template.text, template)
+    results, exhausted = evaluator_mod.evaluate_batch(
+        list(first.values()), eval_set, eval_cfg, budget, cfg.select_n)
+    if exhausted is not None:
+        warnings.append(f"budget exhausted during evaluation: {exhausted}")
+        partial = True
 
-    scored = list(by_id.values())
+    scored = [r for r in results if isinstance(r, ScoredPrompt)]
     if not scored:
         warnings.append("nothing scored; returning empty selection")
     top = select_top(scored, cfg.select_n) if scored else []
     return IterationRecord(
-        index=state.iteration,
+        index=iteration,
         seeds=list(seeds),
         candidates=candidates,
         scored=scored,
@@ -309,7 +273,7 @@ def run_cycle(
         partial=partial,
         started_at=started,
         finished_at=_now(),
-        raced=list(raced_by_id.values()),
+        raced=[r for r in results if isinstance(r, RacedPrompt)],
     )
 
 
@@ -334,10 +298,9 @@ def iterate(
     best: float | None = None
     no_improve = 0
 
-    state = _RunState()
     for index in range(1, cfg.max_iterations + 1):
         try:
-            result = run_cycle(current, cfg, eval_cfg, eval_set, budget, state=state)
+            result = run_cycle(current, cfg, eval_cfg, eval_set, budget, iteration=index)
         except BudgetExhaustedError as exc:
             if not iterations:
                 raise

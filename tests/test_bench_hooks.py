@@ -43,4 +43,6 @@ def test_tracer_patches_a_run_and_restores_every_function():
     assert metrics["gateway.calls.embed"] >= 1
     assert metrics["gateway.calls.classify"] > 0
     assert metrics["evaluator.templates"] > 0
-    assert 0.0 < metrics["optimizer.score_cache_hit_share"] < 1.0
+    # each cycle scores each of its seeds and valid candidates once: on this
+    # run no text repeats within a cycle, so every score request is evaluated
+    assert metrics["optimizer.score_cache_hit_share"] == 0.0

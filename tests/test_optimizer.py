@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from lpo import evaluator, fixtures, prompts
 from lpo.cli import main
-from lpo.core import validate_template
+from lpo.core import text_digest, validate_template
 from lpo.encoder import encode
-from lpo.errors import BudgetExhaustedError, ValidationError
+from lpo.errors import BackendError, BudgetExhaustedError, ValidationError
 from lpo.evaluator import PerExample, ScoredPrompt
 from lpo.gateway import (MOCK_CHAT_BEHAVIORS, BackendConfig, Budget, ChatRequest, call_count,
                          chat, usage_report)
-from lpo.optimizer import _RunState, iterate, run_cycle, select_top
+from lpo.optimizer import iterate, run_cycle, select_top
 from lpo.records import read_run_record, run_record_to_lines, write_run_record
 
 
@@ -356,9 +356,9 @@ class TestIterate:
                             lambda cfg, req: asked.append(req.user_text) or task(cfg, req))
         p = build_toy_pipeline(rng_seed=5, max_iterations=2, patience=2)
         iterate(p.seeds, p.cfg, p.eval_cfg, p.eval_set, p.budget)
-        # templates selected into iteration 2 were already scored in iteration 1,
-        # and a raced template is replayed from the reply cache, so the task
-        # backend sees each classify request once
+        # templates selected into iteration 2 were already scored in iteration 1;
+        # they, and a raced template that comes back, are scored again from the
+        # reply cache, so the task backend sees each classify request once
         assert len(asked) == len(set(asked)) == call_count(p.task_backend)
         assert len(asked) <= 20 * (5 + 15 + 15)  # seeds + 2 rounds of candidates
 
@@ -544,7 +544,7 @@ def without_racing(monkeypatch) -> None:
     """Make run_cycle score every template on the whole slice."""
     batch = evaluator.evaluate_batch
     monkeypatch.setattr(evaluator, "evaluate_batch",
-                        lambda templates, eval_set, cfg, budget, keep=None, known=():
+                        lambda templates, eval_set, cfg, budget, keep=None:
                         batch(templates, eval_set, cfg, budget))
 
 
@@ -585,23 +585,22 @@ class TestRacing:
             assert racing.budget_calls <= full.budget_calls
         assert raced_total > 0
 
-    def test_a_cut_before_a_score_cache_hit_selects_as_without_racing(self, monkeypatch):
-        """The budget runs out before a template the score cache holds. That
-        hit is not kept, so no template kept may have been raced against it."""
+    def test_a_cut_selects_as_without_racing(self, monkeypatch):
+        """The budget runs out partway through scoring. Each template kept was
+        raced only against templates kept before it, so the cycle selects what
+        a cycle without racing selects among them."""
         kwargs = dict(rng_seed=1, keep_seeds=False, select_n=1, target=(0.0, 1.0))
         p = build_toy_pipeline(**kwargs)
         with monkeypatch.context() as patched:
             without_racing(patched)
             whole = run_cycle(p.seeds, p.cfg, p.eval_cfg, p.eval_set, p.budget)
-        hit = select_top(whole.scored, 1)[0]
         cuts = 0
         for max_calls in range(p.budget.calls // 4, p.budget.calls, 5):
             q = build_toy_pipeline(max_calls=max_calls, **kwargs)
-            state = _RunState(score_cache={hit.template.text: hit})
-            it = run_cycle(q.seeds, q.cfg, q.eval_cfg, q.eval_set, q.budget, state)
-            kept = {s.template.id for s in it.scored + it.raced}
-            if not it.partial or hit.template.id in kept:
+            it = run_cycle(q.seeds, q.cfg, q.eval_cfg, q.eval_set, q.budget)
+            if not it.partial:
                 continue
+            kept = {s.template.id for s in it.scored + it.raced}
             cuts += 1
             pool = [s for s in whole.scored if s.template.id in kept]
             expected = [s.template.id for s in select_top(pool, 1)] if pool else []
@@ -637,3 +636,114 @@ class TestRacing:
         assert [row.split()[5] for row in rows] == ["0"] * len(iterations)
         assert main(["report", str(fixtures.fixture_path("reference_run.jsonl"))]) == 0
         assert capsys.readouterr().out.splitlines()[6].split()[5] == "0"  # version 1
+
+
+def counting(reply_for, asked: list):
+    """Handler backend that logs each request's text in ``asked``."""
+    return BackendConfig(kind="mock", behavior="handler",
+                         params={"fn": lambda req: asked.append(req.user_text)
+                                 or reply_for(req.user_text)})
+
+
+class TestOnePoolPerCycle:
+    """Each cycle scores its own seeds and candidates in one batch; no score
+    outlives its cycle, and the reply cache makes that free."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(rng_seed=st.integers(0, 10**6),
+           points=st.lists(st.tuples(st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9)),
+                                     st.sampled_from((0.2, 0.5, 0.8))), min_size=1, max_size=3),
+           seed_replies=st.integers(0, 2), select_n=st.integers(2, 3))
+    def test_every_id_recorded_is_the_cycles_own(self, rng_seed, points, seed_replies, select_n):
+        """The decode backend answers from a small set of texts, some of them
+        the first seeds', so texts repeat within and across cycles. The seeds
+        compete, so each cycle selects the two seeds that blending needs."""
+        p = build_toy_pipeline(rng_seed=rng_seed, n_examples=8, candidate_count=4,
+                               select_n=select_n, max_iterations=3, patience=3,
+                               decode_kind="anchor_blend",
+                               seeds_xy=circle_points(count=3), target=(0.4, 0.6))
+        replies = [t.text for t in p.seeds[:seed_replies]] + [
+            f"tone={x!r};steps={y!r} {{text}}" for x, y in points]
+        chat = BackendConfig(kind="mock", behavior="handler", params={
+            "fn": lambda req: replies[sum(req.user_text.encode()) % len(replies)]})
+        cfg = replace(p.cfg, decode=replace(p.cfg.decode, chat=chat))
+        record = iterate(p.seeds, cfg, p.eval_cfg, p.eval_set, p.budget)
+        for it in record.iterations:
+            own = {t.id for t in it.seeds} | {
+                c.id for c in it.candidates if c.refined_template is not None}
+            results = it.scored + it.raced
+            assert {r.template.id for r in results} | set(it.selected_ids) <= own
+            texts = [r.template.text for r in results]
+            assert len(texts) == len(set(texts))
+
+    def test_a_later_cycle_calls_only_for_texts_new_to_it(self, monkeypatch):
+        """Cycle 2 re-scores its seeds from the reply cache: it makes the
+        classify and extract calls of the texts cycle 1 did not score, and no
+        other, and its seeds score what they scored in cycle 1."""
+        without_racing(monkeypatch)  # every text is scored in full, in both cycles
+        p = build_toy_pipeline(rng_seed=4, n_examples=10, candidate_count=6)
+        task = MOCK_CHAT_BEHAVIORS["toy_task"]
+
+        def task_reply(text):  # odd examples reply without a label: stage 2 labels them
+            label = task(p.task_backend, ChatRequest(user_text=text))
+            return label if int(text.rsplit("sample-", 1)[1]) % 2 == 0 else \
+                f"unsure {text_digest(text)}"
+
+        classified, extracted = [], []
+        eval_cfg = replace(p.eval_cfg, task_backend=counting(task_reply, classified),
+                           extraction_backend=counting(lambda text: "positive", extracted))
+        first = run_cycle(p.seeds, p.cfg, eval_cfg, p.eval_set, p.budget)
+        asked = len(classified), len(extracted)
+        second = run_cycle(first.selected, p.cfg, eval_cfg, p.eval_set, p.budget, iteration=2)
+        new = {s.template.text for s in second.scored} - {s.template.text for s in first.scored}
+        assert second.seeds and new and not first.raced and not second.raced
+        assert len(classified) - asked[0] == 10 * len(new)
+        assert len(extracted) - asked[1] == 5 * len(new)
+        before_by_id = {s.template.id: s for s in first.scored}
+        assert second.scored[:len(second.seeds)] == [before_by_id[t.id] for t in second.seeds]
+
+    def test_a_cut_in_the_seeds_scoring_keeps_the_all_invalid_warning(self):
+        """Under keep_seeds the fallback to the seeds is decided before
+        scoring, so its warning stands when the budget then cuts the seeds'
+        scoring short."""
+        p = build_toy_pipeline(rng_seed=2)
+        broken = BackendConfig(kind="mock", behavior="fixed", params={"reply": ""})
+        cfg = replace(p.cfg, decode=replace(p.cfg.decode, chat=broken))
+        whole = run_cycle(p.seeds, cfg, p.eval_cfg, p.eval_set, p.budget)
+        q = build_toy_pipeline(rng_seed=2, max_calls=p.budget.calls - 50)
+        cut = run_cycle(q.seeds, cfg, q.eval_cfg, q.eval_set, q.budget)
+        assert whole.warnings == ["all candidates invalid; selecting among seeds"]
+        assert cut.partial and cut.warnings[0] == whole.warnings[0]
+        assert [w.split(":")[0] for w in cut.warnings[1:]] == [
+            "budget exhausted during evaluation"]
+        assert is_prefix(scores(cut), scores(whole)) and len(cut.scored) < len(p.seeds)
+
+    def test_a_failed_extraction_is_asked_again_in_the_next_cycle(self):
+        """A seed's stage-2 extraction that failed counts as unparsed in its
+        cycle; the next cycle scores the seed again and asks again."""
+        p = build_toy_pipeline(rng_seed=1, n_examples=4, candidate_count=4, select_n=2)
+        task = MOCK_CHAT_BEHAVIORS["toy_task"]
+
+        def task_reply(text):  # example 1 (label positive) needs stage 2
+            label = task(p.task_backend, ChatRequest(user_text=text))
+            return f"unsure {text_digest(text)}" if "sample-01" in text else label
+
+        extracted = []
+
+        def extract_reply(text):  # each extraction fails the first time it is asked
+            if extracted.count(text) == 1:
+                raise BackendError("extraction backend down")
+            return "positive"
+
+        eval_cfg = replace(p.eval_cfg, task_backend=counting(task_reply, []),
+                           extraction_backend=counting(extract_reply, extracted))
+        first = run_cycle(p.seeds, p.cfg, eval_cfg, p.eval_set, p.budget)
+        second = run_cycle(first.selected, p.cfg, eval_cfg, p.eval_set, p.budget, iteration=2)
+        before = {s.template.id: s for s in first.scored}
+        again = {s.template.id: s for s in second.scored}
+        assert second.seeds
+        for seed in second.seeds:
+            assert before[seed.id].per_example[0].extracted_label == "unparsed"
+            assert again[seed.id].per_example[0].extracted_label == "positive"
+            assert again[seed.id].n_correct == before[seed.id].n_correct + 1
+        assert len(extracted) == len(set(extracted)) + len(second.seeds)
