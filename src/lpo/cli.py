@@ -24,7 +24,7 @@ from .config import DEFAULT_CONFIG_TEXT, AppConfig, load_app_config, load_seed_t
 from .core import Dataset, load_dataset, split_dataset, write_atomic
 from .errors import BackendError, BudgetExhaustedError, LPOError, ValidationError
 from .explorer import generate_candidates
-from .optimizer import iterate
+from .optimizer import cycle_plan, iterate
 from .projector import fit_ridge, load_paired_corpus, residual, save_weights
 from .records import candidate_to_dict, read_run_record, write_run_record
 
@@ -66,21 +66,18 @@ def cmd_optimize(config_path: str, seeds_path: str, out_dir: str | None = None,
     out = app.out_dir
     validation = _validation_split(app)
     policy = app.optimizer.policy
-    slice_size = min(len(validation), app.max_examples)
-    pool = policy.candidate_count + (len(seeds) if app.optimizer.keep_seeds else 0)
 
     if dry_run:
+        examples = validation.examples[:app.max_examples]
+        plan = cycle_plan(policy.candidate_count, len(seeds), app.optimizer.keep_seeds,
+                          len({ex.text for ex in examples}))
         print("dry run: zero backend calls")
         print(f"seeds: {len(seeds)}  candidates/iteration: {policy.candidate_count}  "
               f"iterations: <={app.optimizer.max_iterations}")
-        print(f"evaluation slice: {slice_size} examples")
+        print(f"evaluation slice: {len(examples)} examples")
         print("planned calls per iteration:")
-        print("  embed:       <= 1")
-        print(f"  decode:      <= {policy.candidate_count}")
-        print(f"  refinement:  <= {policy.candidate_count}")
-        print(f"  task:        <= {slice_size * pool}")
-        print(f"  extraction:  <= {slice_size * pool}")
-        print(f"  total:       <= {1 + 2 * policy.candidate_count + 2 * slice_size * pool}")
+        for stage, calls in {**plan, "total": sum(plan.values())}.items():
+            print(f"  {stage + ':':<12} <= {calls}")
         return 0
 
     out.mkdir(parents=True, exist_ok=True)

@@ -66,7 +66,6 @@ lock; there racing saves the calls it skips.
 
 from __future__ import annotations
 
-import heapq
 import json
 import logging
 import math
@@ -274,24 +273,37 @@ def extract_label(raw: str, label_set: Sequence[str], cfg: EvalConfig,
     return _whole_word_match(normalized, label_set) or UNPARSED
 
 
-def _width(backend: BackendConfig) -> int:
-    return backend.max_in_flight if gateway.blocks(backend) else 1
+def call_plan(candidates: int = 0, pairs: int = 0) -> dict[str, int]:
+    """The most backend calls each stage can make: a decode and a refine per
+    candidate, and a classify and an extract per (template, distinct example
+    text) pair, since each classify reply and each extraction is cached."""
+    return {"decode": candidates, "refine": candidates, "classify": pairs, "extract": pairs}
 
 
-def _fan_out(count: int, work: Callable[[int], None], width: Callable[[int], int]) -> None:
+def _fan_width(backend: BackendConfig | None, budget: Budget, calls: int) -> int:
+    """The fan-out rule: threads for work that can make ``calls`` more calls
+    on ``backend``, its ``max_in_flight`` once it blocks and the calls left
+    cover them all, else 1."""
+    if backend is not None and gateway.blocks(backend) and budget.calls_left() >= calls:
+        return backend.max_in_flight
+    return 1
+
+
+def _fan_out(count: int, work: Callable[[int], None], backend: BackendConfig | None,
+             budget: Budget, step_calls: int) -> None:
     """Run ``work`` on each index below ``count``, in order.
 
-    Before each index, ``width(indices left)`` says how many threads the
-    indices left may use. While it is 1 they run in the calling thread, and
-    the first failure is raised at once. Once it is more, a
-    ``ThreadPoolExecutor`` of up to that many threads takes the indices left
-    in order; after a failure no index starts, one already started runs to
-    its end, and once every thread has stopped the lowest index's failure is
-    raised. This is the package's one thread pool; the optimizer's decode
-    stage uses it too.
+    Before each index, the fan-out rule (:func:`_fan_width`) says how many
+    threads the indices left may use, each making at most ``step_calls``
+    calls on ``backend`` (:func:`call_plan`). While it is 1 they run in the calling thread, and the first failure is
+    raised at once. Once it is more, a ``ThreadPoolExecutor`` of up to that
+    many threads takes the indices left in order; after a failure no index
+    starts, one already started runs to its end, and once every thread has
+    stopped the lowest index's failure is raised. This is the package's one
+    thread pool; the optimizer's decode stage uses it too.
     """
     for start in range(count):
-        threads = min(width(count - start), count - start)
+        threads = min(_fan_width(backend, budget, step_calls * (count - start)), count - start)
         if threads > 1:
             break
         work(start)
@@ -376,26 +388,6 @@ def _slice(eval_set: Dataset, cfg: EvalConfig) -> _Slice:
                   label_set=tuple(eval_set.label_set))
 
 
-class _Top:
-    """The best ``keep`` complete scores so far, kept as a min-heap."""
-
-    def __init__(self, keep: int | None):
-        self.keep, self.heap = keep, []
-
-    def add(self, score: int) -> None:
-        if self.keep is None:
-            return
-        if len(self.heap) < self.keep:
-            heapq.heappush(self.heap, score)
-        elif score > self.heap[0]:
-            heapq.heapreplace(self.heap, score)
-
-    @property
-    def floor(self) -> int | None:
-        """The ``keep``-th best score, or None while there are fewer."""
-        return self.heap[0] if len(self.heap) == self.keep else None
-
-
 def _prefetch(templates: Sequence[PromptTemplate], view: _Slice, cfg: EvalConfig,
               budget: Budget) -> bool:
     """Make ahead, on up to ``max_in_flight`` threads per backend, the calls
@@ -403,21 +395,26 @@ def _prefetch(templates: Sequence[PromptTemplate], view: _Slice, cfg: EvalConfig
     :func:`evaluate` finds their replies in ``budget.replies``; False if the
     terms below do not hold.
 
-    It runs only while the task or extraction backend blocks and the calls
-    left cover the worst case, two per (template, distinct text). First every
-    classify call that misses the cache, one per (template, text), appending
-    to the cache file as each template's calls end; then one extraction per
-    distinct reply that stage 1 of :func:`extract_label` cannot label, and
-    one more append. A prefetch that finds every classify reply cached makes
-    no call. A cut by the budget ends it quietly: :func:`evaluate` meets the
-    first missing reply and stops where a serial run stops. A classify call
-    that fails otherwise stops it too, and is kept in ``view.failed``,
-    neither raised here nor asked again, for :func:`evaluate` to raise if it
-    reaches that example: a racing template may never reach it.
+    It runs only while the task or extraction backend blocks (asked before
+    the texts are counted) and the fan-out rule admits :func:`call_plan` of
+    every (template, distinct text). First every classify call that misses
+    the cache, appending to the cache file as each template's calls end; then
+    one extraction per distinct reply that stage 1 of :func:`extract_label`
+    cannot label, and one more append. The calls left at entry cover each
+    pool's own plan, so each widens once its backend blocks. A prefetch that
+    finds every classify reply cached makes no call. A cut by the budget
+    ends it quietly: :func:`evaluate` meets the first missing reply and
+    stops where a serial run stops. A classify call that fails otherwise
+    stops it too, and is kept in ``view.failed``, neither raised here nor
+    asked again, for :func:`evaluate` to raise if it reaches that example: a
+    racing template may never reach it.
     """
     examples, label_set = view.examples, view.label_set
-    if (max(_width(cfg.task_backend), _width(cfg.extraction_backend)) == 1
-            or budget.calls_left() < 2 * len(templates) * len({ex.text for ex in examples})):
+    backends = (cfg.task_backend, cfg.extraction_backend)
+    if not any(map(gateway.blocks, backends)):
+        return False
+    worst = sum(call_plan(pairs=len(templates) * len({ex.text for ex in examples})).values())
+    if max(_fan_width(b, budget, worst) for b in backends) == 1:
         return False
     replies, failed = budget.replies, view.failed
     pairs: dict[str, tuple[int, Example]] = {}  # classify key -> its first (template, example)
@@ -452,7 +449,8 @@ def _prefetch(templates: Sequence[PromptTemplate], view: _Slice, cfg: EvalConfig
             replies.flush()
 
     try:
-        _fan_out(len(missing), classify, lambda left: _width(cfg.task_backend))
+        _fan_out(len(missing), classify, cfg.task_backend, budget,
+                 sum(call_plan(pairs=1).values()))
         if stopped.is_set():
             return True
         extract_keys = _extract_keys(view.backend_id(cfg.extraction_backend), label_set)
@@ -461,7 +459,7 @@ def _prefetch(templates: Sequence[PromptTemplate], view: _Slice, cfg: EvalConfig
                       and replies.get(extract_keys(raw)) is None]
         _fan_out(len(unlabelled),
                  lambda k: extract_label(unlabelled[k], label_set, cfg, budget, keys=extract_keys),
-                 lambda left: _width(cfg.extraction_backend))
+                 cfg.extraction_backend, budget, call_plan(pairs=1)["extract"])
     except BudgetExhaustedError:
         pass  # evaluate meets the cut where a serial run would
     finally:  # also a prefetch cut short, by the budget or a failure, keeps its replies
@@ -572,16 +570,17 @@ def evaluate_batch(templates: Sequence[PromptTemplate], eval_set: Dataset, cfg: 
     view = _slice(eval_set, cfg)
     if cfg.cache_path is not None:
         budget.bind_replies(cfg.cache_path)
-    top = _Top(keep)
+    complete: list[int] = []  # the complete templates' n_correct, best first
     results: list[ScoredPrompt | RacedPrompt] = []
     prefetched = False
     for start, template in enumerate(templates):
         prefetched = prefetched or _prefetch(templates[start:], view, cfg, budget)
+        floor = complete[keep - 1] if keep is not None and len(complete) >= keep else None
         try:
-            result = evaluate(template, view, cfg, budget, top.floor)
+            result = evaluate(template, view, cfg, budget, floor)
         except BudgetExhaustedError as exc:
             return results, exc
         results.append(result)
         if isinstance(result, ScoredPrompt):
-            top.add(result.n_correct)
+            complete = sorted([*complete, result.n_correct], reverse=True)
     return results, None

@@ -19,6 +19,7 @@ from .core import PromptTemplate, as_vector
 from .errors import ValidationError
 
 STRATEGIES = ("interpolate", "extrapolate", "perturb")
+PAIRWISE = ("extrapolate", "interpolate")  # the strategies that draw two parents
 
 # candidates closer than this (L-inf) to an earlier one are regenerated once
 DUPLICATE_TOLERANCE = 1e-12
@@ -175,6 +176,12 @@ def _sample_outside_unit(rng: np.random.Generator,
     raise ValidationError("could not sample an extrapolation weight outside [0, 1]")
 
 
+def seeds_needed(policy: ExplorationPolicy) -> int:
+    """The seeds a cycle under ``policy`` needs: two once a strategy that
+    draws two parents has weight, else one."""
+    return 2 if any(policy.strategy_mix.get(s, 0.0) > 0 for s in PAIRWISE) else 1
+
+
 def generate_candidates(
     seeds: Sequence[tuple[str, np.ndarray]],
     policy: ExplorationPolicy,
@@ -207,9 +214,9 @@ def generate_candidates(
     names = [s for s in STRATEGIES if policy.strategy_mix.get(s, 0.0) > 0]
     weights = np.array([policy.strategy_mix[s] for s in names], dtype=float)
     probs = weights / weights.sum()
-    pairwise = {"interpolate", "extrapolate"} & set(names)
-    if pairwise and len(seeds) < 2:
-        raise ValidationError(f"{sorted(pairwise)} requested with a single seed")
+    if len(seeds) < seeds_needed(policy):
+        pairwise = [s for s in PAIRWISE if s in names]
+        raise ValidationError(f"{pairwise} requested with a single seed")
 
     sigma = policy.sigma
     if sigma is None:

@@ -7,18 +7,17 @@ templates back in as the next round's seeds, coarse to fine; with seeds
 competing, the incumbent best is never lost, so the per-iteration best score
 is nondecreasing.
 
-Each stage of a cycle fans out where its backend waits rather than computes
-(:func:`lpo.gateway.blocks`). Before each candidate, the decode stage asks
-whether the decode chat backend blocks and the calls left cover two per
-candidate left; if so, the remaining candidates' decode -> refine chains run
-on up to its ``max_in_flight`` threads. The scoring stage hands the cycle's
+Each stage of a cycle fans out by one rule (:func:`lpo.evaluator._fan_out`):
+on up to its backend's ``max_in_flight`` threads once that backend waits
+rather than computes (:func:`lpo.gateway.blocks`) and the calls left cover
+the stage's worst case (:func:`cycle_plan`) for its steps left, a candidate's
+decode -> refine chain or a (template, text) pair. Scoring hands the cycle's
 pool -- the seeds when they compete, then the valid candidates -- each text
 once, to one :func:`lpo.evaluator.evaluate_batch`, which makes their calls
-ahead as one batch on the same terms and then scores each template serially
-from the reply cache. Backends that compute, like the in-process mocks,
-start no thread. A stage cut short by the budget keeps, in order, the
-candidates and templates whose calls all finished, so a partial record reads
-like a serial run's.
+ahead as one batch and then scores each template serially from the cache.
+Backends that compute, like the in-process mocks, start no thread. A stage
+cut short by the budget keeps, in order, the candidates and templates whose
+calls all finished, so a partial record reads like a serial run's.
 
 Scoring races for the ``select_n`` places: a template stops, at one of the
 evaluator's fixed checkpoints (every ``RACE_EVERY`` examples), once it can
@@ -48,7 +47,7 @@ import numpy as np
 from . import decoder as decoder_mod
 from . import encoder as encoder_mod
 from . import evaluator as evaluator_mod
-from . import explorer, gateway
+from . import explorer
 from .core import Dataset, PromptTemplate
 from .decoder import DecodeStrategy
 from .encoder import EncoderSpec
@@ -164,6 +163,16 @@ def select_top(scored: Sequence[ScoredPrompt], n: int) -> list[ScoredPrompt]:
     return [scored[i] for i in order[: min(n, len(scored))]]
 
 
+def cycle_plan(candidates: int, seeds: int, keep_seeds: bool, texts: int) -> dict[str, int]:
+    """The most backend calls each stage of one cycle can make: one embed,
+    then :func:`lpo.evaluator.call_plan` over the candidates and the pool it
+    scores on ``texts`` distinct example texts. The pool is the candidates
+    and the seeds under ``keep_seeds``, else the larger of the two, as the
+    seeds replace a pool of candidates that all decoded invalid."""
+    pool = candidates + seeds if keep_seeds else max(candidates, seeds)
+    return {"embed": 1, **evaluator_mod.call_plan(candidates, pool * texts)}
+
+
 def run_cycle(
     seeds: Sequence[PromptTemplate],
     cfg: OptimizerConfig,
@@ -219,17 +228,9 @@ def run_cycle(
         except CandidateInvalidError as exc:
             candidate.invalid_reason = str(exc)
 
-    chat = cfg.decode.chat
-
-    def width(left: int) -> int:
-        """Threads for the candidates left: one until the chat backend blocks
-        and the calls left cover two per candidate."""
-        if chat is not None and gateway.blocks(chat) and budget.calls_left() >= 2 * left:
-            return chat.max_in_flight
-        return 1
-
     try:
-        evaluator_mod._fan_out(len(candidates), decode_one, width)
+        evaluator_mod._fan_out(len(candidates), decode_one, cfg.decode.chat, budget,
+                               sum(evaluator_mod.call_plan(candidates=1).values()))
     except BudgetExhaustedError as exc:
         warnings.append(f"budget exhausted during decoding: {exc}")
         partial = True
@@ -288,8 +289,11 @@ def iterate(
     """Repeat run_cycle, feeding selections back in as seeds, and record all.
 
     Stops early once ``patience`` consecutive iterations bring no improvement
-    of the best score, or when the budget runs dry (partial results are kept
-    and flagged).
+    of the best score, when the budget runs dry (partial results are kept
+    and flagged), or when a cycle selects fewer templates than the next
+    cycle's strategy mix needs as seeds (:func:`lpo.explorer.seeds_needed`).
+    Too few seeds for the first cycle raise ``ValidationError`` before any
+    backend call.
     """
     started = _now()
     run_warnings: list[str] = []
@@ -297,8 +301,15 @@ def iterate(
     current = list(seeds)
     best: float | None = None
     no_improve = 0
+    needed = explorer.seeds_needed(cfg.policy)
 
     for index in range(1, cfg.max_iterations + 1):
+        if len(current) < needed:
+            short = f"{len(current)} seed(s), but the strategy mix needs {needed}"
+            if not iterations:
+                raise ValidationError(short)
+            run_warnings.append(f"stopped before iteration {index}: {short}")
+            break
         try:
             result = run_cycle(current, cfg, eval_cfg, eval_set, budget, iteration=index)
         except BudgetExhaustedError as exc:

@@ -15,6 +15,7 @@ from lpo import core, fixtures
 from lpo.cli import main
 from lpo.config import AppConfig, load_app_config
 from lpo.gateway import Budget
+from lpo.optimizer import cycle_plan
 from lpo.projector import LinearProjector, save_weights
 from lpo.records import read_run_record
 
@@ -146,6 +147,53 @@ class TestOptimize:
         header = json.loads(record[0])
         assert header["iterations"] == 3
         assert 0 < header["budget"]["calls"] <= total * header["iterations"]
+
+    @pytest.mark.parametrize("keep_seeds", [True, False])
+    @pytest.mark.parametrize("reply", [None, "garbage"], ids=["valid", "never_valid"])
+    def test_dry_run_prints_the_cycle_plan_and_bounds_the_run(self, toy_workspace, capsys,
+                                                              keep_seeds, reply):
+        """Replies that never validate make the cycle score the seeds in the
+        candidates' place, which the plan counts."""
+        chat = {"kind": "mock", "behavior": "toy_chat", "params": {"parameters": ["tone", "steps"]}}
+        if reply is not None:
+            chat = {"kind": "mock", "behavior": "fixed", "params": {"reply": reply}}
+        edits = ["optimizer.keep_seeds", keep_seeds, "policy.candidate_count", 2,
+                 "decode.kind", "anchor_blend", "decode.chat_backend", chat]
+        args = ["optimize", "--config", edited_config(toy_workspace, *edits),
+                "--seeds", toy_workspace / "seeds.jsonl"]
+        assert run(args + ["--dry-run"]) == 0
+        printed = re.findall(r"^  (\w+): +<= (\d+)$", capsys.readouterr().out, re.MULTILINE)
+        plan = cycle_plan(2, 5, keep_seeds, 10)  # 5 seeds, 10 distinct example texts
+        assert printed == [(stage, str(calls))
+                           for stage, calls in {**plan, "total": sum(plan.values())}.items()]
+        assert run(args) == 0
+        header, _ = read_run_record(toy_workspace / "out" / "run_record.jsonl")
+        assert 0 < header["budget"]["calls"] <= sum(plan.values())
+
+    @pytest.mark.parametrize("edits", [
+        ["optimizer.select_n", 1],
+        ["optimizer.keep_seeds", False, "decode.kind", "anchor_blend", "decode.chat_backend",
+         {"kind": "mock", "behavior": "fixed", "params": {"reply": "tone=0.5;steps=0.5 {text}"}}],
+    ], ids=["select_one", "candidates_of_one_text"])
+    def test_a_selection_too_small_to_seed_the_next_cycle_stops_the_run(
+            self, toy_workspace, capsys, edits):
+        config = edited_config(toy_workspace, "optimizer.max_iterations", 2,
+                               "optimizer.patience", 2, *edits)
+        assert run(["optimize", "--config", config,
+                    "--seeds", toy_workspace / "seeds.jsonl"]) == 0
+        header, iterations = read_run_record(toy_workspace / "out" / "run_record.jsonl")
+        assert len(iterations) == 1 and len(iterations[0]["selected"]) == 1
+        assert header["warnings"][-1] == ("stopped before iteration 2: "
+                                          "1 seed(s), but the strategy mix needs 2")
+
+    def test_one_seed_for_a_blending_mix_exits_2_before_any_call(self, toy_workspace, capsys,
+                                                                 monkeypatch):
+        forbid_backends(monkeypatch)
+        seeds = toy_workspace / "one.jsonl"
+        seeds.write_text((toy_workspace / "seeds.jsonl").read_text().splitlines()[0] + "\n")
+        code = run(["optimize", "--config", toy_workspace / "config.yaml", "--seeds", seeds])
+        assert code == 2
+        assert "error: 1 seed(s), but the strategy mix needs 2" in capsys.readouterr().err
 
     def test_budget_exhaustion_exit_3(self, toy_workspace, capsys):
         config_text = (toy_workspace / "config.yaml").read_text()

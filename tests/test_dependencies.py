@@ -95,9 +95,8 @@ def test_one_file_holds_the_thread_pool():
     assert found == {"evaluator.py"}
 
 
-def test_only_evaluate_builds_scored_prompts():
-    """Every score comes from the one serial loop in ``evaluator.evaluate``:
-    no other function of the package constructs a ``ScoredPrompt``."""
+def callers(name: str) -> set[str]:
+    """The package's functions, as ``module.function``, that call ``name``."""
     found = set()
 
     class Finder(ast.NodeVisitor):
@@ -112,11 +111,23 @@ def test_only_evaluate_builds_scored_prompts():
         visit_AsyncFunctionDef = visit_FunctionDef
 
         def visit_Call(self, node) -> None:
-            if "ScoredPrompt" in {getattr(node.func, "id", None),
-                                  getattr(node.func, "attr", None)}:
+            if name in {getattr(node.func, "id", None), getattr(node.func, "attr", None)}:
                 found.add(".".join(self.scope))
             self.generic_visit(node)
 
     for path in (ROOT / "src" / "lpo").rglob("*.py"):
         Finder(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
-    assert found == {"evaluator.evaluate"}
+    return found
+
+
+def test_only_evaluate_builds_scored_prompts():
+    """Every score comes from the one serial loop in ``evaluator.evaluate``:
+    no other function of the package constructs a ``ScoredPrompt``."""
+    assert callers("ScoredPrompt") == {"evaluator.evaluate"}
+
+
+def test_only_the_fan_out_rule_reads_the_calls_left():
+    """A stage fans out by the one rule, ``evaluator._fan_width``, given a
+    worst case from ``evaluator.call_plan``: no stage asks the budget for
+    the calls left and weighs them by a formula of its own."""
+    assert callers("calls_left") == {"evaluator._fan_width"}

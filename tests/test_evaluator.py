@@ -703,6 +703,35 @@ class TestEvaluateBatch:
             assert [hashed.count(t.text) for t in BATCH] == [1, 1, 1]
             assert b.calls == 3 * 5 + 3  # every (template, text), then each distinct reply
 
+    @pytest.mark.parametrize("spare, admitted", [(0, True), (-1, False)])
+    def test_the_batch_is_made_ahead_once_the_calls_left_cover_the_plan(
+            self, monkeypatch, spare, admitted):
+        """Every task reply is new and needs an extraction, so the batch makes
+        the two calls per pair that its plan allows. Once admitted, its
+        classify pool and then its extract pool start wide at once."""
+        prefetch, asked = evaluator._prefetch, []
+
+        def spy(templates, *args):
+            asked.append((len(templates), prefetch(templates, *args)))
+            return asked[-1][1]
+
+        monkeypatch.setattr(evaluator, "_prefetch", spy)
+        threads = []
+        task, extraction = (
+            BackendConfig(kind="mock", behavior="handler", max_in_flight=4,
+                          params={"fn": sleeping(reply, threads=threads)})
+            for reply in (lambda prompt: f"unsure {text_digest(prompt)}", lambda _: "positive"))
+        for backend in (task, extraction):
+            chat(backend, ChatRequest(user_text="warm-up"), budget())
+        threads.clear()
+        ds = dataset([(f"ex{i}", LABELS[i % 3]) for i in range(8)] + [("ex0", "neutral")])
+        worst = sum(evaluator.call_plan(pairs=3 * 8).values())  # 8 distinct texts
+        b = budget(max_calls=worst + spare)
+        evaluator.evaluate_batch(BATCH, ds, config(task, extraction), b)
+        assert asked[0] == (3, admitted)
+        if admitted:
+            assert b.calls == worst and "MainThread" not in threads
+
     def test_file_grows_as_each_template_ends_its_classify_calls(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         ds = dataset([(f"ex{i}", "positive") for i in range(6)])

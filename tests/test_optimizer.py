@@ -18,7 +18,7 @@ from lpo.errors import BackendError, BudgetExhaustedError, ValidationError
 from lpo.evaluator import PerExample, ScoredPrompt
 from lpo.gateway import (MOCK_CHAT_BEHAVIORS, BackendConfig, Budget, ChatRequest, call_count,
                          chat, usage_report)
-from lpo.optimizer import iterate, run_cycle, select_top
+from lpo.optimizer import cycle_plan, iterate, run_cycle, select_top
 from lpo.records import read_run_record, run_record_to_lines, write_run_record
 
 
@@ -747,3 +747,58 @@ class TestOnePoolPerCycle:
             assert again[seed.id].per_example[0].extracted_label == "positive"
             assert again[seed.id].n_correct == before[seed.id].n_correct + 1
         assert len(extracted) == len(set(extracted)) + len(second.seeds)
+
+
+class TestCallPlan:
+    """``cycle_plan`` bounds each cycle's calls, and a stage fans out exactly
+    when the calls left cover its worst case."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(rng_seed=st.integers(0, 10**6), keep_seeds=st.booleans(),
+           candidates=st.integers(1, 6), seeds=st.integers(2, 6), valid=st.booleans(),
+           iterations=st.integers(1, 3))
+    def test_the_plan_bounds_each_cycle(self, rng_seed, keep_seeds, candidates, seeds, valid,
+                                        iterations):
+        """Blends that validate once refined, or replies that never validate,
+        so that the seeds are scored in the candidates' place; the cycles
+        share one budget. Every task reply is new and needs an extraction,
+        so each pair scored makes both the calls the plan allows it."""
+        p = build_toy_pipeline(rng_seed=rng_seed, n_examples=6, candidate_count=candidates,
+                               select_n=2, keep_seeds=keep_seeds, decode_kind="anchor_blend",
+                               seeds_xy=circle_points(count=seeds))
+        garbage = BackendConfig(kind="mock", behavior="fixed", params={"reply": "garbage"})
+        cfg = p.cfg if valid else replace(p.cfg, decode=replace(p.cfg.decode, chat=garbage))
+        eval_cfg = replace(
+            p.eval_cfg,
+            task_backend=BackendConfig(kind="mock", behavior="handler", params={
+                "fn": lambda req: f"unsure {text_digest(req.user_text)}"}),
+            extraction_backend=BackendConfig(kind="mock", behavior="fixed",
+                                             params={"reply": "positive"}))
+        current = p.seeds
+        for index in range(1, iterations + 1):
+            if len(current) < 2:  # too few to blend; iterate stops here
+                break
+            plan = cycle_plan(candidates, len(current), keep_seeds, len(p.eval_set))
+            before = p.budget.calls
+            result = run_cycle(current, cfg, eval_cfg, p.eval_set, p.budget, iteration=index)
+            assert not result.partial
+            assert p.budget.calls - before <= sum(plan.values())
+            current = result.selected
+
+    @pytest.mark.parametrize("spare, wide", [(0, True), (-1, False)])
+    def test_decoding_fans_out_once_the_calls_left_cover_the_plan(self, spare, wide):
+        p = build_toy_pipeline(rng_seed=0, n_examples=4, candidate_count=4,
+                               decode_kind="anchor_blend")
+        threads = []
+        backend = BackendConfig(kind="mock", behavior="handler", max_in_flight=4, params={
+            "fn": sleeping(lambda text: MOCK_CHAT_BEHAVIORS["toy_chat"](
+                p.chat_backend, ChatRequest(user_text=text)), threads=threads)})
+        chat(backend, ChatRequest(user_text=prompts.refine_instruction("x", ["{text}"])),
+             Budget())  # seen to block from the start
+        threads.clear()
+        cfg = replace(p.cfg, decode=replace(p.cfg.decode, chat=backend))
+        worst = sum(evaluator.call_plan(candidates=4).values())
+        budget = Budget(max_calls=1 + worst + spare)  # the embed call, then the decode stage
+        run_cycle(p.seeds, cfg, p.eval_cfg, p.eval_set, budget)
+        assert len(threads) == worst + min(spare, 0)
+        assert {name == "MainThread" for name in threads} == {not wide}
