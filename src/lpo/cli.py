@@ -23,7 +23,7 @@ from . import fixtures
 from .config import DEFAULT_CONFIG_TEXT, AppConfig, load_app_config, load_seed_templates
 from .core import Dataset, load_dataset, split_dataset, write_atomic
 from .errors import BackendError, BudgetExhaustedError, LPOError, ValidationError
-from .explorer import generate_candidates
+from .explorer import generate_candidates, seed_shortfall
 from .optimizer import cycle_plan, iterate
 from .projector import fit_ridge, load_paired_corpus, residual, save_weights
 from .records import candidate_to_dict, read_run_record, write_run_record
@@ -46,6 +46,16 @@ def _load_config_and_seeds(config_path: str, seeds_path: str, out_dir: str | Non
     return app, seeds, problems
 
 
+def _load_config_and_search_seeds(config_path: str, seeds_path: str, out_dir: str | None):
+    """As :func:`_load_config_and_seeds`, with a seed file too short for the
+    strategy mix as one more problem, so a search stops before any call."""
+    app, seeds, problems = _load_config_and_seeds(config_path, seeds_path, out_dir)
+    short = None if problems else seed_shortfall(len(seeds), app.optimizer.policy)
+    if short is not None:
+        problems.append(f"seeds: {short}")
+    return app, seeds, problems
+
+
 def _validation_split(app: AppConfig) -> Dataset:
     train = load_dataset(app.train_path, labels=app.labels)
     validation, _ = split_dataset(train, app.split)
@@ -60,7 +70,7 @@ def _pct(value) -> str:
 
 def cmd_optimize(config_path: str, seeds_path: str, out_dir: str | None = None,
                  dry_run: bool = False) -> int:
-    app, seeds, problems = _load_config_and_seeds(config_path, seeds_path, out_dir)
+    app, seeds, problems = _load_config_and_search_seeds(config_path, seeds_path, out_dir)
     if problems:
         return _fail(problems, "optimize")
     out = app.out_dir
@@ -132,7 +142,7 @@ def cmd_evaluate(config_path: str, prompts_path: str, split: str,
 
 def cmd_explore(config_path: str, seeds_path: str, count: int | None = None,
                 out_path: str | None = None, out_dir: str | None = None) -> int:
-    app, seeds, problems = _load_config_and_seeds(config_path, seeds_path, out_dir)
+    app, seeds, problems = _load_config_and_search_seeds(config_path, seeds_path, out_dir)
     if problems:
         return _fail(problems, "explore")
     policy = app.optimizer.policy

@@ -43,7 +43,7 @@ encoder:
   dimension: 8                # latent dimension d the backend must return
   backend:
     kind: mock                # mock | remote_embed
-    behavior: hash            # mock only: hash | toy | map
+    behavior: hash            # mock only: hash | toy
     params: {dimension: 8}
     # kind: remote_embed      # remote backends need endpoint + model_name;
     # endpoint: https://api.example.com/v1/embeddings

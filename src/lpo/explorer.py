@@ -182,6 +182,12 @@ def seeds_needed(policy: ExplorationPolicy) -> int:
     return 2 if any(policy.strategy_mix.get(s, 0.0) > 0 for s in PAIRWISE) else 1
 
 
+def seed_shortfall(count: int, policy: ExplorationPolicy) -> str | None:
+    """Why ``count`` seeds are too few for a cycle under ``policy``, or None."""
+    needed = seeds_needed(policy)
+    return f"{count} seed(s), but the strategy mix needs {needed}" if count < needed else None
+
+
 def generate_candidates(
     seeds: Sequence[tuple[str, np.ndarray]],
     policy: ExplorationPolicy,

@@ -17,7 +17,7 @@ in one section under the backend's lock. :func:`chat` and :func:`embed` add
 only their own checks of the request and the reply.
 
 A :class:`BackendConfig` is frozen; each one builds its own private run
-state (lock, in-flight cap, counters, mock scratch). There the gateway notes
+state (lock, in-flight cap, call and attempt counters). There the gateway notes
 whether a backend's attempts mostly wait (on a network, say) rather than
 compute. :func:`blocks` reports it, and the evaluator fans a template's calls
 out to ``max_in_flight`` threads only for a backend that blocks.
@@ -298,7 +298,7 @@ def usage_report(budget: Budget) -> tuple[int, int]:
 
 
 class _Runtime:
-    """One backend's run state: lock, in-flight cap, counters, mock scratch."""
+    """One backend's run state: lock, in-flight cap, counters, blocking tally."""
 
     def __init__(self, max_in_flight: int):
         self.lock, self.in_flight = threading.Lock(), queue.SimpleQueue()
@@ -306,7 +306,6 @@ class _Runtime:
             self.in_flight.put(None)
         self.calls = self.attempts = 0
         self.tally = 0  # +1 per attempt that waited longer than it computed, -1 per other
-        self.scratch: dict = {}  # a mock's own state
 
 
 @dataclass(frozen=True)
@@ -317,8 +316,9 @@ class BackendConfig:
     registered deterministic behavior by name and parameterize it via
     ``params``; see :mod:`lpo.mocks`. ``max_in_flight`` caps the calls in
     flight at once and is the width the evaluator fans a template's calls
-    out to, for a backend that :func:`blocks`. Fields are settings only: a
-    ``replace`` copy gets its own run state, at zero calls under its own cap.
+    out to, for a backend that :func:`blocks`. Fields are settings only; the
+    run state (counters, in-flight cap, blocking tally) is kept apart, and a
+    ``replace`` copy gets its own, at zero calls under its own cap.
     """
 
     kind: str = "mock"

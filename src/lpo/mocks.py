@@ -4,14 +4,17 @@ A mock backend (``BackendConfig(kind="mock")``) names one behavior from the
 registries below and parameterizes it through ``params``. Chat behaviors map
 ``(cfg, request)`` to reply text; embed behaviors map ``(cfg, texts)`` to one
 vector per text. The gateway dispatches to them inside its choke point, so
-mocks are budgeted, retried and counted exactly like remote calls. A mock's
-own state lives in its config's runtime scratch, under the runtime's lock.
+mocks are budgeted, retried and counted exactly like remote calls. A mock
+keeps no run state: a behavior reads only its config and the request, and
+``toy_task`` ranks each example list once, in a cache keyed by its content.
 This module does not import the gateway.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import os
 import re
 from typing import Callable, Sequence
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import prompts
 from .core import PLACEHOLDER, as_vector, load_dataset
-from .errors import BackendError, TransientBackendError, ValidationError
+from .errors import BackendError, ValidationError
 from .toyspace import ToySpaceSpec, strip_placeholder, toy_decode, toy_encode
 
 
@@ -48,22 +51,6 @@ def _handler(cfg, req) -> str:
     if fn is None:
         raise ValidationError("handler mock needs params['fn']")
     return str(fn(req))
-
-
-def _sequence(cfg, req) -> str:
-    replies = cfg.params.get("replies", [])
-    with cfg._runtime.lock:
-        cursor = cfg._runtime.scratch.get("cursor", 0)
-        cfg._runtime.scratch["cursor"] = cursor + 1
-    if cursor >= len(replies):
-        raise BackendError(f"mock script exhausted after {len(replies)} replies")
-    entry = replies[cursor]
-    if isinstance(entry, dict) and "error" in entry:
-        status = int(entry["error"])
-        if status == 429 or status >= 500:
-            raise TransientBackendError(f"HTTP {status} (scripted)")
-        raise BackendError(f"HTTP {status} (scripted)")
-    return str(entry)
 
 
 def _toy_spec(cfg) -> ToySpaceSpec:
@@ -100,31 +87,37 @@ def _toy_chat(cfg, req) -> str:
     return toy_decode(spec, weight * vec_a + (1.0 - weight) * vec_b)
 
 
-def _toy_task_examples(cfg) -> list[tuple[str, str, int]]:
+@functools.lru_cache(maxsize=16)
+def _ranked(pairs: tuple[tuple[str, str], ...] | None,
+            dataset: tuple[str, int, int] | None = None) -> tuple[tuple[str, str, int], ...]:
     """Examples as (text, label, rank); rank is a content-hash permutation.
 
-    Ranking by hash rather than file position keeps evaluation of any subset
-    of the examples statistically fair, while a full pass still measures
-    exactly round(fitness * N) correct answers.
+    The examples are ``pairs`` of (text, label), or else the rows of the
+    ``dataset`` file keyed by (path, st_mtime_ns, st_size), so a rewritten
+    file is read again. Ranking by hash rather than file position keeps
+    evaluation of any subset of the examples statistically fair, while a
+    full pass still measures exactly round(fitness * N) correct answers.
     """
-    with cfg._runtime.lock:
-        cached = cfg._runtime.scratch.get("examples")
-        if cached is None:
-            inline = cfg.params.get("examples")
-            if inline is not None:
-                pairs = [(str(e["text"]), str(e["label"]).strip().lower()) for e in inline]
-            else:
-                path = cfg.params.get("dataset")
-                if path is None:
-                    raise ValidationError("toy task mock needs params['examples'] or params['dataset']")
-                ds = load_dataset(path)
-                pairs = [(ex.text, ex.label) for ex in ds.examples]
-            order = sorted(range(len(pairs)),
-                           key=lambda i: hashlib.sha256(pairs[i][0].encode("utf-8")).hexdigest())
-            rank = {i: r for r, i in enumerate(order)}
-            cached = [(text, label, rank[i]) for i, (text, label) in enumerate(pairs)]
-            cfg._runtime.scratch["examples"] = cached
-    return cached
+    if pairs is None:
+        pairs = tuple((ex.text, ex.label) for ex in load_dataset(dataset[0]).examples)
+    order = sorted(range(len(pairs)),
+                   key=lambda i: hashlib.sha256(pairs[i][0].encode("utf-8")).hexdigest())
+    rank = {i: r for r, i in enumerate(order)}
+    return tuple((text, label, rank[i]) for i, (text, label) in enumerate(pairs))
+
+
+def _toy_task_examples(cfg) -> tuple[tuple[str, str, int], ...]:
+    inline = cfg.params.get("examples")
+    if inline is not None:
+        return _ranked(tuple((str(e["text"]), str(e["label"]).strip().lower()) for e in inline))
+    path = cfg.params.get("dataset")
+    if path is None:
+        raise ValidationError("toy task mock needs params['examples'] or params['dataset']")
+    try:
+        stat = os.stat(path)
+    except FileNotFoundError:
+        raise ValidationError(f"dataset file not found: {path}") from None
+    return _ranked(None, (str(path), stat.st_mtime_ns, stat.st_size))
 
 
 def _toy_task(cfg, req) -> str:
@@ -182,21 +175,10 @@ def _toy_embed(cfg, texts: Sequence[str]) -> list[np.ndarray]:
     return [toy_encode(spec, strip_placeholder(t)) for t in texts]
 
 
-def _map_embed(cfg, texts: Sequence[str]) -> list[np.ndarray]:
-    table = cfg.params.get("vectors", {})
-    out = []
-    for text in texts:
-        if text not in table:
-            raise BackendError(f"map embed mock has no vector for {text!r}")
-        out.append(np.asarray(table[text], dtype=float))
-    return out
-
-
 MOCK_CHAT_BEHAVIORS: dict[str, Callable[..., str]] = {
     "fixed": _fixed,
     "echo": _echo,
     "handler": _handler,
-    "sequence": _sequence,
     "toy_chat": _toy_chat,
     "toy_task": _toy_task,
 }
@@ -204,5 +186,4 @@ MOCK_CHAT_BEHAVIORS: dict[str, Callable[..., str]] = {
 MOCK_EMBED_BEHAVIORS: dict[str, Callable[..., list[np.ndarray]]] = {
     "hash": _hash_embed,
     "toy": _toy_embed,
-    "map": _map_embed,
 }

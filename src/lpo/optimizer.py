@@ -291,7 +291,7 @@ def iterate(
     Stops early once ``patience`` consecutive iterations bring no improvement
     of the best score, when the budget runs dry (partial results are kept
     and flagged), or when a cycle selects fewer templates than the next
-    cycle's strategy mix needs as seeds (:func:`lpo.explorer.seeds_needed`).
+    cycle's strategy mix needs as seeds (:func:`lpo.explorer.seed_shortfall`).
     Too few seeds for the first cycle raise ``ValidationError`` before any
     backend call.
     """
@@ -301,11 +301,10 @@ def iterate(
     current = list(seeds)
     best: float | None = None
     no_improve = 0
-    needed = explorer.seeds_needed(cfg.policy)
 
     for index in range(1, cfg.max_iterations + 1):
-        if len(current) < needed:
-            short = f"{len(current)} seed(s), but the strategy mix needs {needed}"
+        short = explorer.seed_shortfall(len(current), cfg.policy)
+        if short is not None:
             if not iterations:
                 raise ValidationError(short)
             run_warnings.append(f"stopped before iteration {index}: {short}")

@@ -19,6 +19,7 @@ from lpo import evaluator, gateway
 from lpo.core import Dataset, Example, PromptTemplate, validate_template
 from lpo.decoder import DecodeStrategy
 from lpo.encoder import EncoderSpec
+from lpo.errors import BackendError, TransientBackendError
 from lpo.evaluator import EvalConfig
 from lpo.explorer import ExplorationPolicy
 from lpo.gateway import BackendConfig, Budget
@@ -174,6 +175,30 @@ def sleeping(reply_for, delay=0.002, peak=None, threads=None):
         with lock:
             active[0] -= 1
         return reply
+
+    return handler
+
+
+def scripted(replies):
+    """Handler backend that answers each request with the next entry of
+    ``replies``, from its own cursor.
+
+    An entry ``{"error": status}`` fails the attempt as that HTTP status
+    would: a 429 or 5xx with ``TransientBackendError`` (retried), any other
+    with ``BackendError``. A request past the last entry is a ``BackendError``.
+    """
+    entries, lock = iter(replies), threading.Lock()
+
+    def handler(req):
+        with lock:
+            entry = next(entries, None)
+        if entry is None:
+            raise BackendError(f"script exhausted after {len(replies)} replies")
+        if isinstance(entry, dict):
+            status = int(entry["error"])
+            failure = TransientBackendError if status == 429 or status >= 500 else BackendError
+            raise failure(f"HTTP {status} (scripted)")
+        return str(entry)
 
     return handler
 

@@ -6,7 +6,7 @@ import urllib.request
 import numpy as np
 import pytest
 import yaml
-from helpers import open_descriptors, spy_on_response_caches
+from helpers import LoopbackServer, open_descriptors, spy_on_response_caches
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -193,7 +193,21 @@ class TestOptimize:
         seeds.write_text((toy_workspace / "seeds.jsonl").read_text().splitlines()[0] + "\n")
         code = run(["optimize", "--config", toy_workspace / "config.yaml", "--seeds", seeds])
         assert code == 2
-        assert "error: 1 seed(s), but the strategy mix needs 2" in capsys.readouterr().err
+        assert "optimize: seeds: 1 seed(s), but the strategy mix needs 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["explore"], ["optimize", "--dry-run"]],
+                             ids=["explore", "dry_run"])
+    def test_one_seed_for_a_blending_mix_stops_a_search_before_any_embedding(
+            self, toy_workspace, capsys, monkeypatch, command):
+        embedded = []
+        monkeypatch.setattr(gw, "embed", lambda *args: embedded.append(args))
+        seeds = toy_workspace / "one.jsonl"
+        seeds.write_text((toy_workspace / "seeds.jsonl").read_text().splitlines()[0] + "\n")
+        code = run([*command, "--config", toy_workspace / "config.yaml", "--seeds", seeds])
+        captured = capsys.readouterr()
+        assert (code, embedded, captured.out) == (2, [], "")
+        assert captured.err == (f"{command[0]}: seeds: "
+                                "1 seed(s), but the strategy mix needs 2\n")
 
     def test_budget_exhaustion_exit_3(self, toy_workspace, capsys):
         config_text = (toy_workspace / "config.yaml").read_text()
@@ -236,16 +250,14 @@ class TestOptimize:
         assert "baseline" not in out
 
     def test_backend_failure_exit_4(self, toy_workspace):
-        config_text = (toy_workspace / "config.yaml").read_text()
-        config_text = config_text.replace(
-            "behavior: toy_task",
-            "behavior: sequence").replace(
-            "      parameters: [tone, steps]\n      target: [0.62, 0.55]\n      dataset: all.jsonl",
-            "      replies: [{error: 500}, {error: 500}, {error: 500}]")
-        (toy_workspace / "flaky.yaml").write_text(config_text)
-        code = run(["evaluate", "--config", toy_workspace / "flaky.yaml",
-                    "--prompts", toy_workspace / "seeds.jsonl"])
+        with LoopbackServer(*[(500, "unavailable")] * 3) as server:
+            config = edited_config(toy_workspace, "evaluator.task_backend", {
+                "kind": "remote_chat", "endpoint": server.url, "model_name": "m",
+                "backoff_base": 0, "max_attempts": 3})
+            code = run(["evaluate", "--config", config,
+                        "--prompts", toy_workspace / "seeds.jsonl"])
         assert code == 4
+        assert len(server.received) == 3
 
 
 class TestEvaluate:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpo import gateway
 from lpo.core import validate_template
 from lpo.encoder import EncoderSpec, encode
 from lpo.errors import ValidationError
@@ -59,7 +60,10 @@ class TestEncode:
         encode(spec, seeds, b)
         assert call_count(spec.backend) == 1  # fully served from cache
 
-    def test_two_backends_on_one_budget_keep_their_own_vectors(self):
+    def test_two_backends_on_one_budget_keep_their_own_vectors(self, monkeypatch):
+        monkeypatch.setitem(gateway.MOCK_EMBED_BEHAVIORS, "map", lambda cfg, texts: [
+            np.asarray(cfg.params["vectors"][t], dtype=float) for t in texts])
+
         def map_spec(vector):
             backend = BackendConfig(kind="mock", behavior="map",
                                     params={"vectors": {"p1 {text}": vector}})

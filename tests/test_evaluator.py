@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import open_descriptors, reference_cache_read, sleeping, spy_on_response_caches
+from helpers import (open_descriptors, reference_cache_read, scripted, sleeping,
+                     spy_on_response_caches)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -181,8 +182,8 @@ class TestExtractLabel:
         assert extract_label(raw, LABELS, cfg, budget()) == "unparsed"
 
     def test_backend_error_degrades_to_unparsed(self, caplog):
-        extraction = BackendConfig(kind="mock", behavior="sequence",
-                                   params={"replies": [{"error": 400}]})
+        extraction = BackendConfig(kind="mock", behavior="handler",
+                                   params={"fn": scripted([{"error": 400}])})
         cfg = config(scripted_task({}), extraction)
         with caplog.at_level("WARNING", logger="lpo.evaluator"):
             label = extract_label("ambiguous text", LABELS, cfg, budget())

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import LoopbackServer, closed_port_url
+from helpers import LoopbackServer, closed_port_url, scripted
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -69,8 +69,8 @@ class TestChatMock:
 
     def test_scripted_transient_failures_then_success(self, caplog):
         cfg = mock_chat_cfg(
-            behavior="sequence",
-            params={"replies": [{"error": 500}, {"error": 500}, "recovered"]},
+            behavior="handler",
+            params={"fn": scripted([{"error": 500}, {"error": 500}, "recovered"])},
             max_attempts=3,
         )
         with caplog.at_level("WARNING", logger="lpo.gateway"):
@@ -82,8 +82,8 @@ class TestChatMock:
 
     def test_unreachable_after_max_attempts(self):
         cfg = mock_chat_cfg(
-            behavior="sequence",
-            params={"replies": [{"error": 503}] * 3},
+            behavior="handler",
+            params={"fn": scripted([{"error": 503}] * 3)},
             max_attempts=3,
         )
         with pytest.raises(BackendError, match="after 3 attempt"):
@@ -91,8 +91,8 @@ class TestChatMock:
 
     def test_client_error_not_retried(self):
         cfg = mock_chat_cfg(
-            behavior="sequence",
-            params={"replies": [{"error": 400}, "never"]},
+            behavior="handler",
+            params={"fn": scripted([{"error": 400}, "never"])},
             max_attempts=3,
         )
         with pytest.raises(BackendError, match="HTTP 400"):
@@ -101,15 +101,15 @@ class TestChatMock:
 
     def test_429_is_retried(self):
         cfg = mock_chat_cfg(
-            behavior="sequence",
-            params={"replies": [{"error": 429}, "ok"]},
+            behavior="handler",
+            params={"fn": scripted([{"error": 429}, "ok"])},
             max_attempts=2,
         )
         assert chat(cfg, ChatRequest(user_text="go"), big_budget()).text == "ok"
 
     def test_failed_calls_charge_nothing(self):
-        cfg = mock_chat_cfg(behavior="sequence",
-                            params={"replies": [{"error": 500}] * 3}, max_attempts=3)
+        cfg = mock_chat_cfg(behavior="handler",
+                            params={"fn": scripted([{"error": 500}] * 3)}, max_attempts=3)
         budget = big_budget()
         with pytest.raises(BackendError):
             chat(cfg, ChatRequest(user_text="go"), budget)
@@ -171,9 +171,10 @@ class TestEmbedMock:
         a, b = embed(cfg, ["same", "same"], big_budget())
         assert np.array_equal(a, b)
 
-    def test_dimension_mismatch_within_batch(self):
-        cfg = BackendConfig(kind="mock", behavior="map",
-                            params={"vectors": {"a": [1.0, 2.0], "b": [1.0, 2.0, 3.0]}})
+    def test_dimension_mismatch_within_batch(self, monkeypatch):
+        monkeypatch.setitem(gw.MOCK_EMBED_BEHAVIORS, "ragged",
+                            lambda cfg, texts: [np.ones(2 + i) for i in range(len(texts))])
+        cfg = BackendConfig(kind="mock", behavior="ragged")
         with pytest.raises(BackendError, match="dimension mismatch"):
             embed(cfg, ["a", "b"], big_budget())
 
@@ -660,7 +661,7 @@ class TestBudgetUnderThreads:
         assert budget.calls_left() == 0
 
     def test_failed_call_hands_its_slot_back(self):
-        cfg = mock_chat_cfg(behavior="sequence", params={"replies": [{"error": 400}, "ok"]})
+        cfg = mock_chat_cfg(behavior="handler", params={"fn": scripted([{"error": 400}, "ok"])})
         budget = Budget(max_calls=1, max_total_tokens=10**6)
         with pytest.raises(BackendError):
             chat(cfg, ChatRequest(user_text="x"), budget)
@@ -719,13 +720,6 @@ class TestSettingsApartFromRunState:
         assert replies == ["ok"] * 8
         assert (call_count(copy), attempt_count(copy)) == (8, 8)
         assert (call_count(original), attempt_count(original)) == (3, 3)
-
-    def test_replace_copy_of_a_script_starts_at_its_first_reply(self):
-        original = mock_chat_cfg(behavior="sequence", params={"replies": ["one", "two"]})
-        assert chat(original, ChatRequest(user_text="x"), big_budget()).text == "one"
-        copy = replace(original)
-        assert chat(copy, ChatRequest(user_text="x"), big_budget()).text == "one"
-        assert chat(original, ChatRequest(user_text="x"), big_budget()).text == "two"
 
 
 class TestFingerprint:
