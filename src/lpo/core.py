@@ -268,6 +268,12 @@ def encode_float64(vector) -> str:
     return base64.b64encode(np.asarray(vector, dtype="<f8").tobytes()).decode("ascii")
 
 
+def decode_float64(text: str) -> np.ndarray:
+    """The flat, writable float64 vector that :func:`encode_float64` encoded,
+    bit for bit."""
+    return np.frombuffer(bytearray(base64.b64decode(text)), "<f8")
+
+
 def write_atomic(path: str | Path, lines: Iterable[str]) -> None:
     """Write ``lines``, each ended by a newline, to ``path`` whole or not at all.
 

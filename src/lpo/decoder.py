@@ -15,6 +15,10 @@ Three routes, picked by DecodeStrategy.kind:
 
 A second pass (:func:`refine_format`) conforms raw decodes to the seeds'
 formatting conventions; one attempt only, to bound per-candidate cost.
+
+A chat request at temperature 0, a refinement by default, is asked once per
+reply cache (:func:`lpo.gateway.cached_chat`); a sampled decode is drawn
+afresh every time.
 """
 
 from __future__ import annotations
@@ -84,8 +88,15 @@ def _parent_templates(candidate: CandidateRecord,
 
 
 def decode(strategy: DecodeStrategy, candidate: CandidateRecord,
-           seeds: Sequence[PromptTemplate], budget: Budget) -> str:
-    """Produce raw prompt text for one candidate latent point."""
+           seeds: Sequence[PromptTemplate], budget: Budget, *,
+           backend_id: str | None = None) -> str:
+    """Produce raw prompt text for one candidate latent point.
+
+    The chat request goes through :func:`lpo.gateway.cached_chat`, keyed by
+    ``backend_id``, the chat backend's fingerprint when the caller has it: at
+    a ``decode_temperature`` above 0, the default, every decode is drawn
+    afresh; at 0 a request asked before is served from ``budget.replies``.
+    """
     if strategy.kind == "toy_inverse":
         return toy_decode(strategy.toy_space, candidate.embedding)
 
@@ -96,25 +107,27 @@ def decode(strategy: DecodeStrategy, candidate: CandidateRecord,
             temperature=strategy.decode_temperature,
             soft_prompt=tuple(projected.tolist()),
         )
-        return gateway.chat(strategy.chat, req, budget).text
+        return gateway.cached_chat(strategy.chat, req, budget, backend_id)
 
     first, second = _parent_templates(candidate, seeds)
     weight = float(candidate.provenance.weight)
     instruction = prompts.blend_instruction(first.text, second.text, weight)
     req = ChatRequest(user_text=instruction, temperature=strategy.decode_temperature)
-    return gateway.chat(strategy.chat, req, budget).text
+    return gateway.cached_chat(strategy.chat, req, budget, backend_id)
 
 
 def refine_format(strategy: DecodeStrategy, raw_text: str,
                   seeds: Sequence[PromptTemplate], budget: Budget,
-                  template_id: str = "") -> PromptTemplate:
+                  template_id: str = "", *, backend_id: str | None = None) -> PromptTemplate:
     """Conform raw decoded text to the seeds' formatting conventions.
 
     Already-valid text is returned verbatim (byte-equal, zero chat calls)
     with origin ``decoded``. Otherwise one chat call rewrites it to carry
     exactly one input placeholder without changing essential content; if the
     reply still fails validation the candidate is marked invalid via
-    CandidateInvalidError, which is not fatal to a run.
+    CandidateInvalidError, which is not fatal to a run. At a
+    ``refinement_temperature`` of 0, the default, a request asked before is
+    served from ``budget.replies`` (:func:`decode` says how).
     """
     if not seeds:
         raise ValidationError("refine_format needs at least one seed for reference")
@@ -127,7 +140,7 @@ def refine_format(strategy: DecodeStrategy, raw_text: str,
         raise CandidateInvalidError(f"invalid decode and no refinement backend: {reason}")
     instruction = prompts.refine_instruction(raw_text, [s.text for s in seeds])
     req = ChatRequest(user_text=instruction, temperature=strategy.refinement_temperature)
-    reply = gateway.chat(strategy.chat, req, budget).text
+    reply = gateway.cached_chat(strategy.chat, req, budget, backend_id)
     try:
         return validate_template(reply, template_id=tid, origin="refined")
     except ValidationError as exc:

@@ -1,7 +1,8 @@
 """Maps prompt templates to latent embedding vectors.
 
 Encoding goes through the gateway's embedding backend. The backend's vector
-is taken as-is: no pooling configuration, no fine-tuning, no rescaling.
+is taken as-is: no pooling configuration, no fine-tuning, no rescaling. A
+text's vector is kept in the run's reply cache, so it is embedded once.
 """
 
 from __future__ import annotations
@@ -29,21 +30,18 @@ class EncoderSpec:
             raise ValidationError("encoder dimension must be >= 1")
 
 
-def encode(spec: EncoderSpec, templates: Sequence[PromptTemplate],
-           budget: Budget) -> list[np.ndarray]:
+def encode(spec: EncoderSpec, templates: Sequence[PromptTemplate], budget: Budget, *,
+           backend_id: str | None = None) -> list[np.ndarray]:
     """Embed templates in order, one vector of dimension d per template.
 
-    ``budget.embeddings`` serves a text this backend embedded before, as seeds
-    are re-encoded every iteration.
+    Each text is embedded once per reply cache (:func:`lpo.gateway.cached_embed`),
+    as seeds are re-encoded every iteration: a text the backend embedded
+    before comes back from ``budget.replies`` bit for bit, with no call.
+    ``backend_id`` is the backend's fingerprint, for a caller that has it.
     """
     if not templates:
         raise ValidationError("encode called with no templates")
-    backend_id, known = gateway.backend_fingerprint(spec.backend), budget.embeddings
-    keys = {t.text: (backend_id, t.text) for t in templates}
-    missing = [text for text, key in keys.items() if key not in known]
-    if missing:
-        vectors = gateway.embed(spec.backend, missing, budget)
-        for text, vec in zip(missing, vectors):
-            known[keys[text]] = as_vector(vec, dim=spec.dimension,
-                                          name=f"embedding of {text[:30]!r}")
-    return [known[keys[t.text]] for t in templates]
+    vectors = gateway.cached_embed(spec.backend, [t.text for t in templates], budget,
+                                   backend_id)
+    return [as_vector(vec, dim=spec.dimension, name=f"embedding of {t.text[:30]!r}")
+            for t, vec in zip(templates, vectors)]

@@ -133,7 +133,7 @@ def interpolate(a, b, weight: float) -> np.ndarray:
     vb = as_vector(b, dim=va.size, name="second embedding")
     if not _inside_unit(weight):
         raise ValidationError(f"interpolation weight {weight} outside [0, 1]")
-    return weight * va + (1.0 - weight) * vb
+    return _blend(va, vb, weight)
 
 
 def extrapolate(a, b, weight: float) -> np.ndarray:
@@ -144,7 +144,7 @@ def extrapolate(a, b, weight: float) -> np.ndarray:
         raise ValidationError(
             f"extrapolation weight {weight} lies inside [0, 1] or is not finite; use interpolate"
         )
-    return weight * va + (1.0 - weight) * vb
+    return _blend(va, vb, weight)
 
 
 def perturb(vec, sigma: float, noise_seed: int) -> np.ndarray:
@@ -156,10 +156,22 @@ def perturb(vec, sigma: float, noise_seed: int) -> np.ndarray:
     v = as_vector(vec, name="embedding")
     if sigma < 0:
         raise ValidationError(f"sigma must be >= 0, got {sigma}")
+    return _drift(v, sigma, noise_seed)
+
+
+def _blend(a: np.ndarray, b: np.ndarray, weight: float) -> np.ndarray:
+    """``weight * a + (1 - weight) * b``, unchecked: :func:`interpolate` and
+    :func:`extrapolate` check their arguments, and :func:`generate_candidates`
+    its seeds and draws."""
+    return weight * a + (1.0 - weight) * b
+
+
+def _drift(v: np.ndarray, sigma: float, noise_seed: int) -> np.ndarray:
+    """:func:`perturb` without its checks: ``v`` plus the noise of ``noise_seed``,
+    a new array even at sigma 0."""
     if sigma == 0:
         return v.copy()
-    noise = np.random.default_rng(noise_seed).normal(0.0, sigma, size=v.size)
-    return v + noise
+    return v + np.random.default_rng(noise_seed).normal(0.0, sigma, size=v.size)
 
 
 def _sample_outside_unit(rng: np.random.Generator,
@@ -198,7 +210,9 @@ def generate_candidates(
     parents are drawn uniformly (one parent for perturbation), and the blend
     weight or noise seed is drawn from the applicable range. Parent pairs may
     repeat across candidates. Near-duplicate embeddings (within L-inf 1e-12
-    of an earlier candidate) are regenerated once, then kept.
+    of an earlier candidate) are regenerated once, then kept. The seeds are
+    checked once, here, so each candidate is blended or perturbed without
+    the public functions' checks, to the same bits.
 
     The near-duplicate check is screened on the first coordinate: an earlier
     candidate can be within L-inf ``DUPLICATE_TOLERANCE`` only if its first
@@ -236,17 +250,16 @@ def generate_candidates(
         if strategy == "perturb":
             parent = int(rng.integers(len(seeds)))
             noise_seed = int(rng.integers(0, 2**63 - 1))
-            embedding = perturb(vectors[parent], sigma, noise_seed)
+            embedding = _drift(vectors[parent], sigma, noise_seed)
             prov = Provenance(kind="perturb", parents=(ids[parent],),
                               sigma=sigma, noise_seed=noise_seed)
         else:
             i, j = (int(x) for x in rng.choice(len(seeds), size=2, replace=False))
             if strategy == "interpolate":
                 weight = float(rng.uniform(*policy.blend_range))
-                embedding = interpolate(vectors[i], vectors[j], weight)
             else:
                 weight = _sample_outside_unit(rng, policy.extrapolation_range)
-                embedding = extrapolate(vectors[i], vectors[j], weight)
+            embedding = _blend(vectors[i], vectors[j], weight)
             prov = Provenance(kind=strategy, parents=(ids[i], ids[j]), weight=weight)
         return CandidateRecord(id=f"cand-{index:02d}", embedding=embedding, provenance=prov)
 

@@ -22,9 +22,18 @@ whether a backend's attempts mostly wait (on a network, say) rather than
 compute. :func:`blocks` reports it, and the evaluator fans a template's calls
 out to ``max_in_flight`` threads only for a backend that blocks.
 
-Every call receives the run's ledger, a :class:`Budget`: ceilings, usage,
-replies and embeddings. Only this module builds a :class:`ResponseCache`; one
-keeps no file open, since each flush appends one group and closes the file.
+Every call receives the run's ledger, a :class:`Budget`: ceilings, usage
+and replies. Only this module builds a :class:`ResponseCache`; one keeps no
+file open, since each flush appends one group and closes the file.
+
+What is asked the same way twice is asked once. :func:`cached_chat` looks a
+chat request at temperature 0 up in ``budget.replies`` before it calls
+:func:`chat`, and keeps the reply there after; :func:`cached_embed` does the
+same for each text, its vector kept as exact base64 float64. A sampled
+request (temperature > 0) always reaches the backend, so a rerun draws its
+decodes afresh. A hit enters neither :func:`chat` nor :func:`embed`, so it is
+no call: not in the budget and not in :func:`call_count`. The evaluator keys
+its classify and extract replies itself (:mod:`lpo.evaluator`).
 
 The remote wire is one JSON POST per attempt, in the de facto
 chat-completions / embeddings shape, made with the standard library's
@@ -68,7 +77,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from . import __version__, mocks
-from .core import as_vector, jsonable, text_digest
+from .core import as_vector, decode_float64, encode_float64, jsonable, text_digest
 from .errors import BackendError, BudgetExhaustedError, TransientBackendError, ValidationError
 from .mocks import MOCK_CHAT_BEHAVIORS, MOCK_EMBED_BEHAVIORS
 
@@ -127,7 +136,8 @@ class ResponseCache:
     (creating the directory only when the open finds it missing), so they
     have reached the operating system when it returns (they are not fsynced)
     and no file stays open between flushes.
-    :func:`lpo.evaluator.evaluate` flushes once per template, so a crash loses
+    :func:`lpo.evaluator.evaluate` flushes once per template and
+    :func:`lpo.optimizer.run_cycle` once per decode stage, so a crash loses
     at most the replies put since the last flush.
 
     I/O problems are downgraded to warnings; the evaluator then simply falls
@@ -219,7 +229,7 @@ class ResponseCache:
 
 @dataclass
 class Budget:
-    """One run's ledger: call and token ceilings, exact usage, replies, embeddings.
+    """One run's ledger: call and token ceilings, exact usage and replies.
 
     A call reserves a slot before it is made (:meth:`ensure_available`) and
     settles it when it completes (:meth:`record`) or hands it back when it
@@ -228,11 +238,12 @@ class Budget:
     ceiling refuses new calls once the tokens spent reach it; calls already
     admitted may end above it.
 
-    ``replies`` is the evaluator's reply cache, in memory until
-    :func:`lpo.evaluator.evaluate` binds it to a cache file
+    ``replies`` is the run's reply cache: classify and extract replies,
+    chat replies at temperature 0 and embeddings, never a sampled reply. It
+    stays in memory until :func:`lpo.evaluator.evaluate` or
+    :func:`lpo.optimizer.run_cycle` binds it to a cache file
     (:meth:`bind_replies`); it stays bound to the last file it was bound to.
-    ``embeddings`` holds the encoder's vectors, keyed by backend fingerprint
-    and text.
+    A reply served from it is no call and is charged nothing.
     """
 
     max_calls: int = 100_000
@@ -240,7 +251,6 @@ class Budget:
     calls: int = field(default=0, init=False)
     total_tokens: int = field(default=0, init=False)
     replies: ResponseCache = field(default_factory=ResponseCache, init=False, repr=False, compare=False)
-    embeddings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _reserved: int = field(default=0, init=False, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
@@ -486,6 +496,57 @@ def embed(cfg: BackendConfig, texts: Sequence[str], budget: Budget) -> list[np.n
         return vectors, usage
 
     return _call(cfg, budget, "embed", attempt, _mock_embed, _remote_embed)
+
+
+def _chat_key(backend_id: str, req: ChatRequest) -> str:
+    """The digest of ``json.dumps(["chat", backend_id, user_text, system_text,
+    repr(temperature), max_tokens, soft prompt])``, the soft prompt as base64
+    float64 or null."""
+    soft = None if req.soft_prompt is None else encode_float64(req.soft_prompt)
+    return text_digest(json.dumps(["chat", backend_id, req.user_text, req.system_text,
+                                   repr(req.temperature), req.max_tokens, soft]))
+
+
+def _embed_key(backend_id: str, text: str) -> str:
+    """The digest of ``json.dumps(["embed", backend_id, text])``."""
+    return text_digest(json.dumps(["embed", backend_id, text]))
+
+
+def cached_chat(cfg: BackendConfig, req: ChatRequest, budget: Budget,
+                backend_id: str | None = None) -> str:
+    """The text of the reply to ``req``. At temperature 0 it is looked up in
+    ``budget.replies`` first and kept there after, keyed by ``backend_id``,
+    ``cfg``'s fingerprint (taken here when not given); a sampled request
+    (temperature > 0) is always asked afresh."""
+    if req.temperature > 0:
+        return chat(cfg, req, budget).text
+    key = _chat_key(backend_id or backend_fingerprint(cfg), req)
+    text = budget.replies.get(key)
+    if text is None:
+        text = chat(cfg, req, budget).text
+        budget.replies.put(key, text)
+    return text
+
+
+def cached_embed(cfg: BackendConfig, texts: Sequence[str], budget: Budget,
+                 backend_id: str | None = None) -> list[np.ndarray]:
+    """One vector per text, order preserved. Each distinct text is looked up
+    in ``budget.replies`` under ``backend_id``, ``cfg``'s fingerprint (taken
+    here when not given); the rest are embedded as one :func:`embed` call and
+    kept as base64 float64, so a vector comes back bit for bit."""
+    backend_id = backend_id or backend_fingerprint(cfg)
+    replies, vectors = budget.replies, {}
+    keys = {text: _embed_key(backend_id, text) for text in texts}
+    for text, key in keys.items():
+        stored = replies.get(key)
+        if stored is not None:
+            vectors[text] = decode_float64(stored)
+    missing = [text for text in keys if text not in vectors]
+    if missing:
+        for text, vector in zip(missing, embed(cfg, missing, budget)):
+            replies.put(keys[text], encode_float64(vector))
+            vectors[text] = vector
+    return [vectors[text] for text in texts]
 
 
 # --- remote wire ----------------------------------------------------------

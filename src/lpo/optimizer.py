@@ -47,7 +47,7 @@ import numpy as np
 from . import decoder as decoder_mod
 from . import encoder as encoder_mod
 from . import evaluator as evaluator_mod
-from . import explorer
+from . import explorer, gateway
 from .core import Dataset, PromptTemplate
 from .decoder import DecodeStrategy
 from .encoder import EncoderSpec
@@ -194,8 +194,13 @@ def run_cycle(
     template, and ``scored`` and ``raced`` hold the batch's results in pool
     order. Budget exhaustion partway yields a partial record flagged as such
     rather than an exception; after a cut in decoding no candidate is
-    scored. Replies are kept as :func:`lpo.evaluator.evaluate` keeps them:
-    the budget stays bound to ``eval_cfg.cache_path`` after the cycle.
+    scored. The cycle binds the budget's replies to ``eval_cfg.cache_path``
+    before its first call, and it stays bound after the cycle: the seeds'
+    embeddings and the refinements (temperature 0) are asked once per cache
+    file, as classify and extract replies are, and their new lines are
+    appended as one group once decoding ends, also when it is cut short.
+    Sampled decodes are drawn afresh. Each backend is fingerprinted once
+    per cycle for these keys.
     """
     if not seeds:
         raise ValidationError("run_cycle needs at least one seed template")
@@ -211,7 +216,12 @@ def run_cycle(
     warnings: list[str] = []
     partial = False
 
-    seed_vectors = encoder_mod.encode(cfg.encoder, seeds, budget)
+    if eval_cfg.cache_path is not None:  # so that embeddings and refinements find it
+        budget.bind_replies(eval_cfg.cache_path)
+    chat = cfg.decode.chat
+    chat_id = gateway.backend_fingerprint(chat) if chat is not None else None
+    seed_vectors = encoder_mod.encode(
+        cfg.encoder, seeds, budget, backend_id=gateway.backend_fingerprint(cfg.encoder.backend))
     # a fresh stream per iteration, still fully determined by the policy seed
     policy = replace(cfg.policy, rng_seed=cfg.policy.rng_seed + iteration - 1)
     candidates = explorer.generate_candidates(list(zip(ids, seed_vectors)), policy)
@@ -221,15 +231,16 @@ def run_cycle(
     def decode_one(position: int) -> None:
         candidate = candidates[position]
         try:
-            candidate.decoded_text = decoder_mod.decode(cfg.decode, candidate, seeds, budget)
+            candidate.decoded_text = decoder_mod.decode(cfg.decode, candidate, seeds, budget,
+                                                        backend_id=chat_id)
             candidate.refined_template = decoder_mod.refine_format(
                 cfg.decode, candidate.decoded_text, seeds, budget,
-                template_id=candidate.id)
+                template_id=candidate.id, backend_id=chat_id)
         except CandidateInvalidError as exc:
             candidate.invalid_reason = str(exc)
 
     try:
-        evaluator_mod._fan_out(len(candidates), decode_one, cfg.decode.chat, budget,
+        evaluator_mod._fan_out(len(candidates), decode_one, chat, budget,
                                sum(evaluator_mod.call_plan(candidates=1).values()))
     except BudgetExhaustedError as exc:
         warnings.append(f"budget exhausted during decoding: {exc}")
@@ -241,6 +252,8 @@ def run_cycle(
             later.decoded_text = later.refined_template = None
         for skipped in candidates[cut:]:
             skipped.invalid_reason = f"not decoded: {exc}"
+    finally:  # the cycle's new embeddings and refinements, as one group
+        budget.replies.flush()
 
     valid = [c.refined_template for c in candidates if c.refined_template is not None]
     pool = list(seeds) if cfg.keep_seeds else []

@@ -249,6 +249,29 @@ class TestOptimize:
                          re.MULTILINE)
         assert "baseline" not in out
 
+    @pytest.mark.parametrize("decode_kind", ["toy_inverse", "anchor_blend"])
+    def test_a_rerun_in_one_output_directory_makes_only_its_sampled_decodes(
+            self, toy_workspace, capsys, decode_kind):
+        """The second run finds every embedding, refinement, classification and
+        extraction in the reply cache the first run left in ``out``."""
+        chat = {"kind": "mock", "behavior": "toy_chat", "params": {"parameters": ["tone", "steps"]}}
+        config = edited_config(toy_workspace, "decode.kind", decode_kind,
+                               "decode.chat_backend", chat, "optimizer.max_iterations", 2,
+                               "optimizer.patience", 2)
+        args = ["optimize", "--config", config, "--seeds", toy_workspace / "seeds.jsonl"]
+        records = []
+        for _ in range(2):
+            assert run(args) == 0
+            records.append(read_run_record(toy_workspace / "out" / "run_record.jsonl"))
+        capsys.readouterr()
+        (first, first_its), (second, second_its) = records
+        decodes = 0 if decode_kind == "toy_inverse" else sum(
+            c["decoded_text"] is not None for it in second_its for c in it["candidates"])
+        assert decode_kind == "toy_inverse" or decodes == 30  # 15 candidates, 2 iterations
+        assert second["budget"]["calls"] == decodes < first["budget"]["calls"]
+        assert [it["scored"] for it in second_its] == [it["scored"] for it in first_its]
+        assert [it["selected"] for it in second_its] == [it["selected"] for it in first_its]
+
     def test_backend_failure_exit_4(self, toy_workspace):
         with LoopbackServer(*[(500, "unavailable")] * 3) as server:
             config = edited_config(toy_workspace, "evaluator.task_backend", {

@@ -61,8 +61,13 @@ class TestEncode:
         assert call_count(spec.backend) == 1  # fully served from cache
 
     def test_two_backends_on_one_budget_keep_their_own_vectors(self, monkeypatch):
-        monkeypatch.setitem(gateway.MOCK_EMBED_BEHAVIORS, "map", lambda cfg, texts: [
-            np.asarray(cfg.params["vectors"][t], dtype=float) for t in texts])
+        asked = []
+
+        def map_behavior(cfg, texts):
+            asked.append((cfg.params["vectors"]["p1 {text}"], list(texts)))
+            return [np.asarray(cfg.params["vectors"][t], dtype=float) for t in texts]
+
+        monkeypatch.setitem(gateway.MOCK_EMBED_BEHAVIORS, "map", map_behavior)
 
         def map_spec(vector):
             backend = BackendConfig(kind="mock", behavior="map",
@@ -75,7 +80,7 @@ class TestEncode:
             assert encode(first, seeds, b)[0].tolist() == [1.0, 0.0]
             assert encode(second, seeds, b)[0].tolist() == [0.0, 1.0]
         assert (call_count(first.backend), call_count(second.backend)) == (1, 1)
-        assert len(b.embeddings) == 2
+        assert asked == [([1.0, 0.0], ["p1 {text}"]), ([0.0, 1.0], ["p1 {text}"])]
 
     def test_empty_templates(self):
         with pytest.raises(ValidationError, match="no templates"):

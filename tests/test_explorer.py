@@ -436,6 +436,18 @@ class TestNearDuplicateScreen:
         assert {c.embedding[0] for c in candidates} == {0.5}
         assert len(compared) == 1 + 2 + 3 + 4 + 5  # none is a near-duplicate
 
+    def test_each_seed_is_checked_once_per_generation(self, monkeypatch):
+        """Candidates are blended and perturbed without the public functions'
+        checks; the property above shows they keep their bits."""
+        checked = []
+        check = explorer.as_vector
+        monkeypatch.setattr(explorer, "as_vector",
+                            lambda *args, **kwargs: checked.append(1) or check(*args, **kwargs))
+        policy = ExplorationPolicy(strategy_mix=dict.fromkeys(STRATEGIES, 1.0), rng_seed=4,
+                                   candidate_count=60)
+        assert len(generate_candidates(seed_vectors(count=5, dim=16), policy)) == 60
+        assert len(checked) == 5
+
     def test_full_comparisons_stay_few_at_the_largest_count(self, monkeypatch):
         compared = []
         near = explorer._near_duplicate

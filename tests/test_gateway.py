@@ -1,8 +1,10 @@
+import itertools
 import json
 import operator
 import os
 import re
 import sys
+import tempfile
 import threading
 import time
 import weakref
@@ -794,6 +796,153 @@ OUTCOMES = {  # outcome: (HTTP statuses in turn, error raised, attempts)
     "permanent": ([400], "HTTP 400", 1),
     "malformed": (["malformed"], None, 1),
 }
+
+
+PINNED_CFG = dict(kind="mock", behavior="fixed", params={
+    "reply": "x", "usage": [1, 2], 3: {"a": (1, 2.5, None, True)}, "v": np.float64(0.5)})
+TEXTS = ("alpha {text}", "beta {text}", "gamma {text}")
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals included
+
+
+class TestReplyCache:
+    """Temperature-0 chat replies and embeddings are asked once per reply cache."""
+
+    def test_keys_are_pinned(self):
+        # cache files written before keep hitting only while these digests hold
+        from lpo.core import Example, text_digest, validate_template
+        from lpo.evaluator import EvalConfig, _classify_keys, _extract_keys
+
+        cfg = BackendConfig(**PINNED_CFG)
+        fp = backend_fingerprint(cfg)
+        template = validate_template("Review: {text}", template_id="t")
+        classify = _classify_keys(fp, EvalConfig(cfg, cfg), template)
+        assert classify(Example(text="a fine film", label="positive")) == (
+            "bfdbbbf8ee70bb3a2db4f439d9d9338c47c46ce4b7f76fd243fe89b61c9bea54")
+        assert _extract_keys(fp, ("negative", "positive"))("it is fine") == (
+            "51d47e3f8a919949bcb9cf9869454418b1e3555b7cffdc7199e75498ca1fe973")
+        req = ChatRequest("Rewrite: x", system_text="Be brief.", soft_prompt=(-0.0, 5e-324, 1.5))
+        soft = "AAAAAAAAAIABAAAAAAAAAAAAAAAAAPg/"  # base64 of the float64 bytes
+        assert gw._chat_key(fp, req) == text_digest(json.dumps(
+            ["chat", fp, "Rewrite: x", "Be brief.", "0.0", 512, soft])) == (
+            "9eabfc809101a27558cf7cda3cc33ee9307974a98f51cdff1ed1248f3d0e1902")
+        assert gw._embed_key(fp, "Review: {text}") == text_digest(json.dumps(
+            ["embed", fp, "Review: {text}"])) == (
+            "9b80293d9ed7a843d77ba7f877741084e1a4aa16820d8eff359ab4da1f1361b0")
+
+    def test_a_hit_is_no_call(self):
+        cfg, b = mock_chat_cfg(behavior="echo"), Budget()
+        for _ in range(3):
+            assert gw.cached_chat(cfg, ChatRequest("hello"), b) == "hello"
+        assert (call_count(cfg), attempt_count(cfg), usage_report(b)) == (1, 1, (1, 2))
+
+    def test_every_request_field_is_in_the_key(self):
+        cfg, b = mock_chat_cfg(behavior="echo"), Budget()
+        requests = [ChatRequest("hi"), ChatRequest("hi", system_text="s"),
+                    ChatRequest("hi", max_tokens=7), ChatRequest("hi", soft_prompt=(0.0,)),
+                    ChatRequest("hi", soft_prompt=(-0.0,)), ChatRequest("hi!")]
+        for req in requests * 2:
+            gw.cached_chat(cfg, req, b)
+        assert call_count(cfg) == len(requests)
+
+    def test_a_sampled_request_always_reaches_the_backend(self, tmp_path):
+        b = Budget()
+        b.bind_replies(tmp_path / "cache.jsonl")
+        cfg = mock_chat_cfg(behavior="echo")
+        for _ in range(3):
+            assert gw.cached_chat(cfg, ChatRequest("hello", temperature=0.7), b) == "hello"
+        b.replies.flush()
+        assert call_count(cfg) == 3
+        assert not (tmp_path / "cache.jsonl").exists()
+
+    def test_a_dimension_change_is_refused_from_the_cache_too(self):
+        from lpo.encoder import EncoderSpec, encode
+        from lpo.core import validate_template
+
+        backend = BackendConfig(kind="mock", behavior="hash", params={"dimension": 4})
+        b, seeds = Budget(), [validate_template("x {text}")]
+        encode(EncoderSpec(backend, dimension=4), seeds, b)
+        with pytest.raises(ValidationError, match="dimension 4, expected 8"):
+            encode(EncoderSpec(backend, dimension=8), seeds, b)
+        assert call_count(backend) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(requests=st.lists(st.tuples(st.sampled_from(("chat", "embed")), st.sampled_from((0, 1)),
+                                       st.sampled_from(TEXTS), st.sampled_from((0.0, 0.7))),
+                             min_size=1, max_size=12),
+           vectors=st.lists(st.lists(FINITE, min_size=3, max_size=3),
+                            min_size=2 * len(TEXTS), max_size=2 * len(TEXTS)),
+           tear=st.integers(0, 10**6))
+    @example(requests=[("embed", 0, TEXTS[0], 0.0), ("embed", 1, TEXTS[0], 0.0)],
+             vectors=[[-0.0, 5e-324, 2.2250738585072009e-308]] * 6, tear=0)
+    def test_reruns_on_one_cache_file_ask_each_deterministic_request_once(
+            self, requests, vectors, tear):
+        """Three runs on one cache file, the last line of the first run's file
+        torn: the runs agree, each deterministic request is asked once (the
+        torn one twice), every sampled one each time, each backend apart."""
+        requests = [(kind, n, text, temperature if kind == "chat" else 0.0)
+                    for kind, n, text, temperature in requests]
+        asked: list[tuple] = []
+        draws = itertools.count(1)
+
+        def table_embed(cfg, texts):
+            asked.extend(("embed", cfg.params["name"], text, 0.0) for text in texts)
+            return [cfg.params["table"][text] for text in texts]
+
+        def chat_handler(name):
+            def handler(req):
+                asked.append(("chat", name, req.user_text, req.temperature))
+                if req.temperature > 0:
+                    return f"draw {next(draws)}"  # a fresh reply for every sample
+                return f"{name}|{req.user_text}"
+            return handler
+
+        tables = [dict(zip(TEXTS, vectors[:3])), dict(zip(TEXTS, vectors[3:]))]
+        chats = [mock_chat_cfg(behavior="handler", params={"fn": chat_handler(n)}) for n in (0, 1)]
+        embeds = [BackendConfig(kind="mock", behavior="table", params={"name": n, "table": t})
+                  for n, t in enumerate(tables)]
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setitem(gw.MOCK_EMBED_BEHAVIORS, "table", table_embed)
+            path = Path(tmp) / "cache.jsonl"
+            runs, asks = [], []
+            for rerun in range(3):
+                del asked[:]
+                b = Budget()
+                b.bind_replies(path)
+                results = []
+                for kind, n, text, temperature in requests:
+                    if kind == "chat":
+                        req = ChatRequest(text, temperature=temperature)
+                        results.append(gw.cached_chat(chats[n], req, b))
+                    else:
+                        (vec,) = gw.cached_embed(embeds[n], [text], b)
+                        results.append(vec.tobytes())
+                b.replies.flush()
+                runs.append(results)
+                asks.append(list(asked))
+                if rerun == 0 and path.exists():  # tear the last line, not its first byte
+                    data = path.read_bytes()
+                    last = data[:-1].rsplit(b"\n", 1)[-1]
+                    path.write_bytes(data[:len(data) - 2 - tear % (len(last) - 1)])
+            entries = gw.ResponseCache(path)._entries
+
+        deterministic = [r for r in requests if r[0] == "embed" or r[3] == 0.0]
+        distinct = list(dict.fromkeys(deterministic))
+        sampled = [r for r in requests if r[0] == "chat" and r[3] > 0]
+        assert [a for a in asks[0] if a in distinct] == distinct
+        assert [a for a in asks[1] if a in distinct] == distinct[-1:]  # the torn line's
+        assert [a for a in asks[2] if a in distinct] == []
+        assert all([a for a in run_asks if a not in distinct] == sampled for run_asks in asks)
+        for position, (kind, n, text, temperature) in enumerate(requests):
+            got = [results[position] for results in runs]
+            if kind == "embed":
+                want = np.asarray(tables[n][text], dtype=float).tobytes()
+                assert got == [want] * 3  # bit for bit: -0.0 and subnormals too
+            elif temperature == 0.0:
+                assert got == [f"{n}|{text}"] * 3
+            else:
+                assert all(g.startswith("draw") for g in got) and len(set(got)) == 3
+        assert not any(v.startswith("draw") for v in entries.values())
+        assert len(entries) == len(distinct)
 
 
 class TestOneCallPath:

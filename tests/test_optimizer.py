@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpo import evaluator, fixtures, prompts
+from lpo import gateway as gw
 from lpo.cli import main
 from lpo.core import text_digest, validate_template
 from lpo.encoder import encode
@@ -228,6 +229,51 @@ class TestRunCycle:
         assert {c.provenance.kind for c in result.candidates} == {"perturb"}
         assert all(c.refined_template is not None for c in result.candidates)
         assert len(result.selected) == 3
+
+
+    def test_a_rerun_on_one_cache_file_asks_only_its_sampled_decodes(self, tmp_path,
+                                                                      monkeypatch):
+        made = spy_on_response_caches(monkeypatch)
+        runs = []
+        for _ in range(2):
+            p = build_toy_pipeline(decode_kind="anchor_blend", cache_path=tmp_path / "c.jsonl")
+            result = run_cycle(p.seeds, p.cfg, p.eval_cfg, p.eval_set, p.budget)
+            runs.append((result, usage_report(p.budget)[0], call_count(p.embed_backend),
+                         call_count(p.chat_backend)))
+        (first, first_calls, first_embeds, first_chats), (again, calls, embeds, chats) = runs
+        assert (first_embeds, first_chats) == (1, 30)  # a decode and a refine per candidate
+        assert (calls, embeds, chats) == (15, 0, 15)  # the decodes, at temperature 0.7
+        assert first_calls > calls
+        assert scores(again) == scores(first) and again.selected_ids == first.selected_ids
+        assert len(made) == 2  # each budget read the file once, before its first call
+
+    def test_a_cut_in_decoding_appends_its_finished_replies_as_one_group(self, tmp_path,
+                                                                       monkeypatch):
+        groups = []
+        flush = gw.ResponseCache.flush
+
+        def spy(cache):
+            if cache._pending:
+                groups.append(len(cache._pending))
+            flush(cache)
+
+        monkeypatch.setattr(gw.ResponseCache, "flush", spy)
+        path, at_scoring = tmp_path / "c.jsonl", []
+        batch = evaluator.evaluate_batch
+
+        def scoring(*args, **kwargs):
+            at_scoring.append(len(path.read_text().splitlines()))
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(evaluator, "evaluate_batch", scoring)
+        # the embedding, then a decode and a refine for each of three candidates, one decode
+        p = build_toy_pipeline(decode_kind="anchor_blend", cache_path=path, max_calls=8)
+        result = run_cycle(p.seeds, p.cfg, p.eval_cfg, p.eval_set, p.budget)
+        assert result.partial
+        assert [c.refined_template is not None for c in result.candidates[:4]] == [True] * 3 + [
+            False]
+        assert groups == [5 + 3]  # the five seeds' vectors and three refinements
+        assert at_scoring == [8]
 
 
 class TestIterate:
