@@ -11,8 +11,9 @@ Replies are cached in the budget and in the append-only JSONL file
 ``cache_path``, keyed by content hashes and the answering backend's
 fingerprint, so a warm rerun issues zero gateway calls and returns identical
 scores, and no backend is served another's reply. The first evaluation with
-a cache path binds the budget to that file, which is read then and only
-then; the budget stays bound to it until an evaluation names another.
+a cache path binds the budget to that file, unless a cycle bound it first
+(:func:`lpo.optimizer.run_cycle`), and the file is read then and only then;
+the budget stays bound to it until another cache path names another.
 Each line of the file is decoded by the JSON scanner itself, and a line
 nested past the recursion limit is skipped like any other undecodable one
 (see :class:`gateway.ResponseCache`).
