@@ -855,8 +855,8 @@ class TestReplyCache:
         assert not (tmp_path / "cache.jsonl").exists()
 
     def test_a_dimension_change_is_refused_from_the_cache_too(self):
-        from lpo.encoder import EncoderSpec, encode
         from lpo.core import validate_template
+        from lpo.encoder import EncoderSpec, encode
 
         backend = BackendConfig(kind="mock", behavior="hash", params={"dimension": 4})
         b, seeds = Budget(), [validate_template("x {text}")]
