@@ -271,7 +271,7 @@ def encode_float64(vector) -> str:
 def decode_float64(text: str) -> np.ndarray:
     """The flat, writable float64 vector that :func:`encode_float64` encoded,
     bit for bit."""
-    return np.frombuffer(bytearray(base64.b64decode(text)), "<f8")
+    return np.frombuffer(bytearray(base64.b64decode(text, validate=True)), "<f8")
 
 
 def write_atomic(path: str | Path, lines: Iterable[str]) -> None:

@@ -88,13 +88,11 @@ def _parent_templates(candidate: CandidateRecord,
 
 
 def decode(strategy: DecodeStrategy, candidate: CandidateRecord,
-           seeds: Sequence[PromptTemplate], budget: Budget, *,
-           backend_id: str | None = None) -> str:
+           seeds: Sequence[PromptTemplate], budget: Budget) -> str:
     """Produce raw prompt text for one candidate latent point.
 
-    The chat request goes through :func:`lpo.gateway.cached_chat`, keyed by
-    ``backend_id``, the chat backend's fingerprint when the caller has it: at
-    a ``decode_temperature`` above 0, the default, every decode is drawn
+    The chat request goes through :func:`lpo.gateway.cached_chat`: at a
+    ``decode_temperature`` above 0, the default, every decode is drawn
     afresh; at 0 a request asked before is served from ``budget.replies``.
     """
     if strategy.kind == "toy_inverse":
@@ -107,18 +105,18 @@ def decode(strategy: DecodeStrategy, candidate: CandidateRecord,
             temperature=strategy.decode_temperature,
             soft_prompt=tuple(projected.tolist()),
         )
-        return gateway.cached_chat(strategy.chat, req, budget, backend_id)
+        return gateway.cached_chat(strategy.chat, req, budget)
 
     first, second = _parent_templates(candidate, seeds)
     weight = float(candidate.provenance.weight)
     instruction = prompts.blend_instruction(first.text, second.text, weight)
     req = ChatRequest(user_text=instruction, temperature=strategy.decode_temperature)
-    return gateway.cached_chat(strategy.chat, req, budget, backend_id)
+    return gateway.cached_chat(strategy.chat, req, budget)
 
 
 def refine_format(strategy: DecodeStrategy, raw_text: str,
                   seeds: Sequence[PromptTemplate], budget: Budget,
-                  template_id: str = "", *, backend_id: str | None = None) -> PromptTemplate:
+                  template_id: str = "") -> PromptTemplate:
     """Conform raw decoded text to the seeds' formatting conventions.
 
     Already-valid text is returned verbatim (byte-equal, zero chat calls)
@@ -140,7 +138,7 @@ def refine_format(strategy: DecodeStrategy, raw_text: str,
         raise CandidateInvalidError(f"invalid decode and no refinement backend: {reason}")
     instruction = prompts.refine_instruction(raw_text, [s.text for s in seeds])
     req = ChatRequest(user_text=instruction, temperature=strategy.refinement_temperature)
-    reply = gateway.cached_chat(strategy.chat, req, budget, backend_id)
+    reply = gateway.cached_chat(strategy.chat, req, budget)
     try:
         return validate_template(reply, template_id=tid, origin="refined")
     except ValidationError as exc:

@@ -30,18 +30,16 @@ class EncoderSpec:
             raise ValidationError("encoder dimension must be >= 1")
 
 
-def encode(spec: EncoderSpec, templates: Sequence[PromptTemplate], budget: Budget, *,
-           backend_id: str | None = None) -> list[np.ndarray]:
+def encode(spec: EncoderSpec, templates: Sequence[PromptTemplate],
+           budget: Budget) -> list[np.ndarray]:
     """Embed templates in order, one vector of dimension d per template.
 
     Each text is embedded once per reply cache (:func:`lpo.gateway.cached_embed`),
     as seeds are re-encoded every iteration: a text the backend embedded
     before comes back from ``budget.replies`` bit for bit, with no call.
-    ``backend_id`` is the backend's fingerprint, for a caller that has it.
     """
     if not templates:
         raise ValidationError("encode called with no templates")
-    vectors = gateway.cached_embed(spec.backend, [t.text for t in templates], budget,
-                                   backend_id)
+    vectors = gateway.cached_embed(spec.backend, [t.text for t in templates], budget)
     return [as_vector(vec, dim=spec.dimension, name=f"embedding of {t.text[:30]!r}")
             for t, vec in zip(templates, vectors)]

@@ -242,8 +242,10 @@ class Budget:
     chat replies at temperature 0 and embeddings, never a sampled reply. It
     stays in memory until :func:`lpo.evaluator.evaluate` or
     :func:`lpo.optimizer.run_cycle` binds it to a cache file
-    (:meth:`bind_replies`); it stays bound to the last file it was bound to.
-    A reply served from it is no call and is charged nothing.
+    (:meth:`bind_replies`), which keeps the replies it held in memory; it
+    stays bound to the last file it was bound to. A reply served from it is
+    no call and is charged nothing. A stored vector that does not decode is
+    embedded again.
     """
 
     max_calls: int = 100_000
@@ -295,10 +297,15 @@ class Budget:
     def bind_replies(self, path: str | Path) -> None:
         """Keep replies in the cache file at ``path`` from now on. Unless they
         are kept there already, the current cache is flushed and the file is
-        read, once; the budget stays bound to it until another path comes."""
+        read, once; the budget stays bound to it until another path comes.
+        Replies kept in memory only are kept on, under the file's own."""
         if self.replies.path != Path(path):
             self.replies.flush()
-            self.replies = ResponseCache(path)
+            bound = ResponseCache(path)
+            if self.replies.path is None:
+                for key, raw in self.replies._entries.items():
+                    bound._entries.setdefault(key, raw)
+            self.replies = bound
 
 
 def usage_report(budget: Budget) -> tuple[int, int]:
@@ -512,15 +519,13 @@ def _embed_key(backend_id: str, text: str) -> str:
     return text_digest(json.dumps(["embed", backend_id, text]))
 
 
-def cached_chat(cfg: BackendConfig, req: ChatRequest, budget: Budget,
-                backend_id: str | None = None) -> str:
+def cached_chat(cfg: BackendConfig, req: ChatRequest, budget: Budget) -> str:
     """The text of the reply to ``req``. At temperature 0 it is looked up in
-    ``budget.replies`` first and kept there after, keyed by ``backend_id``,
-    ``cfg``'s fingerprint (taken here when not given); a sampled request
-    (temperature > 0) is always asked afresh."""
+    ``budget.replies`` first and kept there after, keyed by ``cfg``'s
+    fingerprint; a sampled request (temperature > 0) is always asked afresh."""
     if req.temperature > 0:
         return chat(cfg, req, budget).text
-    key = _chat_key(backend_id or backend_fingerprint(cfg), req)
+    key = _chat_key(backend_fingerprint(cfg), req)
     text = budget.replies.get(key)
     if text is None:
         text = chat(cfg, req, budget).text
@@ -528,19 +533,22 @@ def cached_chat(cfg: BackendConfig, req: ChatRequest, budget: Budget,
     return text
 
 
-def cached_embed(cfg: BackendConfig, texts: Sequence[str], budget: Budget,
-                 backend_id: str | None = None) -> list[np.ndarray]:
+def cached_embed(cfg: BackendConfig, texts: Sequence[str], budget: Budget) -> list[np.ndarray]:
     """One vector per text, order preserved. Each distinct text is looked up
-    in ``budget.replies`` under ``backend_id``, ``cfg``'s fingerprint (taken
-    here when not given); the rest are embedded as one :func:`embed` call and
+    in ``budget.replies`` under ``cfg``'s fingerprint; the rest, and any whose
+    stored vector does not decode, are embedded as one :func:`embed` call and
     kept as base64 float64, so a vector comes back bit for bit."""
-    backend_id = backend_id or backend_fingerprint(cfg)
-    replies, vectors = budget.replies, {}
+    backend_id, replies, vectors = backend_fingerprint(cfg), budget.replies, {}
     keys = {text: _embed_key(backend_id, text) for text in texts}
     for text, key in keys.items():
         stored = replies.get(key)
         if stored is not None:
-            vectors[text] = decode_float64(stored)
+            try:
+                vector = decode_float64(stored)
+            except ValueError:  # not base64, or not whole float64s
+                continue
+            if vector.size:
+                vectors[text] = vector
     missing = [text for text in keys if text not in vectors]
     if missing:
         for text, vector in zip(missing, embed(cfg, missing, budget)):

@@ -865,6 +865,45 @@ class TestReplyCache:
             encode(EncoderSpec(backend, dimension=8), seeds, b)
         assert call_count(backend) == 1
 
+    @pytest.mark.parametrize("stored", ["not base64!", "AAAA", "", "AAAAAAAAAAAAAAA="])
+    def test_a_stored_vector_that_does_not_decode_is_embedded_again(self, tmp_path, stored):
+        backend = BackendConfig(kind="mock", behavior="hash", params={"dimension": 4})
+        path = tmp_path / "cache.jsonl"
+        key = gw._embed_key(backend_fingerprint(backend), "x {text}")
+        path.write_text(json.dumps({"key_hash": key, "raw_output": stored}) + "\n")
+        for _ in range(2):  # the second run hits the good line appended after the bad one
+            b = Budget()
+            b.bind_replies(path)
+            (vec,) = gw.cached_embed(backend, ["x {text}"], b)
+            b.replies.flush()
+            assert vec.shape == (4,)
+        assert call_count(backend) == 1
+
+    def test_binding_a_cache_file_keeps_the_vectors_embedded_before(self, tmp_path):
+        from lpo.core import Dataset, Example, validate_template
+        from lpo.encoder import EncoderSpec, encode
+        from lpo.evaluator import EvalConfig, evaluate
+
+        backend = BackendConfig(kind="mock", behavior="hash", params={"dimension": 4})
+        spec, b, seeds = EncoderSpec(backend, dimension=4), Budget(), [validate_template("x {text}")]
+        task = mock_chat_cfg(behavior="fixed", params={"reply": "positive"})
+        ds = Dataset(examples=(Example(text="a", label="positive"),),
+                     label_set=("negative", "positive"))
+        (first,) = encode(spec, seeds, b)
+        evaluate(seeds[0], ds, EvalConfig(task, task, cache_path=tmp_path / "c.jsonl"), b)
+        (second,) = encode(spec, seeds, b)
+        assert call_count(backend) == 1
+        assert second.tobytes() == first.tobytes()
+
+    def test_a_reply_in_the_file_wins_over_one_kept_in_memory(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps({"key_hash": "k", "raw_output": "from the file"}) + "\n")
+        b = Budget()
+        b.replies.put("k", "from memory")
+        b.replies.put("only", "in memory")
+        b.bind_replies(path)
+        assert (b.replies.get("k"), b.replies.get("only")) == ("from the file", "in memory")
+
     @settings(max_examples=60, deadline=None)
     @given(requests=st.lists(st.tuples(st.sampled_from(("chat", "embed")), st.sampled_from((0, 1)),
                                        st.sampled_from(TEXTS), st.sampled_from((0.0, 0.7))),
