@@ -116,7 +116,7 @@ def decode(strategy: DecodeStrategy, candidate: CandidateRecord,
 
 def refine_format(strategy: DecodeStrategy, raw_text: str,
                   seeds: Sequence[PromptTemplate], budget: Budget,
-                  template_id: str = "") -> PromptTemplate:
+                  template_id: str = "", *, backend_id: str | None = None) -> PromptTemplate:
     """Conform raw decoded text to the seeds' formatting conventions.
 
     Already-valid text is returned verbatim (byte-equal, zero chat calls)
@@ -125,7 +125,9 @@ def refine_format(strategy: DecodeStrategy, raw_text: str,
     reply still fails validation the candidate is marked invalid via
     CandidateInvalidError, which is not fatal to a run. At a
     ``refinement_temperature`` of 0, the default, a request asked before is
-    served from ``budget.replies`` (:func:`decode` says how).
+    served from ``budget.replies`` (:func:`decode` says how), keyed by
+    ``backend_id``, the chat backend's fingerprint, which a caller refining
+    many candidates takes once.
     """
     if not seeds:
         raise ValidationError("refine_format needs at least one seed for reference")
@@ -138,7 +140,7 @@ def refine_format(strategy: DecodeStrategy, raw_text: str,
         raise CandidateInvalidError(f"invalid decode and no refinement backend: {reason}")
     instruction = prompts.refine_instruction(raw_text, [s.text for s in seeds])
     req = ChatRequest(user_text=instruction, temperature=strategy.refinement_temperature)
-    reply = gateway.cached_chat(strategy.chat, req, budget)
+    reply = gateway.cached_chat(strategy.chat, req, budget, backend_id)
     try:
         return validate_template(reply, template_id=tid, origin="refined")
     except ValidationError as exc:

@@ -519,13 +519,15 @@ def _embed_key(backend_id: str, text: str) -> str:
     return text_digest(json.dumps(["embed", backend_id, text]))
 
 
-def cached_chat(cfg: BackendConfig, req: ChatRequest, budget: Budget) -> str:
+def cached_chat(cfg: BackendConfig, req: ChatRequest, budget: Budget,
+                backend_id: str | None = None) -> str:
     """The text of the reply to ``req``. At temperature 0 it is looked up in
-    ``budget.replies`` first and kept there after, keyed by ``cfg``'s
-    fingerprint; a sampled request (temperature > 0) is always asked afresh."""
+    ``budget.replies`` first and kept there after, keyed by ``backend_id``,
+    ``cfg``'s fingerprint (taken here when not given); a sampled request
+    (temperature > 0) is always asked afresh."""
     if req.temperature > 0:
         return chat(cfg, req, budget).text
-    key = _chat_key(backend_fingerprint(cfg), req)
+    key = _chat_key(backend_id or backend_fingerprint(cfg), req)
     text = budget.replies.get(key)
     if text is None:
         text = chat(cfg, req, budget).text

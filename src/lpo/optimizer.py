@@ -47,7 +47,7 @@ import numpy as np
 from . import decoder as decoder_mod
 from . import encoder as encoder_mod
 from . import evaluator as evaluator_mod
-from . import explorer
+from . import explorer, gateway
 from .core import Dataset, PromptTemplate
 from .decoder import DecodeStrategy
 from .encoder import EncoderSpec
@@ -199,7 +199,8 @@ def run_cycle(
     embeddings and the refinements (temperature 0) are asked once per cache
     file, as classify and extract replies are, and their new lines are
     appended as one group once decoding ends, also when it is cut short.
-    Sampled decodes are drawn afresh.
+    Sampled decodes are drawn afresh. The chat backend is fingerprinted once
+    per cycle for the refinements' keys.
     """
     if not seeds:
         raise ValidationError("run_cycle needs at least one seed template")
@@ -218,6 +219,8 @@ def run_cycle(
     if eval_cfg.cache_path is not None:  # so that embeddings and refinements find it
         budget.bind_replies(eval_cfg.cache_path)
     seed_vectors = encoder_mod.encode(cfg.encoder, seeds, budget)
+    chat = cfg.decode.chat
+    chat_id = gateway.backend_fingerprint(chat) if chat is not None else None
     # a fresh stream per iteration, still fully determined by the policy seed
     policy = replace(cfg.policy, rng_seed=cfg.policy.rng_seed + iteration - 1)
     candidates = explorer.generate_candidates(list(zip(ids, seed_vectors)), policy)
@@ -230,12 +233,12 @@ def run_cycle(
             candidate.decoded_text = decoder_mod.decode(cfg.decode, candidate, seeds, budget)
             candidate.refined_template = decoder_mod.refine_format(
                 cfg.decode, candidate.decoded_text, seeds, budget,
-                template_id=candidate.id)
+                template_id=candidate.id, backend_id=chat_id)
         except CandidateInvalidError as exc:
             candidate.invalid_reason = str(exc)
 
     try:
-        evaluator_mod._fan_out(len(candidates), decode_one, cfg.decode.chat, budget,
+        evaluator_mod._fan_out(len(candidates), decode_one, chat, budget,
                                sum(evaluator_mod.call_plan(candidates=1).values()))
     except BudgetExhaustedError as exc:
         warnings.append(f"budget exhausted during decoding: {exc}")
