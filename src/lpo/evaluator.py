@@ -18,15 +18,16 @@ Each line of the file is decoded by the JSON scanner itself, and a line
 nested past the recursion limit is skipped like any other undecodable one
 (see :class:`gateway.ResponseCache`).
 
-A warm rerun does each piece of work once. Each example's text is hashed
-once per process (``Example.digest``). Each template's classify keys are
-derived once per slice, shared by the scoring loop and the calls made
-ahead, and its label set is encoded once. Stage 1 of :func:`extract_label`
-runs once per distinct reply while it stays among the last few hundred
-asked. The slice's fingerprint, every score's ``eval_set_id``, is taken
-once per slice: once per :func:`evaluate_batch`; so is each backend's
-fingerprint, which every cache key holds. The keys are the same strings as
-ever, so cache files written by earlier versions still hit.
+A warm rerun does little work per example. Each example's text is hashed
+once per process (``Example.digest``), so its classify key is one more
+digest, derived when the scoring loop reaches it; a raced template derives
+none for the examples it skips. Stage 1 of :func:`extract_label` runs once
+per distinct reply while it stays among the last few hundred asked. What a
+batch's templates share is derived once per slice, once per
+:func:`evaluate_batch`: the slice's fingerprint, every score's
+``eval_set_id``, each backend's fingerprint, which every cache key holds,
+and the encoded label set of the extract keys. The keys are the same
+strings as ever, so cache files written by earlier versions still hit.
 
 A new reply is served from memory as soon as it is put. Its line is appended
 when its template's calls end, with one open, write and close of the file per
@@ -184,9 +185,9 @@ def classify_one(template: PromptTemplate, ex: Example, cfg: EvalConfig,
 
     ``keys`` gives an example's cache key (:func:`_classify_keys` for this
     template and the task backend), for callers that score many examples.
-    The reply is looked up in and kept in ``budget.replies``; :func:`evaluate`
-    binds ``cfg.cache_path`` there, once per budget, since reading that file
-    per call would cost more than the call.
+    The reply is looked up in and kept in ``budget.replies``, which
+    :func:`evaluate` binds to ``cfg.cache_path`` before its first call,
+    since reading that file per call would cost more than the call.
     """
     keys = keys or _classify_keys(gateway.backend_fingerprint(cfg.task_backend), cfg, template)
     key, replies = keys(ex), budget.replies
@@ -296,12 +297,13 @@ def _fan_out(count: int, work: Callable[[int], None], backend: BackendConfig | N
 
     Before each index, the fan-out rule (:func:`_fan_width`) says how many
     threads the indices left may use, each making at most ``step_calls``
-    calls on ``backend`` (:func:`call_plan`). While it is 1 they run in the calling thread, and the first failure is
-    raised at once. Once it is more, a ``ThreadPoolExecutor`` of up to that
-    many threads takes the indices left in order; after a failure no index
-    starts, one already started runs to its end, and once every thread has
-    stopped the lowest index's failure is raised. This is the package's one
-    thread pool; the optimizer's decode stage uses it too.
+    calls on ``backend`` (:func:`call_plan`). While it is 1 they run in the
+    calling thread, and the first failure is raised at once. Once it is
+    more, a ``ThreadPoolExecutor`` of up to that many threads takes the
+    indices left in order; after a failure no index starts, one already
+    started runs to its end, and once every thread has stopped the lowest
+    index's failure is raised. This is the package's one thread pool; the
+    optimizer's decode stage uses it too.
     """
     for start in range(count):
         threads = min(_fan_width(backend, budget, step_calls * (count - start)), count - start)
@@ -330,102 +332,94 @@ def _fan_out(count: int, work: Callable[[int], None], backend: BackendConfig | N
         raise failures[0]
 
 
+@dataclass(frozen=True)
 class _Slice(Dataset):
     """The first ``max_examples`` of an eval set, as one evaluation or one
-    batch scores them under one config.
+    batch scores them under ``cfg``, with what every template of the batch
+    shares, each derived on first use: its fingerprint, every score's
+    ``eval_set_id``; the task backend's fingerprint and the extract-key
+    function, so a backend is fingerprinted once per slice and a change to
+    its params between batches makes new keys; ``failed``, each classify
+    request that failed while made ahead, by its key, for :func:`evaluate`
+    to raise when it reaches that example; and ``made_ahead``, the texts of
+    the templates whose calls :func:`_prefetch` has taken on."""
 
-    What scoring derives from the slice alone is derived once: its
-    fingerprint, which is every score's ``eval_set_id``, each backend's
-    fingerprint (:meth:`backend_id`), and each template's classify keys,
-    which a batch's prefetch derives and :func:`evaluate` then takes over.
-    ``failed`` holds the failure of each classify request that failed while
-    made ahead, by its key, for :func:`evaluate` to raise when it reaches
-    that example.
-    """
+    cfg: EvalConfig
 
     @cached_property
     def eval_set_id(self) -> str:
         return self.fingerprint()
 
     @cached_property
-    def _keys(self) -> dict[str, list[str]]:  # template text -> its classify keys
-        return {}
+    def task_id(self) -> str:  # read before extract_keys: handlers are numbered in that order
+        return gateway.backend_fingerprint(self.cfg.task_backend)
+
+    @cached_property
+    def extract_keys(self) -> Callable[[str], str]:
+        return _extract_keys(gateway.backend_fingerprint(self.cfg.extraction_backend),
+                             self.label_set)
 
     @cached_property
     def failed(self) -> dict[str, Exception]:
         return {}
 
     @cached_property
-    def _backend_ids(self) -> dict[int, tuple[BackendConfig, str]]:
-        return {}  # id -> (the backend, kept so that its id is not reused; its fingerprint)
-
-    def backend_id(self, backend: BackendConfig) -> str:
-        """``backend``'s fingerprint, taken on first use: once per slice, so
-        a change to its params between batches makes new keys."""
-        entry = self._backend_ids.get(id(backend))
-        if entry is None:
-            entry = self._backend_ids[id(backend)] = backend, gateway.backend_fingerprint(backend)
-        return entry[1]
-
-    def classify_keys(self, template: PromptTemplate, cfg: EvalConfig) -> list[str]:
-        """``template``'s classify key for each example, derived on first use
-        and kept until :meth:`drop_keys`."""
-        keys = self._keys.get(template.text)
-        if keys is None:
-            key = _classify_keys(self.backend_id(cfg.task_backend), cfg, template)
-            keys = self._keys[template.text] = [key(ex) for ex in self.examples]
-        return keys
-
-    def drop_keys(self, template: PromptTemplate) -> None:
-        self._keys.pop(template.text, None)
+    def made_ahead(self) -> set[str]:
+        return set()
 
 
-def _slice(eval_set: Dataset, cfg: EvalConfig) -> _Slice:
+def _slice(eval_set: Dataset, cfg: EvalConfig, budget: Budget) -> _Slice:
+    """``eval_set`` itself if it is a batch's slice under ``cfg``; else a new
+    slice of its first ``max_examples``, with ``budget`` bound to
+    ``cfg.cache_path`` (:meth:`Budget.bind_replies`)."""
+    if isinstance(eval_set, _Slice) and eval_set.cfg is cfg:
+        return eval_set
     if len(eval_set) == 0:
         raise ValidationError("evaluation set is empty")
-    if isinstance(eval_set, _Slice) and len(eval_set) <= cfg.max_examples:
-        return eval_set  # a batch's slice
-    return _Slice(examples=eval_set.examples[: cfg.max_examples],
-                  label_set=tuple(eval_set.label_set))
+    view = _Slice(eval_set.examples[: cfg.max_examples], tuple(eval_set.label_set), cfg)
+    if cfg.cache_path is not None:
+        budget.bind_replies(cfg.cache_path)
+    return view
 
 
-def _prefetch(templates: Sequence[PromptTemplate], view: _Slice, cfg: EvalConfig,
-              budget: Budget) -> bool:
+def _prefetch(templates: Sequence[PromptTemplate], view: _Slice, budget: Budget) -> None:
     """Make ahead, on up to ``max_in_flight`` threads per backend, the calls
     that scoring ``templates`` on ``view`` in full would make, so
-    :func:`evaluate` finds their replies in ``budget.replies``; False if the
-    terms below do not hold.
+    :func:`evaluate` finds their replies in ``budget.replies``.
 
-    It runs only while the task or extraction backend blocks (asked before
-    the texts are counted) and the fan-out rule admits :func:`call_plan` of
-    every (template, distinct text). First every classify call that misses
-    the cache, appending to the cache file as each template's calls end; then
-    one extraction per distinct reply that stage 1 of :func:`extract_label`
-    cannot label, and one more append. The calls left at entry cover each
-    pool's own plan, so each widens once its backend blocks. A prefetch that
-    finds every classify reply cached makes no call. A cut by the budget
-    ends it quietly: :func:`evaluate` meets the first missing reply and
-    stops where a serial run stops. A classify call that fails otherwise
-    stops it too, and is kept in ``view.failed``, neither raised here nor
-    asked again, for :func:`evaluate` to raise if it reaches that example: a
-    racing template may never reach it.
+    It takes them on, adding their texts to ``view.made_ahead``, only while
+    the task or extraction backend blocks (asked before the texts are
+    counted) and the fan-out rule admits :func:`call_plan` of every
+    (template, distinct text); otherwise it does nothing. First every
+    classify call that misses the cache, appending to the cache file as each
+    template's calls end; then one extraction per distinct reply that stage
+    1 of :func:`extract_label` cannot label, and one more append. The calls
+    left at entry cover each pool's own plan, so each widens once its
+    backend blocks. A prefetch that finds every classify reply cached makes
+    no call. A cut by the budget ends it quietly: :func:`evaluate` meets the
+    first missing reply and stops where a serial run stops. A classify call
+    that fails otherwise stops it too, and is kept in ``view.failed``,
+    neither raised here nor asked again, for :func:`evaluate` to raise if it
+    reaches that example: a racing template may never reach it.
     """
-    examples, label_set = view.examples, view.label_set
+    cfg, examples, label_set = view.cfg, view.examples, view.label_set
     backends = (cfg.task_backend, cfg.extraction_backend)
     if not any(map(gateway.blocks, backends)):
-        return False
+        return
     worst = sum(call_plan(pairs=len(templates) * len({ex.text for ex in examples})).values())
     if max(_fan_width(b, budget, worst) for b in backends) == 1:
-        return False
+        return
+    view.made_ahead.update(template.text for template in templates)
     replies, failed = budget.replies, view.failed
     pairs: dict[str, tuple[int, Example]] = {}  # classify key -> its first (template, example)
     for t, template in enumerate(templates):
-        for key, ex in zip(view.classify_keys(template, cfg), examples):
-            pairs.setdefault(key, (t, ex))
+        keys = _classify_keys(view.task_id, cfg, template)
+        for ex in examples:
+            pairs.setdefault(keys(ex), (t, ex))
     missing = [(key, *pair) for key, pair in pairs.items()
                if replies.get(key) is None and key not in failed]
     if not missing:
-        return True
+        return
     unclassified, lock, stopped = [0] * len(templates), threading.Lock(), threading.Event()
     for _, t, _ in missing:
         unclassified[t] += 1
@@ -453,8 +447,8 @@ def _prefetch(templates: Sequence[PromptTemplate], view: _Slice, cfg: EvalConfig
         _fan_out(len(missing), classify, cfg.task_backend, budget,
                  sum(call_plan(pairs=1).values()))
         if stopped.is_set():
-            return True
-        extract_keys = _extract_keys(view.backend_id(cfg.extraction_backend), label_set)
+            return
+        extract_keys = view.extract_keys
         unlabelled = [raw for raw in dict.fromkeys(map(replies.get, pairs))
                       if raw is not None and _local_label(raw, label_set) is None
                       and replies.get(extract_keys(raw)) is None]
@@ -465,7 +459,6 @@ def _prefetch(templates: Sequence[PromptTemplate], view: _Slice, cfg: EvalConfig
         pass  # evaluate meets the cut where a serial run would
     finally:  # also a prefetch cut short, by the budget or a failure, keeps its replies
         replies.flush()
-    return True
 
 
 def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
@@ -488,35 +481,33 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
     longer reach it, and returns a :class:`RacedPrompt` of the examples
     scored. Without one it always returns a :class:`ScoredPrompt`.
 
-    Each example's classify key is derived once, for the loop and the
-    prefetches alike. Before the first and the second example it asks
-    :func:`_prefetch` to make the template's calls ahead, so a backend first
-    seen to block by the first example's call overlaps the rest. Whatever the
-    prefetch made is read from the reply cache, so the result equals a
-    serial run's, and a budget cut stops at the first example whose reply is
-    missing, with the error a serial run raises there. A call that failed
+    Each example's classify key is derived when the loop reaches it, so a
+    raced template derives none for the examples it skips. Unless the
+    template's calls were made ahead already, it asks :func:`_prefetch` to
+    make them before the first and the second example, so a backend first
+    seen to block by the first example's call overlaps the rest. Whatever
+    the prefetch made is read from the reply cache, so the result equals a
+    serial run's, and a budget cut stops at the first example whose reply
+    is missing, with the error a serial run raises there. A call that failed
     while made ahead is raised here, without asking again, once the loop
     reaches its example.
     """
-    view = _slice(eval_set, cfg)
-    examples, label_set = view.examples, view.label_set
+    view = _slice(eval_set, cfg, budget)
+    examples, label_set, failed = view.examples, view.label_set, view.failed
     n = len(examples)
-    if cfg.cache_path is not None:
-        budget.bind_replies(cfg.cache_path)
-    keys = view.classify_keys(template, cfg)
-    extract_keys = _extract_keys(view.backend_id(cfg.extraction_backend), label_set)
-    failed = view.failed
+    keys = _classify_keys(view.task_id, cfg, template)
+    extract_keys = view.extract_keys
     outcomes: list[PerExample] = []
     n_correct = 0
     try:
-        for i, (ex, key) in enumerate(zip(examples, keys)):
+        for i, ex in enumerate(examples):
             if floor is not None and i % RACE_EVERY == 0 and n_correct + n - i < floor:
                 break
-            if i < 2:
-                _prefetch([template], view, cfg, budget)
-            if key in failed:
+            if i < 2 and template.text not in view.made_ahead:
+                _prefetch([template], view, budget)
+            if failed and (key := keys(ex)) in failed:
                 raise failed.pop(key)
-            raw = classify_one(template, ex, cfg, budget, keys=lambda _ex, key=key: key)
+            raw = classify_one(template, ex, cfg, budget, keys=keys)
             label = extract_label(raw, label_set, cfg, budget, keys=extract_keys)
             correct = label == ex.label
             n_correct += correct
@@ -525,7 +516,6 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
         raise BudgetExhaustedError(f"budget exhausted after {len(outcomes)} of {n} examples "
                                    f"for template {template.id}: {exc}") from exc
     finally:  # also a template cut short by the budget keeps its replies
-        view.drop_keys(template)
         budget.replies.flush()
     if len(outcomes) < n:
         return RacedPrompt(template, n_correct, len(outcomes), tuple(outcomes),
@@ -551,7 +541,7 @@ def evaluate_batch(templates: Sequence[PromptTemplate], eval_set: Dataset, cfg: 
     are those of a run without racing. The first ``keep`` templates always
     complete. Without ``keep`` every template completes.
 
-    Before each template, until one prefetch has run, the batch asks
+    Before each template whose calls were not made ahead yet, the batch asks
     :func:`_prefetch` to make the calls of every template left at once: each
     classify call grouped by (template, text), then each distinct extraction
     across the batch. So a backend that computes starts no thread, a fresh
@@ -563,19 +553,16 @@ def evaluate_batch(templates: Sequence[PromptTemplate], eval_set: Dataset, cfg: 
     prefix of a full run's.
 
     Every template is scored on one slice of the eval set, so its
-    fingerprint and each backend's are taken once per batch, and the classify
-    keys a prefetch derives serve :func:`evaluate` too.
+    fingerprint and each backend's are taken once per batch.
     """
     if keep is not None and keep < 1:
         raise ValidationError("keep must be >= 1")
-    view = _slice(eval_set, cfg)
-    if cfg.cache_path is not None:
-        budget.bind_replies(cfg.cache_path)
+    view = _slice(eval_set, cfg, budget)
     complete: list[int] = []  # the complete templates' n_correct, best first
     results: list[ScoredPrompt | RacedPrompt] = []
-    prefetched = False
     for start, template in enumerate(templates):
-        prefetched = prefetched or _prefetch(templates[start:], view, cfg, budget)
+        if template.text not in view.made_ahead:
+            _prefetch(templates[start:], view, budget)
         floor = complete[keep - 1] if keep is not None and len(complete) >= keep else None
         try:
             result = evaluate(template, view, cfg, budget, floor)

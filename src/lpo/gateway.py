@@ -538,19 +538,18 @@ def cached_chat(cfg: BackendConfig, req: ChatRequest, budget: Budget,
 def cached_embed(cfg: BackendConfig, texts: Sequence[str], budget: Budget) -> list[np.ndarray]:
     """One vector per text, order preserved. Each distinct text is looked up
     in ``budget.replies`` under ``cfg``'s fingerprint; the rest, and any whose
-    stored vector does not decode, are embedded as one :func:`embed` call and
-    kept as base64 float64, so a vector comes back bit for bit."""
+    stored vector does not decode to one a fresh vector could be (non-empty
+    and finite, :func:`as_vector`), are embedded as one :func:`embed` call
+    and kept as base64 float64, so a vector comes back bit for bit."""
     backend_id, replies, vectors = backend_fingerprint(cfg), budget.replies, {}
     keys = {text: _embed_key(backend_id, text) for text in texts}
     for text, key in keys.items():
         stored = replies.get(key)
         if stored is not None:
             try:
-                vector = decode_float64(stored)
-            except ValueError:  # not base64, or not whole float64s
+                vectors[text] = as_vector(decode_float64(stored))
+            except (ValueError, ValidationError):  # not whole float64s, empty or not finite
                 continue
-            if vector.size:
-                vectors[text] = vector
     missing = [text for text in keys if text not in vectors]
     if missing:
         for text, vector in zip(missing, embed(cfg, missing, budget)):

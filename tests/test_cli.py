@@ -272,6 +272,21 @@ class TestOptimize:
         assert [it["scored"] for it in second_its] == [it["scored"] for it in first_its]
         assert [it["selected"] for it in second_its] == [it["selected"] for it in first_its]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_rerun_embeds_a_stored_vector_that_is_not_finite_again(self, toy_workspace,
+                                                                     capsys, bad):
+        args = ["optimize", "--config", toy_workspace / "config.yaml",
+                "--seeds", toy_workspace / "seeds.jsonl"]
+        assert run(args) == 0
+        app, _ = load_app_config(toy_workspace / "config.yaml")
+        key = gw._embed_key(gw.backend_fingerprint(app.optimizer.encoder.backend),
+                            "tone=0.5;steps=0.95 {text}")
+        with (toy_workspace / "out" / "cache_validation.jsonl").open("a") as fh:
+            fh.write(json.dumps({"key_hash": key,
+                                 "raw_output": core.encode_float64(np.array([bad, 0.5]))}) + "\n")
+        assert run(args) == 0
+        assert "error" not in capsys.readouterr().err
+
     def test_backend_failure_exit_4(self, toy_workspace):
         with LoopbackServer(*[(500, "unavailable")] * 3) as server:
             config = edited_config(toy_workspace, "evaluator.task_backend", {

@@ -37,6 +37,17 @@ def test_imports_match_declared_dependencies():
     assert third_party_imports() == declared_dependencies()
 
 
+def test_every_file_parses_as_the_oldest_python_declared():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    oldest = tuple(map(int, re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"',
+                                      text, re.MULTILINE).groups()))
+    paths = [path for folder in ("src/lpo", "tests", "demos")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=oldest)
+
+
 def test_only_the_gateway_builds_reply_caches_or_imports_urllib_request():
     """The choke point that the gateway's docstring claims, checked on the syntax tree."""
     found = set()

@@ -604,6 +604,34 @@ def batch_config(width=4, peak=None):
     return config(task, extraction)
 
 
+def spy_on_prefetch(monkeypatch) -> list:
+    """Each ``_prefetch`` asked for: its template count, and whether it took them on."""
+    prefetch, asked = evaluator._prefetch, []
+
+    def spy(templates, view, budget):
+        prefetch(templates, view, budget)
+        asked.append((len(templates), all(t.text in view.made_ahead for t in templates)))
+
+    monkeypatch.setattr(evaluator, "_prefetch", spy)
+    return asked
+
+
+def spy_on_digests(monkeypatch) -> list:
+    """The texts the evaluator hashes, in order."""
+    hashed = []
+
+    def spy(text):
+        hashed.append(text)
+        return text_digest(text)
+
+    monkeypatch.setattr(evaluator, "text_digest", spy)
+    return hashed
+
+
+def is_classify_key(text) -> bool:
+    return text.startswith('["classify", ')
+
+
 BATCH = [validate_template(f"Template {i}: {{text}}", template_id=f"t{i}") for i in range(3)]
 
 
@@ -686,23 +714,40 @@ class TestEvaluateBatch:
             assert extract_label("maybe", LABELS, cfg, b) == "positive"
         assert list(map(id, seen)) == [id(cfg.task_backend), id(cfg.extraction_backend)] * 2
 
-    def test_a_prefetched_template_derives_its_keys_once(self, monkeypatch):
-        hashed = []
-
-        def spy(text):
-            hashed.append(text)
-            return text_digest(text)
-
-        monkeypatch.setattr(evaluator, "text_digest", spy)
+    def test_a_template_derives_its_keys_once_per_pass(self, monkeypatch):
+        """The scoring loop derives a template's keys once, and so does the
+        prefetch that makes its calls ahead."""
+        hashed = spy_on_digests(monkeypatch)
         ds = dataset([(f"ex{i}", "positive") for i in range(5)])
-        for width in (1, 4):  # a serial batch, and one that makes its calls ahead
+        for width, passes in ((1, 1), (4, 2)):  # a serial batch, and one made ahead
             hashed.clear()
             cfg = batch_config(width=width)
             b = budget()
             scored, exhausted = evaluator.evaluate_batch(BATCH, ds, cfg, b)
             assert exhausted is None and len(scored) == 3
-            assert [hashed.count(t.text) for t in BATCH] == [1, 1, 1]
+            assert [hashed.count(t.text) for t in BATCH] == [passes] * 3
+            assert sum(map(is_classify_key, hashed)) == passes * 3 * 5
             assert b.calls == 3 * 5 + 3  # every (template, text), then each distinct reply
+
+    def test_a_raced_template_derives_keys_only_for_the_examples_it_scored(self, monkeypatch):
+        hashed = spy_on_digests(monkeypatch)
+        ds = dataset([(f"ex{i}", "positive") for i in range(16)])
+        cfg = scripted_batch({(1, f"ex{i}"): "negative" for i in range(16)}, width=1)
+        scored, exhausted = evaluator.evaluate_batch(BATCH[:2], ds, cfg, budget(), keep=1)
+        assert exhausted is None and isinstance(scored[1], RacedPrompt)
+        assert scored[1].n_total == evaluator.RACE_EVERY == 8
+        assert sum(map(is_classify_key, hashed)) == 16 + 8
+
+    def test_a_warm_batch_makes_its_calls_ahead_in_one_prefetch(self, monkeypatch):
+        asked = spy_on_prefetch(monkeypatch)
+        cfg = batch_config()
+        ds = dataset([(f"ex{i}", LABELS[i % 3]) for i in range(12)])
+        scored, exhausted = evaluator.evaluate_batch(BATCH, ds, cfg, budget(), keep=1)
+        assert exhausted is None and len(scored) == 3
+        assert asked == [(3, True)]  # neither the batch nor evaluate asks again
+        # each (template, text) classified once, and each distinct reply extracted once
+        assert (call_count(cfg.task_backend) - 1, call_count(cfg.extraction_backend) - 1) \
+            == (3 * 12, 3)
 
     @pytest.mark.parametrize("spare, admitted", [(0, True), (-1, False)])
     def test_the_batch_is_made_ahead_once_the_calls_left_cover_the_plan(
@@ -710,13 +755,7 @@ class TestEvaluateBatch:
         """Every task reply is new and needs an extraction, so the batch makes
         the two calls per pair that its plan allows. Once admitted, its
         classify pool and then its extract pool start wide at once."""
-        prefetch, asked = evaluator._prefetch, []
-
-        def spy(templates, *args):
-            asked.append((len(templates), prefetch(templates, *args)))
-            return asked[-1][1]
-
-        monkeypatch.setattr(evaluator, "_prefetch", spy)
+        asked = spy_on_prefetch(monkeypatch)
         threads = []
         task, extraction = (
             BackendConfig(kind="mock", behavior="handler", max_in_flight=4,

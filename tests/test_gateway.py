@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import lpo
 import lpo.gateway as gw
+from lpo.core import encode_float64
 from lpo.errors import BackendError, BudgetExhaustedError, TransientBackendError, ValidationError
 from lpo.gateway import (
     BackendConfig,
@@ -865,7 +866,9 @@ class TestReplyCache:
             encode(EncoderSpec(backend, dimension=8), seeds, b)
         assert call_count(backend) == 1
 
-    @pytest.mark.parametrize("stored", ["not base64!", "AAAA", "", "AAAAAAAAAAAAAAA="])
+    @pytest.mark.parametrize("stored", [
+        "not base64!", "AAAA", "", "AAAAAAAAAAAAAAA=",
+        encode_float64(np.array([np.nan, 0.5])), encode_float64(np.array([0.5, -np.inf]))])
     def test_a_stored_vector_that_does_not_decode_is_embedded_again(self, tmp_path, stored):
         backend = BackendConfig(kind="mock", behavior="hash", params={"dimension": 4})
         path = tmp_path / "cache.jsonl"
