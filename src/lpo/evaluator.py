@@ -32,11 +32,10 @@ strings as ever, so cache files written by earlier versions still hit.
 A new reply is served from memory as soon as it is put. Its line is appended
 when its template's calls end, with one open, write and close of the file per
 template (also for a template cut short by the budget), so a crash loses at
-most the current template's replies and no file is held open between
-templates. When calls are made ahead for several templates, a template's
-classify replies are appended when its last classify call ends and the
-extraction replies after them all, so a crash loses at most the replies of
-the templates still classifying, or those extractions. Nothing is fsynced.
+most the replies of the templates whose calls are still in flight and no file
+is held open between templates. Calls made ahead for a template are appended
+by the thread that ends its last one, before its scoring loop reads them.
+Nothing is fsynced.
 
 Scoring races (:func:`evaluate_batch` with ``keep``): a template stops once
 the examples left cannot lift it to the ``keep``-th best complete score so
@@ -51,19 +50,26 @@ which always covers the whole slice. Without ``keep`` nothing races.
 
 Every result comes from one serial loop, :func:`evaluate`, which classifies
 and labels the examples in order and reads each reply from the cache if it
-is there. Concurrency only fills the cache ahead of it: while the task or
-extraction backend has been seen to block (see :func:`gateway.blocks`) and
-the calls left cover the worst case, ``_prefetch`` makes the calls that miss
-the cache on up to ``max_in_flight`` threads per backend, every classify
-call first, then every extraction, each distinct request once. It does not
-race: on a blocking backend every template's calls are made ahead in full,
-so the threads never wait for a floor, and racing changes the record but
-saves no call. :func:`evaluate_batch` prefetches a cycle's templates as one
-batch. So results equal a serial run's by construction, and a budget cut
-stops the loop at its first missing reply. Backends that compute rather
-than wait, like the in-process mocks, are called one at a time from the
-calling thread, because threads would only take turns on the interpreter
-lock; there racing saves the calls it skips.
+is there. Concurrency only fills the cache ahead of it, on lanes: one pool
+per backend seen to block (see :func:`gateway.blocks`), of its
+``max_in_flight`` threads, opened on first use and closed with the slice's
+batch or cycle (:class:`_Lanes`), so a backend never has more threads than
+that. While the task or extraction backend blocks and the calls left cover
+the worst case, ``_prefetch`` queues each classify call that misses the
+cache on the task backend's lane, and a reply that stage 1 cannot label
+sends its extraction on to the extraction backend's lane as soon as it is
+in, so extractions stream while classification goes on; each distinct
+request is asked once per slice. :func:`evaluate` waits only for its own
+template's calls. It does not race the calls made ahead: on a blocking
+backend every template's calls are made in full, so the lanes never wait
+for a floor, and racing changes the record but saves no call.
+:func:`evaluate_batch` sends a batch's templates ahead at once, and
+:func:`lpo.optimizer.run_cycle` sends the seeds' before decoding and each
+candidate's as its decoding ends. So results equal a serial run's by
+construction, and a budget cut stops the loop at its first missing reply.
+Backends that compute rather than wait, like the in-process mocks, are
+called one at a time from the calling thread, because threads would only
+take turns on the interpreter lock; there racing saves the calls it skips.
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ import math
 import re
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -292,28 +298,24 @@ def _fan_width(backend: BackendConfig | None, budget: Budget, calls: int) -> int
 
 
 def _fan_out(count: int, work: Callable[[int], None], backend: BackendConfig | None,
-             budget: Budget, step_calls: int) -> None:
+             budget: Budget, step_calls: int, lanes: _Lanes) -> None:
     """Run ``work`` on each index below ``count``, in order.
 
     Before each index, the fan-out rule (:func:`_fan_width`) says how many
     threads the indices left may use, each making at most ``step_calls``
     calls on ``backend`` (:func:`call_plan`). While it is 1 they run in the
     calling thread, and the first failure is raised at once. Once it is
-    more, a ``ThreadPoolExecutor`` of up to that many threads takes the
-    indices left in order; after a failure no index starts, one already
-    started runs to its end, and once every thread has stopped the lowest
-    index's failure is raised. This is the package's one thread pool; the
-    optimizer's decode stage uses it too.
+    more, the indices left are queued in order on ``backend``'s lane in
+    ``lanes``; after a failure no index starts, one already started runs to
+    its end, and once every index has ended the lowest index's failure is
+    raised. The optimizer's decode stage runs on it.
     """
     for start in range(count):
-        threads = min(_fan_width(backend, budget, step_calls * (count - start)), count - start)
-        if threads > 1:
+        if min(_fan_width(backend, budget, step_calls * (count - start)), count - start) > 1:
             break
         work(start)
     else:  # every index ran in the calling thread
         return
-    from concurrent.futures import ThreadPoolExecutor
-
     failed = threading.Event()
 
     def run(index: int) -> BaseException | None:
@@ -326,23 +328,133 @@ def _fan_out(count: int, work: Callable[[int], None], backend: BackendConfig | N
             return exc
         return None
 
-    with ThreadPoolExecutor(threads, thread_name_prefix="lpo-fan-out") as pool:
-        failures = [f for f in pool.map(run, range(start, count)) if f is not None]
+    futures = [lanes.submit(backend, run, index) for index in range(start, count)]
+    failures = [f for f in (future.result() for future in futures) if f is not None]
     if failures:  # in index order
         raise failures[0]
 
 
+class _Lanes:
+    """The worker pools of one slice, and the calls made ahead on them.
+
+    A lane is one backend's pool of its ``max_in_flight`` threads, opened
+    when its first call is queued; this class names ``ThreadPoolExecutor``
+    and is the package's one pool. A call made ahead is asked once, under
+    its reply-cache key, and each template whose score needs it waits for
+    it. ``made_ahead`` maps the text of each template taken on to an event,
+    set once none of its calls is left in flight and its replies are
+    appended to the cache file. After :meth:`stop` the calls still queued
+    end without being made; :meth:`close` cancels them, waits for the calls
+    in flight and ends the threads.
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.stopped = False
+        self.made_ahead: dict[str, threading.Event] = {}
+        self._left: dict[str, int] = {}  # template text -> its calls not ended
+        self._waiting: dict[str, list[str] | None] = {}  # reply key -> texts; None once ended
+        self._pools: dict[int, object] | None = {}  # by id(backend); None once closed
+
+    def submit(self, backend: BackendConfig, fn: Callable, *args):
+        """Queue ``fn(*args)`` on ``backend``'s lane: its future, or None once closed."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        with self.lock:
+            if self._pools is None:
+                return None
+            pool = self._pools.get(id(backend))
+            if pool is None:
+                pool = self._pools[id(backend)] = ThreadPoolExecutor(
+                    backend.max_in_flight, thread_name_prefix="lpo-lane")
+            return pool.submit(fn, *args)
+
+    def take(self, templates: Sequence[PromptTemplate]) -> list[PromptTemplate]:
+        """The templates whose texts were not taken on yet, now taken on; none
+        once stopped. Each is held until :meth:`release` says all its calls
+        are sent."""
+        with self.lock:
+            if self.stopped:
+                return []
+            new = []
+            for template in templates:
+                if template.text not in self.made_ahead:
+                    self.made_ahead[template.text] = threading.Event()
+                    self._left[template.text] = 1
+                    new.append(template)
+            return new
+
+    def join(self, key: str, text: str) -> bool:
+        """Make the template of ``text`` wait for the call of ``key`` unless it
+        has ended; True if nobody asked for it before, so the caller sends it."""
+        with self.lock:
+            new = key not in self._waiting
+            waiting = self._waiting.setdefault(key, [])
+            if waiting is not None:
+                waiting.append(text)
+                self._left[text] += 1
+            return new
+
+    def end(self, key: str, budget: Budget) -> None:
+        """The call of ``key`` has ended, made or not."""
+        with self.lock:
+            texts, self._waiting[key] = self._waiting[key], None
+        self.release(texts, budget)
+
+    def release(self, texts: Sequence[str], budget: Budget) -> None:
+        """One call of each template of ``texts`` has ended, or all were sent."""
+        with self.lock:
+            ended = []
+            for text in texts:
+                self._left[text] -= 1
+                if not self._left[text]:
+                    ended.append(self.made_ahead[text])
+        if ended:
+            budget.replies.flush()  # before the waiting loop reads them
+            for event in ended:
+                event.set()
+
+    def wait(self, text: str) -> None:
+        """Return once the template of ``text``, if taken on, has no call left in flight."""
+        event = self.made_ahead.get(text)
+        if event is not None:
+            event.wait()
+
+    def stop(self) -> None:
+        with self.lock:
+            self.stopped = True
+
+    def close(self, budget: Budget) -> None:
+        """Stop, cancel the calls queued, wait for those in flight, end the
+        threads and append the replies they put."""
+        with self.lock:
+            self.stopped = True
+            pools, self._pools = list((self._pools or {}).values()), None
+        for pool in pools:
+            pool.shutdown(cancel_futures=True)
+        budget.replies.flush()
+
+
+def _run_ahead(backend: BackendConfig, lanes: _Lanes, call: Callable[[], None]) -> None:
+    """``call`` on ``backend``'s lane if the backend blocks and allows more
+    than one call in flight, else here and now."""
+    if backend.max_in_flight > 1 and gateway.blocks(backend) and not lanes.stopped:
+        if lanes.submit(backend, call) is not None:
+            return
+    call()
+
+
 @dataclass(frozen=True)
 class _Slice(Dataset):
-    """The first ``max_examples`` of an eval set, as one evaluation or one
-    batch scores them under ``cfg``, with what every template of the batch
+    """The first ``max_examples`` of an eval set, as one evaluation, batch or
+    cycle scores them under ``cfg``, with what every template scored on it
     shares, each derived on first use: its fingerprint, every score's
     ``eval_set_id``; the task backend's fingerprint and the extract-key
     function, so a backend is fingerprinted once per slice and a change to
     its params between batches makes new keys; ``failed``, each classify
     request that failed while made ahead, by its key, for :func:`evaluate`
-    to raise when it reaches that example; and ``made_ahead``, the texts of
-    the templates whose calls :func:`_prefetch` has taken on."""
+    to raise when it reaches that example; and ``lanes``, the pools that
+    make calls ahead (``made_ahead``, the texts of the templates taken on)."""
 
     cfg: EvalConfig
 
@@ -364,14 +476,19 @@ class _Slice(Dataset):
         return {}
 
     @cached_property
-    def made_ahead(self) -> set[str]:
-        return set()
+    def lanes(self) -> _Lanes:
+        return _Lanes()
+
+    @property
+    def made_ahead(self) -> dict[str, threading.Event]:
+        return self.lanes.made_ahead
 
 
 def _slice(eval_set: Dataset, cfg: EvalConfig, budget: Budget) -> _Slice:
-    """``eval_set`` itself if it is a batch's slice under ``cfg``; else a new
-    slice of its first ``max_examples``, with ``budget`` bound to
-    ``cfg.cache_path`` (:meth:`Budget.bind_replies`)."""
+    """``eval_set`` itself if it is a batch's or cycle's slice under ``cfg``;
+    else a new slice of its first ``max_examples``, with ``budget`` bound to
+    ``cfg.cache_path`` (:meth:`Budget.bind_replies`), whose lanes the caller
+    closes."""
     if isinstance(eval_set, _Slice) and eval_set.cfg is cfg:
         return eval_set
     if len(eval_set) == 0:
@@ -383,82 +500,85 @@ def _slice(eval_set: Dataset, cfg: EvalConfig, budget: Budget) -> _Slice:
 
 
 def _prefetch(templates: Sequence[PromptTemplate], view: _Slice, budget: Budget) -> None:
-    """Make ahead, on up to ``max_in_flight`` threads per backend, the calls
-    that scoring ``templates`` on ``view`` in full would make, so
-    :func:`evaluate` finds their replies in ``budget.replies``.
+    """Send ahead, to the lanes of ``view``, the calls that scoring
+    ``templates`` on ``view`` in full would make, so :func:`evaluate` finds
+    their replies in ``budget.replies`` once :meth:`_Lanes.wait` returns.
 
     It takes them on, adding their texts to ``view.made_ahead``, only while
     the task or extraction backend blocks (asked before the texts are
-    counted) and the fan-out rule admits :func:`call_plan` of every
-    (template, distinct text); otherwise it does nothing. First every
-    classify call that misses the cache, appending to the cache file as each
-    template's calls end; then one extraction per distinct reply that stage
-    1 of :func:`extract_label` cannot label, and one more append. The calls
-    left at entry cover each pool's own plan, so each widens once its
-    backend blocks. A prefetch that finds every classify reply cached makes
-    no call. A cut by the budget ends it quietly: :func:`evaluate` meets the
-    first missing reply and stops where a serial run stops. A classify call
-    that fails otherwise stops it too, and is kept in ``view.failed``,
-    neither raised here nor asked again, for :func:`evaluate` to raise if it
-    reaches that example: a racing template may never reach it.
+    counted), the lanes are not stopped and the fan-out rule admits
+    :func:`call_plan` of every (template, distinct text); otherwise it does
+    nothing. For each template taken on, each classify call that misses the
+    cache goes to the task backend's lane, and each reply that stage 1 of
+    :func:`extract_label` cannot label sends its extraction on to the
+    extraction backend's lane as soon as it is in (:func:`_extract_ahead`):
+    each distinct request once per slice. A backend that computes makes its
+    calls at once on the thread that sends them. A call cut by the budget
+    stops the lanes quietly: :func:`evaluate` meets the first missing reply
+    and stops where a serial run stops. A classify call that fails otherwise
+    stops them too, and is kept in ``view.failed``, neither raised here nor
+    asked again, for :func:`evaluate` to raise if it reaches that example:
+    a racing template may never reach it.
     """
-    cfg, examples, label_set = view.cfg, view.examples, view.label_set
+    cfg, examples, lanes = view.cfg, view.examples, view.lanes
     backends = (cfg.task_backend, cfg.extraction_backend)
     if not any(map(gateway.blocks, backends)):
         return
     worst = sum(call_plan(pairs=len(templates) * len({ex.text for ex in examples})).values())
     if max(_fan_width(b, budget, worst) for b in backends) == 1:
         return
-    view.made_ahead.update(template.text for template in templates)
-    replies, failed = budget.replies, view.failed
-    pairs: dict[str, tuple[int, Example]] = {}  # classify key -> its first (template, example)
-    for t, template in enumerate(templates):
-        keys = _classify_keys(view.task_id, cfg, template)
+    task_id, _ = view.task_id, view.extract_keys  # derived here, not on the lanes
+    replies = budget.replies
+    for template in lanes.take(templates):
+        text, keys = template.text, _classify_keys(task_id, cfg, template)
         for ex in examples:
-            pairs.setdefault(keys(ex), (t, ex))
-    missing = [(key, *pair) for key, pair in pairs.items()
-               if replies.get(key) is None and key not in failed]
-    if not missing:
-        return
-    unclassified, lock, stopped = [0] * len(templates), threading.Lock(), threading.Event()
-    for _, t, _ in missing:
-        unclassified[t] += 1
+            key = keys(ex)
+            raw = replies.get(key)
+            if raw is not None:
+                _extract_ahead(raw, text, view, budget)
+            elif lanes.join(key, text):
+                _run_ahead(cfg.task_backend, lanes,
+                           partial(_classify_ahead, key, template, ex, view, budget))
+        lanes.release([text], budget)
 
-    def classify(k: int) -> None:
-        """Classify pair ``k``; a template's last classify call appends the replies put so far."""
-        if stopped.is_set():
-            return
-        key, t, ex = missing[k]
-        try:
-            classify_one(templates[t], ex, cfg, budget, keys=lambda _ex: key)
-        except BudgetExhaustedError:
-            raise
-        except Exception as exc:  # raised by evaluate once it reaches this example
-            failed[key] = exc
-            stopped.set()
-            return
-        with lock:
-            unclassified[t] -= 1
-            last = not unclassified[t]
-        if last:
-            replies.flush()
 
+def _classify_ahead(key: str, template: PromptTemplate, ex: Example, view: _Slice,
+                    budget: Budget) -> None:
+    """One classify call made ahead; a reply that stage 1 cannot label sends its extraction on."""
+    lanes = view.lanes
     try:
-        _fan_out(len(missing), classify, cfg.task_backend, budget,
-                 sum(call_plan(pairs=1).values()))
-        if stopped.is_set():
-            return
-        extract_keys = view.extract_keys
-        unlabelled = [raw for raw in dict.fromkeys(map(replies.get, pairs))
-                      if raw is not None and _local_label(raw, label_set) is None
-                      and replies.get(extract_keys(raw)) is None]
-        _fan_out(len(unlabelled),
-                 lambda k: extract_label(unlabelled[k], label_set, cfg, budget, keys=extract_keys),
-                 cfg.extraction_backend, budget, call_plan(pairs=1)["extract"])
-    except BudgetExhaustedError:
-        pass  # evaluate meets the cut where a serial run would
-    finally:  # also a prefetch cut short, by the budget or a failure, keeps its replies
-        replies.flush()
+        if not lanes.stopped:
+            raw = classify_one(template, ex, view.cfg, budget, keys=lambda _ex: key)
+            _extract_ahead(raw, template.text, view, budget)
+    except Exception as exc:
+        if not isinstance(exc, BudgetExhaustedError):  # a cut is met by evaluate, as serially
+            view.failed[key] = exc  # raised once evaluate reaches this example
+        lanes.stop()
+    finally:
+        lanes.end(key, budget)
+
+
+def _extract_ahead(raw: str, text: str, view: _Slice, budget: Budget) -> None:
+    """Send on the extraction that ``raw`` needs, if stage 1 of
+    :func:`extract_label` cannot label it and the cache holds no reply, for
+    the template of ``text`` to wait for. A failed extraction is not asked
+    ahead again, and ``evaluate`` asks it once more, as a serial run does."""
+    if _local_label(raw, view.label_set) is not None:
+        return
+    key, lanes = view.extract_keys(raw), view.lanes
+    if budget.replies.get(key) is not None or not lanes.join(key, text):
+        return
+
+    def extract() -> None:
+        try:
+            if not lanes.stopped:
+                extract_label(raw, view.label_set, view.cfg, budget, keys=lambda _raw: key)
+        except Exception:  # a cut, or a failure evaluate meets again
+            lanes.stop()
+        finally:
+            lanes.end(key, budget)
+
+    _run_ahead(view.cfg.extraction_backend, lanes, extract)
 
 
 def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
@@ -471,7 +591,9 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
     to that file (:meth:`Budget.bind_replies`): the first evaluation reads
     it, and the budget stays bound to it, so later evaluations on that budget
     read nothing. The lines of this template's new replies are appended
-    there once its calls end.
+    there once its calls end: those made ahead by the lane thread that ends
+    the last of them, before the loop reads them, and the loop's own when
+    it ends.
 
     The examples are scored one after another, each classified and then
     labelled, and this is the one place a score is built. With a ``floor``,
@@ -483,14 +605,15 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
 
     Each example's classify key is derived when the loop reaches it, so a
     raced template derives none for the examples it skips. Unless the
-    template's calls were made ahead already, it asks :func:`_prefetch` to
-    make them before the first and the second example, so a backend first
-    seen to block by the first example's call overlaps the rest. Whatever
-    the prefetch made is read from the reply cache, so the result equals a
-    serial run's, and a budget cut stops at the first example whose reply
-    is missing, with the error a serial run raises there. A call that failed
-    while made ahead is raised here, without asking again, once the loop
-    reaches its example.
+    template's calls were sent ahead already, it asks :func:`_prefetch` to
+    send them before the first and the second example, so a backend first
+    seen to block by the first example's call overlaps the rest; then it
+    waits for its own calls made ahead, and no others. Whatever they made
+    is read from the reply cache, so the result equals a serial run's, and
+    a budget cut stops at the first example whose reply is missing, with
+    the error a serial run raises there. A call that failed while made
+    ahead is raised here, without asking again, once the loop reaches its
+    example.
     """
     view = _slice(eval_set, cfg, budget)
     examples, label_set, failed = view.examples, view.label_set, view.failed
@@ -503,8 +626,10 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
         for i, ex in enumerate(examples):
             if floor is not None and i % RACE_EVERY == 0 and n_correct + n - i < floor:
                 break
-            if i < 2 and template.text not in view.made_ahead:
-                _prefetch([template], view, budget)
+            if i < 2:
+                if template.text not in view.made_ahead:
+                    _prefetch([template], view, budget)
+                view.lanes.wait(template.text)
             if failed and (key := keys(ex)) in failed:
                 raise failed.pop(key)
             raw = classify_one(template, ex, cfg, budget, keys=keys)
@@ -516,6 +641,8 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
         raise BudgetExhaustedError(f"budget exhausted after {len(outcomes)} of {n} examples "
                                    f"for template {template.id}: {exc}") from exc
     finally:  # also a template cut short by the budget keeps its replies
+        if view is not eval_set:
+            view.lanes.close(budget)
         budget.replies.flush()
     if len(outcomes) < n:
         return RacedPrompt(template, n_correct, len(outcomes), tuple(outcomes),
@@ -541,34 +668,40 @@ def evaluate_batch(templates: Sequence[PromptTemplate], eval_set: Dataset, cfg: 
     are those of a run without racing. The first ``keep`` templates always
     complete. Without ``keep`` every template completes.
 
-    Before each template whose calls were not made ahead yet, the batch asks
-    :func:`_prefetch` to make the calls of every template left at once: each
-    classify call grouped by (template, text), then each distinct extraction
-    across the batch. So a backend that computes starts no thread, a fresh
-    process widens once its first calls show the backend to block, and the
-    results equal a serial run's. Under a call ceiling the calls ahead are
-    made only when they all fit; a cut keeps a prefix of the results of a
-    run without a ceiling, and on a backend that computes it stops where a
-    serial run stops. Under a token ceiling, too, the results kept are a
-    prefix of a full run's.
+    Before each template whose calls were not sent ahead yet, the batch asks
+    :func:`_prefetch` to send the calls of every template left at once: the
+    classify calls queue on the task backend's lane, in template order, and
+    each extraction follows the reply that needs it. So a backend that
+    computes starts no thread, a fresh process widens once its first calls
+    show the backend to block, and the results equal a serial run's. Under
+    a call ceiling the calls ahead are made only when they all fit; a cut
+    keeps a prefix of the results of a run without a ceiling, and on a
+    backend that computes it stops where a serial run stops. Under a token
+    ceiling, too, the results kept are a prefix of a full run's.
 
     Every template is scored on one slice of the eval set, so its
-    fingerprint and each backend's are taken once per batch.
+    fingerprint and each backend's are taken once per batch. The slice of a
+    cycle's batch is the cycle's, and its lanes close with the cycle; any
+    other batch closes its own before it returns.
     """
     if keep is not None and keep < 1:
         raise ValidationError("keep must be >= 1")
     view = _slice(eval_set, cfg, budget)
     complete: list[int] = []  # the complete templates' n_correct, best first
     results: list[ScoredPrompt | RacedPrompt] = []
-    for start, template in enumerate(templates):
-        if template.text not in view.made_ahead:
-            _prefetch(templates[start:], view, budget)
-        floor = complete[keep - 1] if keep is not None and len(complete) >= keep else None
-        try:
-            result = evaluate(template, view, cfg, budget, floor)
-        except BudgetExhaustedError as exc:
-            return results, exc
-        results.append(result)
-        if isinstance(result, ScoredPrompt):
-            complete = sorted([*complete, result.n_correct], reverse=True)
-    return results, None
+    try:
+        for start, template in enumerate(templates):
+            if template.text not in view.made_ahead:
+                _prefetch(templates[start:], view, budget)
+            floor = complete[keep - 1] if keep is not None and len(complete) >= keep else None
+            try:
+                result = evaluate(template, view, cfg, budget, floor)
+            except BudgetExhaustedError as exc:
+                return results, exc
+            results.append(result)
+            if isinstance(result, ScoredPrompt):
+                complete = sorted([*complete, result.n_correct], reverse=True)
+        return results, None
+    finally:
+        if view is not eval_set:
+            view.lanes.close(budget)

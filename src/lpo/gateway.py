@@ -19,8 +19,9 @@ only their own checks of the request and the reply.
 A :class:`BackendConfig` is frozen; each one builds its own private run
 state (lock, in-flight cap, call and attempt counters). There the gateway notes
 whether a backend's attempts mostly wait (on a network, say) rather than
-compute. :func:`blocks` reports it, and the evaluator fans a template's calls
-out to ``max_in_flight`` threads only for a backend that blocks.
+compute. :func:`blocks` reports it, and only a backend that blocks gets a
+lane in a cycle: a pool of its ``max_in_flight`` threads
+(:class:`lpo.evaluator._Lanes`), so every blocking backend waits at once.
 
 Every call receives the run's ledger, a :class:`Budget`: ceilings, usage
 and replies. Only this module builds a :class:`ResponseCache`; one keeps no
@@ -136,9 +137,10 @@ class ResponseCache:
     (creating the directory only when the open finds it missing), so they
     have reached the operating system when it returns (they are not fsynced)
     and no file stays open between flushes.
-    :func:`lpo.evaluator.evaluate` flushes once per template and
-    :func:`lpo.optimizer.run_cycle` once per decode stage, so a crash loses
-    at most the replies put since the last flush.
+    The evaluator flushes once per template, also from a lane thread once
+    the template's calls made ahead end, and :func:`lpo.optimizer.run_cycle`
+    once per decode stage, so a crash loses at most the replies put since
+    the last flush.
 
     I/O problems are downgraded to warnings; the evaluator then simply falls
     back to live calls. A group whose write fails or falls short stays in
@@ -332,8 +334,8 @@ class BackendConfig:
     ``kind`` is one of remote_chat, remote_embed, mock. Mock backends pick a
     registered deterministic behavior by name and parameterize it via
     ``params``; see :mod:`lpo.mocks`. ``max_in_flight`` caps the calls in
-    flight at once and is the width the evaluator fans a template's calls
-    out to, for a backend that :func:`blocks`. Fields are settings only; the
+    flight at once and is the thread count of the backend's lane, for a
+    backend that :func:`blocks`. Fields are settings only; the
     run state (counters, in-flight cap, blocking tally) is kept apart, and a
     ``replace`` copy gets its own, at zero calls under its own cap.
     """

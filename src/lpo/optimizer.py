@@ -7,17 +7,25 @@ templates back in as the next round's seeds, coarse to fine; with seeds
 competing, the incumbent best is never lost, so the per-iteration best score
 is nondecreasing.
 
-Each stage of a cycle fans out by one rule (:func:`lpo.evaluator._fan_out`):
-on up to its backend's ``max_in_flight`` threads once that backend waits
-rather than computes (:func:`lpo.gateway.blocks`) and the calls left cover
-the stage's worst case (:func:`cycle_plan`) for its steps left, a candidate's
-decode -> refine chain or a (template, text) pair. Scoring hands the cycle's
-pool -- the seeds when they compete, then the valid candidates -- each text
-once, to one :func:`lpo.evaluator.evaluate_batch`, which makes their calls
-ahead as one batch and then scores each template serially from the cache.
-Backends that compute, like the in-process mocks, start no thread. A stage
-cut short by the budget keeps, in order, the candidates and templates whose
-calls all finished, so a partial record reads like a serial run's.
+A cycle keeps every backend that waits rather than computes
+(:func:`lpo.gateway.blocks`) busy at once, each on its lane: a pool of its
+``max_in_flight`` threads, opened on first use and closed before the cycle
+returns (:class:`lpo.evaluator._Lanes`). Each stage fans out to its lanes by
+one rule (:func:`lpo.evaluator._fan_width`): once its backend blocks and the
+calls left cover the stage's worst case (:func:`cycle_plan`) for its steps
+left, a candidate's decode -> refine chain or a (template, text) pair.
+Scoring overlaps decoding only while the calls left cover the whole cycle's
+plan: then the seeds' classify calls are queued before decoding starts, and
+each candidate's as soon as its chain ends, and extractions stream from the
+classify replies. Scoring hands the cycle's pool -- the seeds when they
+compete, then the valid candidates -- each text once, to one
+:func:`lpo.evaluator.evaluate_batch`, which sends ahead the calls not sent
+yet and scores each template serially from the cache once its own calls
+have ended. Backends that compute, like the in-process mocks, start no
+thread. A stage cut short by the budget keeps, in order, the candidates and
+templates whose calls all finished, so a partial record reads like a serial
+run's; under a token ceiling a decode cut can come sooner than a serial
+run's, since classify calls spend tokens while candidates decode.
 
 Scoring races for the ``select_n`` places: a template stops, at one of the
 evaluator's fixed checkpoints (every ``RACE_EVERY`` examples), once it can
@@ -201,6 +209,12 @@ def run_cycle(
     appended as one group once decoding ends, also when it is cut short.
     Sampled decodes are drawn afresh. The chat backend is fingerprinted once
     per cycle for the refinements' keys.
+
+    The cycle's calls run on its lanes (:class:`lpo.evaluator._Lanes`),
+    closed before it returns or raises, so every call of the cycle is made
+    inside it. A decode that fails, a budget cut too, stops the calls queued
+    ahead: they end without being made. Any failure but a cut is raised once
+    the calls in flight have ended.
     """
     if not seeds:
         raise ValidationError("run_cycle needs at least one seed template")
@@ -226,6 +240,11 @@ def run_cycle(
     candidates = explorer.generate_candidates(list(zip(ids, seed_vectors)), policy)
     for candidate in candidates:
         candidate.id = f"it{iteration}-{candidate.id}"
+    view = evaluator_mod._slice(eval_set, eval_cfg, budget)
+    plan = cycle_plan(len(candidates), len(seeds), cfg.keep_seeds,
+                      len({ex.text for ex in view.examples}))
+    # scoring overlaps decoding only where no ceiling on calls can cut the cycle
+    ahead = evaluator_mod._fan_width(eval_cfg.task_backend, budget, sum(plan.values())) > 1
 
     def decode_one(position: int) -> None:
         candidate = candidates[position]
@@ -236,37 +255,49 @@ def run_cycle(
                 template_id=candidate.id, backend_id=chat_id)
         except CandidateInvalidError as exc:
             candidate.invalid_reason = str(exc)
+        except BaseException:
+            view.lanes.stop()  # the calls queued ahead end without being made
+            raise
+        else:
+            if ahead:
+                evaluator_mod._prefetch([candidate.refined_template], view, budget)
 
     try:
-        evaluator_mod._fan_out(len(candidates), decode_one, chat, budget,
-                               sum(evaluator_mod.call_plan(candidates=1).values()))
-    except BudgetExhaustedError as exc:
-        warnings.append(f"budget exhausted during decoding: {exc}")
-        partial = True
-        # keep the candidates finished in order; a fan-out may have finished some past the cut
-        cut = next(i for i, c in enumerate(candidates)
-                   if c.refined_template is None and c.invalid_reason is None)
-        for later in candidates[cut + 1:]:
-            later.decoded_text = later.refined_template = None
-        for skipped in candidates[cut:]:
-            skipped.invalid_reason = f"not decoded: {exc}"
-    finally:  # the cycle's new embeddings and refinements, as one group
-        budget.replies.flush()
+        if ahead:  # also fingerprints the backends here, not on the decoding threads
+            evaluator_mod._prefetch(list(seeds) if cfg.keep_seeds else [], view, budget)
+        try:
+            evaluator_mod._fan_out(len(candidates), decode_one, chat, budget,
+                                   sum(evaluator_mod.call_plan(candidates=1).values()),
+                                   view.lanes)
+        except BudgetExhaustedError as exc:
+            warnings.append(f"budget exhausted during decoding: {exc}")
+            partial = True
+            # keep the candidates finished in order; a fan-out may have finished some past the cut
+            cut = next(i for i, c in enumerate(candidates)
+                       if c.refined_template is None and c.invalid_reason is None)
+            for later in candidates[cut + 1:]:
+                later.decoded_text = later.refined_template = None
+            for skipped in candidates[cut:]:
+                skipped.invalid_reason = f"not decoded: {exc}"
+        finally:  # the cycle's new embeddings and refinements, as one group
+            budget.replies.flush()
 
-    valid = [c.refined_template for c in candidates if c.refined_template is not None]
-    pool = list(seeds) if cfg.keep_seeds else []
-    if not partial:
-        if valid:
-            pool += valid
-        else:
-            warnings.append("all candidates invalid; selecting among seeds")
-            logger.warning("all %d candidates decoded invalid", len(candidates))
-            pool = list(seeds)
-    first: dict[str, PromptTemplate] = {}  # each text is scored once, under its first template
-    for template in pool:
-        first.setdefault(template.text, template)
-    results, exhausted = evaluator_mod.evaluate_batch(
-        list(first.values()), eval_set, eval_cfg, budget, cfg.select_n)
+        valid = [c.refined_template for c in candidates if c.refined_template is not None]
+        pool = list(seeds) if cfg.keep_seeds else []
+        if not partial:
+            if valid:
+                pool += valid
+            else:
+                warnings.append("all candidates invalid; selecting among seeds")
+                logger.warning("all %d candidates decoded invalid", len(candidates))
+                pool = list(seeds)
+        first: dict[str, PromptTemplate] = {}  # each text is scored once, under its first template
+        for template in pool:
+            first.setdefault(template.text, template)
+        results, exhausted = evaluator_mod.evaluate_batch(
+            list(first.values()), view, eval_cfg, budget, cfg.select_n)
+    finally:  # no call of the cycle outlives it
+        view.lanes.close(budget)
     if exhausted is not None:
         warnings.append(f"budget exhausted during evaluation: {exhausted}")
         partial = True

@@ -154,9 +154,10 @@ def build_toy_pipeline(
     )
 
 
-def sleeping(reply_for, delay=0.002, peak=None, threads=None):
+def sleeping(reply_for, delay=0.002, peak=None, threads=None, spans=None):
     """Handler backend that sleeps like a remote call; ``peak`` tracks overlap,
-    and ``threads`` the name of the thread making each call.
+    ``threads`` the name of the thread making each call, and ``spans`` each
+    call's (start, end, request text) on the ``time.perf_counter`` clock.
 
     The reply is worked out first, so a failing request fails at once.
     """
@@ -171,9 +172,12 @@ def sleeping(reply_for, delay=0.002, peak=None, threads=None):
                 peak.append(active[0])
             if threads is not None:
                 threads.append(threading.current_thread().name)
+        start = time.perf_counter()
         time.sleep(delay)
         with lock:
             active[0] -= 1
+            if spans is not None:
+                spans.append((start, time.perf_counter(), req.user_text))
         return reply
 
     return handler

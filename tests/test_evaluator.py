@@ -772,13 +772,15 @@ class TestEvaluateBatch:
         if admitted:
             assert b.calls == worst and "MainThread" not in threads
 
-    def test_file_grows_as_each_template_ends_its_classify_calls(self, tmp_path):
+    def test_file_holds_a_templates_replies_once_its_calls_end(self, tmp_path, monkeypatch):
+        """A template's replies made ahead are appended once its calls end, so
+        a crash loses at most the replies of templates with calls in flight."""
         path = tmp_path / "cache.jsonl"
         ds = dataset([(f"ex{i}", "positive") for i in range(6)])
         cfg = replace(batch_config(), cache_path=path)
         b = budget()
         b.bind_replies(path)
-        flush, lines = b.replies.flush, []
+        flush, lines, at_scoring = b.replies.flush, [], []
 
         def counted_flush():
             """Records the line count each time it changes: a flush with nothing
@@ -788,13 +790,22 @@ class TestEvaluateBatch:
             if count != (lines[-1] if lines else 0):
                 lines.append(count)
 
+        def scored_first(template, ex, *args, **kwargs):
+            """The line count when the scoring loop reads a template's first reply."""
+            if threading.current_thread() is threading.main_thread() and ex is ds.examples[0]:
+                at_scoring.append(len(path.read_text().splitlines()))
+            return classify(template, ex, *args, **kwargs)
+
+        classify = evaluator.classify_one
+        monkeypatch.setattr(evaluator, "classify_one", scored_first)
         b.replies.flush = counted_flush
         scored, exhausted = evaluator.evaluate_batch(BATCH, ds, cfg, b)
         assert exhausted is None and len(scored) == 3
-        # one append per template's last classify call, then the extractions
-        assert len(lines) == 3 + 1
-        assert all(count >= 6 * (k + 1) for k, count in enumerate(lines[:3]))
-        assert lines[-1] == 3 * 6 + 3
+        # template k's six classify replies and its one extraction, and those before it
+        assert len(at_scoring) == 3
+        assert all(count >= 7 * (k + 1) for k, count in enumerate(at_scoring))
+        # an append as each template's calls end, and one more at most as its scoring ends
+        assert len(lines) <= 2 * 3 and lines[-1] == 3 * 6 + 3
 
     def test_budget_cut_keeps_the_templates_done_in_order(self):
         ds = dataset([(f"ex{i}", "positive") for i in range(6)])

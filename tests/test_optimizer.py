@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -10,10 +11,10 @@ from helpers import (build_toy_pipeline, circle_points, open_descriptors, sleepi
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpo import evaluator, fixtures, prompts
+from lpo import evaluator, fixtures, optimizer, prompts
 from lpo import gateway as gw
 from lpo.cli import main
-from lpo.core import text_digest, validate_template
+from lpo.core import render_prompt, text_digest, validate_template
 from lpo.encoder import encode
 from lpo.errors import BackendError, BudgetExhaustedError, ValidationError
 from lpo.evaluator import PerExample, ScoredPrompt
@@ -421,22 +422,26 @@ class SleepyRun:
     calls: dict[str, int]
     peaks: dict[str, list[int]]    # overlap seen by each call, per backend
     threads: dict[str, list[str]]  # the thread making each call, per backend
+    spans: dict[str, list[tuple]]  # each call's (start, end, request text), per backend
 
 
 def sleepy_run(width, rng_seed=0, variants=("{label}", "{label}"), max_calls=10**7,
-               max_total_tokens=10**12, usage=None) -> SleepyRun:
+               max_total_tokens=10**12, usage=None, warm=False) -> SleepyRun:
     """``iterate`` over the anchor_blend toy pipeline (6 examples, 6 candidates,
     2 iterations), with fresh decode, task and extraction backends that sleep
     like remote ones and allow ``width`` calls in flight. ``variants`` words
     the negative and positive task replies; ``usage`` fixes each chat call's
-    (prompt, completion) tokens."""
+    (prompt, completion) tokens. With ``warm`` each backend answers one
+    request before the run, on another budget, so it is seen to block from
+    the start; ``calls`` counts it."""
     p = build_toy_pipeline(rng_seed=rng_seed, n_examples=6, candidate_count=6, select_n=2,
                            max_iterations=2, patience=2, decode_kind="anchor_blend")
     peaks = {name: [] for name in ("chat", "task", "extract")}
     threads = {name: [] for name in peaks}
+    spans = {name: [] for name in peaks}
 
     def backend(name, reply_for):
-        params = {"fn": sleeping(reply_for, 0.002, peaks[name], threads[name])}
+        params = {"fn": sleeping(reply_for, 0.002, peaks[name], threads[name], spans[name])}
         if usage is not None:
             params["usage"] = usage
         return BackendConfig(kind="mock", behavior="handler", max_in_flight=width, params=params)
@@ -457,10 +462,18 @@ def sleepy_run(width, rng_seed=0, variants=("{label}", "{label}"), max_calls=10*
     cfg = replace(p.cfg, decode=replace(p.cfg.decode, chat=backends["chat"]))
     eval_cfg = replace(p.eval_cfg, task_backend=backends["task"],
                        extraction_backend=backends["extract"])
+    if warm:
+        texts = {"chat": prompts.refine_instruction("warm-up", ["{text}"]),
+                 "task": render_prompt(p.seeds[0], p.eval_set.examples[0].text),
+                 "extract": "warm-up"}
+        for name, b in backends.items():
+            chat(b, ChatRequest(user_text=texts[name]), Budget())
+        for name in peaks:
+            peaks[name].clear(), threads[name].clear(), spans[name].clear()
     budget = Budget(max_calls=max_calls, max_total_tokens=max_total_tokens)
     record = iterate(p.seeds, cfg, eval_cfg, p.eval_set, budget)
     return SleepyRun(record, budget, {name: call_count(b) for name, b in backends.items()},
-                     peaks, threads)
+                     peaks, threads, spans)
 
 
 def decoded(iteration) -> list:
@@ -489,6 +502,25 @@ def scores(iteration) -> list:
 
 def is_prefix(part: list, whole: list) -> bool:
     return part == whole[:len(part)]
+
+
+REFINE_HEAD = prompts.refine_instruction("", [])[:40]
+
+
+def in_flight(spans) -> int:
+    """The most of these (start, end, text) calls in flight at once."""
+    steps = sorted([(start, 1) for start, _, _ in spans] + [(end, -1) for _, end, _ in spans])
+    depth = most = 0
+    for _, step in steps:
+        depth += step
+        most = max(most, depth)
+    return most
+
+
+def overlapping(spans, others) -> bool:
+    """Whether some call of ``spans`` is in flight while one of ``others`` is."""
+    return any(start < other_end and other_start < end
+               for start, end, _ in spans for other_start, other_end, _ in others)
 
 
 class TestCycleFanOut:
@@ -584,6 +616,99 @@ class TestCycleFanOut:
             assert is_prefix(scores(last), scores(same))
             stages.update(w.split(":")[0] for w in last.warnings if w.startswith("budget"))
         assert stages == {"budget exhausted during decoding", "budget exhausted during evaluation"}
+
+    def test_scoring_overlaps_decoding_and_extraction_overlaps_classification(self):
+        """Backends seen to block from the start: the seeds' classify calls
+        are in flight while candidates refine, and extractions while classify
+        calls are, with the records and calls of a serial run."""
+        variants = ("maybe", "{label}")  # a negative reply needs an extraction
+        wide, serial = (sleepy_run(width, variants=variants, warm=True) for width in (4, 1))
+        assert normalized(wide.record) == normalized(serial.record)
+        assert wide.calls == serial.calls
+        refines = [span for span in wide.spans["chat"] if span[2].startswith(REFINE_HEAD)]
+        assert refines and overlapping(wide.spans["task"], refines)
+        assert overlapping(wide.spans["extract"], wide.spans["task"])
+        assert all(in_flight(spans) <= 4 for spans in wide.spans.values())
+        # one call at a time: no backend waits while another does
+        assert in_flight([span for spans in serial.spans.values() for span in spans]) == 1
+
+    @pytest.mark.parametrize("error", [BackendError("chat backend gone"), KeyboardInterrupt()])
+    def test_a_failed_decode_cancels_the_classify_calls_queued_ahead(self, error):
+        p = build_toy_pipeline(rng_seed=0, n_examples=20, candidate_count=6,
+                               decode_kind="anchor_blend")
+        warm_up = prompts.refine_instruction("warm-up", ["{text}"])
+        failed_at, decodes, classified, lock = [], [], [], threading.Lock()
+
+        def decode_reply(req):
+            """The first decode fails soon, while the others, slower, are in flight."""
+            if req.user_text == warm_up:
+                time.sleep(0.002)
+                return "Answer: {text}"
+            with lock:
+                first = not decodes
+                decodes.append(req.user_text)
+            time.sleep(0.005 if first else 0.05)
+            if first:
+                failed_at.append(time.perf_counter())
+            raise error
+
+        def task_reply(text):
+            return MOCK_CHAT_BEHAVIORS["toy_task"](p.task_backend, ChatRequest(user_text=text))
+
+        chat_backend = BackendConfig(kind="mock", behavior="handler", max_in_flight=4,
+                                     params={"fn": decode_reply})
+        task = BackendConfig(kind="mock", behavior="handler", max_in_flight=4,
+                             params={"fn": sleeping(task_reply, spans=classified)})
+        chat(chat_backend, ChatRequest(user_text=warm_up), Budget())  # seen to block
+        chat(task, ChatRequest(user_text=render_prompt(p.seeds[0], p.eval_set.examples[0].text)),
+             Budget())
+        classified.clear()
+        cfg = replace(p.cfg, decode=replace(p.cfg.decode, chat=chat_backend))
+        eval_cfg = replace(p.eval_cfg, task_backend=task)
+        with pytest.raises(type(error)):
+            run_cycle(p.seeds, cfg, eval_cfg, p.eval_set, Budget())
+        assert len(decodes) > 1 and len(classified) < len(p.seeds) * 20  # queued, then cancelled
+        assert sum(start > failed_at[0] for start, _, _ in classified) <= task.max_in_flight
+
+    def test_many_threads_switching_often_keep_the_serial_record(self):
+        """Eight threads per lane on a shared interpreter that switches
+        threads every microsecond: a lost count of the calls a template
+        waits for would hang the run or change its record."""
+        variants = ("maybe", "{Label}.")
+        serial, runs = sleepy_run(1, variants=variants, warm=True), []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(
+                target=lambda: runs.append(sleepy_run(8, variants=variants, warm=True)))
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and len(runs) == 1
+        assert normalized(runs[0].record) == normalized(serial.record)
+        assert runs[0].calls == serial.calls
+
+    def test_every_call_of_a_cycle_is_made_inside_it(self, monkeypatch):
+        """Calls counted around each ``run_cycle``, as the benchmark counts
+        them, add up to the run's: no call made ahead outlives its cycle."""
+        threads, cycles, inner = threading.active_count(), [], optimizer.run_cycle
+
+        def counted(seeds, cfg, eval_cfg, *args, **kwargs):
+            backends = (cfg.decode.chat, eval_cfg.task_backend, eval_cfg.extraction_backend)
+            before = [call_count(b) for b in backends]
+            result = inner(seeds, cfg, eval_cfg, *args, **kwargs)
+            cycles.append([call_count(b) - n for b, n in zip(backends, before)])
+            assert threading.active_count() == threads
+            return result
+
+        monkeypatch.setattr(optimizer, "run_cycle", counted)
+        run = sleepy_run(4, variants=("maybe", "{label}"), warm=True)
+        assert len(cycles) == len(run.record.iterations) == 2
+        # the calls of each backend, less its warm-up call
+        assert [sum(calls) for calls in zip(*cycles)] == \
+            [run.calls[name] - 1 for name in ("chat", "task", "extract")]
+        assert all(cycles[0])
 
 
 def without_racing(monkeypatch) -> None:
