@@ -79,7 +79,7 @@ import logging
 import math
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -343,12 +343,13 @@ class _Lanes:
     its reply-cache key, and each template whose score needs it waits for
     it. ``made_ahead`` maps the text of each template taken on to an event,
     set once none of its calls is left in flight and its replies are
-    appended to the cache file. After :meth:`stop` the calls still queued
-    end without being made; :meth:`close` cancels them, waits for the calls
-    in flight and ends the threads.
+    appended to the cache file of ``replies``. After :meth:`stop` the calls
+    still queued end without being made; :meth:`close` cancels them, waits
+    for the calls in flight and ends the threads.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, replies: ResponseCache) -> None:
+        self.replies = replies
         self.lock = threading.Lock()
         self.stopped = False
         self.made_ahead: dict[str, threading.Event] = {}
@@ -395,13 +396,13 @@ class _Lanes:
                 self._left[text] += 1
             return new
 
-    def end(self, key: str, budget: Budget) -> None:
+    def end(self, key: str) -> None:
         """The call of ``key`` has ended, made or not."""
         with self.lock:
             texts, self._waiting[key] = self._waiting[key], None
-        self.release(texts, budget)
+        self.release(texts)
 
-    def release(self, texts: Sequence[str], budget: Budget) -> None:
+    def release(self, texts: Sequence[str]) -> None:
         """One call of each template of ``texts`` has ended, or all were sent."""
         with self.lock:
             ended = []
@@ -410,7 +411,7 @@ class _Lanes:
                 if not self._left[text]:
                     ended.append(self.made_ahead[text])
         if ended:
-            budget.replies.flush()  # before the waiting loop reads them
+            self.replies.flush()  # before the waiting loop reads them
             for event in ended:
                 event.set()
 
@@ -424,7 +425,7 @@ class _Lanes:
         with self.lock:
             self.stopped = True
 
-    def close(self, budget: Budget) -> None:
+    def close(self) -> None:
         """Stop, cancel the calls queued, wait for those in flight, end the
         threads and append the replies they put."""
         with self.lock:
@@ -432,7 +433,7 @@ class _Lanes:
             pools, self._pools = list((self._pools or {}).values()), None
         for pool in pools:
             pool.shutdown(cancel_futures=True)
-        budget.replies.flush()
+        self.replies.flush()
 
 
 def _run_ahead(backend: BackendConfig, lanes: _Lanes, call: Callable[[], None]) -> None:
@@ -453,10 +454,11 @@ class _Slice(Dataset):
     function, so a backend is fingerprinted once per slice and a change to
     its params between batches makes new keys; ``failed``, each classify
     request that failed while made ahead, by its key, for :func:`evaluate`
-    to raise when it reaches that example; and ``lanes``, the pools that
-    make calls ahead (``made_ahead``, the texts of the templates taken on)."""
+    to raise when it reaches that example. Its ``lanes`` make calls ahead
+    (``made_ahead``, the texts of the templates taken on)."""
 
     cfg: EvalConfig
+    lanes: _Lanes = field(compare=False, repr=False)
 
     @cached_property
     def eval_set_id(self) -> str:
@@ -475,10 +477,6 @@ class _Slice(Dataset):
     def failed(self) -> dict[str, Exception]:
         return {}
 
-    @cached_property
-    def lanes(self) -> _Lanes:
-        return _Lanes()
-
     @property
     def made_ahead(self) -> dict[str, threading.Event]:
         return self.lanes.made_ahead
@@ -487,16 +485,16 @@ class _Slice(Dataset):
 def _slice(eval_set: Dataset, cfg: EvalConfig, budget: Budget) -> _Slice:
     """``eval_set`` itself if it is a batch's or cycle's slice under ``cfg``;
     else a new slice of its first ``max_examples``, with ``budget`` bound to
-    ``cfg.cache_path`` (:meth:`Budget.bind_replies`), whose lanes the caller
-    closes."""
+    ``cfg.cache_path`` (:meth:`Budget.bind_replies`) and lanes on its
+    replies, which the caller closes."""
     if isinstance(eval_set, _Slice) and eval_set.cfg is cfg:
         return eval_set
     if len(eval_set) == 0:
         raise ValidationError("evaluation set is empty")
-    view = _Slice(eval_set.examples[: cfg.max_examples], tuple(eval_set.label_set), cfg)
     if cfg.cache_path is not None:
         budget.bind_replies(cfg.cache_path)
-    return view
+    return _Slice(eval_set.examples[: cfg.max_examples], tuple(eval_set.label_set), cfg,
+                  _Lanes(budget.replies))
 
 
 def _prefetch(templates: Sequence[PromptTemplate], view: _Slice, budget: Budget) -> None:
@@ -539,7 +537,7 @@ def _prefetch(templates: Sequence[PromptTemplate], view: _Slice, budget: Budget)
             elif lanes.join(key, text):
                 _run_ahead(cfg.task_backend, lanes,
                            partial(_classify_ahead, key, template, ex, view, budget))
-        lanes.release([text], budget)
+        lanes.release([text])
 
 
 def _classify_ahead(key: str, template: PromptTemplate, ex: Example, view: _Slice,
@@ -555,14 +553,15 @@ def _classify_ahead(key: str, template: PromptTemplate, ex: Example, view: _Slic
             view.failed[key] = exc  # raised once evaluate reaches this example
         lanes.stop()
     finally:
-        lanes.end(key, budget)
+        lanes.end(key)
 
 
 def _extract_ahead(raw: str, text: str, view: _Slice, budget: Budget) -> None:
     """Send on the extraction that ``raw`` needs, if stage 1 of
     :func:`extract_label` cannot label it and the cache holds no reply, for
     the template of ``text`` to wait for. A failed extraction is not asked
-    ahead again, and ``evaluate`` asks it once more, as a serial run does."""
+    ahead again; the scoring loop asks it at each occurrence, as a serial
+    run does."""
     if _local_label(raw, view.label_set) is not None:
         return
     key, lanes = view.extract_keys(raw), view.lanes
@@ -576,7 +575,7 @@ def _extract_ahead(raw: str, text: str, view: _Slice, budget: Budget) -> None:
         except Exception:  # a cut, or a failure evaluate meets again
             lanes.stop()
         finally:
-            lanes.end(key, budget)
+            lanes.end(key)
 
     _run_ahead(view.cfg.extraction_backend, lanes, extract)
 
@@ -642,7 +641,7 @@ def evaluate(template: PromptTemplate, eval_set: Dataset, cfg: EvalConfig,
                                    f"for template {template.id}: {exc}") from exc
     finally:  # also a template cut short by the budget keeps its replies
         if view is not eval_set:
-            view.lanes.close(budget)
+            view.lanes.close()
         budget.replies.flush()
     if len(outcomes) < n:
         return RacedPrompt(template, n_correct, len(outcomes), tuple(outcomes),
@@ -704,4 +703,4 @@ def evaluate_batch(templates: Sequence[PromptTemplate], eval_set: Dataset, cfg: 
         return results, None
     finally:
         if view is not eval_set:
-            view.lanes.close(budget)
+            view.lanes.close()

@@ -297,7 +297,7 @@ def run_cycle(
         results, exhausted = evaluator_mod.evaluate_batch(
             list(first.values()), view, eval_cfg, budget, cfg.select_n)
     finally:  # no call of the cycle outlives it
-        view.lanes.close(budget)
+        view.lanes.close()
     if exhausted is not None:
         warnings.append(f"budget exhausted during evaluation: {exhausted}")
         partial = True

@@ -468,8 +468,8 @@ def sleepy_run(width, rng_seed=0, variants=("{label}", "{label}"), max_calls=10*
                  "extract": "warm-up"}
         for name, b in backends.items():
             chat(b, ChatRequest(user_text=texts[name]), Budget())
-        for name in peaks:
-            peaks[name].clear(), threads[name].clear(), spans[name].clear()
+        for recorded in (*peaks.values(), *threads.values(), *spans.values()):
+            recorded.clear()
     budget = Budget(max_calls=max_calls, max_total_tokens=max_total_tokens)
     record = iterate(p.seeds, cfg, eval_cfg, p.eval_set, budget)
     return SleepyRun(record, budget, {name: call_count(b) for name, b in backends.items()},
