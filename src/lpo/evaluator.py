@@ -545,13 +545,16 @@ def _classify_ahead(key: str, template: PromptTemplate, ex: Example, view: _Slic
     """One classify call made ahead; a reply that stage 1 cannot label sends its extraction on."""
     lanes = view.lanes
     try:
-        if not lanes.stopped:
+        if lanes.stopped:
+            return
+        try:
             raw = classify_one(template, ex, view.cfg, budget, keys=lambda _ex: key)
-            _extract_ahead(raw, template.text, view, budget)
-    except Exception as exc:
-        if not isinstance(exc, BudgetExhaustedError):  # a cut is met by evaluate, as serially
-            view.failed[key] = exc  # raised once evaluate reaches this example
-        lanes.stop()
+        except Exception as exc:
+            if not isinstance(exc, BudgetExhaustedError):  # a cut is met by evaluate, as serially
+                view.failed[key] = exc  # raised once evaluate reaches this example
+            lanes.stop()
+            return
+        _extract_ahead(raw, template.text, view, budget)
     finally:
         lanes.end(key)
 
